@@ -40,7 +40,7 @@ from .linalg import (
     LoewnerVerdict,
     apply_matrix_function,
     congruence_sandwich,
-    jacobi_eigendecomposition,
+    eigendecomposition,
     load_matrix,
     loewner_compare,
     relative_spectrum_bounds,

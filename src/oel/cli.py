@@ -196,7 +196,7 @@ def cmd_fuzz(args) -> int:
             slack = "n/a" if rep.min_slack is None else f"{rep.min_slack:.3e}"
             print(
                 f"{rep.chain_id}: trials={rep.trials_run} failures={len(rep.failures)} "
-                f"not_applicable={rep.not_applicable} min_slack={slack}",
+                f"not_applicable={rep.not_applicable} rejected={rep.rejected} min_slack={slack}",
                 file=sys.stderr,
             )
     return EXIT_PASS if total_failures == 0 else EXIT_FAIL

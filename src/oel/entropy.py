@@ -17,18 +17,19 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scalar
+from .chains import DEFAULT_TOL, two_function_gate
 from .errors import NumericError
 from .linalg import (
+    _loewner,
+    _normalize_pair,
     _pd_eig,
     as_symmetric,
     eig_apply,
-    loewner_compare,
     matrix_to_obj,
     symmetrize,
 )
 
 REGIME_CUSHION = 1e-12
-DEFAULT_TOL = 1e-9
 
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
@@ -43,10 +44,7 @@ class _Context:
         self.B = as_symmetric(B)
         if self.A.shape != self.B.shape:
             raise ValueError(f"dimension mismatch: {self.A.shape} vs {self.B.shape}")
-        eig_a = _pd_eig(self.A, "A")
-        self.root = eig_apply(eig_a, np.sqrt)
-        inv_root = eig_apply(eig_a, lambda lam: 1.0 / np.sqrt(lam))
-        inner = symmetrize(inv_root @ self.B @ inv_root)
+        self.root, inner = _normalize_pair(self.A, self.B)
         self.eig_x = _pd_eig(inner, "B relative to A")
         self.m = float(self.eig_x.values[0])
         self.M = float(self.eig_x.values[-1])
@@ -94,10 +92,13 @@ class OperatorChainVerdict:
 
 
 def _chain(chain_id, links, tol, regime) -> OperatorChainVerdict:
+    """Links are built from validated inputs through ``symmetrize`` or as
+    sums and scalar multiples of exactly symmetric matrices, so they skip
+    revalidation; only finiteness can fail."""
     for mat in links:
         if not np.all(np.isfinite(mat)):
             raise NumericError(f"{chain_id}: chain link has non-finite entries")
-    verdicts = [loewner_compare(links[i], links[i + 1], tol) for i in range(len(links) - 1)]
+    verdicts = [_loewner(links[i], links[i + 1], tol) for i in range(len(links) - 1)]
     status = STATUS_PASS if all(v.holds for v in verdicts) else STATUS_FAIL
     return OperatorChainVerdict(chain_id, list(links), verdicts, status, tol, regime)
 
@@ -285,12 +286,8 @@ def check_two_function_operator(
       [a, b], scaled by the increment ratio.
     - majorize: f(B) <= ratio * g(A) for B <= A with both spectra in [a, b].
     """
-    from .chains import two_function_gate  # local import to avoid a cycle
-
     if mode not in ("expectation", "congruence", "majorize"):
         raise ValueError(f"unknown mode {mode!r}")
-    A = as_symmetric(A)
-    eig_a = _pd_eig(A, "A")
     if mode in ("congruence", "majorize") and B is None:
         raise ValueError(f"mode {mode!r} requires B")
     regime = {"mode": mode, "fn_f": f.id, "fn_g": g.id}
@@ -298,12 +295,17 @@ def check_two_function_operator(
     if mode == "congruence":
         ctx = _Context(A, B)
         spec_lo, spec_hi = ctx.m, ctx.M
-    elif mode == "majorize":
-        eig_b = _pd_eig(as_symmetric(B), "B")
-        spec_lo = min(float(eig_a.values[0]), float(eig_b.values[0]))
-        spec_hi = max(float(eig_a.values[-1]), float(eig_b.values[-1]))
     else:
+        A = as_symmetric(A)
+        eig_a = _pd_eig(A, "A")
         spec_lo, spec_hi = float(eig_a.values[0]), float(eig_a.values[-1])
+    if mode == "majorize":
+        B = as_symmetric(B)
+        if B.shape != A.shape:
+            raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
+        eig_b = _pd_eig(B, "B")
+        spec_lo = min(spec_lo, float(eig_b.values[0]))
+        spec_hi = max(spec_hi, float(eig_b.values[-1]))
 
     if interval is None:
         interval = (spec_lo, spec_hi)
@@ -351,7 +353,7 @@ def check_two_function_operator(
         return _chain("thm-2.12", [lhs, rhs], tol, regime)
 
     # majorize
-    below = loewner_compare(B, A, tol)
+    below = _loewner(B, A, tol)
     if not below.holds:
         regime["reason"] = "hypothesis B <= A fails"
         return _not_applicable("thm-2.12", tol, regime)

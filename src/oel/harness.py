@@ -22,7 +22,7 @@ from .chains import DEFAULT_TOL, ChainVerdict
 from .entropy import OperatorChainVerdict
 from .errors import NumericError
 from .funcs import REGISTRY, FunctionSpec
-from .linalg import jacobi_eigendecomposition, matrix_to_obj, symmetrize
+from .linalg import eigendecomposition, matrix_to_obj, sqrtm_pd, symmetrize
 
 _U64 = (1 << 64) - 1
 
@@ -132,8 +132,7 @@ def _constrained(rng, n, m_target, M_target, lo, hi):
     else:
         spec = np.concatenate([[m_target, M_target], rng.uniform(m_target, M_target, n - 2)])
     C = _pd_from_spectrum(rng, spec)
-    eig = jacobi_eigendecomposition(A)
-    root = symmetrize((eig.vectors * np.sqrt(eig.values)) @ eig.vectors.T)
+    root = sqrtm_pd(A)
     return A, symmetrize(root @ C @ root)
 
 
@@ -537,6 +536,7 @@ class FuzzReport:
     chain_id: str
     trials_run: int
     not_applicable: int
+    rejected: int
     failures: list
     min_slack: float | None
     seed: int
@@ -549,6 +549,7 @@ class FuzzReport:
             "trials": self.trials_run,
             "failures": self.failures,
             "not_applicable": self.not_applicable,
+            "rejected": self.rejected,
             "min_slack": self.min_slack,
             "elapsed_s": self.elapsed_s if include_timing else 0.0,
         }
@@ -590,7 +591,10 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
 
     A non-finite chain evaluation counts as a failure: the generators are
     expected to keep instances inside float range, so an overflow is a bug
-    worth surfacing, not an out-of-regime draw.
+    worth surfacing, not an out-of-regime draw. A draw the chain refuses
+    with ValueError (for instance a pair too ill-conditioned for the kernel's
+    positive-definiteness floor) is counted as rejected; it is neither a
+    failure nor not-applicable, and it does not abort the run.
     """
     if chain_id not in CHAINS:
         raise KeyError(f"unknown chain {chain_id!r}")
@@ -600,16 +604,21 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
     slack_rows = []
     min_slack = None
     n_na = 0
+    n_rejected = 0
     streams = TrialStreams(cfg.seed)
     for trial in range(cfg.trials):
         rng = streams.rng(trial)
         params = entry.generate(rng, cfg)
         try:
             verdict = entry.run(params, cfg.tol)
-            outcome, rel_slack = _classify(verdict)
+        except ValueError:
+            n_rejected += 1
+            continue
         except (NumericError, OverflowError) as exc:
             outcome, rel_slack = "fail", None
             failures.append({"trial": trial, "error": str(exc), "params": serialize_params(params)})
+        else:
+            outcome, rel_slack = _classify(verdict)
         if outcome == "na":
             n_na += 1
             continue
@@ -627,6 +636,7 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
         chain_id=chain_id,
         trials_run=cfg.trials,
         not_applicable=n_na,
+        rejected=n_rejected,
         failures=failures,
         min_slack=min_slack,
         seed=cfg.seed,
@@ -649,7 +659,7 @@ _CANONICAL = {
 
 def _project_matrices(params: dict, k: int) -> dict:
     A = params["A"]
-    eig = jacobi_eigendecomposition(A)
+    eig = eigendecomposition(A)
     V = eig.vectors[:, -k:]  # leading eigenvectors
     out = dict(params)
     for key in ("A", "B"):
@@ -747,7 +757,7 @@ def _emit_json(obj) -> str:
 
 def report_document(reports: list, include_timing: bool = False) -> dict:
     return {
-        "version": 1,
+        "version": 2,
         "seed": reports[0].seed if reports else 0,
         "chains": [r.to_obj(include_timing) for r in reports],
     }

@@ -1,9 +1,14 @@
 """Dense real symmetric matrix kernel.
 
-Self-contained: the eigensolver is a cyclic Jacobi sweep, which is accurate
-to machine precision at the desk scales this package targets (n up to a few
-hundred) and keeps the functional calculus free of external solvers. Tests
-cross-check it against LAPACK.
+The eigensolver is LAPACK's divide-and-conquer ``syevd`` through
+``numpy.linalg.eigh``; Loewner comparisons need only the smallest eigenvalue
+and call ``numpy.linalg.eigvalsh``.
+
+Validation happens once, at the input boundary: public functions pass every
+matrix they receive through ``as_symmetric``, while the ``_``-prefixed
+helpers they share trust their arguments to be finite, square and exactly
+symmetric. Internal arrays keep that promise by being built through
+``symmetrize`` or as sums and scalar multiples of exactly symmetric matrices.
 
 Matrices are plain float64 numpy arrays. The JSON file format shared with
 the CLI is ``{"n": <int>, "data": [[row], ...]}``; symmetry is validated on
@@ -17,11 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 
 SYMMETRY_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 60
-JACOBI_OFF_TOL = 1e-14
 EIG_FLOOR = 1e-12  # reject inverse roots when min eigenvalue <= floor * max
 
 
@@ -56,61 +59,14 @@ class EigenDecomposition:
         return self.values.shape[0]
 
 
-def _off_norm(M: np.ndarray) -> float:
-    # direct sum over off-diagonal entries; subtracting the diagonal from the
-    # full Frobenius norm cancels catastrophically once convergence is near
-    B = M.copy()
-    np.fill_diagonal(B, 0.0)
-    return float(np.linalg.norm(B))
+def _eig(M: np.ndarray) -> EigenDecomposition:
+    values, vectors = np.linalg.eigh(M)
+    return EigenDecomposition(vectors, values)
 
 
-def jacobi_eigendecomposition(A, max_sweeps: int = JACOBI_MAX_SWEEPS) -> EigenDecomposition:
-    """Cyclic Jacobi eigendecomposition of a symmetric matrix.
-
-    Sweeps until the off-diagonal Frobenius norm falls below
-    JACOBI_OFF_TOL times the Frobenius norm of the input.
-    """
-    M = as_symmetric(A)
-    n = M.shape[0]
-    Q = np.eye(n)
-    norm = float(np.linalg.norm(M))
-    if n == 1 or norm == 0.0:
-        return EigenDecomposition(Q, np.diag(M).copy())
-    converged = False
-    for _ in range(max_sweeps):
-        if _off_norm(M) <= JACOBI_OFF_TOL * norm:
-            converged = True
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = M[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (M[q, q] - M[p, p]) / (2.0 * apq)
-                t = (1.0 if tau >= 0.0 else -1.0) / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                cp = M[:, p].copy()
-                cq = M[:, q].copy()
-                M[:, p] = c * cp - s * cq
-                M[:, q] = s * cp + c * cq
-                rp = M[p, :].copy()
-                rq = M[q, :].copy()
-                M[p, :] = c * rp - s * rq
-                M[q, :] = s * rp + c * rq
-                M[p, q] = M[q, p] = 0.0
-                qp = Q[:, p].copy()
-                qq = Q[:, q].copy()
-                Q[:, p] = c * qp - s * qq
-                Q[:, q] = s * qp + c * qq
-    if not converged and _off_norm(M) > JACOBI_OFF_TOL * norm:
-        raise NumericError(
-            f"Jacobi sweeps did not converge: off-diagonal norm {_off_norm(M):.3e} "
-            f"after {max_sweeps} sweeps (target {JACOBI_OFF_TOL * norm:.3e})"
-        )
-    lam = np.diag(M).copy()
-    order = np.argsort(lam, kind="stable")
-    return EigenDecomposition(np.ascontiguousarray(Q[:, order]), lam[order])
+def eigendecomposition(A) -> EigenDecomposition:
+    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
+    return _eig(as_symmetric(A))
 
 
 def eig_apply(eig: EigenDecomposition, fn, domain=None) -> np.ndarray:
@@ -129,11 +85,11 @@ def eig_apply(eig: EigenDecomposition, fn, domain=None) -> np.ndarray:
 
 def apply_matrix_function(A, fn, domain=None) -> np.ndarray:
     """Matrix function through the spectral decomposition: f(A) = Q f(L) Q^T."""
-    return eig_apply(jacobi_eigendecomposition(A), fn, domain)
+    return eig_apply(eigendecomposition(A), fn, domain)
 
 
-def _pd_eig(A, name: str) -> EigenDecomposition:
-    eig = jacobi_eigendecomposition(A)
+def _pd_eig(M: np.ndarray, name: str) -> EigenDecomposition:
+    eig = _eig(M)
     lam = eig.values
     if lam[0] <= EIG_FLOOR * max(lam[-1], 0.0) or lam[0] <= 0.0:
         raise ValueError(
@@ -142,21 +98,26 @@ def _pd_eig(A, name: str) -> EigenDecomposition:
     return eig
 
 
+def _normalize_pair(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A**(1/2), A**(-1/2) B A**(-1/2)) for positive-definite A."""
+    eig_a = _pd_eig(A, "A")
+    root = eig_apply(eig_a, np.sqrt)
+    inv_root = eig_apply(eig_a, lambda lam: 1.0 / np.sqrt(lam))
+    return root, symmetrize(inv_root @ B @ inv_root)
+
+
 def sqrtm_pd(A) -> np.ndarray:
-    return eig_apply(_pd_eig(A, "matrix"), np.sqrt)
+    return eig_apply(_pd_eig(as_symmetric(A), "matrix"), np.sqrt)
 
 
 def invsqrtm_pd(A) -> np.ndarray:
-    return eig_apply(_pd_eig(A, "matrix"), lambda lam: 1.0 / np.sqrt(lam))
+    return eig_apply(_pd_eig(as_symmetric(A), "matrix"), lambda lam: 1.0 / np.sqrt(lam))
 
 
 def congruence_sandwich(A, B, fn, domain=None) -> np.ndarray:
     """A**(1/2) fn(A**(-1/2) B A**(-1/2)) A**(1/2) for positive-definite A."""
-    eig_a = _pd_eig(A, "A")
-    root = eig_apply(eig_a, np.sqrt)
-    inv_root = eig_apply(eig_a, lambda lam: 1.0 / np.sqrt(lam))
-    inner = symmetrize(inv_root @ as_symmetric(B) @ inv_root)
-    return symmetrize(root @ apply_matrix_function(inner, fn, domain) @ root)
+    root, inner = _normalize_pair(as_symmetric(A), as_symmetric(B))
+    return symmetrize(root @ eig_apply(_eig(inner), fn, domain) @ root)
 
 
 @dataclass
@@ -177,6 +138,13 @@ class LoewnerVerdict:
         }
 
 
+def _loewner(X: np.ndarray, Y: np.ndarray, tol: float) -> LoewnerVerdict:
+    # Y - X of two exactly symmetric matrices is exactly symmetric
+    min_eig = float(np.linalg.eigvalsh(Y - X)[0])
+    scale = max(1.0, float(np.abs(X).max()), float(np.abs(Y).max()))
+    return LoewnerVerdict(min_eig >= -tol * scale, min_eig, tol, scale)
+
+
 def loewner_compare(X, Y, tol: float = 1e-9) -> LoewnerVerdict:
     """Check X <= Y: the difference Y - X must have no eigenvalue below
     -tol * scale with scale = max(1, max|X|, max|Y|)."""
@@ -184,18 +152,13 @@ def loewner_compare(X, Y, tol: float = 1e-9) -> LoewnerVerdict:
     Ys = as_symmetric(Y)
     if Xs.shape != Ys.shape:
         raise ValueError(f"dimension mismatch: {Xs.shape} vs {Ys.shape}")
-    diff = symmetrize(Ys - Xs)
-    min_eig = float(jacobi_eigendecomposition(diff).values[0])
-    scale = max(1.0, float(np.abs(Xs).max()), float(np.abs(Ys).max()))
-    return LoewnerVerdict(min_eig >= -tol * scale, min_eig, tol, scale)
+    return _loewner(Xs, Ys, tol)
 
 
 def relative_spectrum_bounds(A, B) -> tuple[float, float]:
     """Tightest constants (m, M) with m*A <= B <= M*A for positive-definite
     A, B: the extreme eigenvalues of A**(-1/2) B A**(-1/2)."""
-    eig_a = _pd_eig(A, "A")
-    inv_root = eig_apply(eig_a, lambda lam: 1.0 / np.sqrt(lam))
-    inner = symmetrize(inv_root @ as_symmetric(B) @ inv_root)
+    _, inner = _normalize_pair(as_symmetric(A), as_symmetric(B))
     lam = _pd_eig(inner, "B relative to A").values
     return float(lam[0]), float(lam[-1])
 

@@ -1,10 +1,13 @@
+import functools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from oel import cli
 from oel.cli import main
+from oel.harness import GeneratorConfig
 from oel.linalg import dump_matrix
 
 
@@ -130,6 +133,14 @@ def test_fuzz_stdout_and_failure_exit(capsys):
     doc = json.loads(captured.out)
     assert doc["chains"][0]["failures"]
     assert main(["fuzz", "unknown-chain", "--trials", "1"]) == 2
+
+
+def test_fuzz_rejected_draws_keep_exit_code(monkeypatch, capsys):
+    # no flag widens scalar_range, so widen it in the config the CLI builds
+    monkeypatch.setattr(cli, "GeneratorConfig", functools.partial(GeneratorConfig, scalar_range=(1e-7, 1e7)))
+    assert main(["fuzz", "zou", "--trials", "50", "--seed", "0"]) == 0
+    chain = json.loads(capsys.readouterr().out)["chains"][0]
+    assert chain["rejected"] > 0 and chain["failures"] == []
 
 
 def test_list_chains_and_functions(capsys):

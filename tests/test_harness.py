@@ -90,6 +90,18 @@ def test_fuzz_report_invariant():
     assert rep.min_slack == min(s for _, s in rep.slack_rows)
 
 
+def test_fuzz_counts_ill_conditioned_draws_as_rejected():
+    # the relative spectrum of such wide draws falls under the kernel's
+    # positive-definiteness floor; the run records those draws and goes on
+    cfg = GeneratorConfig(seed=0, trials=200, scalar_range=(1e-7, 1e7))
+    for cid in ("zou", "prop-3.10"):
+        rep = fuzz_chain(cid, cfg)
+        assert rep.rejected > 0, cid
+        assert not rep.failures, cid
+        assert len(rep.slack_rows) + rep.not_applicable + rep.rejected == 200, cid
+        assert rep.to_obj()["rejected"] == rep.rejected
+
+
 def test_shrink_commuting_witness_to_scalar():
     # an all-equal pair fails every strictly positive slack demand, so a
     # negative tolerance yields a reproducible failing witness
@@ -128,7 +140,7 @@ def test_write_report_roundtrip(tmp_path):
     path = tmp_path / "report.json"
     harness.write_report(reports, path)
     doc = json.loads(path.read_text())
-    assert doc["version"] == 1 and doc["seed"] == 21
+    assert doc["version"] == 2 and doc["seed"] == 21
     assert [c["id"] for c in doc["chains"]] == ["prop-2.1", "cor-3.8"]
     for chain in doc["chains"]:
         assert chain["trials"] == 10
@@ -147,7 +159,7 @@ def test_write_report_empty(tmp_path):
     path = tmp_path / "empty.json"
     harness.write_report([], path)
     doc = json.loads(path.read_text())
-    assert doc == {"version": 1, "seed": 0, "chains": []}
+    assert doc == {"version": 2, "seed": 0, "chains": []}
 
 
 def test_report_timing_flag(tmp_path):
