@@ -433,8 +433,8 @@ def two_function_gate(f: FunctionSpec, g: FunctionSpec, a, b, grid=257, tol=DEFA
         if not (flo < a and b < fhi):
             raise DomainError(f"[{a}, {b}] escapes domain {spec.domain!r} of {spec.id!r}")
     xs = np.linspace(a, b, grid)
-    fs = np.array([f.eval(x) for x in xs])
-    gs = np.array([g.eval(x) for x in xs])
+    fs = f.eval(xs)
+    gs = g.eval(xs)
     scale = max(1.0, float(np.abs(fs).max()), float(np.abs(gs).max()))
     slack = tol * scale
     d2f = fs[2:] - 2.0 * fs[1:-1] + fs[:-2]

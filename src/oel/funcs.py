@@ -34,7 +34,9 @@ class FunctionSpec:
     """A scalar function with evaluator, derivative, and declared shape flags.
 
     ``domain`` is an open interval (lo, hi) on which both callables are safe
-    to evaluate and the flags are claimed to hold.
+    to evaluate and the flags are claimed to hold. Both callables take a
+    float and return a float, or take an array and return the float array
+    of values at its elements.
     """
 
     id: str
@@ -127,6 +129,18 @@ def check_flags(f: FunctionSpec, rng, trials: int = 200, tol: float = 1e-9) -> d
 
 # --- factories -----------------------------------------------------------
 
+def _pointwise(fn):
+    """``fn``, written with numpy operations, as an evaluator: a float at a
+    scalar, and the float array of values at the elements of an array."""
+
+    def evaluate(x):
+        if isinstance(x, np.ndarray) and x.ndim:
+            return np.asarray(fn(x), dtype=float)
+        return float(fn(x))
+
+    return evaluate
+
+
 def exp_power(p: float, domain=(0.05, 2.0)) -> FunctionSpec:
     """exp(x**p) for p >= 1: log-convex, increasing, geometrically convex."""
     if p < 1.0:
@@ -134,8 +148,8 @@ def exp_power(p: float, domain=(0.05, 2.0)) -> FunctionSpec:
     return FunctionSpec(
         id=f"exp-pow-{p:g}",
         domain=domain,
-        eval=lambda x: float(np.exp(x**p)),
-        deriv=lambda x: float(p * x ** (p - 1.0) * np.exp(x**p)),
+        eval=_pointwise(lambda x: np.exp(x**p)),
+        deriv=_pointwise(lambda x: p * x ** (p - 1.0) * np.exp(x**p)),
         flags=frozenset({"log_convex", "convex", "monotone_increasing", "geometrically_convex"}),
     )
 
@@ -148,8 +162,8 @@ def inv_power(p: float, domain=(0.2, 5.0)) -> FunctionSpec:
     return FunctionSpec(
         id=f"inv-pow-{p:g}",
         domain=domain,
-        eval=lambda x: float(x ** (-p)),
-        deriv=lambda x: float(-p * x ** (-p - 1.0)),
+        eval=_pointwise(lambda x: x ** (-p)),
+        deriv=_pointwise(lambda x: -p * x ** (-p - 1.0)),
         flags=frozenset({"log_convex", "convex", "monotone_decreasing", "geometrically_convex"}),
     )
 
@@ -161,8 +175,8 @@ def power(p: float, domain=(0.05, 5.0)) -> FunctionSpec:
     return FunctionSpec(
         id=f"pow-{p:g}",
         domain=domain,
-        eval=lambda x: float(x**p),
-        deriv=lambda x: float(p * x ** (p - 1.0)),
+        eval=_pointwise(lambda x: x**p),
+        deriv=_pointwise(lambda x: p * x ** (p - 1.0)),
         flags=frozenset({"convex", "monotone_increasing", "geometrically_convex", "log_concave"}),
     )
 
@@ -175,8 +189,8 @@ def deformed_log_in_t(x: float, domain=(-4.0, 4.0)) -> FunctionSpec:
     return FunctionSpec(
         id=f"lnt-x-{x:g}",
         domain=domain,
-        eval=lambda t: scalar.deformed_log(t, x),
-        deriv=lambda t: scalar.deformed_log_t_derivative(t, x),
+        eval=_pointwise(lambda t: scalar.deformed_log(t, x)),
+        deriv=_pointwise(lambda t: scalar.deformed_log_t_derivative(t, x)),
         flags=frozenset({"log_convex", "convex", "monotone_increasing"}),
     )
 
@@ -189,8 +203,8 @@ def quad_exponential(c: float, d: float, domain=(-0.5, 1.5)) -> FunctionSpec:
     return FunctionSpec(
         id=f"quad-exp-{c:g}-{d:g}",
         domain=domain,
-        eval=lambda t: float(np.exp(c * t * t + d * t)),
-        deriv=lambda t: float((2.0 * c * t + d) * np.exp(c * t * t + d * t)),
+        eval=_pointwise(lambda t: np.exp(c * t * t + d * t)),
+        deriv=_pointwise(lambda t: (2.0 * c * t + d) * np.exp(c * t * t + d * t)),
         flags=frozenset(flags),
     )
 
@@ -203,8 +217,8 @@ def geometric_interpolant(a: float, b: float, domain=(-0.5, 1.5)) -> FunctionSpe
     return FunctionSpec(
         id=f"geo-interp-{a:g}-{b:g}",
         domain=domain,
-        eval=lambda t: float(a * np.exp(r * t)),
-        deriv=lambda t: float(a * r * np.exp(r * t)),
+        eval=_pointwise(lambda t: a * np.exp(r * t)),
+        deriv=_pointwise(lambda t: a * r * np.exp(r * t)),
         flags=frozenset({"log_convex", "log_concave", "convex"} | ({"monotone_increasing"} if b > a else {"monotone_decreasing"} if b < a else set())),
     )
 
@@ -221,8 +235,8 @@ def linear(slope: float, intercept: float, domain=(0.0, 50.0)) -> FunctionSpec:
     return FunctionSpec(
         id=f"lin-{slope:g}-{intercept:g}",
         domain=domain,
-        eval=lambda x: float(slope * x + intercept),
-        deriv=lambda x: float(slope),
+        eval=_pointwise(lambda x: slope * x + intercept),
+        deriv=_pointwise(lambda x: np.full(np.shape(x), float(slope))),
         flags=frozenset({"convex", "concave"} | mono),
     )
 
@@ -232,8 +246,8 @@ def log_wide(domain=(1.0 + 1e-9, 50.0)) -> FunctionSpec:
     return FunctionSpec(
         id="log-wide",
         domain=domain,
-        eval=lambda x: float(np.log(x)),
-        deriv=lambda x: float(1.0 / x),
+        eval=_pointwise(lambda x: np.log(x)),
+        deriv=_pointwise(lambda x: 1.0 / x),
         flags=frozenset({"concave", "monotone_increasing", "log_concave"}),
     )
 
@@ -243,8 +257,8 @@ def _neg_log() -> FunctionSpec:
     return FunctionSpec(
         id="neg-log",
         domain=(0.02, float(np.exp(-1.0))),
-        eval=lambda x: float(-np.log(x)),
-        deriv=lambda x: float(-1.0 / x),
+        eval=_pointwise(lambda x: -np.log(x)),
+        deriv=_pointwise(lambda x: -1.0 / x),
         flags=frozenset({"log_convex", "convex", "monotone_decreasing"}),
     )
 
@@ -254,8 +268,8 @@ def _neg_log_wide() -> FunctionSpec:
     return FunctionSpec(
         id="neg-log-wide",
         domain=(1e-6, 1e3),
-        eval=lambda x: float(-np.log(x)),
-        deriv=lambda x: float(-1.0 / x),
+        eval=_pointwise(lambda x: -np.log(x)),
+        deriv=_pointwise(lambda x: -1.0 / x),
         flags=frozenset({"convex", "monotone_decreasing"}),
     )
 
@@ -266,8 +280,8 @@ def _log_unit_to_e() -> FunctionSpec:
     return FunctionSpec(
         id="log",
         domain=(1.0 + 1e-9, float(np.e)),
-        eval=lambda x: float(np.log(x)),
-        deriv=lambda x: float(1.0 / x),
+        eval=_pointwise(lambda x: np.log(x)),
+        deriv=_pointwise(lambda x: 1.0 / x),
         flags=frozenset({"log_concave", "concave", "monotone_increasing"}),
     )
 
@@ -277,8 +291,8 @@ def _inv_sin() -> FunctionSpec:
     return FunctionSpec(
         id="inv-sin",
         domain=(0.05, float(np.pi / 2 - 0.05)),
-        eval=lambda x: float(1.0 / np.sin(x)),
-        deriv=lambda x: float(-np.cos(x) / np.sin(x) ** 2),
+        eval=_pointwise(lambda x: 1.0 / np.sin(x)),
+        deriv=_pointwise(lambda x: -np.cos(x) / np.sin(x) ** 2),
         flags=frozenset(
             {"log_convex", "convex", "monotone_decreasing", "geometrically_convex"}
         ),
@@ -289,8 +303,8 @@ def _sin_spec() -> FunctionSpec:
     return FunctionSpec(
         id="sin",
         domain=(0.05, float(np.pi - 0.05)),
-        eval=lambda x: float(np.sin(x)),
-        deriv=lambda x: float(np.cos(x)),
+        eval=_pointwise(lambda x: np.sin(x)),
+        deriv=_pointwise(lambda x: np.cos(x)),
         flags=frozenset({"log_concave", "concave"}),
     )
 
@@ -299,8 +313,8 @@ def _gauss() -> FunctionSpec:
     return FunctionSpec(
         id="gauss",
         domain=(-2.0, 2.0),
-        eval=lambda x: float(np.exp(-x * x)),
-        deriv=lambda x: float(-2.0 * x * np.exp(-x * x)),
+        eval=_pointwise(lambda x: np.exp(-x * x)),
+        deriv=_pointwise(lambda x: -2.0 * x * np.exp(-x * x)),
         flags=frozenset({"log_concave"}),
     )
 
@@ -309,8 +323,8 @@ def _exp_spec() -> FunctionSpec:
     return FunctionSpec(
         id="exp",
         domain=(0.01, 5.0),
-        eval=lambda x: float(np.exp(x)),
-        deriv=lambda x: float(np.exp(x)),
+        eval=_pointwise(lambda x: np.exp(x)),
+        deriv=_pointwise(lambda x: np.exp(x)),
         flags=frozenset({"log_convex", "log_concave", "convex", "monotone_increasing", "geometrically_convex"}),
     )
 

@@ -5,6 +5,13 @@ Reproducibility model: every trial gets its own counter-based random stream
 keyed by (seed, trial index), so reports are bit-identical for a fixed seed
 regardless of execution order, and a failing trial can be regenerated in
 isolation.
+
+Evaluation model: ``fuzz_chain`` draws trials in consecutive blocks of
+FUZZ_BLOCK. A matrix chain evaluates the trials of a block that share a
+shape as one stack (``ChainEntry.stack``), whose per-trial outcomes are
+bitwise those of evaluating each trial alone (``ChainEntry.run``, the
+one-trial case of the same code); scalar chains and ``thm-2.12`` run trial
+by trial. Outcomes are merged back in trial order.
 """
 
 from __future__ import annotations
@@ -86,9 +93,15 @@ def log_uniform(rng, lo, hi, size=None):
     return np.exp(rng.uniform(np.log(lo), np.log(hi), size))
 
 
+def _orthogonal(G: np.ndarray) -> np.ndarray:
+    """Orthogonal factors of a stack of Gaussian matrices, with the signs
+    that make them Haar-distributed."""
+    q, r = np.linalg.qr(G)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+
+
 def random_orthogonal(rng, n: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.normal(size=(n, n)))
-    return q * np.sign(np.diag(r))
+    return _orthogonal(rng.normal(size=(n, n)))
 
 
 def _pd_from_spectrum(rng, lam) -> np.ndarray:
@@ -97,13 +110,24 @@ def _pd_from_spectrum(rng, lam) -> np.ndarray:
     return symmetrize((Q * lam) @ Q.T)
 
 
+def _pd_pair(rng, n, spectrum_a, spectrum_b):
+    """Two matrices with the spectra that spectrum_a() and spectrum_b() draw.
+
+    Draws in the order of two ``_pd_from_spectrum`` calls (spectrum, then
+    Gaussian matrix, for each) and factors both Gaussians with one QR call.
+    """
+    lam_a = spectrum_a()
+    G_a = rng.normal(size=(n, n))
+    lam_b = spectrum_b()
+    G_b = rng.normal(size=(n, n))
+    Q = _orthogonal(np.stack([G_a, G_b]))
+    lam = np.stack([lam_a, lam_b])
+    return symmetrize((Q * lam[:, None, :]) @ Q.swapaxes(1, 2))
+
+
 def _draw_dim(rng, cfg) -> int:
     lo, hi = cfg.dim_range
     return int(rng.integers(lo, hi + 1))
-
-
-def _pd(rng, n, lo, hi) -> np.ndarray:
-    return _pd_from_spectrum(rng, log_uniform(rng, lo, hi, n))
 
 
 def _weights(rng, n) -> list:
@@ -117,21 +141,22 @@ def gen_pd_matrix(cfg: GeneratorConfig, trial: int = 0) -> np.ndarray:
     ranges; deterministic in (seed, trial)."""
     rng = trial_rng(cfg.seed, trial)
     lo, hi = cfg.scalar_range
-    return _pd(rng, _draw_dim(rng, cfg), lo, hi)
+    n = _draw_dim(rng, cfg)
+    return _pd_from_spectrum(rng, log_uniform(rng, lo, hi, n))
 
 
 def _constrained(rng, n, m_target, M_target, lo, hi):
     """Pair (A, B) whose relative spectrum is [m_target, M_target], endpoints
     attained by pinning the extreme eigenvalues of the normalized middle
     factor."""
-    A = _pd(rng, n, max(lo, 1e-2), min(hi, 1e2))
-    if n == 1:
-        spec = np.array([m_target])
-    elif n == 2:
-        spec = np.array([m_target, M_target])
-    else:
-        spec = np.concatenate([[m_target, M_target], rng.uniform(m_target, M_target, n - 2)])
-    C = _pd_from_spectrum(rng, spec)
+    def middle():
+        if n == 1:
+            return np.array([m_target])
+        if n == 2:
+            return np.array([m_target, M_target])
+        return np.concatenate([[m_target, M_target], rng.uniform(m_target, M_target, n - 2)])
+
+    A, C = _pd_pair(rng, n, lambda: log_uniform(rng, max(lo, 1e-2), min(hi, 1e2), n), middle)
     root = sqrtm_pd(A)
     return A, symmetrize(root @ C @ root)
 
@@ -195,11 +220,17 @@ def gen_two_function_family(rng):
 
 @dataclass(frozen=True)
 class ChainEntry:
+    """``run(params, tol)`` evaluates one trial. ``stack(params_list, tol)``,
+    for matrix chains, evaluates trials whose matrices share their shapes and
+    returns one outcome per trial: its verdict, or the exception its ``run``
+    raises."""
+
     id: str
     kind: str  # 'scalar' or 'operator'
     description: str
     generate: Callable
     run: Callable
+    stack: Callable | None = None
 
 
 def _gen_prop21(rng, cfg):
@@ -294,10 +325,15 @@ def _gen_tsallis_scalar(rng, cfg):
     return {"x": float(log_uniform(rng, 1.0, hi)), "s": float(s), "t": float(t)}
 
 
+def _pd_pair_in_range(rng, n, lo, hi):
+    return _pd_pair(rng, n, lambda: log_uniform(rng, lo, hi, n), lambda: log_uniform(rng, lo, hi, n))
+
+
 def _gen_zou(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
-    return {"A": _pd(rng, n, lo, hi), "B": _pd(rng, n, lo, hi), "t": float(rng.uniform(1e-3, 1.0))}
+    A, B = _pd_pair_in_range(rng, n, lo, hi)
+    return {"A": A, "B": B, "t": float(rng.uniform(1e-3, 1.0))}
 
 
 def _gen_refined_st(rng, cfg):
@@ -356,7 +392,8 @@ def _gen_ordering(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
     p = float(log_uniform(rng, 0.05, 2.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-    return {"A": _pd(rng, n, lo, hi), "B": _pd(rng, n, lo, hi), "p": p}
+    A, B = _pd_pair_in_range(rng, n, lo, hi)
+    return {"A": A, "B": B, "p": p}
 
 
 def _gen_two_function(rng, cfg):
@@ -392,6 +429,17 @@ def _run_two_function(p, tol):
         tol=tol,
         vector_seed=p.get("vector_seed", 0),
     )
+
+
+def _stacked(evaluate, *names):
+    """``ChainEntry.stack`` for an ``entropy.*_stack`` checker of (A, B)
+    pairs with the per-pair parameters ``names``."""
+
+    def stack(params: list, tol: float) -> list:
+        columns = [[p[key] for p in params] for key in ("A", "B", *names)]
+        return evaluate(*columns, tol=tol)
+
+    return stack
 
 
 CHAINS: dict[str, ChainEntry] = {}
@@ -490,36 +538,42 @@ _register(ChainEntry(
     "five-link entropy ordering between A - A B^-1 A and B - A",
     _gen_zou,
     lambda p, tol: entropy.check_zou_chain(p["A"], p["B"], p["t"], tol),
+    _stacked(entropy.zou_stack, "t"),
 ))
 _register(ChainEntry(
     "thm-3.3", "operator",
     "entropy ordering sharpened by a spectral-endpoint additive term",
     _gen_refined_st,
     lambda p, tol: entropy.check_refined_ST(p["A"], p["B"], p["t"], tol),
+    _stacked(entropy.refined_st_stack, "t"),
 ))
 _register(ChainEntry(
     "thm-3.5", "operator",
     "exponential-factor relation between two deformed entropies",
     _gen_tsallis_relation,
     lambda p, tol: entropy.check_tsallis_relation(p["A"], p["B"], p["s"], p["t"], tol),
+    _stacked(entropy.tsallis_relation_stack, "s", "t"),
 ))
 _register(ChainEntry(
     "thm-3.6", "operator",
     "two-sided exponential estimates of the relative entropy in multiples of A",
     _gen_roe,
     lambda p, tol: entropy.check_roe_bounds(p["A"], p["B"], tol),
+    _stacked(entropy.roe_bounds_stack),
 ))
 _register(ChainEntry(
     "thm-3.11", "operator",
     "secant-line bound on the deformed entropy over the relative spectrum",
     _gen_troe,
     lambda p, tol: entropy.check_troe_linear_bound(p["A"], p["B"], p["t"], tol),
+    _stacked(entropy.troe_linear_bound_stack, "t"),
 ))
 _register(ChainEntry(
     "prop-3.10", "operator",
     "sign-dependent ordering of plain, deformed, and generalized entropies",
     _gen_ordering,
     lambda p, tol: entropy.check_ordering_S_Tp_Sp(p["A"], p["B"], p["p"], tol),
+    _stacked(entropy.ordering_stack, "p"),
 ))
 _register(ChainEntry(
     "thm-2.12", "operator",
@@ -586,6 +640,37 @@ def _classify(verdict):
     raise TypeError(f"unexpected verdict {verdict!r}")
 
 
+FUZZ_BLOCK = 64  # trials drawn and evaluated together; bounds the stacks' memory
+
+
+def _attempt(run, params: dict, tol: float):
+    """The verdict of one trial, or the exception that refuses or fails it."""
+    try:
+        return run(params, tol)
+    except (ValueError, NumericError, OverflowError) as exc:
+        return exc
+
+
+def _evaluate(entry: ChainEntry, params: list, tol: float) -> list:
+    """One outcome per trial of a block, in trial order."""
+    if entry.stack is None:
+        return [_attempt(entry.run, p, tol) for p in params]
+    groups: dict = {}
+    for i, p in enumerate(params):
+        groups.setdefault((np.shape(p["A"]), np.shape(p["B"])), []).append(i)
+    outcomes = [None] * len(params)
+    for rows in groups.values():
+        stack = [params[i] for i in rows]
+        try:
+            results = entry.stack(stack, tol)
+        except (ValueError, NumericError, OverflowError):
+            # an error the stack cannot pin on one trial: evaluate each alone
+            results = [_attempt(entry.run, p, tol) for p in stack]
+        for i, result in zip(rows, results):
+            outcomes[i] = result
+    return outcomes
+
+
 def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
     """Run cfg.trials seeded trials of one chain and aggregate the outcome.
 
@@ -606,32 +691,31 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
     n_na = 0
     n_rejected = 0
     streams = TrialStreams(cfg.seed)
-    for trial in range(cfg.trials):
-        rng = streams.rng(trial)
-        params = entry.generate(rng, cfg)
-        try:
-            verdict = entry.run(params, cfg.tol)
-        except ValueError:
-            n_rejected += 1
-            continue
-        except (NumericError, OverflowError) as exc:
-            outcome, rel_slack = "fail", None
-            failures.append({"trial": trial, "error": str(exc), "params": serialize_params(params)})
-        else:
-            outcome, rel_slack = _classify(verdict)
-        if outcome == "na":
-            n_na += 1
-            continue
-        if rel_slack is not None:
-            slack_rows.append((trial, rel_slack))
-            if min_slack is None or rel_slack < min_slack:
-                min_slack = rel_slack
-        if outcome == "fail" and (not failures or failures[-1].get("trial") != trial):
-            failures.append({
-                "trial": trial,
-                "min_rel_slack": rel_slack,
-                "params": serialize_params(params),
-            })
+    for first in range(0, cfg.trials, FUZZ_BLOCK):
+        trials = range(first, min(first + FUZZ_BLOCK, cfg.trials))
+        block = [entry.generate(streams.rng(trial), cfg) for trial in trials]
+        for trial, params, verdict in zip(trials, block, _evaluate(entry, block, cfg.tol)):
+            if isinstance(verdict, ValueError):
+                n_rejected += 1
+                continue
+            if isinstance(verdict, Exception):
+                outcome, rel_slack = "fail", None
+                failures.append({"trial": trial, "error": str(verdict), "params": serialize_params(params)})
+            else:
+                outcome, rel_slack = _classify(verdict)
+            if outcome == "na":
+                n_na += 1
+                continue
+            if rel_slack is not None:
+                slack_rows.append((trial, rel_slack))
+                if min_slack is None or rel_slack < min_slack:
+                    min_slack = rel_slack
+            if outcome == "fail" and (not failures or failures[-1].get("trial") != trial):
+                failures.append({
+                    "trial": trial,
+                    "min_rel_slack": rel_slack,
+                    "params": serialize_params(params),
+                })
     return FuzzReport(
         chain_id=chain_id,
         trials_run=cfg.trials,

@@ -1,4 +1,4 @@
-"""Dense real symmetric matrix kernel.
+"""Dense real symmetric matrix kernel, on single matrices and on stacks.
 
 The eigensolver is LAPACK's divide-and-conquer ``syevd`` through
 ``numpy.linalg.eigh``; Loewner comparisons need only the smallest eigenvalue
@@ -9,6 +9,14 @@ matrix they receive through ``as_symmetric``, while the ``_``-prefixed
 helpers they share trust their arguments to be finite, square and exactly
 symmetric. Internal arrays keep that promise by being built through
 ``symmetrize`` or as sums and scalar multiples of exactly symmetric matrices.
+
+The helpers work on stacks of shape ``(k, n, n)``, so that one LAPACK or
+BLAS call serves k matrices; numpy runs the same routine on every matrix of
+a stack, so a stacked result is bitwise equal to the one-matrix result.
+Helpers that can refuse a matrix (``_symmetric_stack``, ``_pd_eig``,
+``_normalize_pair``) return one ``ValueError`` or ``None`` per matrix
+instead of raising, so that a refused matrix does not affect the others;
+the public functions are their k = 1 case and raise the refusal.
 
 Matrices are plain float64 numpy arrays. The JSON file format shared with
 the CLI is ``{"n": <int>, "data": [[row], ...]}``; symmetry is validated on
@@ -28,35 +36,59 @@ SYMMETRY_TOL = 1e-12
 EIG_FLOOR = 1e-12  # reject inverse roots when min eigenvalue <= floor * max
 
 
+def _symmetric_stack(M, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, list]:
+    """Validate a stack of square matrices: the float64 stack, symmetrized,
+    and one ValueError (entries not finite, or not symmetric) or None per
+    matrix. A non-square stack raises. Refused matrices come back as zeros."""
+    M = np.array(M, dtype=float)
+    if M.ndim != 3 or M.shape[1] != M.shape[2]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape[1:]}")
+    errors = [None] * M.shape[0]
+    finite = np.isfinite(M).all(axis=(1, 2))
+    if not finite.all():
+        for i in np.flatnonzero(~finite):
+            errors[i] = ValueError("matrix entries must be finite")
+        M[~finite] = 0.0
+    gap = np.abs(M - M.swapaxes(1, 2))
+    bound = tol * (1.0 + np.abs(M))
+    asymmetric = (gap > bound).any(axis=(1, 2))
+    if asymmetric.any():
+        for i in np.flatnonzero(asymmetric):
+            r, c = np.unravel_index(np.argmax(gap[i] - bound[i]), M.shape[1:])
+            errors[i] = ValueError(f"matrix is not symmetric at ({r}, {c}): {M[i, r, c]!r} vs {M[i, c, r]!r}")
+            M[i] = 0.0
+    return symmetrize(M), errors
+
+
+def _only(errors: list) -> None:
+    """Raise the refusal of a one-matrix stack, if it has one."""
+    (error,) = errors
+    if error is not None:
+        raise error
+
+
 def as_symmetric(A, tol: float = SYMMETRY_TOL) -> np.ndarray:
     """Validate and return a float64 copy of a symmetric matrix."""
-    M = np.array(A, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ValueError("matrix entries must be finite")
-    gap = np.abs(M - M.T)
-    bound = tol * (1.0 + np.abs(M))
-    if np.any(gap > bound):
-        i, j = np.unravel_index(np.argmax(gap - bound), M.shape)
-        raise ValueError(f"matrix is not symmetric at ({i}, {j}): {M[i, j]!r} vs {M[j, i]!r}")
-    return (M + M.T) / 2.0
+    M, errors = _symmetric_stack([A], tol)
+    _only(errors)
+    return M[0]
 
 
 def symmetrize(M: np.ndarray) -> np.ndarray:
-    return (M + M.T) / 2.0
+    return (M + M.swapaxes(-1, -2)) / 2.0
 
 
 @dataclass
 class EigenDecomposition:
-    """Orthogonal factor and ascending eigenvalues with A = Q diag(l) Q^T."""
+    """Orthogonal factor and ascending eigenvalues with A = Q diag(l) Q^T,
+    for one matrix or, with a leading axis, for a stack."""
 
     vectors: np.ndarray
     values: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return self.values.shape[-1]
 
 
 def _eig(M: np.ndarray) -> EigenDecomposition:
@@ -70,7 +102,8 @@ def eigendecomposition(A) -> EigenDecomposition:
 
 
 def eig_apply(eig: EigenDecomposition, fn, domain=None) -> np.ndarray:
-    """Assemble Q fn(lambda) Q^T from a precomputed decomposition."""
+    """Assemble Q fn(lambda) Q^T from a precomputed decomposition; ``fn``
+    maps the eigenvalue array elementwise."""
     lam = eig.values
     if domain is not None:
         lo, hi = domain
@@ -80,7 +113,7 @@ def eig_apply(eig: EigenDecomposition, fn, domain=None) -> np.ndarray:
                 f"eigenvalue {lam[bad][0]!r} escapes function domain [{lo!r}, {hi!r}]"
             )
     vals = np.asarray(fn(lam), dtype=float)
-    return symmetrize((eig.vectors * vals) @ eig.vectors.T)
+    return symmetrize((eig.vectors * vals[..., None, :]) @ eig.vectors.swapaxes(-1, -2))
 
 
 def apply_matrix_function(A, fn, domain=None) -> np.ndarray:
@@ -88,36 +121,51 @@ def apply_matrix_function(A, fn, domain=None) -> np.ndarray:
     return eig_apply(eigendecomposition(A), fn, domain)
 
 
-def _pd_eig(M: np.ndarray, name: str) -> EigenDecomposition:
+def _pd_eig(M: np.ndarray, name: str) -> tuple[EigenDecomposition, list]:
+    """Decomposition of a stack, and one ValueError or None per matrix as it
+    is positive-definite or not. A refused matrix gets the identity's
+    decomposition, so that stacked work downstream stays finite."""
     eig = _eig(M)
-    lam = eig.values
-    if lam[0] <= EIG_FLOOR * max(lam[-1], 0.0) or lam[0] <= 0.0:
-        raise ValueError(
-            f"{name} must be positive-definite: min eigenvalue {lam[0]!r}, max {lam[-1]!r}"
+    lo, hi = eig.values[:, 0], eig.values[:, -1]
+    refused = (lo <= EIG_FLOOR * np.maximum(hi, 0.0)) | (lo <= 0.0)
+    errors = [None] * len(lo)
+    for i in np.flatnonzero(refused):
+        errors[i] = ValueError(
+            f"{name} must be positive-definite: min eigenvalue {lo[i]!r}, max {hi[i]!r}"
         )
-    return eig
+        eig.values[i] = 1.0
+        eig.vectors[i] = np.eye(eig.n)
+    return eig, errors
 
 
-def _normalize_pair(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A**(1/2), A**(-1/2) B A**(-1/2)) for positive-definite A."""
-    eig_a = _pd_eig(A, "A")
+def _pd_eig_one(M: np.ndarray, name: str) -> EigenDecomposition:
+    eig, errors = _pd_eig(M[None], name)
+    _only(errors)
+    return EigenDecomposition(eig.vectors[0], eig.values[0])
+
+
+def _normalize_pair(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """(A**(1/2), A**(-1/2) B A**(-1/2)) for a stack of pairs, and the
+    refusal of each pair whose A is not positive-definite."""
+    eig_a, errors = _pd_eig(A, "A")
     root = eig_apply(eig_a, np.sqrt)
     inv_root = eig_apply(eig_a, lambda lam: 1.0 / np.sqrt(lam))
-    return root, symmetrize(inv_root @ B @ inv_root)
+    return root, symmetrize(inv_root @ B @ inv_root), errors
 
 
 def sqrtm_pd(A) -> np.ndarray:
-    return eig_apply(_pd_eig(as_symmetric(A), "matrix"), np.sqrt)
+    return eig_apply(_pd_eig_one(as_symmetric(A), "matrix"), np.sqrt)
 
 
 def invsqrtm_pd(A) -> np.ndarray:
-    return eig_apply(_pd_eig(as_symmetric(A), "matrix"), lambda lam: 1.0 / np.sqrt(lam))
+    return eig_apply(_pd_eig_one(as_symmetric(A), "matrix"), lambda lam: 1.0 / np.sqrt(lam))
 
 
 def congruence_sandwich(A, B, fn, domain=None) -> np.ndarray:
     """A**(1/2) fn(A**(-1/2) B A**(-1/2)) A**(1/2) for positive-definite A."""
-    root, inner = _normalize_pair(as_symmetric(A), as_symmetric(B))
-    return symmetrize(root @ eig_apply(_eig(inner), fn, domain) @ root)
+    root, inner, errors = _normalize_pair(as_symmetric(A)[None], as_symmetric(B)[None])
+    _only(errors)
+    return symmetrize(root @ eig_apply(_eig(inner), fn, domain) @ root)[0]
 
 
 @dataclass
@@ -138,11 +186,17 @@ class LoewnerVerdict:
         }
 
 
-def _loewner(X: np.ndarray, Y: np.ndarray, tol: float) -> LoewnerVerdict:
+def _loewner(X: np.ndarray, Y: np.ndarray, tol: float) -> list:
+    """One verdict X[i] <= Y[i] per pair of two stacks; one eigvalsh call."""
     # Y - X of two exactly symmetric matrices is exactly symmetric
-    min_eig = float(np.linalg.eigvalsh(Y - X)[0])
-    scale = max(1.0, float(np.abs(X).max()), float(np.abs(Y).max()))
-    return LoewnerVerdict(min_eig >= -tol * scale, min_eig, tol, scale)
+    min_eig = np.linalg.eigvalsh(Y - X)[:, 0].tolist()
+    max_x = np.abs(X).max(axis=(1, 2)).tolist()
+    max_y = np.abs(Y).max(axis=(1, 2)).tolist()
+    verdicts = []
+    for lam, x, y in zip(min_eig, max_x, max_y):
+        scale = max(1.0, x, y)
+        verdicts.append(LoewnerVerdict(lam >= -tol * scale, lam, tol, scale))
+    return verdicts
 
 
 def loewner_compare(X, Y, tol: float = 1e-9) -> LoewnerVerdict:
@@ -152,14 +206,15 @@ def loewner_compare(X, Y, tol: float = 1e-9) -> LoewnerVerdict:
     Ys = as_symmetric(Y)
     if Xs.shape != Ys.shape:
         raise ValueError(f"dimension mismatch: {Xs.shape} vs {Ys.shape}")
-    return _loewner(Xs, Ys, tol)
+    return _loewner(Xs[None], Ys[None], tol)[0]
 
 
 def relative_spectrum_bounds(A, B) -> tuple[float, float]:
     """Tightest constants (m, M) with m*A <= B <= M*A for positive-definite
     A, B: the extreme eigenvalues of A**(-1/2) B A**(-1/2)."""
-    _, inner = _normalize_pair(as_symmetric(A), as_symmetric(B))
-    lam = _pd_eig(inner, "B relative to A").values
+    _, inner, errors = _normalize_pair(as_symmetric(A)[None], as_symmetric(B)[None])
+    _only(errors)
+    lam = _pd_eig_one(inner[0], "B relative to A").values
     return float(lam[0]), float(lam[-1])
 
 

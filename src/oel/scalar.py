@@ -3,10 +3,15 @@ named helper functionals used by the inequality chains.
 
 Everything here is a pure function of its arguments, computed in binary64.
 The deformed-logarithm family accepts numpy arrays as well as floats so the
-matrix layer can apply it to eigenvalue vectors directly.
+matrix layer can apply it to eigenvalue vectors directly; ``deformed_log``
+and ``deformed_log_gap`` also take an array of deformation indices that
+broadcasts against ``x`` (a column of k indices for a (k, n) stack of
+eigenvalue vectors).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -18,6 +23,10 @@ T_SWITCH = 1e-8
 
 
 def _as_positive(x, name="x"):
+    if isinstance(x, float):  # numpy float64 included
+        if 0.0 < x < math.inf:
+            return x
+        raise DomainError(f"{name} must be positive and finite, got {x!r}")
     arr = np.asarray(x, dtype=float)
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
         raise DomainError(f"{name} must be positive and finite, got {x!r}")
@@ -31,13 +40,26 @@ def deformed_log(t: float, x):
     Monotone increasing in t for fixed x > 0, which is what makes the
     entropy-ordering chains work.
     """
-    xa = _as_positive(x)
-    L = np.log(xa)
-    if abs(t) <= T_SWITCH:
-        out = L + (t / 2.0) * L**2 + (t * t / 6.0) * L**3
-    else:
-        out = np.expm1(t * L) / t
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    L = np.log(_as_positive(x))
+    out = _series_or_quotient(
+        abs(t) <= T_SWITCH,
+        lambda: L + (t / 2.0) * L**2 + (t * t / 6.0) * L**3,
+        lambda: np.expm1(t * L) / t,
+    )
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _series_or_quotient(small, series, quotient):
+    """series() where ``small`` holds and quotient() elsewhere; ``small`` is
+    one bool, or an array of them when the arguments are arrays."""
+    if isinstance(small, bool):
+        return series() if small else quotient()
+    if small.all():
+        return series()
+    if not small.any():
+        return quotient()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(small, series(), quotient())
 
 
 def deformed_log_gap(t: float, x):
@@ -47,13 +69,13 @@ def deformed_log_gap(t: float, x):
     logarithms would lose it in rounding noise, so the series branch
     returns the tail terms directly.
     """
-    xa = _as_positive(x)
-    L = np.log(xa)
-    if abs(t) <= T_SWITCH:
-        out = (t / 2.0) * L**2 + (t * t / 6.0) * L**3
-    else:
-        out = np.expm1(t * L) / t - L
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
+    L = np.log(_as_positive(x))
+    out = _series_or_quotient(
+        abs(t) <= T_SWITCH,
+        lambda: (t / 2.0) * L**2 + (t * t / 6.0) * L**3,
+        lambda: np.expm1(t * L) / t - L,
+    )
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def deformed_exp(t: float, x):
@@ -187,13 +209,16 @@ def geom_log_derivative(g, a: float, b: float, t: float) -> float:
 
 
 def deformed_log_t_derivative(t: float, x: float) -> float:
-    """d/dt of deformed_log(t, x); nonnegative for every x > 0."""
+    """d/dt of deformed_log(t, x); nonnegative for every x > 0. ``t`` may
+    be an array."""
     _as_positive(x, "x")
     L = float(np.log(x))
     u = t * L
     # (e^u (u-1) + 1)/u^2 = 1/2 + u/3 + u^2/8 + u^3/30 + ...
-    if abs(u) <= 1e-3:
-        gu = 0.5 + u / 3.0 + u * u / 8.0 + u**3 / 30.0
-    else:
-        gu = (np.exp(u) * (u - 1.0) + 1.0) / (u * u)
-    return float(L * L * gu)
+    gu = _series_or_quotient(
+        abs(u) <= 1e-3,
+        lambda: 0.5 + u / 3.0 + u * u / 8.0 + u**3 / 30.0,
+        lambda: (np.exp(u) * (u - 1.0) + 1.0) / (u * u),
+    )
+    out = L * L * gu
+    return float(out) if np.ndim(out) == 0 else out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oel import entropy, scalar
+from oel.errors import NumericError
 from oel.funcs import REGISTRY
 from oel.linalg import eigendecomposition, loewner_compare
 
@@ -265,3 +266,40 @@ def test_commuting_equivalence_scalar_oracle():
         t = float(rng.uniform(0.05, 1.0))
         verdict = entropy.check_zou_chain(A, B, t)
         assert verdict.ok == _zou_scalar_oracle(lb / la, t)
+
+
+def _same_verdict(a, b):
+    assert a.status == b.status and a.regime == b.regime
+    assert len(a.links) == len(b.links)
+    assert all(np.array_equal(x, y) for x, y in zip(a.links, b.links))
+    assert [v.to_dict() for v in a.verdicts] == [v.to_dict() for v in b.verdicts]
+
+
+def test_stack_refusals_leave_other_pairs_unchanged():
+    rng = np.random.default_rng(19)
+    A, B = [], []
+    for _ in range(6):
+        a, b, *_ = commuting_pair(rng, 3)
+        A.append(a)
+        B.append(b)
+    p = [0.5, 1.2, -0.7, 0.3, 0.9, -1.1]
+    alone = [entropy.check_ordering_S_Tp_Sp(a, b, pi) for a, b, pi in zip(A, B, p)]
+    A[1] = np.diag([1.0, -1.0, 2.0])  # not positive-definite
+    B[2] = np.full((3, 3), np.nan)  # not finite
+    p[3] = 0.0  # parameter refused
+    B[4] = np.diag([1e3, 1e3, 1e3]) @ A[4]  # relative spectrum 1e3 ...
+    p[4] = 400.0  # ... whose generalized entropy overflows
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in the overflowing lift
+        stacked = entropy.ordering_stack(A, B, p)
+        refusals = {
+            1: (ValueError, "A must be positive-definite"),
+            2: (ValueError, "matrix entries must be finite"),
+            3: (ValueError, "p must be nonzero"),
+            4: (NumericError, "prop-3.10: chain link has non-finite entries"),
+        }
+        for i, (expected, message) in refusals.items():
+            with pytest.raises(expected, match=message) as single:
+                entropy.check_ordering_S_Tp_Sp(A[i], B[i], p[i])
+            assert type(stacked[i]) is type(single.value) and str(stacked[i]) == str(single.value)
+    for i in (0, 5):
+        _same_verdict(stacked[i], alone[i])

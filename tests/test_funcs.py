@@ -73,3 +73,22 @@ def test_domain_membership_helpers():
     with pytest.raises(Exception):
         spec.require(0.5)
     assert spec(2.0) == pytest.approx(np.log(2.0))
+
+
+def test_evaluators_accept_arrays():
+    # every registered evaluator maps an array elementwise and a scalar to a
+    # float; log and affine functions (the pair thm-2.12 fuzzes) agree bit
+    # for bit, the others within a few ulps (numpy's vector pow is not libm's)
+    rng = np.random.default_rng(23)
+    for spec in REGISTRY.values():
+        lo, hi = spec.domain
+        xs = lo + (hi - lo) * rng.uniform(0.05, 0.95, (3, 5))
+        for fn in (spec.eval, spec.deriv):
+            scalar_vals = np.array([[fn(float(x)) for x in row] for row in xs])
+            assert isinstance(fn(float(xs[0, 0])), float)
+            out = fn(xs)
+            assert out.shape == xs.shape and out.dtype == float
+            if spec.id in ("log-wide", "lin-0.04-0.12"):
+                assert np.array_equal(out, scalar_vals), spec.id
+            else:
+                assert np.allclose(out, scalar_vals, rtol=1e-13, atol=0.0), spec.id

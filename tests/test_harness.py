@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from oel import harness
+from oel.errors import NumericError
 from oel.harness import CHAINS, GeneratorConfig, TrialStreams, fuzz_chain, shrink_witness, trial_rng
 from oel.linalg import relative_spectrum_bounds
+
+OPERATOR_CHAINS = [cid for cid, entry in CHAINS.items() if entry.kind == "operator"]
 
 
 def test_config_validation():
@@ -190,3 +193,93 @@ def test_failures_recorded_with_serialized_params():
     rep_op = fuzz_chain("zou", GeneratorConfig(seed=13, trials=2, tol=-1.0))
     assert rep_op.failures
     assert rep_op.failures[0]["params"]["A"]["n"] >= 2
+
+
+def _per_trial_reference(chain_id: str, cfg: GeneratorConfig) -> dict:
+    """What fuzz_chain aggregates, from generating and running each trial on
+    its own: CHAINS[chain_id].generate on the trial's stream, then .run."""
+    entry = CHAINS[chain_id]
+    rows, failures, na, rejected = [], [], 0, 0
+    for trial in range(cfg.trials):
+        params = entry.generate(trial_rng(cfg.seed, trial), cfg)
+        try:
+            verdict = entry.run(params, cfg.tol)
+        except ValueError:
+            rejected += 1
+            continue
+        except (NumericError, OverflowError) as exc:
+            failures.append({"trial": trial, "error": str(exc), "params": harness.serialize_params(params)})
+            continue
+        if not verdict.applicable:
+            na += 1
+            continue
+        slack = verdict.min_rel_slack
+        rows.append((trial, slack))
+        if not verdict.ok:
+            failures.append({"trial": trial, "min_rel_slack": slack, "params": harness.serialize_params(params)})
+    return {
+        "slack_rows": rows,
+        "failures": failures,
+        "not_applicable": na,
+        "rejected": rejected,
+        "min_slack": min((s for _, s in rows), default=None),
+    }
+
+
+def _stacked_vs_per_trial_configs():
+    for cid in OPERATOR_CHAINS:
+        yield cid, GeneratorConfig(seed=31, trials=150)  # blocks mix n
+        yield cid, GeneratorConfig(seed=32, trials=70, dim_range=(4, 4))  # full stacks
+    for cid in ("zou", "prop-3.10"):  # rejections inside stacks
+        yield cid, GeneratorConfig(seed=0, trials=100, scalar_range=(1e-7, 1e7))
+    yield "zou", GeneratorConfig(seed=33, trials=20, tol=-1.0)  # every trial fails
+    for case in ("below", "straddle", "above"):
+        yield "thm-3.3", GeneratorConfig(seed=34, trials=40, regime={"case": case})
+    for case in ("low", "high"):
+        yield "thm-3.6", GeneratorConfig(seed=35, trials=40, regime={"case": case})
+    for mode in ("expectation", "congruence", "majorize"):
+        yield "thm-2.12", GeneratorConfig(seed=36, trials=20, regime={"mode": mode})
+
+
+def test_stacked_fuzz_matches_per_trial_runs_bitwise():
+    # fuzz_chain evaluates the trials of a block that share a shape as one
+    # stack; every per-trial outcome must be bit for bit the one-trial run
+    seen = {"slack_rows": 0, "failures": 0, "rejected": 0}
+    for cid, cfg in _stacked_vs_per_trial_configs():
+        rep = fuzz_chain(cid, cfg)
+        got = {
+            "slack_rows": rep.slack_rows,
+            "failures": rep.failures,
+            "not_applicable": rep.not_applicable,
+            "rejected": rep.rejected,
+            "min_slack": rep.min_slack,
+        }
+        ref = _per_trial_reference(cid, cfg)
+        # repr tells every float bit pattern apart, -0.0 from 0.0 included
+        assert repr(got) == repr(ref), (cid, cfg)
+        seen["slack_rows"] += len(ref["slack_rows"])
+        seen["failures"] += len(ref["failures"])
+        seen["rejected"] += ref["rejected"]
+    # the comparison is only as strong as the outcomes it meets
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def test_stack_error_falls_back_to_per_trial_runs():
+    # a pair whose normalized matrix overflows yields NaN eigenvalues, which
+    # the deformed log refuses for the whole stack; fuzzing then evaluates
+    # each trial of that stack on its own, so only that trial is refused
+    entry = CHAINS["zou"]
+    params = [
+        {"A": np.diag([2.0, 3.0]), "B": np.diag([1.5, 5.0]), "t": 0.5},
+        {"A": 1e-300 * np.eye(2), "B": 1e300 * np.eye(2), "t": 0.5},
+        {"A": np.eye(2), "B": np.diag([0.5, 4.0]), "t": 0.25},
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError):
+            entry.stack(params, 1e-9)
+        outcomes = harness._evaluate(entry, params, 1e-9)
+    assert isinstance(outcomes[1], ValueError)
+    for i in (0, 2):
+        alone = entry.run(params[i], 1e-9)
+        assert outcomes[i].status == alone.status
+        assert outcomes[i].min_rel_slack == alone.min_rel_slack

@@ -21,6 +21,20 @@ def test_deformed_log_rejects_nonpositive():
         scalar.deformed_log(0.5, 0.0)
     with pytest.raises(DomainError):
         scalar.deformed_log(0.5, -1.0)
+    for bad in (math.nan, math.inf, np.float64(0.0)):
+        with pytest.raises(DomainError):
+            scalar.deformed_log(0.5, bad)
+
+
+def test_deformed_log_broadcasts_deformation_indices():
+    # a column of indices evaluates one row of eigenvalues per index, with
+    # the same bits as one call per row, on both sides of the series switch
+    lam = np.array([[0.5, 2.0, 7.0], [1.5, 3.0, 0.25], [9.0, 0.1, 1.0]])
+    t = np.array([[0.3], [1e-9], [-2.0]])
+    out = scalar.deformed_log(t, lam)
+    for row, ti, vals in zip(out, t[:, 0], lam):
+        assert np.array_equal(row, scalar.deformed_log(float(ti), vals))
+    assert np.array_equal(scalar.deformed_log_gap(t, lam)[1], scalar.deformed_log_gap(1e-9, lam[1]))
 
 
 def test_deformed_exp_fixed_points():
