@@ -59,8 +59,12 @@ def _fn(args, attr, default_id):
 def _build_params(chain_id: str, args) -> dict:
     entry = CHAINS[chain_id]
     if entry.kind == "operator":
-        _require(args, "A", "B")
-        params = {"A": load_matrix(args.A), "B": load_matrix(args.B)}
+        # expectation mode of thm-2.12 reads A alone
+        needs_b = chain_id != "thm-2.12" or (args.mode or "expectation") != "expectation"
+        _require(args, "A", *(("B",) if needs_b else ()))
+        params = {"A": load_matrix(args.A)}
+        if args.B is not None:
+            params["B"] = load_matrix(args.B)
         if chain_id in ("zou", "thm-3.3", "thm-3.11"):
             _require(args, "t")
             params["t"] = args.t

@@ -6,9 +6,20 @@ keyed by (seed, trial index), so reports are bit-identical for a fixed seed
 regardless of execution order, and a failing trial can be regenerated in
 isolation.
 
-Evaluation model: ``fuzz_chain`` draws trials in consecutive blocks of
-FUZZ_BLOCK. A matrix chain evaluates the trials of a block that share a
-shape as one stack (``ChainEntry.stack``), whose per-trial outcomes are
+Generation model: ``fuzz_chain`` takes trials in consecutive blocks of
+FUZZ_BLOCK. A matrix chain with a ``ChainEntry.draw`` draws each trial from
+its own stream, but leaves its pair (A, B) pending: the two spectra and the
+two Gaussian matrices, not yet factored. ``_realize`` then factors the
+pending pairs of a block that share a dimension as one stack (one QR call
+for every Gaussian, one batched ``Q diag(l) Q^T``, and for pairs with a
+prescribed relative spectrum one eigendecomposition for every A). Stacked
+LAPACK and BLAS calls are bitwise equal to per-matrix calls, and
+``ChainEntry.generate`` of such a chain is the one-trial block, so a trial
+is bit for bit the same whether it is drawn alone or in a block. Scalar
+chains and ``thm-2.12`` generate trial by trial.
+
+Evaluation model: a matrix chain evaluates the trials of a block that share
+a shape as one stack (``ChainEntry.stack``), whose per-trial outcomes are
 bitwise those of evaluating each trial alone (``ChainEntry.run``, the
 one-trial case of the same code); scalar chains and ``thm-2.12`` run trial
 by trial. Outcomes are merged back in trial order.
@@ -29,7 +40,7 @@ from .chains import DEFAULT_TOL, ChainVerdict
 from .entropy import OperatorChainVerdict
 from .errors import NumericError
 from .funcs import REGISTRY, FunctionSpec
-from .linalg import eigendecomposition, matrix_to_obj, sqrtm_pd, symmetrize
+from .linalg import _pd_eig, eig_apply, eigendecomposition, matrix_to_obj, symmetrize
 
 _U64 = (1 << 64) - 1
 
@@ -110,19 +121,78 @@ def _pd_from_spectrum(rng, lam) -> np.ndarray:
     return symmetrize((Q * lam) @ Q.T)
 
 
-def _pd_pair(rng, n, spectrum_a, spectrum_b):
-    """Two matrices with the spectra that spectrum_a() and spectrum_b() draw.
+def _meet(regime: tuple, lo: float = 0.0, hi: float = np.inf) -> tuple:
+    """The part of a regime interval inside [lo, hi]; the regime interval
+    alone when the two do not meet."""
+    a, b = max(lo, regime[0]), min(hi, regime[1])
+    return (a, b) if a <= b else regime
 
-    Draws in the order of two ``_pd_from_spectrum`` calls (spectrum, then
-    Gaussian matrix, for each) and factors both Gaussians with one QR call.
-    """
+
+@dataclass
+class _Pending:
+    """A drawn pair (A, B) before factoring: the spectra and Gaussian
+    matrices of A and of a second matrix, in draw order. The second matrix
+    is B itself, or, for a constrained pair, the middle factor C of
+    B = A^(1/2) C A^(1/2)."""
+
+    lam_a: np.ndarray
+    G_a: np.ndarray
+    lam_b: np.ndarray
+    G_b: np.ndarray
+    constrained: bool
+
+
+def _draw_pair(rng, n, spectrum_a, spectrum_b, constrained=False) -> _Pending:
+    """Draw in the order of two ``_pd_from_spectrum`` calls: spectrum, then
+    Gaussian matrix, for each matrix."""
     lam_a = spectrum_a()
     G_a = rng.normal(size=(n, n))
     lam_b = spectrum_b()
     G_b = rng.normal(size=(n, n))
-    Q = _orthogonal(np.stack([G_a, G_b]))
-    lam = np.stack([lam_a, lam_b])
-    return symmetrize((Q * lam[:, None, :]) @ Q.swapaxes(1, 2))
+    return _Pending(lam_a, G_a, lam_b, G_b, constrained)
+
+
+def _realize(block: list) -> list:
+    """The drawn params of a block with each pending pair, held under the
+    key "pair", replaced in place by its matrices "A" and "B".
+
+    The pairs of one dimension are factored as one stack: one QR call for
+    every Gaussian, one batched ``Q diag(l) Q^T``, and for the constrained
+    pairs one eigendecomposition for every A and one batched
+    ``A^(1/2) C A^(1/2)``. A constrained pair whose A is not
+    positive-definite raises the refusal of the first such trial.
+    """
+    groups: dict = {}
+    for i, p in enumerate(block):
+        groups.setdefault(len(p["pair"].lam_a), []).append(i)
+    matrices = [None] * len(block)
+    refusals = []
+    for rows in groups.values():
+        pairs = [block[i]["pair"] for i in rows]
+        Q = _orthogonal(np.stack([G for p in pairs for G in (p.G_a, p.G_b)]))
+        lam = np.stack([lam for p in pairs for lam in (p.lam_a, p.lam_b)])
+        M = symmetrize((Q * lam[:, None, :]) @ Q.swapaxes(1, 2))
+        A, B = M[0::2], M[1::2]
+        cons = [j for j, p in enumerate(pairs) if p.constrained]
+        if cons:
+            eig, errors = _pd_eig(A[cons], "matrix")
+            refusals += [(rows[j], error) for j, error in zip(cons, errors) if error is not None]
+            root = eig_apply(eig, np.sqrt)
+            B[cons] = symmetrize(root @ B[cons] @ root)
+        for j, i in enumerate(rows):
+            matrices[i] = A[j], B[j]
+    if refusals:
+        raise min(refusals, key=lambda r: r[0])[1]
+    realized = []
+    for p, (A, B) in zip(block, matrices):
+        out = {}
+        for key, val in p.items():
+            if key == "pair":
+                out["A"], out["B"] = A, B
+            else:
+                out[key] = val
+        realized.append(out)
+    return realized
 
 
 def _draw_dim(rng, cfg) -> int:
@@ -145,10 +215,10 @@ def gen_pd_matrix(cfg: GeneratorConfig, trial: int = 0) -> np.ndarray:
     return _pd_from_spectrum(rng, log_uniform(rng, lo, hi, n))
 
 
-def _constrained(rng, n, m_target, M_target, lo, hi):
-    """Pair (A, B) whose relative spectrum is [m_target, M_target], endpoints
-    attained by pinning the extreme eigenvalues of the normalized middle
-    factor."""
+def _constrained(rng, n, m_target, M_target, lo, hi) -> _Pending:
+    """Pending pair (A, B) whose relative spectrum is [m_target, M_target],
+    endpoints attained by pinning the extreme eigenvalues of the normalized
+    middle factor."""
     def middle():
         if n == 1:
             return np.array([m_target])
@@ -156,9 +226,8 @@ def _constrained(rng, n, m_target, M_target, lo, hi):
             return np.array([m_target, M_target])
         return np.concatenate([[m_target, M_target], rng.uniform(m_target, M_target, n - 2)])
 
-    A, C = _pd_pair(rng, n, lambda: log_uniform(rng, max(lo, 1e-2), min(hi, 1e2), n), middle)
-    root = sqrtm_pd(A)
-    return A, symmetrize(root @ C @ root)
+    a_lo, a_hi = _meet((1e-2, 1e2), lo, hi)
+    return _draw_pair(rng, n, lambda: log_uniform(rng, a_lo, a_hi, n), middle, constrained=True)
 
 
 def gen_constrained_pair(cfg: GeneratorConfig, m_target: float, M_target: float, trial: int = 0):
@@ -167,7 +236,8 @@ def gen_constrained_pair(cfg: GeneratorConfig, m_target: float, M_target: float,
         raise ValueError(f"need 0 < m <= M, got {m_target!r}, {M_target!r}")
     rng = trial_rng(cfg.seed, trial)
     lo, hi = cfg.scalar_range
-    return _constrained(rng, _draw_dim(rng, cfg), m_target, M_target, lo, hi)
+    (params,) = _realize([{"pair": _constrained(rng, _draw_dim(rng, cfg), m_target, M_target, lo, hi)}])
+    return params["A"], params["B"]
 
 
 def _domain_points(rng, f: FunctionSpec, k: int, margin=0.02):
@@ -220,10 +290,13 @@ def gen_two_function_family(rng):
 
 @dataclass(frozen=True)
 class ChainEntry:
-    """``run(params, tol)`` evaluates one trial. ``stack(params_list, tol)``,
-    for matrix chains, evaluates trials whose matrices share their shapes and
-    returns one outcome per trial: its verdict, or the exception its ``run``
-    raises."""
+    """``generate(rng, cfg)`` draws the params of one trial and ``run(params,
+    tol)`` evaluates them. ``stack(params_list, tol)``, for matrix chains,
+    evaluates trials whose matrices share their shapes and returns one
+    outcome per trial: its verdict, or the exception its ``run`` raises.
+    ``draw(rng, cfg)``, for chains of (A, B) pairs, draws the params of one
+    trial with the pair left pending for ``_realize``; such a chain's
+    ``generate`` is ``_realize`` of the one-trial block."""
 
     id: str
     kind: str  # 'scalar' or 'operator'
@@ -231,6 +304,7 @@ class ChainEntry:
     generate: Callable
     run: Callable
     stack: Callable | None = None
+    draw: Callable | None = None
 
 
 def _gen_prop21(rng, cfg):
@@ -320,64 +394,62 @@ def _gen_young_refinement(rng, cfg):
 
 
 def _gen_tsallis_scalar(rng, cfg):
-    hi = min(cfg.scalar_range[1], 1e3)
+    x_lo, x_hi = _meet((1.0, 1e3), hi=cfg.scalar_range[1])
     s, t = log_uniform(rng, 0.05, 3.0, 2)
-    return {"x": float(log_uniform(rng, 1.0, hi)), "s": float(s), "t": float(t)}
+    return {"x": float(log_uniform(rng, x_lo, x_hi)), "s": float(s), "t": float(t)}
 
 
-def _pd_pair_in_range(rng, n, lo, hi):
-    return _pd_pair(rng, n, lambda: log_uniform(rng, lo, hi, n), lambda: log_uniform(rng, lo, hi, n))
+def _pair_in_range(rng, n, lo, hi) -> _Pending:
+    return _draw_pair(rng, n, lambda: log_uniform(rng, lo, hi, n), lambda: log_uniform(rng, lo, hi, n))
 
 
-def _gen_zou(rng, cfg):
+def _draw_zou(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
-    A, B = _pd_pair_in_range(rng, n, lo, hi)
-    return {"A": A, "B": B, "t": float(rng.uniform(1e-3, 1.0))}
+    return {"pair": _pair_in_range(rng, n, lo, hi), "t": float(rng.uniform(1e-3, 1.0))}
 
 
-def _gen_refined_st(rng, cfg):
+def _draw_refined_st(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
     case = cfg.regime_get("case", None) or ("below", "straddle", "above")[int(rng.integers(3))]
     if case == "below":
-        m, M = np.sort(log_uniform(rng, max(lo, 1e-3), 0.95, 2))
+        m, M = np.sort(log_uniform(rng, *_meet((1e-3, 0.95), lo=lo), 2))
     elif case == "above":
-        m, M = np.sort(log_uniform(rng, 1.02, min(hi, 50.0), 2))
+        m, M = np.sort(log_uniform(rng, *_meet((1.02, 50.0), hi=hi), 2))
     else:
         m, M = float(rng.uniform(0.1, 1.0)), float(rng.uniform(1.0, 10.0))
-    A, B = _constrained(rng, n, float(m), float(M), lo, hi)
-    return {"A": A, "B": B, "t": float(rng.uniform(1e-3, 1.0))}
+    pair = _constrained(rng, n, float(m), float(M), lo, hi)
+    return {"pair": pair, "t": float(rng.uniform(1e-3, 1.0))}
 
 
-def _gen_tsallis_relation(rng, cfg):
+def _draw_tsallis_relation(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
     m_lo = cfg.regime_get("m_min", 1.0)
-    m, M = np.sort(log_uniform(rng, m_lo, min(hi, 100.0), 2))
-    A, B = _constrained(rng, n, float(m), float(M), lo, hi)
+    m, M = np.sort(log_uniform(rng, *_meet((m_lo, 100.0), hi=hi), 2))
+    pair = _constrained(rng, n, float(m), float(M), lo, hi)
     s, t = log_uniform(rng, 0.05, 3.0, 2)
-    return {"A": A, "B": B, "s": float(s), "t": float(t)}
+    return {"pair": pair, "s": float(s), "t": float(t)}
 
 
-def _gen_roe(rng, cfg):
+def _draw_roe(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
     case = cfg.regime_get("case", None) or ("low", "high")[int(rng.integers(2))]
     if case == "low":
-        m, M = np.sort(log_uniform(rng, max(lo, 1e-3), 1.0 / np.e, 2))
+        m, M = np.sort(log_uniform(rng, *_meet((1e-3, 1.0 / np.e), lo=lo), 2))
     else:
         m, M = np.sort(rng.uniform(1.0, np.e, 2))
-    A, B = _constrained(rng, n, float(m), float(M), lo, hi)
-    return {"A": A, "B": B}
+    return {"pair": _constrained(rng, n, float(m), float(M), lo, hi)}
 
 
-def _gen_troe(rng, cfg):
+def _draw_troe(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
     m = 1.0 if rng.uniform() < 0.3 else float(rng.uniform(1.0, 5.0))
     M = m + float(rng.uniform(0.1, 5.0))
-    A, B = _constrained(rng, n, m, M, lo, hi)
+    pair = _constrained(rng, n, m, M, lo, hi)
     bucket = int(rng.integers(3))
     if bucket == 0:
         t = float(rng.uniform(0.05, 1.0))
@@ -385,15 +457,14 @@ def _gen_troe(rng, cfg):
         t = float(rng.uniform(1.0, 3.0))
     else:
         t = float(rng.uniform(-1.0, -0.05))
-    return {"A": A, "B": B, "t": t}
+    return {"pair": pair, "t": t}
 
 
-def _gen_ordering(rng, cfg):
+def _draw_ordering(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
     p = float(log_uniform(rng, 0.05, 2.0)) * (1.0 if rng.uniform() < 0.5 else -1.0)
-    A, B = _pd_pair_in_range(rng, n, lo, hi)
-    return {"A": A, "B": B, "p": p}
+    return {"pair": _pair_in_range(rng, n, lo, hi), "p": p}
 
 
 def _gen_two_function(rng, cfg):
@@ -405,8 +476,8 @@ def _gen_two_function(rng, cfg):
         params["A"] = _pd_from_spectrum(rng, rng.uniform(a, b, n))
         params["vector_seed"] = int(rng.integers(0, 2**32))
     elif mode == "congruence":
-        A, B = _constrained(rng, n, a, b, 0.5, 2.0)
-        params.update({"A": A, "B": B})
+        params["pair"] = _constrained(rng, n, a, b, 0.5, 2.0)
+        (params,) = _realize([params])
     else:
         lam = np.sort(rng.uniform(a, b, n))
         A = _pd_from_spectrum(rng, lam)
@@ -440,6 +511,17 @@ def _stacked(evaluate, *names):
         return evaluate(*columns, tol=tol)
 
     return stack
+
+
+def _one_trial(draw):
+    """``ChainEntry.generate`` for a chain with a ``draw``: the one-trial
+    block, so that a trial drawn alone and one drawn in a block match."""
+
+    def generate(rng, cfg):
+        (params,) = _realize([draw(rng, cfg)])
+        return params
+
+    return generate
 
 
 CHAINS: dict[str, ChainEntry] = {}
@@ -536,44 +618,50 @@ _register(ChainEntry(
 _register(ChainEntry(
     "zou", "operator",
     "five-link entropy ordering between A - A B^-1 A and B - A",
-    _gen_zou,
+    _one_trial(_draw_zou),
     lambda p, tol: entropy.check_zou_chain(p["A"], p["B"], p["t"], tol),
     _stacked(entropy.zou_stack, "t"),
+    _draw_zou,
 ))
 _register(ChainEntry(
     "thm-3.3", "operator",
     "entropy ordering sharpened by a spectral-endpoint additive term",
-    _gen_refined_st,
+    _one_trial(_draw_refined_st),
     lambda p, tol: entropy.check_refined_ST(p["A"], p["B"], p["t"], tol),
     _stacked(entropy.refined_st_stack, "t"),
+    _draw_refined_st,
 ))
 _register(ChainEntry(
     "thm-3.5", "operator",
     "exponential-factor relation between two deformed entropies",
-    _gen_tsallis_relation,
+    _one_trial(_draw_tsallis_relation),
     lambda p, tol: entropy.check_tsallis_relation(p["A"], p["B"], p["s"], p["t"], tol),
     _stacked(entropy.tsallis_relation_stack, "s", "t"),
+    _draw_tsallis_relation,
 ))
 _register(ChainEntry(
     "thm-3.6", "operator",
     "two-sided exponential estimates of the relative entropy in multiples of A",
-    _gen_roe,
+    _one_trial(_draw_roe),
     lambda p, tol: entropy.check_roe_bounds(p["A"], p["B"], tol),
     _stacked(entropy.roe_bounds_stack),
+    _draw_roe,
 ))
 _register(ChainEntry(
     "thm-3.11", "operator",
     "secant-line bound on the deformed entropy over the relative spectrum",
-    _gen_troe,
+    _one_trial(_draw_troe),
     lambda p, tol: entropy.check_troe_linear_bound(p["A"], p["B"], p["t"], tol),
     _stacked(entropy.troe_linear_bound_stack, "t"),
+    _draw_troe,
 ))
 _register(ChainEntry(
     "prop-3.10", "operator",
     "sign-dependent ordering of plain, deformed, and generalized entropies",
-    _gen_ordering,
+    _one_trial(_draw_ordering),
     lambda p, tol: entropy.check_ordering_S_Tp_Sp(p["A"], p["B"], p["p"], tol),
     _stacked(entropy.ordering_stack, "p"),
+    _draw_ordering,
 ))
 _register(ChainEntry(
     "thm-2.12", "operator",
@@ -693,7 +781,10 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
     streams = TrialStreams(cfg.seed)
     for first in range(0, cfg.trials, FUZZ_BLOCK):
         trials = range(first, min(first + FUZZ_BLOCK, cfg.trials))
-        block = [entry.generate(streams.rng(trial), cfg) for trial in trials]
+        if entry.draw is None:
+            block = [entry.generate(streams.rng(trial), cfg) for trial in trials]
+        else:
+            block = _realize([entry.draw(streams.rng(trial), cfg) for trial in trials])
         for trial, params, verdict in zip(trials, block, _evaluate(entry, block, cfg.tol)):
             if isinstance(verdict, ValueError):
                 n_rejected += 1

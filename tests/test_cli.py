@@ -114,6 +114,20 @@ def test_verify_two_function_defaults(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_verify_expectation_mode_needs_no_b(tmp_path, capsys):
+    # expectation mode never reads B; the modes that do still demand it
+    a = tmp_path / "A.json"
+    dump_matrix(np.diag([1.6, 3.5]), a)
+    assert main(["verify", "thm-2.12", "--A", str(a)]) in (0, 3)
+    assert main(["verify", "thm-2.12", "--A", str(a), "--mode", "expectation"]) in (0, 3)
+    capsys.readouterr()
+    for mode in ("congruence", "majorize"):
+        assert main(["verify", "thm-2.12", "--A", str(a), "--mode", mode]) == 2
+        assert "--B" in capsys.readouterr().err
+    assert main(["verify", "zou", "--A", str(a), "--t", "0.5"]) == 2
+    assert "--B" in capsys.readouterr().err
+
+
 def test_fuzz_exit_codes_and_determinism(tmp_path, capsys):
     out1 = tmp_path / "r1.json"
     out2 = tmp_path / "r2.json"

@@ -283,3 +283,76 @@ def test_stack_error_falls_back_to_per_trial_runs():
         alone = entry.run(params[i], 1e-9)
         assert outcomes[i].status == alone.status
         assert outcomes[i].min_rel_slack == alone.min_rel_slack
+
+
+DRAWN_CHAINS = [cid for cid, entry in CHAINS.items() if entry.draw is not None]
+
+
+def _fingerprint(params: dict) -> list:
+    """Keys in order, with the bytes of every array and the repr of every
+    other value."""
+    return [
+        (key, val.shape, val.tobytes()) if isinstance(val, np.ndarray) else (key, repr(val))
+        for key, val in params.items()
+    ]
+
+
+def _block_vs_per_trial_configs():
+    for cid in DRAWN_CHAINS:
+        yield cid, GeneratorConfig(seed=41, trials=150)  # blocks mix n
+        yield cid, GeneratorConfig(seed=42, trials=40, dim_range=(1, 1))
+        yield cid, GeneratorConfig(seed=43, trials=70, scalar_range=(1e-7, 1e7))
+    for case in ("below", "straddle", "above"):
+        yield "thm-3.3", GeneratorConfig(seed=44, trials=40, regime={"case": case})
+    for case in ("low", "high"):
+        yield "thm-3.6", GeneratorConfig(seed=45, trials=40, regime={"case": case})
+
+
+def test_block_generation_matches_per_trial_generation_bitwise():
+    # fuzz_chain draws each trial alone but factors the pairs of a block as
+    # stacks; every trial must be bit for bit the one generated alone
+    assert set(DRAWN_CHAINS) == {"zou", "thm-3.3", "thm-3.5", "thm-3.6", "thm-3.11", "prop-3.10"}
+    for cid, cfg in _block_vs_per_trial_configs():
+        entry = CHAINS[cid]
+        streams = TrialStreams(cfg.seed)
+        for first in range(0, cfg.trials, harness.FUZZ_BLOCK):
+            trials = range(first, min(first + harness.FUZZ_BLOCK, cfg.trials))
+            block = harness._realize([entry.draw(streams.rng(k), cfg) for k in trials])
+            assert len(block) == len(trials)
+            for k, params in zip(trials, block):
+                alone = entry.generate(trial_rng(cfg.seed, k), cfg)
+                assert _fingerprint(params) == _fingerprint(alone), (cid, cfg, k)
+
+
+@pytest.mark.parametrize("scalar_range", [(5.0, 5.0), (1e-6, 1e-5), (1e5, 1e9)])
+def test_every_chain_runs_at_any_accepted_scalar_range(scalar_range):
+    # regime intervals that miss the scalar range fall back to the regime
+    # interval alone instead of asking for an empty draw
+    cfg = GeneratorConfig(seed=1, trials=30, scalar_range=scalar_range)
+    for cid in CHAINS:
+        rep = fuzz_chain(cid, cfg)
+        assert rep.trials_run == 30, cid
+        assert not rep.failures, cid
+    assert harness._meet((1e-2, 1e2), 1e-3, 1e3) == (1e-2, 1e2)
+    assert harness._meet((1e-2, 1e2), 5.0, 1e9) == (5.0, 1e2)
+    assert harness._meet((1e-2, 1e2), 1e5, 1e9) == (1e-2, 1e2)
+
+
+def test_realize_raises_the_first_refusal_in_trial_order():
+    # the pairs of one dimension are factored together, but the refusal
+    # raised is the one generating the trials in order would meet first
+    rng = np.random.default_rng(0)
+
+    def drawn(lam_a):
+        n = len(lam_a)
+        pair = harness._Pending(np.array(lam_a), rng.normal(size=(n, n)), np.ones(n), rng.normal(size=(n, n)), True)
+        return {"pair": pair}
+
+    block = [drawn([1.0, 2.0, 3.0]), drawn([-2.0, 1.0]), drawn([-3.0, 1.0, 2.0]), drawn([1.0, 2.0])]
+    with pytest.raises(ValueError, match="positive-definite") as first:
+        harness._realize(block)
+    with pytest.raises(ValueError) as alone:
+        harness._realize([block[1]])
+    assert str(first.value) == str(alone.value)
+    (ok,) = harness._realize(block[:1])
+    assert list(ok) == ["A", "B"]
