@@ -14,6 +14,13 @@ or the exception the pair's own evaluation raises, which does not touch
 the other pairs. The public ``check_*`` functions are the k = 1 case and
 raise that exception.
 
+The two-function comparison of thm-2.12 (``two_function_stack``) stacks
+trials whose function pair, interval and mode vary from trial to trial:
+its matrices, lifts and Loewner links are stacked the same way, and in
+expectation mode each trial's seeded unit vectors h give the quadratic
+forms <Ah,h> and <g(A)h,h> of the whole stack in one batched product. The
+admissibility gate of each function pair runs per trial.
+
 Hypothesis mismatches (a pair outside a theorem's spectral regime) yield a
 verdict with status "not-applicable"; only genuine link violations count as
 failures. Bad inputs (non-PD, dimension mismatch, invalid parameters) raise.
@@ -29,13 +36,13 @@ from . import scalar
 from .chains import DEFAULT_TOL, two_function_gate
 from .errors import NumericError
 from .linalg import (
+    EigenDecomposition,
     _loewner,
     _normalize_pair,
+    _normalized,
     _only,
     _pd_eig,
-    _pd_eig_one,
     _symmetric_stack,
-    as_symmetric,
     eig_apply,
     matrix_to_obj,
     symmetrize,
@@ -161,8 +168,8 @@ def _chains(chain_id, links, layouts, regimes, errors, tol) -> list:
     are built from validated inputs through ``symmetrize`` or as sums and
     scalar multiples of exactly symmetric matrices, so they skip
     revalidation; only finiteness can fail, which fails the pair with
-    NumericError. Pairs sharing a layout form a sub-stack, and every link
-    of every sub-stack is decided by one ``_loewner`` call.
+    NumericError. Pairs sharing a layout form a sub-stack, and the links
+    of every sub-stack are decided by one ``_loewner`` call per link shape.
     """
     finite = {name: np.isfinite(mats).all(axis=(1, 2)).tolist() for name, mats in links.items()}
     outcomes = list(errors)
@@ -176,27 +183,24 @@ def _chains(chain_id, links, layouts, regimes, errors, tol) -> list:
             outcomes[i] = NumericError(f"{chain_id}: chain link has non-finite entries")
         else:
             groups.setdefault(layout, []).append(i)
-    lower, upper = [], []
+    pending: dict = {}  # link shape -> lower and upper links of that shape
     for layout, rows in groups.items():
         for x, y in zip(layout, layout[1:]):
+            lower, upper = pending.setdefault(links[x].shape[1:], ([], []))
             lower.append(links[x][rows])
             upper.append(links[y][rows])
-    verdicts = iter(_loewner(np.concatenate(lower), np.concatenate(upper), tol) if lower else ())
+    decided = {
+        shape: iter(_loewner(np.concatenate(lower), np.concatenate(upper), tol))
+        for shape, (lower, upper) in pending.items()
+    }
     for layout, rows in groups.items():
-        by_link = [[next(verdicts) for _ in rows] for _ in layout[1:]]
+        by_link = [[next(decided[links[x].shape[1:]]) for _ in rows] for x in layout[:-1]]
         for j, i in enumerate(rows):
             pair_verdicts = [link_verdicts[j] for link_verdicts in by_link]
             status = STATUS_PASS if all(v.holds for v in pair_verdicts) else STATUS_FAIL
             pair_links = [links[name][i] for name in layout]
             outcomes[i] = OperatorChainVerdict(chain_id, pair_links, pair_verdicts, status, tol, regimes[i])
     return outcomes
-
-
-def _chain(chain_id, links, tol, regime) -> OperatorChainVerdict:
-    """The verdict of one chain of single matrices."""
-    names = tuple(range(len(links)))
-    stacked = {name: link[None] for name, link in zip(names, links)}
-    return _single(_chains(chain_id, stacked, [names], [regime], [None], tol))
 
 
 def _not_applicable(chain_id, tol, regime) -> OperatorChainVerdict:
@@ -420,6 +424,221 @@ def check_ordering_S_Tp_Sp(A, B, p: float, tol: float = DEFAULT_TOL) -> Operator
     return _single(ordering_stack([A], [B], [p], tol))
 
 
+# --- two-function operator comparison (thm-2.12) -------------------------------
+
+TWO_FUNCTION_MODES = ("expectation", "congruence", "majorize")
+
+# the refusals a trial of each mode can meet, in the order that evaluating
+# the trial alone meets them (after a refused mode, which comes first)
+_REFUSAL_ORDER = {
+    "expectation": ("square_a", "valid_a", "pd_a"),
+    "congruence": ("square_a", "square_b", "shape", "valid_a", "valid_b", "pd_a", "pd_x"),
+    "majorize": ("square_a", "valid_a", "pd_a", "square_b", "valid_b", "shape", "pd_b"),
+}
+
+
+def _validated(M, k: int) -> tuple:
+    """``_symmetric_stack`` of k matrices, plus the refusal of each when they
+    do not form a stack of square matrices (then the stack is None)."""
+    try:
+        stack, errors = _symmetric_stack(M)
+    except ValueError as exc:
+        return None, [None] * k, [exc] * k
+    return stack, errors, [None] * k
+
+
+def _each(specs, rows):
+    """``eig_apply`` map sending row j of the eigenvalues through the
+    evaluator of ``specs[rows[j]]``."""
+    return lambda lam: np.array([specs[i].eval(row) for i, row in zip(rows, lam)])
+
+
+def _unit_vectors(seed: int, draws: int, n: int) -> np.ndarray:
+    """``draws`` random unit vectors of R^n, from the Philox stream keyed by
+    (seed, 0)."""
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    H = rng.normal(size=(draws, n))
+    H /= np.linalg.norm(H, axis=1)[:, None]
+    return H
+
+
+def _quadratic_forms(H: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """<M h, h> for every row h of each H[i] against M[i]."""
+    return np.einsum("...ij,...ij->...i", H @ M, H)
+
+
+class _Operands:
+    """The matrices of a stack of k thm-2.12 trials, validated and factored.
+
+    One ``eigh`` call factors every A; one factors the normalized
+    X = A**(-1/2) B A**(-1/2) of every congruence trial and one the B of
+    every majorize trial. ``errors[i]`` is the first refusal that evaluating
+    trial i alone would meet, or None. As in ``_Pairs``, a refused matrix
+    is zeros and a refused factorization the identity's; a B that no trial
+    reads is zeros too. ``A`` is None when the A do not form a stack of
+    square matrices, which refuses every trial.
+    """
+
+    def __init__(self, A, B, mode):
+        k = len(mode)
+        found = {name: [None] * k for name in ("mode", "shape", "square_b", "valid_b", "pd_x", "pd_b")}
+        for i, (m, b) in enumerate(zip(mode, B)):
+            if m not in TWO_FUNCTION_MODES:
+                found["mode"][i] = ValueError(f"unknown mode {m!r}")
+            elif m != "expectation" and b is None:
+                found["mode"][i] = ValueError(f"mode {m!r} requires B")
+        self.A, found["valid_a"], found["square_a"] = _validated(A, k)
+        if self.A is not None:
+            self.eig_a, found["pd_a"] = _pd_eig(self.A, "A")
+            reads = [i for i in range(k) if found["mode"][i] is None and mode[i] != "expectation"]
+            self._factor_b([B[i] for i in reads], reads, mode, found)
+        self.errors = [
+            next((found[name][i] for name in ("mode", *_REFUSAL_ORDER.get(m, ())) if found[name][i] is not None), None)
+            for i, m in enumerate(mode)
+        ]
+
+    def _factor_b(self, B: list, reads: list, mode: list, found: dict) -> None:
+        """Validate the B of the trials ``reads`` and factor X or B."""
+        shape = self.A.shape
+        self.B, self.root = np.zeros(shape), np.zeros(shape)
+        self.eig_x = EigenDecomposition(np.zeros(shape), np.ones(shape[:2]))
+        self.eig_b = EigenDecomposition(np.zeros(shape), np.ones(shape[:2]))
+        if not reads:
+            return
+        B, valid, square = _validated(B, len(reads))
+        for j, i in enumerate(reads):
+            found["valid_b"][i], found["square_b"][i] = valid[j], square[j]
+        if B is None:
+            return
+        if B.shape[1:] != shape[1:]:
+            mismatch = ValueError(f"dimension mismatch: {shape[1:]} vs {B.shape[1:]}")
+            for i in reads:
+                found["shape"][i] = mismatch
+            return
+        self.B[reads] = B
+        congruent = [i for i in reads if mode[i] == "congruence"]
+        if congruent:
+            self.root[congruent], inner = _normalized(self.eig_a.take(congruent), self.B[congruent])
+            _store(self.eig_x, congruent, *_pd_eig(inner, "B relative to A"), found["pd_x"])
+        major = [i for i in reads if mode[i] == "majorize"]
+        if major:
+            _store(self.eig_b, major, *_pd_eig(self.B[major], "B"), found["pd_b"])
+
+    def spectrum(self, i: int, mode: str) -> tuple:
+        """The spectral hull the trial's interval must contain."""
+        if mode == "congruence":
+            values = self.eig_x.values[i]
+            return float(values[0]), float(values[-1])
+        lo, hi = float(self.eig_a.values[i, 0]), float(self.eig_a.values[i, -1])
+        if mode == "majorize":
+            lo, hi = min(lo, float(self.eig_b.values[i, 0])), max(hi, float(self.eig_b.values[i, -1]))
+        return lo, hi
+
+
+def _store(out: EigenDecomposition, rows: list, eig: EigenDecomposition, errors: list, found: list) -> None:
+    """Put the decompositions and refusals of ``rows`` of a stack in place."""
+    out.vectors[rows], out.values[rows] = eig.vectors, eig.values
+    for i, error in zip(rows, errors):
+        found[i] = error
+
+
+def _increments(f, g, mode, interval, spectrum, tol, grid, regime):
+    """(f(b) - f(a), g(b) - g(a)) of a trial whose spectrum fits its
+    interval [a, b] and whose function pair passes the gate there, else None
+    (not applicable); records the reason in ``regime``."""
+    spec_lo, spec_hi = spectrum
+    if interval is None:
+        interval = spectrum
+    a, b = float(interval[0]), float(interval[1])
+    regime.update({"a": a, "b": b})
+    cushion = REGIME_CUSHION * max(1.0, abs(a), abs(b))
+    if spec_lo < a - cushion or spec_hi > b + cushion:
+        regime["reason"] = f"spectrum [{spec_lo}, {spec_hi}] escapes [{a}, {b}]"
+        return None
+    gate = two_function_gate(f, g, a, b, grid=grid, tol=tol)
+    regime["gate"] = gate.checks
+    regime["m_ratio"] = gate.m_ratio if np.isfinite(gate.m_ratio) else None
+    if not gate.conditions_hold:
+        regime["reason"] = "admissibility gate failed"
+        return None
+    df = f.eval(b) - f.eval(a)
+    dg = g.eval(b) - g.eval(a)
+    if mode != "expectation":
+        if dg <= tol * max(1.0, abs(g.eval(a)), abs(g.eval(b))):
+            regime["reason"] = "increment of g too small for the ratio form"
+            return None
+        regime["ratio"] = df / dg
+    return df, dg
+
+
+def two_function_stack(f, g, A, B, mode, interval, vector_seed, tol: float = DEFAULT_TOL,
+                       draws: int = 1000, grid: int = 257) -> list:
+    """``check_two_function_operator`` over a stack of k trials: one outcome
+    per trial.
+
+    ``f``, ``g``, ``A``, ``B``, ``mode``, ``interval`` and ``vector_seed``
+    hold one value per trial; the A share a shape, and so do the B that are
+    read (B is ignored in expectation mode, and may be None there). The
+    matrices are factored as stacks, each batch of quadratic forms, g(A),
+    lift and Loewner link is one stacked call, and the admissibility gate and
+    the unit vectors are per trial.
+    """
+    k = len(mode)
+    ops = _Operands(A, B, mode)
+    if ops.A is None:
+        return ops.errors
+    errors, regimes, layouts = ops.errors, [None] * k, [None] * k
+    steps, unit_vectors = {}, {}
+    for i in [i for i, error in enumerate(errors) if error is None]:
+        regime = regimes[i] = {"mode": mode[i], "fn_f": f[i].id, "fn_g": g[i].id}
+        try:
+            step = _increments(f[i], g[i], mode[i], interval[i], ops.spectrum(i, mode[i]), tol, grid, regime)
+            if step is not None and mode[i] == "expectation":
+                unit_vectors[i] = _unit_vectors(vector_seed[i], draws, ops.A.shape[1])
+        except (ValueError, NumericError, OverflowError) as exc:
+            errors[i] = exc
+            continue
+        if step is not None:
+            steps[i] = step
+    expect, congruent, major = ([i for i in steps if mode[i] == m] for m in TWO_FUNCTION_MODES)
+    if major:
+        below = _loewner(ops.B[major], ops.A[major], tol)
+        for i, verdict in zip(major, below):
+            if not verdict.holds:
+                regimes[i]["reason"] = "hypothesis B <= A fails"
+        major = [i for i, verdict in zip(major, below) if verdict.holds]
+
+    links = {"lhs(h)": np.zeros((k, 1, 1)), "rhs(h)": np.zeros((k, 1, 1))}
+    links.update({"lhs": np.zeros_like(ops.A), "rhs": np.zeros_like(ops.A)})
+    if expect + major:
+        gA = eig_apply(ops.eig_a.take(expect + major), _each(g, expect + major))
+    if expect:
+        H = np.stack([unit_vectors.pop(i) for i in expect])
+        quad_A = _quadratic_forms(H, ops.A[expect])
+        quad_g = _quadratic_forms(H, gA[: len(expect)])
+        a, b = _column([regimes[i]["a"] for i in expect]), _column([regimes[i]["b"] for i in expect])
+        f_quad = np.array([f[i].eval(row) for i, row in zip(expect, np.clip(quad_A, a, b))])
+        lhs = _column([steps[i][1] for i in expect]) * f_quad
+        rhs = _column([steps[i][0] for i in expect]) * quad_g
+        rel = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        for j, (i, w) in enumerate(zip(expect, np.argmin(rel, axis=1))):
+            regimes[i].update({"draws": draws, "worst_rel_slack": float(rel[j, w])})
+            links["lhs(h)"][i], links["rhs(h)"][i] = lhs[j, w], rhs[j, w]
+            layouts[i] = ("lhs(h)", "rhs(h)")
+    if congruent:
+        root, eig_x = ops.root[congruent], ops.eig_x.take(congruent)
+        ratio = _column([regimes[i]["ratio"] for i in congruent])[:, :, None]
+        links["lhs"][congruent] = symmetrize(root @ eig_apply(eig_x, _each(f, congruent)) @ root)
+        links["rhs"][congruent] = ratio * symmetrize(root @ eig_apply(eig_x, _each(g, congruent)) @ root)
+    if major:
+        ratio = _column([regimes[i]["ratio"] for i in major])[:, :, None]
+        links["lhs"][major] = eig_apply(ops.eig_b.take(major), _each(f, major))
+        links["rhs"][major] = ratio * gA[len(expect):]
+    for i in congruent + major:
+        layouts[i] = ("lhs", "rhs")
+    return _chains("thm-2.12", links, layouts, regimes, errors, tol)
+
+
 def check_two_function_operator(
     f,
     g,
@@ -443,77 +662,4 @@ def check_two_function_operator(
       [a, b], scaled by the increment ratio.
     - majorize: f(B) <= ratio * g(A) for B <= A with both spectra in [a, b].
     """
-    if mode not in ("expectation", "congruence", "majorize"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode in ("congruence", "majorize") and B is None:
-        raise ValueError(f"mode {mode!r} requires B")
-    regime = {"mode": mode, "fn_f": f.id, "fn_g": g.id}
-
-    if mode == "congruence":
-        pairs = _pair(A, B)
-        spec_lo, spec_hi = pairs.m[0], pairs.M[0]
-    else:
-        A = as_symmetric(A)
-        eig_a = _pd_eig_one(A, "A")
-        spec_lo, spec_hi = float(eig_a.values[0]), float(eig_a.values[-1])
-    if mode == "majorize":
-        B = as_symmetric(B)
-        if B.shape != A.shape:
-            raise ValueError(f"dimension mismatch: {A.shape} vs {B.shape}")
-        eig_b = _pd_eig_one(B, "B")
-        spec_lo = min(spec_lo, float(eig_b.values[0]))
-        spec_hi = max(spec_hi, float(eig_b.values[-1]))
-
-    if interval is None:
-        interval = (spec_lo, spec_hi)
-    a, b = float(interval[0]), float(interval[1])
-    regime.update({"a": a, "b": b})
-    cushion = REGIME_CUSHION * max(1.0, abs(a), abs(b))
-    if spec_lo < a - cushion or spec_hi > b + cushion:
-        regime["reason"] = f"spectrum [{spec_lo}, {spec_hi}] escapes [{a}, {b}]"
-        return _not_applicable("thm-2.12", tol, regime)
-
-    gate = two_function_gate(f, g, a, b, grid=grid, tol=tol)
-    regime["gate"] = gate.checks
-    regime["m_ratio"] = gate.m_ratio if np.isfinite(gate.m_ratio) else None
-    if not gate.conditions_hold:
-        regime["reason"] = "admissibility gate failed"
-        return _not_applicable("thm-2.12", tol, regime)
-
-    df = f.eval(b) - f.eval(a)
-    dg = g.eval(b) - g.eval(a)
-
-    if mode == "expectation":
-        rng = np.random.Generator(np.random.Philox(key=np.array([vector_seed, 0], dtype=np.uint64)))
-        H = rng.normal(size=(draws, A.shape[0]))
-        H /= np.linalg.norm(H, axis=1)[:, None]
-        gA = eig_apply(eig_a, g.eval)
-        quad_A = np.einsum("ij,jk,ik->i", H, A, H)
-        quad_g = np.einsum("ij,jk,ik->i", H, gA, H)
-        lhs = dg * f.eval(np.clip(quad_A, a, b))
-        rhs = df * quad_g
-        rel = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        worst = int(np.argmin(rel))
-        regime.update({"draws": draws, "worst_rel_slack": float(rel[worst])})
-        links = [np.array([[lhs[worst]]]), np.array([[rhs[worst]]])]
-        return _chain("thm-2.12", links, tol, regime)
-
-    if dg <= tol * max(1.0, abs(g.eval(a)), abs(g.eval(b))):
-        regime["reason"] = "increment of g too small for the ratio form"
-        return _not_applicable("thm-2.12", tol, regime)
-    ratio = df / dg
-    regime["ratio"] = ratio
-
-    if mode == "congruence":
-        lhs = pairs.lift(f.eval)[0]
-        rhs = ratio * pairs.lift(g.eval)[0]
-        return _chain("thm-2.12", [lhs, rhs], tol, regime)
-
-    # majorize
-    below = _loewner(B[None], A[None], tol)[0]
-    if not below.holds:
-        regime["reason"] = "hypothesis B <= A fails"
-        return _not_applicable("thm-2.12", tol, regime)
-    fB = eig_apply(eig_b, f.eval)
-    gA = eig_apply(eig_a, g.eval)
-    return _chain("thm-2.12", [fB, ratio * gA], tol, regime)
+    return _single(two_function_stack([f], [g], [A], [B], [mode], [interval], [vector_seed], tol, draws, grid))

@@ -7,27 +7,29 @@ regardless of execution order, and a failing trial can be regenerated in
 isolation.
 
 Generation model: ``fuzz_chain`` takes trials in consecutive blocks of
-FUZZ_BLOCK. A matrix chain with a ``ChainEntry.draw`` draws each trial from
-its own stream, but leaves its pair (A, B) pending: the two spectra and the
-two Gaussian matrices, not yet factored. ``_realize`` then factors the
-pending pairs of a block that share a dimension as one stack (one QR call
-for every Gaussian, one batched ``Q diag(l) Q^T``, and for pairs with a
-prescribed relative spectrum one eigendecomposition for every A). Stacked
-LAPACK and BLAS calls are bitwise equal to per-matrix calls, and
-``ChainEntry.generate`` of such a chain is the one-trial block, so a trial
-is bit for bit the same whether it is drawn alone or in a block. Scalar
-chains and ``thm-2.12`` generate trial by trial.
+FUZZ_BLOCK. Every matrix chain has a ``ChainEntry.draw``, which draws each
+trial from its own stream but leaves its matrices pending: a spectrum and a
+Gaussian matrix per matrix, not yet factored (a pair (A, B), or thm-2.12's
+single A, with the rank-one shift that makes its B in majorize mode).
+``_realize`` then factors the pending matrices of a block that share a
+dimension as one stack (one QR call for every Gaussian, one batched
+``Q diag(l) Q^T``, and for pairs with a prescribed relative spectrum one
+eigendecomposition for every A). Stacked LAPACK and BLAS calls are bitwise
+equal to per-matrix calls, and ``ChainEntry.generate`` of such a chain is
+the one-trial block, so a trial is bit for bit the same whether it is drawn
+alone or in a block. Only scalar chains generate trial by trial.
 
 Evaluation model: a matrix chain evaluates the trials of a block that share
-a shape as one stack (``ChainEntry.stack``), whose per-trial outcomes are
-bitwise those of evaluating each trial alone (``ChainEntry.run``, the
-one-trial case of the same code); scalar chains and ``thm-2.12`` run trial
-by trial. Outcomes are merged back in trial order.
+their shapes as one stack (``ChainEntry.stack``), whose per-trial outcomes
+are bitwise those of evaluating each trial alone (``ChainEntry.run``, the
+one-trial case of the same code); only scalar chains run trial by trial.
+Outcomes are merged back in trial order.
 """
 
 from __future__ import annotations
 
 import csv
+import numbers
 import os
 import time
 from dataclasses import dataclass, field
@@ -73,6 +75,14 @@ class TrialStreams:
         return self._gen
 
 
+# the values each key of ``GeneratorConfig.regime`` admits: thm-2.12's mode,
+# and thm-3.3's and thm-3.6's case
+_REFINED_CASES = ("below", "straddle", "above")
+_ROE_CASES = ("low", "high")
+_REGIME_CHOICES = {"mode": entropy.TWO_FUNCTION_MODES, "case": _REFINED_CASES + _ROE_CASES}
+_M_MIN_MAX = 100.0  # thm-3.5 draws its relative spectrum from [m_min, _M_MIN_MAX]
+
+
 @dataclass
 class GeneratorConfig:
     seed: int = 0
@@ -91,6 +101,13 @@ class GeneratorConfig:
         slo, shi = self.scalar_range
         if not (0.0 < slo <= shi):
             raise ValueError(f"bad scalar_range {self.scalar_range!r}")
+        for key, val in (self.regime or {}).items():
+            if key == "m_min":  # a NaN fails the comparison
+                ok = isinstance(val, numbers.Real) and not isinstance(val, bool) and 0.0 < val <= _M_MIN_MAX
+            else:
+                ok = val in _REGIME_CHOICES.get(key, ())
+            if not ok:
+                raise ValueError(f"bad regime entry {key}={val!r}; admitted: m_min in (0, 100], {_REGIME_CHOICES}")
 
     def regime_get(self, key, default):
         if self.regime and key in self.regime:
@@ -111,16 +128,6 @@ def _orthogonal(G: np.ndarray) -> np.ndarray:
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
-def random_orthogonal(rng, n: int) -> np.ndarray:
-    return _orthogonal(rng.normal(size=(n, n)))
-
-
-def _pd_from_spectrum(rng, lam) -> np.ndarray:
-    lam = np.asarray(lam, dtype=float)
-    Q = random_orthogonal(rng, lam.shape[0])
-    return symmetrize((Q * lam) @ Q.T)
-
-
 def _meet(regime: tuple, lo: float = 0.0, hi: float = np.inf) -> tuple:
     """The part of a regime interval inside [lo, hi]; the regime interval
     alone when the two do not meet."""
@@ -130,21 +137,27 @@ def _meet(regime: tuple, lo: float = 0.0, hi: float = np.inf) -> tuple:
 
 @dataclass
 class _Pending:
-    """A drawn pair (A, B) before factoring: the spectra and Gaussian
-    matrices of A and of a second matrix, in draw order. The second matrix
+    """Drawn matrices before factoring: the spectrum and Gaussian matrix of
+    A and, for a pair, of a second matrix, in draw order. The second matrix
     is B itself, or, for a constrained pair, the middle factor C of
-    B = A^(1/2) C A^(1/2)."""
+    B = A^(1/2) C A^(1/2). A single A with a ``shift`` and a unit vector
+    ``v`` stands for the pair (A, A - shift v v^T)."""
 
     lam_a: np.ndarray
     G_a: np.ndarray
-    lam_b: np.ndarray
-    G_b: np.ndarray
-    constrained: bool
+    lam_b: np.ndarray | None = None
+    G_b: np.ndarray | None = None
+    constrained: bool = False
+    shift: float | None = None
+    v: np.ndarray | None = None
+
+    def drawn(self) -> list:
+        """(spectrum, Gaussian matrix) of each matrix to factor."""
+        return [(self.lam_a, self.G_a)] + ([] if self.lam_b is None else [(self.lam_b, self.G_b)])
 
 
 def _draw_pair(rng, n, spectrum_a, spectrum_b, constrained=False) -> _Pending:
-    """Draw in the order of two ``_pd_from_spectrum`` calls: spectrum, then
-    Gaussian matrix, for each matrix."""
+    """Draw spectrum, then Gaussian matrix, for each matrix in turn."""
     lam_a = spectrum_a()
     G_a = rng.normal(size=(n, n))
     lam_b = spectrum_b()
@@ -153,42 +166,47 @@ def _draw_pair(rng, n, spectrum_a, spectrum_b, constrained=False) -> _Pending:
 
 
 def _realize(block: list) -> list:
-    """The drawn params of a block with each pending pair, held under the
-    key "pair", replaced in place by its matrices "A" and "B".
+    """The drawn params of a block with the pending draw of each trial (the
+    one ``_Pending`` value) replaced in place by its matrices "A" and "B",
+    or "A" alone for a single matrix without a shift.
 
-    The pairs of one dimension are factored as one stack: one QR call for
+    The draws of one dimension are factored as one stack: one QR call for
     every Gaussian, one batched ``Q diag(l) Q^T``, and for the constrained
     pairs one eigendecomposition for every A and one batched
     ``A^(1/2) C A^(1/2)``. A constrained pair whose A is not
     positive-definite raises the refusal of the first such trial.
     """
+    pending = [next(val for val in p.values() if isinstance(val, _Pending)) for p in block]
     groups: dict = {}
-    for i, p in enumerate(block):
-        groups.setdefault(len(p["pair"].lam_a), []).append(i)
+    for i, d in enumerate(pending):
+        groups.setdefault(len(d.lam_a), []).append(i)
     matrices = [None] * len(block)
     refusals = []
     for rows in groups.values():
-        pairs = [block[i]["pair"] for i in rows]
-        Q = _orthogonal(np.stack([G for p in pairs for G in (p.G_a, p.G_b)]))
-        lam = np.stack([lam for p in pairs for lam in (p.lam_a, p.lam_b)])
+        drawn = [pending[i].drawn() for i in rows]
+        Q = _orthogonal(np.stack([G for d in drawn for _, G in d]))
+        lam = np.stack([lam for d in drawn for lam, _ in d])
         M = symmetrize((Q * lam[:, None, :]) @ Q.swapaxes(1, 2))
-        A, B = M[0::2], M[1::2]
-        cons = [j for j, p in enumerate(pairs) if p.constrained]
+        first = np.cumsum([0] + [len(d) for d in drawn])  # trial j's matrices are M[first[j]:first[j + 1]]
+        cons = [j for j, i in enumerate(rows) if pending[i].constrained]
         if cons:
-            eig, errors = _pd_eig(A[cons], "matrix")
+            at = first[cons]
+            eig, errors = _pd_eig(M[at], "matrix")
             refusals += [(rows[j], error) for j, error in zip(cons, errors) if error is not None]
             root = eig_apply(eig, np.sqrt)
-            B[cons] = symmetrize(root @ B[cons] @ root)
+            M[at + 1] = symmetrize(root @ M[at + 1] @ root)
         for j, i in enumerate(rows):
-            matrices[i] = A[j], B[j]
+            mats = matrices[i] = list(M[first[j]:first[j + 1]])
+            if pending[i].shift is not None:
+                mats.append(symmetrize(mats[0] - pending[i].shift * np.outer(pending[i].v, pending[i].v)))
     if refusals:
         raise min(refusals, key=lambda r: r[0])[1]
     realized = []
-    for p, (A, B) in zip(block, matrices):
+    for p, mats in zip(block, matrices):
         out = {}
         for key, val in p.items():
-            if key == "pair":
-                out["A"], out["B"] = A, B
+            if isinstance(val, _Pending):
+                out.update(zip(("A", "B"), mats))
             else:
                 out[key] = val
         realized.append(out)
@@ -212,7 +230,9 @@ def gen_pd_matrix(cfg: GeneratorConfig, trial: int = 0) -> np.ndarray:
     rng = trial_rng(cfg.seed, trial)
     lo, hi = cfg.scalar_range
     n = _draw_dim(rng, cfg)
-    return _pd_from_spectrum(rng, log_uniform(rng, lo, hi, n))
+    lam = log_uniform(rng, lo, hi, n)
+    (params,) = _realize([{"A": _Pending(lam, rng.normal(size=(n, n)))}])
+    return params["A"]
 
 
 def _constrained(rng, n, m_target, M_target, lo, hi) -> _Pending:
@@ -253,10 +273,6 @@ def _ordered_pair(rng, f: FunctionSpec):
     return float(s), float(t)
 
 
-def _pool(*ids) -> list:
-    return [REGISTRY[i] for i in ids]
-
-
 _LOGCONVEX_POOL = ("exp", "exp-pow-1", "exp-pow-2", "inv-pow-1", "inv-pow-2", "inv-sin", "neg-log", "lnt-x-2", "quad-exp-1-0", "geo-interp-1-4")
 _LOGCONCAVE_POOL = ("log", "sin", "gauss", "pow-2", "geo-interp-1-4", "exp")
 _GEOMCONVEX_POOL = ("exp", "exp-pow-1", "exp-pow-2", "inv-pow-1", "inv-pow-2", "inv-sin", "pow-2", "pow-3")
@@ -294,8 +310,8 @@ class ChainEntry:
     tol)`` evaluates them. ``stack(params_list, tol)``, for matrix chains,
     evaluates trials whose matrices share their shapes and returns one
     outcome per trial: its verdict, or the exception its ``run`` raises.
-    ``draw(rng, cfg)``, for chains of (A, B) pairs, draws the params of one
-    trial with the pair left pending for ``_realize``; such a chain's
+    ``draw(rng, cfg)``, for matrix chains, draws the params of one trial
+    with its matrices left pending for ``_realize``; such a chain's
     ``generate`` is ``_realize`` of the one-trial block."""
 
     id: str
@@ -412,7 +428,7 @@ def _draw_zou(rng, cfg):
 def _draw_refined_st(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
-    case = cfg.regime_get("case", None) or ("below", "straddle", "above")[int(rng.integers(3))]
+    case = cfg.regime_get("case", None) or _REFINED_CASES[int(rng.integers(3))]
     if case == "below":
         m, M = np.sort(log_uniform(rng, *_meet((1e-3, 0.95), lo=lo), 2))
     elif case == "above":
@@ -427,7 +443,7 @@ def _draw_tsallis_relation(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
     m_lo = cfg.regime_get("m_min", 1.0)
-    m, M = np.sort(log_uniform(rng, *_meet((m_lo, 100.0), hi=hi), 2))
+    m, M = np.sort(log_uniform(rng, *_meet((m_lo, _M_MIN_MAX), hi=hi), 2))
     pair = _constrained(rng, n, float(m), float(M), lo, hi)
     s, t = log_uniform(rng, 0.05, 3.0, 2)
     return {"pair": pair, "s": float(s), "t": float(t)}
@@ -436,7 +452,7 @@ def _draw_tsallis_relation(rng, cfg):
 def _draw_roe(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
-    case = cfg.regime_get("case", None) or ("low", "high")[int(rng.integers(2))]
+    case = cfg.regime_get("case", None) or _ROE_CASES[int(rng.integers(2))]
     if case == "low":
         m, M = np.sort(log_uniform(rng, *_meet((1e-3, 1.0 / np.e), lo=lo), 2))
     else:
@@ -467,39 +483,32 @@ def _draw_ordering(rng, cfg):
     return {"pair": _pair_in_range(rng, n, lo, hi), "p": p}
 
 
-def _gen_two_function(rng, cfg):
+def _draw_two_function(rng, cfg):
     n = _draw_dim(rng, cfg)
     f, g, a, b = gen_two_function_family(rng)
-    mode = cfg.regime_get("mode", None) or ("expectation", "congruence", "majorize")[int(rng.integers(3))]
+    mode = cfg.regime_get("mode", None) or entropy.TWO_FUNCTION_MODES[int(rng.integers(3))]
     params = {"fn_f": f, "fn_g": g, "a": a, "b": b, "mode": mode}
     if mode == "expectation":
-        params["A"] = _pd_from_spectrum(rng, rng.uniform(a, b, n))
+        lam = rng.uniform(a, b, n)
+        params["A"] = _Pending(lam, rng.normal(size=(n, n)))
         params["vector_seed"] = int(rng.integers(0, 2**32))
     elif mode == "congruence":
         params["pair"] = _constrained(rng, n, a, b, 0.5, 2.0)
-        (params,) = _realize([params])
     else:
         lam = np.sort(rng.uniform(a, b, n))
-        A = _pd_from_spectrum(rng, lam)
+        G = rng.normal(size=(n, n))
         v = rng.normal(size=n)
         v /= np.linalg.norm(v)
         shift = float(rng.uniform(0.0, max(lam[0] - a, 0.0)))
-        B = symmetrize(A - shift * np.outer(v, v))
-        params.update({"A": A, "B": B})
+        params["A"] = _Pending(lam, G, shift=shift, v=v)  # B = A - shift v v^T
     return params
 
 
-def _run_two_function(p, tol):
-    return entropy.check_two_function_operator(
-        p["fn_f"],
-        p["fn_g"],
-        p["A"],
-        p.get("B"),
-        mode=p["mode"],
-        interval=(p["a"], p["b"]),
-        tol=tol,
-        vector_seed=p.get("vector_seed", 0),
-    )
+def _stack_two_function(params: list, tol: float) -> list:
+    """``ChainEntry.stack`` of thm-2.12."""
+    f, g, A, B, mode = ([p.get(key) for p in params] for key in ("fn_f", "fn_g", "A", "B", "mode"))
+    intervals = [(p["a"], p["b"]) for p in params]
+    return entropy.two_function_stack(f, g, A, B, mode, intervals, [p.get("vector_seed", 0) for p in params], tol)
 
 
 def _stacked(evaluate, *names):
@@ -666,8 +675,10 @@ _register(ChainEntry(
 _register(ChainEntry(
     "thm-2.12", "operator",
     "operator comparison of a gated concave/convex function pair",
-    _gen_two_function,
-    _run_two_function,
+    _one_trial(_draw_two_function),
+    lambda p, tol: entropy._single(_stack_two_function([p], tol)),
+    _stack_two_function,
+    _draw_two_function,
 ))
 
 
@@ -745,7 +756,7 @@ def _evaluate(entry: ChainEntry, params: list, tol: float) -> list:
         return [_attempt(entry.run, p, tol) for p in params]
     groups: dict = {}
     for i, p in enumerate(params):
-        groups.setdefault((np.shape(p["A"]), np.shape(p["B"])), []).append(i)
+        groups.setdefault((np.shape(p["A"]), np.shape(p.get("B"))), []).append(i)
     outcomes = [None] * len(params)
     for rows in groups.values():
         stack = [params[i] for i in rows]
@@ -932,7 +943,7 @@ def _emit_json(obj) -> str:
 
 def report_document(reports: list, include_timing: bool = False) -> dict:
     return {
-        "version": 2,
+        "version": 3,
         "seed": reports[0].seed if reports else 0,
         "chains": [r.to_obj(include_timing) for r in reports],
     }

@@ -90,6 +90,10 @@ class EigenDecomposition:
     def n(self) -> int:
         return self.values.shape[-1]
 
+    def take(self, rows) -> EigenDecomposition:
+        """The decompositions at ``rows`` of a stack."""
+        return EigenDecomposition(self.vectors[rows], self.values[rows])
+
 
 def _eig(M: np.ndarray) -> EigenDecomposition:
     values, vectors = np.linalg.eigh(M)
@@ -148,9 +152,15 @@ def _normalize_pair(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarra
     """(A**(1/2), A**(-1/2) B A**(-1/2)) for a stack of pairs, and the
     refusal of each pair whose A is not positive-definite."""
     eig_a, errors = _pd_eig(A, "A")
+    return (*_normalized(eig_a, B), errors)
+
+
+def _normalized(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A**(1/2), A**(-1/2) B A**(-1/2)) for a stack of pairs, from the
+    decompositions of the A."""
     root = eig_apply(eig_a, np.sqrt)
     inv_root = eig_apply(eig_a, lambda lam: 1.0 / np.sqrt(lam))
-    return root, symmetrize(inv_root @ B @ inv_root), errors
+    return root, symmetrize(inv_root @ B @ inv_root)
 
 
 def sqrtm_pd(A) -> np.ndarray:

@@ -303,3 +303,96 @@ def test_stack_refusals_leave_other_pairs_unchanged():
             assert type(stacked[i]) is type(single.value) and str(stacked[i]) == str(single.value)
     for i in (0, 5):
         _same_verdict(stacked[i], alone[i])
+
+
+def _rotated(rng, lam):
+    q, _ = np.linalg.qr(rng.normal(size=(len(lam), len(lam))))
+    M = (q * np.asarray(lam, dtype=float)) @ q.T
+    return (M + M.T) / 2.0
+
+
+def test_two_function_stack_outcomes_match_single_trials():
+    # one stack mixing the three modes, with refused and out-of-hypothesis
+    # trials among valid ones: each outcome is the trial's own evaluation
+    f, g = REGISTRY["log-wide"], REGISTRY["lin-0.04-0.12"]
+    rng = np.random.default_rng(29)
+    v = rng.normal(size=3)
+    v /= np.linalg.norm(v)
+    A_maj = _rotated(rng, [2.0, 2.5, 3.5])
+    asymmetric = A_maj - 0.1 * np.outer(v, v)
+    asymmetric[0, 1] += 1e-3
+    trials = [  # (mode, A, B, vector_seed)
+        ("expectation", _rotated(rng, [1.6, 2.5, 3.9]), None, 1),
+        ("expectation", np.diag([-1.0, 2.0, 3.0]), None, 2),  # A not positive-definite
+        ("congruence", np.diag([1.0, 2.0, 0.5]), np.diag([1.6, 7.0, 1.9]), 0),
+        ("majorize", A_maj, A_maj - 0.1 * np.outer(v, v), 0),
+        ("majorize", A_maj, asymmetric, 0),  # B not symmetric
+        ("majorize", A_maj, A_maj + 0.1 * np.outer(v, v), 0),  # B <= A fails
+        ("expectation", _rotated(rng, [2.0, 2.0, 3.0]), np.eye(3), 3),  # B ignored
+        ("congruence", np.eye(3), None, 0),  # B missing
+        ("bogus", np.eye(3), np.eye(3), 0),
+    ]
+    modes, A, B, seeds = (list(column) for column in zip(*trials))
+    k = len(trials)
+    stacked = entropy.two_function_stack([f] * k, [g] * k, A, B, modes, [(1.5, 4.0)] * k, seeds)
+    statuses = []
+    for i, (mode, a, b, seed) in enumerate(trials):
+        try:
+            alone = entropy.check_two_function_operator(f, g, a, b, mode=mode, interval=(1.5, 4.0), vector_seed=seed)
+        except ValueError as exc:
+            assert type(stacked[i]) is type(exc) and str(stacked[i]) == str(exc), i
+            statuses.append(str(exc).split(":")[0])
+            continue
+        _same_verdict(stacked[i], alone)
+        statuses.append(alone.status)
+    assert statuses == [
+        "pass", "A must be positive-definite", "pass", "pass", "matrix is not symmetric at (1, 0)",
+        "not-applicable", "pass", "mode 'congruence' requires B", "unknown mode 'bogus'",
+    ]
+    assert stacked[5].regime["reason"] == "hypothesis B <= A fails"
+
+
+def test_two_function_stack_refusal_order_follows_the_single_trial():
+    # with several faults in one trial the first the one-trial evaluation
+    # meets is the one reported: congruence checks shapes before validity,
+    # majorize checks A before B
+    f, g = REGISTRY["log-wide"], REGISTRY["lin-0.04-0.12"]
+    bad_a = np.array([[2.0, 1.0], [0.0, 2.0]])
+    cases = [
+        ("congruence", bad_a, np.eye(3), "dimension mismatch"),
+        ("majorize", bad_a, np.eye(3), "matrix is not symmetric"),
+        ("majorize", -np.eye(2), np.eye(3), "A must be positive-definite"),
+        ("majorize", 2.0 * np.eye(2), np.eye(3), "dimension mismatch"),
+        ("majorize", 2.0 * np.eye(2), -np.eye(2), "B must be positive-definite"),
+        ("congruence", -np.eye(2), 2.0 * np.eye(2), "A must be positive-definite"),
+        ("congruence", np.eye(2), np.full((2, 2), np.nan), "matrix entries must be finite"),
+        ("expectation", np.ones((2, 3)), None, "expected a square matrix"),
+    ]
+    for mode, a, b, message in cases:
+        with pytest.raises(ValueError, match=message):
+            entropy.check_two_function_operator(f, g, a, b, mode=mode, interval=(1.5, 4.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_expectation_worst_slack_matches_mpmath_oracle(n):
+    # every relative slack recomputed in 50-digit arithmetic from the same
+    # unit vectors; f = log and g(x) = 0.04 x + 0.12, so g(A) = 0.04 A + 0.12 I
+    mpmath = pytest.importorskip("mpmath")
+    f, g = REGISTRY["log-wide"], REGISTRY["lin-0.04-0.12"]
+    a, b, seed, draws = 1.5, 4.0, 50 + n, 1000
+    A = _rotated(np.random.default_rng(n), np.linspace(1.7, 3.8, n))
+    verdict = entropy.check_two_function_operator(f, g, A, mode="expectation", interval=(a, b), vector_seed=seed)
+    H = entropy._unit_vectors(seed, draws, n)
+    with mpmath.workdps(50):
+        slope, intercept = mpmath.mpf(0.04), mpmath.mpf(0.12)
+        df = mpmath.log(b) - mpmath.log(a)
+        dg = slope * (b - a)
+        rows = [[mpmath.mpf(x) for x in row] for row in A.tolist()]
+        worst = mpmath.inf
+        for h in H.tolist():
+            h = [mpmath.mpf(x) for x in h]
+            quad = mpmath.fsum(h[i] * rows[i][j] * h[j] for i in range(n) for j in range(n))
+            lhs = dg * mpmath.log(min(max(quad, a), b))
+            rhs = df * (slope * quad + intercept * mpmath.fsum(x * x for x in h))  # df <g(A)h, h>
+            worst = min(worst, (rhs - lhs) / max(1, abs(lhs), abs(rhs)))
+        assert verdict.regime["worst_rel_slack"] == pytest.approx(float(worst), abs=1e-13, rel=0.0)

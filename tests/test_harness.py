@@ -4,8 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from oel import harness
+from oel import entropy, harness
 from oel.errors import NumericError
+from oel.funcs import FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, TrialStreams, fuzz_chain, shrink_witness, trial_rng
 from oel.linalg import relative_spectrum_bounds
 
@@ -19,6 +20,36 @@ def test_config_validation():
         GeneratorConfig(dim_range=(0, 4))
     with pytest.raises(ValueError):
         GeneratorConfig(scalar_range=(-1.0, 2.0))
+
+
+@pytest.mark.parametrize("regime", [
+    {"bogus": 1.0},
+    {"mode": "bogus"},
+    {"mode": None},
+    {"case": "bogus"},
+    {"m_min": 200.0},
+    {"m_min": 0.0},
+    {"m_min": -1.0},
+    {"m_min": float("nan")},
+    {"m_min": float("inf")},
+    {"m_min": "2"},
+    {"m_min": True},
+])
+def test_config_rejects_bad_regime(regime):
+    with pytest.raises(ValueError):
+        GeneratorConfig(regime=regime)
+
+
+def test_config_accepts_every_regime_value():
+    # the keys and values the generators read; m_min bounds thm-3.5's
+    # relative spectrum [m_min, 100] from below
+    regimes = [None, {}, {"m_min": 1e-3}, {"m_min": 100.0}, {"m_min": 2}, {"mode": "majorize", "m_min": 3.0}]
+    regimes += [{"mode": mode} for mode in entropy.TWO_FUNCTION_MODES]
+    regimes += [{"case": case} for case in ("below", "straddle", "above", "low", "high")]
+    for regime in regimes:
+        GeneratorConfig(regime=regime)
+    rep = fuzz_chain("thm-3.5", GeneratorConfig(seed=1, trials=5, regime={"m_min": 100.0}))
+    assert rep.trials_run == 5 and rep.not_applicable == 0 and not rep.failures
 
 
 def test_trial_streams_match_fresh_generators():
@@ -143,7 +174,7 @@ def test_write_report_roundtrip(tmp_path):
     path = tmp_path / "report.json"
     harness.write_report(reports, path)
     doc = json.loads(path.read_text())
-    assert doc["version"] == 2 and doc["seed"] == 21
+    assert doc["version"] == 3 and doc["seed"] == 21
     assert [c["id"] for c in doc["chains"]] == ["prop-2.1", "cor-3.8"]
     for chain in doc["chains"]:
         assert chain["trials"] == 10
@@ -162,7 +193,7 @@ def test_write_report_empty(tmp_path):
     path = tmp_path / "empty.json"
     harness.write_report([], path)
     doc = json.loads(path.read_text())
-    assert doc == {"version": 2, "seed": 0, "chains": []}
+    assert doc == {"version": 3, "seed": 0, "chains": []}
 
 
 def test_report_timing_flag(tmp_path):
@@ -289,12 +320,19 @@ DRAWN_CHAINS = [cid for cid, entry in CHAINS.items() if entry.draw is not None]
 
 
 def _fingerprint(params: dict) -> list:
-    """Keys in order, with the bytes of every array and the repr of every
-    other value."""
-    return [
-        (key, val.shape, val.tobytes()) if isinstance(val, np.ndarray) else (key, repr(val))
-        for key, val in params.items()
-    ]
+    """Keys in order, with the bytes of every array, a function's id, domain,
+    flags and the bytes of its values and derivatives on a grid inside its
+    domain, and the repr of every other value."""
+    out = []
+    for key, val in params.items():
+        if isinstance(val, np.ndarray):
+            out.append((key, val.shape, val.tobytes()))
+        elif isinstance(val, FunctionSpec):
+            xs = np.linspace(*val.domain, 9)[1:-1]
+            out.append((key, val.id, val.domain, sorted(val.flags), val.eval(xs).tobytes(), val.deriv(xs).tobytes()))
+        else:
+            out.append((key, repr(val)))
+    return out
 
 
 def _block_vs_per_trial_configs():
@@ -306,12 +344,15 @@ def _block_vs_per_trial_configs():
         yield "thm-3.3", GeneratorConfig(seed=44, trials=40, regime={"case": case})
     for case in ("low", "high"):
         yield "thm-3.6", GeneratorConfig(seed=45, trials=40, regime={"case": case})
+    for mode in entropy.TWO_FUNCTION_MODES:
+        yield "thm-2.12", GeneratorConfig(seed=46, trials=70, regime={"mode": mode})
 
 
 def test_block_generation_matches_per_trial_generation_bitwise():
-    # fuzz_chain draws each trial alone but factors the pairs of a block as
-    # stacks; every trial must be bit for bit the one generated alone
-    assert set(DRAWN_CHAINS) == {"zou", "thm-3.3", "thm-3.5", "thm-3.6", "thm-3.11", "prop-3.10"}
+    # fuzz_chain draws each trial alone but factors the matrices of a block
+    # as stacks; every trial must be bit for bit the one generated alone
+    assert set(DRAWN_CHAINS) == {"zou", "thm-3.3", "thm-3.5", "thm-3.6", "thm-3.11", "prop-3.10", "thm-2.12"}
+    assert set(DRAWN_CHAINS) == set(OPERATOR_CHAINS)
     for cid, cfg in _block_vs_per_trial_configs():
         entry = CHAINS[cid]
         streams = TrialStreams(cfg.seed)
@@ -356,3 +397,16 @@ def test_realize_raises_the_first_refusal_in_trial_order():
     assert str(first.value) == str(alone.value)
     (ok,) = harness._realize(block[:1])
     assert list(ok) == ["A", "B"]
+
+
+def test_fingerprint_tells_equal_functions_from_different_ones():
+    from oel import funcs
+
+    rng = np.random.default_rng(3)
+    assert _fingerprint({"g": funcs.linear(0.5, 1.0)}) == _fingerprint({"g": funcs.linear(0.5, 1.0)})
+    # same id (slopes agree to six digits), different function
+    assert funcs.linear(0.5, 1.0).id == funcs.linear(0.5 + 1e-9, 1.0).id
+    assert _fingerprint({"g": funcs.linear(0.5, 1.0)}) != _fingerprint({"g": funcs.linear(0.5 + 1e-9, 1.0)})
+    f1, *_ = harness.gen_two_function_family(rng)
+    f2, *_ = harness.gen_two_function_family(rng)
+    assert _fingerprint({"f": f1}) == _fingerprint({"f": f2})
