@@ -3,23 +3,32 @@ semidefinite order.
 
 Every checker reduces to functional calculus on the congruence-normalized
 matrix X = A**(-1/2) B A**(-1/2): each link is A**(1/2) f(X) A**(1/2) for
-some scalar f, so one eigendecomposition of X serves the whole chain.
+some scalar f. Congruence by A**(1/2) preserves the Loewner order and the
+lifts of one X commute, so a link holds iff f_j(l) <= f_{j+1}(l) at every
+eigenvalue l of X, and the chains are decided on the spectrum of X alone.
 
 The matrix checkers work on a stack of k pairs of one shape: one ``eigh``
-call factors every A, one every X, one batched product forms each lift,
-and one ``eigvalsh`` call decides every Loewner link of the stack.
-``<name>_stack(A, B, ..., tol)`` takes k matrices for A and for B and k
-values for each parameter, and returns one outcome per pair: the verdict,
-or the exception the pair's own evaluation raises, which does not touch
-the other pairs. The public ``check_*`` functions are the k = 1 case and
-raise that exception.
+call factors every A and one values-only ``eigvalsh`` call gives the
+spectrum of every X. A chain is a table of link functions evaluated on the
+(k, n) eigenvalues, and one vectorized pass decides every link of the
+stack; a link's slack is min over l of f_{j+1}(l) - f_j(l), the smallest
+eigenvalue of the lifted difference, and its scale is max(1, max |f_j|,
+max |f_{j+1}|) over the spectrum. The link matrices themselves are lifted
+only when ``OperatorChainVerdict.links`` is read. ``<name>_stack(A, B,
+..., tol)`` takes k matrices for A and for B and k values for each
+parameter, and returns one outcome per pair: the verdict, or the exception
+the pair's own evaluation raises, which does not touch the other pairs.
+The public ``check_*`` functions are the k = 1 case and raise that
+exception.
 
 The two-function comparison of thm-2.12 (``two_function_stack``) stacks
-trials whose function pair, interval and mode vary from trial to trial:
-its matrices, lifts and Loewner links are stacked the same way, and in
+trials whose function pair, interval and mode vary from trial to trial.
+Congruence mode is decided on the spectrum of X like the pair chains. In
 expectation mode each trial's seeded unit vectors h give the quadratic
-forms <Ah,h> and <g(A)h,h> of the whole stack in one batched product. The
-admissibility gate of each function pair runs per trial.
+forms <Ah,h> and <g(A)h,h> of the whole stack in one batched product, and
+majorize mode compares f(B) with a multiple of g(A), which are not
+functions of one X, by Loewner checks on the matrices. The admissibility
+gate of each function pair runs per trial.
 
 Hypothesis mismatches (a pair outside a theorem's spectral regime) yield a
 verdict with status "not-applicable"; only genuine link violations count as
@@ -29,6 +38,8 @@ failures. Bad inputs (non-PD, dimension mismatch, invalid parameters) raise.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -37,15 +48,15 @@ from .chains import DEFAULT_TOL, two_function_gate
 from .errors import NumericError
 from .linalg import (
     EigenDecomposition,
+    LoewnerVerdict,
     _loewner,
-    _normalize_pair,
-    _normalized,
     _only,
     _pd_eig,
+    _relative_spectrum,
     _symmetric_stack,
+    congruence_sandwich,
     eig_apply,
     matrix_to_obj,
-    symmetrize,
 )
 
 REGIME_CUSHION = 1e-12
@@ -66,16 +77,17 @@ def _column(values) -> np.ndarray:
 
 
 class _Pairs:
-    """Sandwich data shared by a stack of k (A, B) pairs of one shape.
+    """The relative spectra of a stack of k (A, B) pairs of one shape.
 
-    ``errors[i]`` is the exception refusing pair i, or None; the first one
-    found for a pair is kept. A refused pair stays in the stack, with zeros
-    standing in for a refused matrix and the identity's decomposition for a
-    refused factorization, so that stacked work stays finite; its verdict is
-    dropped at the end.
+    ``lam`` holds the ascending eigenvalues of each X = A**(-1/2) B A**(-1/2),
+    and ``m`` and ``M`` their extremes. ``errors[i]`` is the exception
+    refusing pair i, or None; the first one found for a pair is kept. A
+    refused pair stays in the stack, with zeros standing in for a refused
+    matrix and ones for the eigenvalues of a refused factorization, so that
+    stacked work stays finite; its verdict is dropped at the end.
     """
 
-    def __init__(self, A, B, errors=None, factor_b: bool = False):
+    def __init__(self, A, B, errors=None):
         self.A, errors_a = _symmetric_stack(A)
         self.B, errors_b = _symmetric_stack(B)
         if self.A.shape != self.B.shape:
@@ -83,15 +95,12 @@ class _Pairs:
         self.errors = list(errors) if errors is not None else [None] * len(self.A)
         self.refuse(errors_a)
         self.refuse(errors_b)
-        self.root, inner, errors_x = _normalize_pair(self.A, self.B)
+        eig_a, errors_a = _pd_eig(self.A, "A")
+        self.refuse(errors_a)
+        self.lam, errors_x = _relative_spectrum(eig_a, self.B)
         self.refuse(errors_x)
-        self.eig_x, errors_x = _pd_eig(inner, "B relative to A")
-        self.refuse(errors_x)
-        if factor_b:
-            self.eig_b, errors_b = _pd_eig(self.B, "B")
-            self.refuse(errors_b)
-        self.m = self.eig_x.values[:, 0].tolist()
-        self.M = self.eig_x.values[:, -1].tolist()
+        self.m = self.lam[:, 0].tolist()
+        self.M = self.lam[:, -1].tolist()
 
     def refuse(self, errors) -> None:
         self.errors = [old if old is not None else new for old, new in zip(self.errors, errors)]
@@ -100,20 +109,18 @@ class _Pairs:
         """Indices of the pairs not refused."""
         return [i for i, e in enumerate(self.errors) if e is None]
 
-    def lift(self, fn) -> np.ndarray:
-        """A**(1/2) fn(X) A**(1/2) for every pair; ``fn`` maps the (k, n)
-        eigenvalues of X elementwise."""
-        return symmetrize(self.root @ eig_apply(self.eig_x, fn) @ self.root)
+    def decide(self, chain_id, links, layouts, regimes, tol) -> list:
+        """``_decide`` of a chain whose link functions ``links`` map the (k, n)
+        eigenvalues of X elementwise, with per-pair parameters as (k, 1)
+        columns; pair i's link matrix lifts row i of its function."""
+        shape = self.lam.shape
 
-    def zero(self) -> np.ndarray:
-        return np.zeros_like(self.A)
+        def lift(i, name):
+            fn = links[name]
+            return congruence_sandwich(self.A[i], self.B[i], lambda lam: np.broadcast_to(fn(lam), shape)[i])
 
-
-def _pair(A, B) -> _Pairs:
-    """The one-pair stack of (A, B); raises the pair's refusal."""
-    pairs = _Pairs([A], [B])
-    _only(pairs.errors)
-    return pairs
+        values = {name: fn(self.lam) for name, fn in links.items()}
+        return _decide(chain_id, values, layouts, regimes, self.errors, tol, lift)
 
 
 def _single(outcomes: list):
@@ -126,12 +133,19 @@ def _single(outcomes: list):
 
 @dataclass
 class OperatorChainVerdict:
+    """The outcome of one operator chain; ``build_links`` makes the link
+    matrices, which ``links`` builds on first read."""
+
     chain_id: str
-    links: list
+    build_links: Callable[[], list] = field(repr=False, compare=False)
     verdicts: list
     status: str
     tol: float
     regime: dict = field(default_factory=dict)
+
+    @cached_property
+    def links(self) -> list:
+        return self.build_links()
 
     @property
     def ok(self) -> bool:
@@ -159,19 +173,30 @@ class OperatorChainVerdict:
         }
 
 
-def _chains(chain_id, links, layouts, regimes, errors, tol) -> list:
+def _compare(lower: np.ndarray, upper: np.ndarray, tol: float) -> list:
+    """One verdict lower[i] <= upper[i] per row: by ``_loewner`` for stacks
+    of matrices, and for rows of link values f(l) on a spectrum, pointwise,
+    with slack min(upper - lower) and scale max(1, max |lower|, max |upper|)."""
+    if lower.ndim == 3:
+        return _loewner(lower, upper, tol)
+    slack = (upper - lower).min(axis=1).tolist()
+    scale = np.maximum(1.0, np.maximum(np.abs(lower).max(axis=1), np.abs(upper).max(axis=1))).tolist()
+    return [LoewnerVerdict(s >= -tol * c, s, tol, c) for s, c in zip(slack, scale)]
+
+
+def _decide(chain_id, links, layouts, regimes, errors, tol, lift) -> list:
     """One outcome per pair of a stack.
 
-    ``links`` maps names to stacks of link matrices; pair i's chain is
-    ``links[name][i]`` for the names in ``layouts[i]``, or not applicable
-    when that layout is None. A refused pair's outcome is its error. Links
-    are built from validated inputs through ``symmetrize`` or as sums and
-    scalar multiples of exactly symmetric matrices, so they skip
-    revalidation; only finiteness can fail, which fails the pair with
-    NumericError. Pairs sharing a layout form a sub-stack, and the links
-    of every sub-stack are decided by one ``_loewner`` call per link shape.
+    ``links`` maps names to the links of every pair: (k, n) rows of values
+    f(l) at the ascending eigenvalues l of each pair's X, or (k, m, m)
+    stacks of matrices. Pair i's chain is ``links[name][i]`` for the names
+    in ``layouts[i]``, or not applicable when that layout is None; a
+    refused pair's outcome is its error. A link with a non-finite entry
+    fails the pair with NumericError. Each link of the pairs sharing a
+    layout is decided by one ``_compare`` call. ``lift(i, name)`` builds a
+    link matrix of pair i, when its verdict's ``links`` is first read.
     """
-    finite = {name: np.isfinite(mats).all(axis=(1, 2)).tolist() for name, mats in links.items()}
+    finite = {name: np.isfinite(v).all(axis=tuple(range(1, v.ndim))).tolist() for name, v in links.items()}
     outcomes = list(errors)
     groups: dict = {}
     for i, layout in enumerate(layouts):
@@ -183,65 +208,61 @@ def _chains(chain_id, links, layouts, regimes, errors, tol) -> list:
             outcomes[i] = NumericError(f"{chain_id}: chain link has non-finite entries")
         else:
             groups.setdefault(layout, []).append(i)
-    pending: dict = {}  # link shape -> lower and upper links of that shape
     for layout, rows in groups.items():
-        for x, y in zip(layout, layout[1:]):
-            lower, upper = pending.setdefault(links[x].shape[1:], ([], []))
-            lower.append(links[x][rows])
-            upper.append(links[y][rows])
-    decided = {
-        shape: iter(_loewner(np.concatenate(lower), np.concatenate(upper), tol))
-        for shape, (lower, upper) in pending.items()
-    }
-    for layout, rows in groups.items():
-        by_link = [[next(decided[links[x].shape[1:]]) for _ in rows] for x in layout[:-1]]
+        by_link = [_compare(links[x][rows], links[y][rows], tol) for x, y in zip(layout, layout[1:])]
         for j, i in enumerate(rows):
             pair_verdicts = [link_verdicts[j] for link_verdicts in by_link]
             status = STATUS_PASS if all(v.holds for v in pair_verdicts) else STATUS_FAIL
-            pair_links = [links[name][i] for name in layout]
-            outcomes[i] = OperatorChainVerdict(chain_id, pair_links, pair_verdicts, status, tol, regimes[i])
+            build = lambda i=i, layout=layout: [lift(i, name) for name in layout]
+            outcomes[i] = OperatorChainVerdict(chain_id, build, pair_verdicts, status, tol, regimes[i])
     return outcomes
 
 
 def _not_applicable(chain_id, tol, regime) -> OperatorChainVerdict:
-    return OperatorChainVerdict(chain_id, [], [], STATUS_NOT_APPLICABLE, tol, regime)
+    return OperatorChainVerdict(chain_id, list, [], STATUS_NOT_APPLICABLE, tol, regime)
 
 
 # --- entropies --------------------------------------------------------------
 
+def _entropy(A, B, fn) -> np.ndarray:
+    """A**(1/2) fn(X) A**(1/2) for one pair, refused as the chains refuse it."""
+    pairs = _Pairs([A], [B])
+    _only(pairs.errors)
+    return congruence_sandwich(pairs.A[0], pairs.B[0], fn)
+
+
 def relative_entropy(A, B) -> np.ndarray:
     """A**(1/2) log(A**(-1/2) B A**(-1/2)) A**(1/2) for positive-definite A, B."""
-    return _pair(A, B).lift(np.log)[0]
+    return _entropy(A, B, np.log)
 
 
 def tsallis_entropy(A, B, t: float) -> np.ndarray:
     """Deformed-log analogue of the relative entropy; equals B - A at t = 1
     and converges to the relative entropy as t -> 0."""
-    return _pair(A, B).lift(lambda lam: scalar.deformed_log(t, lam))[0]
+    return _entropy(A, B, lambda lam: scalar.deformed_log(t, lam))
 
 
 def generalized_entropy(A, B, t: float) -> np.ndarray:
     """Sandwich of x**t log(x); reduces to the relative entropy at t = 0."""
-    return _pair(A, B).lift(lambda lam: lam**t * np.log(lam))[0]
+    return _entropy(A, B, lambda lam: lam**t * np.log(lam))
 
 
 # --- chains -----------------------------------------------------------------
 
 def zou_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
     """``check_zou_chain`` over a stack of pairs: one outcome per pair."""
-    pairs = _Pairs(A, B, [_require(0.0 < ti <= 1.0, f"need 0 < t <= 1, got {ti!r}") for ti in t], factor_b=True)
+    pairs = _Pairs(A, B, [_require(0.0 < ti <= 1.0, f"need 0 < t <= 1, got {ti!r}") for ti in t])
     tc = _column(t)
-    B_inv = eig_apply(pairs.eig_b, lambda lam: 1.0 / lam)
     links = {
-        "harmonic": symmetrize(pairs.A - pairs.A @ B_inv @ pairs.A),
-        "T-t": pairs.lift(lambda lam: scalar.deformed_log(-tc, lam)),
-        "S": pairs.lift(np.log),
-        "Tt": pairs.lift(lambda lam: scalar.deformed_log(tc, lam)),
-        "B-A": pairs.B - pairs.A,
+        "harmonic": lambda lam: 1.0 - 1.0 / lam,
+        "T-t": lambda lam: scalar.deformed_log(-tc, lam),
+        "S": np.log,
+        "Tt": lambda lam: scalar.deformed_log(tc, lam),
+        "B-A": lambda lam: lam - 1.0,
     }
     layout = tuple(links)
     regimes = [{"t": ti, "m": m, "M": M} for ti, m, M in zip(t, pairs.m, pairs.M)]
-    return _chains("zou", links, [layout] * len(regimes), regimes, pairs.errors, tol)
+    return pairs.decide("zou", links, [layout] * len(regimes), regimes, tol)
 
 
 def check_zou_chain(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -265,12 +286,9 @@ def refined_st_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
         add_i = 0.0 if endpoint is None else scalar.theta(t[i], endpoint) / t[i]
         add[i] = add_i
         regimes[i] = {"t": t[i], "m": m, "M": M, "case": case, "additive_term": add_i}
-    tc = _column(t)
-    links = {
-        "S+": pairs.lift(np.log) + add[:, None, None] * pairs.A,
-        "Tt": pairs.lift(lambda lam: scalar.deformed_log(tc, lam)),
-    }
-    return _chains("thm-3.3", links, [tuple(links)] * len(t), regimes, pairs.errors, tol)
+    add, tc = add[:, None], _column(t)
+    links = {"S+": lambda lam: np.log(lam) + add, "Tt": lambda lam: scalar.deformed_log(tc, lam)}
+    return pairs.decide("thm-3.3", links, [tuple(links)] * len(t), regimes, tol)
 
 
 def check_refined_ST(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -303,15 +321,14 @@ def tsallis_relation_stack(A, B, s, t, tol: float = DEFAULT_TOL) -> list:
             hi[i] = np.exp(scalar.eta(m, ti) * (ti - si))
             regime["case"] = "s-above-t"
         layouts[i] = ("0", "lo*Ts", "Tt", "hi*Ts")
-    sc, tc = _column(s), _column(t)
-    T_s = pairs.lift(lambda lam: scalar.deformed_log(sc, lam))
+    lo, hi, sc, tc = lo[:, None], hi[:, None], _column(s), _column(t)
     links = {
-        "0": pairs.zero(),
-        "lo*Ts": lo[:, None, None] * T_s,
-        "Tt": pairs.lift(lambda lam: scalar.deformed_log(tc, lam)),
-        "hi*Ts": hi[:, None, None] * T_s,
+        "0": np.zeros_like,
+        "lo*Ts": lambda lam: lo * scalar.deformed_log(sc, lam),
+        "Tt": lambda lam: scalar.deformed_log(tc, lam),
+        "hi*Ts": lambda lam: hi * scalar.deformed_log(sc, lam),
     }
-    return _chains("thm-3.5", links, layouts, regimes, pairs.errors, tol)
+    return pairs.decide("thm-3.5", links, layouts, regimes, tol)
 
 
 def check_tsallis_relation(A, B, s: float, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -343,13 +360,14 @@ def roe_bounds_stack(A, B, tol: float = DEFAULT_TOL) -> list:
             regime.update({"case": "unit-to-e", "lower_coef": lo_i, "upper_coef": hi_i})
         else:
             regime["reason"] = "relative spectrum outside both regimes"
+    lo, hi = lo[:, None], hi[:, None]
     links = {
-        "lo*A": lo[:, None, None] * pairs.A,
-        "S": pairs.lift(np.log),
-        "hi*A": hi[:, None, None] * pairs.A,
-        "0": pairs.zero(),
+        "lo*A": lambda lam: lo * np.ones_like(lam),
+        "S": np.log,
+        "hi*A": lambda lam: hi * np.ones_like(lam),
+        "0": np.zeros_like,
     }
-    return _chains("thm-3.6", links, layouts, regimes, pairs.errors, tol)
+    return pairs.decide("thm-3.6", links, layouts, regimes, tol)
 
 
 def check_roe_bounds(A, B, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -384,13 +402,13 @@ def troe_linear_bound_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
             layouts[i] = unit + ("Tt", "secant")
             regime["direction"] = "secant-above"
         regime.update({"slope": slope_i, "intercept": intercept_i, "unit_endpoint": bool(unit)})
-    tc = _column(t)
+    slope, intercept, tc = slope[:, None], intercept[:, None], _column(t)
     links = {
-        "secant": slope[:, None, None] * pairs.B + intercept[:, None, None] * pairs.A,
-        "Tt": pairs.lift(lambda lam: scalar.deformed_log(tc, lam)),
-        "B-A": pairs.B - pairs.A,
+        "secant": lambda lam: slope * lam + intercept,
+        "Tt": lambda lam: scalar.deformed_log(tc, lam),
+        "B-A": lambda lam: lam - 1.0,
     }
-    return _chains("thm-3.11", links, layouts, regimes, pairs.errors, tol)
+    return pairs.decide("thm-3.11", links, layouts, regimes, tol)
 
 
 def check_troe_linear_bound(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -409,13 +427,13 @@ def ordering_stack(A, B, p, tol: float = DEFAULT_TOL) -> list:
     pairs = _Pairs(A, B, [_require(pi != 0.0, "p must be nonzero") for pi in p])
     pc = _column(p)
     links = {
-        "S": pairs.lift(np.log),
-        "Tp": pairs.lift(lambda lam: scalar.deformed_log(pc, lam)),
-        "Sp": pairs.lift(lambda lam: lam**pc * np.log(lam)),
+        "S": np.log,
+        "Tp": lambda lam: scalar.deformed_log(pc, lam),
+        "Sp": lambda lam: lam**pc * np.log(lam),
     }
     layouts = [("S", "Tp", "Sp") if pi > 0 else ("Sp", "Tp", "S") for pi in p]
     regimes = [{"p": pi, "m": m, "M": M} for pi, m, M in zip(p, pairs.m, pairs.M)]
-    return _chains("prop-3.10", links, layouts, regimes, pairs.errors, tol)
+    return pairs.decide("prop-3.10", links, layouts, regimes, tol)
 
 
 def check_ordering_S_Tp_Sp(A, B, p: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -470,12 +488,12 @@ def _quadratic_forms(H: np.ndarray, M: np.ndarray) -> np.ndarray:
 class _Operands:
     """The matrices of a stack of k thm-2.12 trials, validated and factored.
 
-    One ``eigh`` call factors every A; one factors the normalized
-    X = A**(-1/2) B A**(-1/2) of every congruence trial and one the B of
-    every majorize trial. ``errors[i]`` is the first refusal that evaluating
-    trial i alone would meet, or None. As in ``_Pairs``, a refused matrix
-    is zeros and a refused factorization the identity's; a B that no trial
-    reads is zeros too. ``A`` is None when the A do not form a stack of
+    One ``eigh`` call factors every A and one the B of every majorize
+    trial; one values-only ``eigvalsh`` call gives the spectrum ``lam_x`` of
+    X = A**(-1/2) B A**(-1/2) for every congruence trial. ``errors[i]`` is
+    the first refusal that evaluating trial i alone would meet, or None. As
+    in ``_Pairs``, a refused matrix is zeros and a refused factorization the
+    identity's; a B that no trial reads is zeros too. ``A`` is None when the A do not form a stack of
     square matrices, which refuses every trial.
     """
 
@@ -500,8 +518,7 @@ class _Operands:
     def _factor_b(self, B: list, reads: list, mode: list, found: dict) -> None:
         """Validate the B of the trials ``reads`` and factor X or B."""
         shape = self.A.shape
-        self.B, self.root = np.zeros(shape), np.zeros(shape)
-        self.eig_x = EigenDecomposition(np.zeros(shape), np.ones(shape[:2]))
+        self.B, self.lam_x = np.zeros(shape), np.ones(shape[:2])
         self.eig_b = EigenDecomposition(np.zeros(shape), np.ones(shape[:2]))
         if not reads:
             return
@@ -518,26 +535,26 @@ class _Operands:
         self.B[reads] = B
         congruent = [i for i in reads if mode[i] == "congruence"]
         if congruent:
-            self.root[congruent], inner = _normalized(self.eig_a.take(congruent), self.B[congruent])
-            _store(self.eig_x, congruent, *_pd_eig(inner, "B relative to A"), found["pd_x"])
+            self.lam_x[congruent], errors = _relative_spectrum(self.eig_a.take(congruent), self.B[congruent])
+            _store(congruent, errors, found["pd_x"])
         major = [i for i in reads if mode[i] == "majorize"]
         if major:
-            _store(self.eig_b, major, *_pd_eig(self.B[major], "B"), found["pd_b"])
+            eig_b, errors = _pd_eig(self.B[major], "B")
+            self.eig_b.vectors[major], self.eig_b.values[major] = eig_b.vectors, eig_b.values
+            _store(major, errors, found["pd_b"])
 
     def spectrum(self, i: int, mode: str) -> tuple:
         """The spectral hull the trial's interval must contain."""
         if mode == "congruence":
-            values = self.eig_x.values[i]
-            return float(values[0]), float(values[-1])
+            return float(self.lam_x[i, 0]), float(self.lam_x[i, -1])
         lo, hi = float(self.eig_a.values[i, 0]), float(self.eig_a.values[i, -1])
         if mode == "majorize":
             lo, hi = min(lo, float(self.eig_b.values[i, 0])), max(hi, float(self.eig_b.values[i, -1]))
         return lo, hi
 
 
-def _store(out: EigenDecomposition, rows: list, eig: EigenDecomposition, errors: list, found: list) -> None:
-    """Put the decompositions and refusals of ``rows`` of a stack in place."""
-    out.vectors[rows], out.values[rows] = eig.vectors, eig.values
+def _store(rows: list, errors: list, found: list) -> None:
+    """Put the refusals of ``rows`` of a stack in place."""
     for i, error in zip(rows, errors):
         found[i] = error
 
@@ -579,9 +596,10 @@ def two_function_stack(f, g, A, B, mode, interval, vector_seed, tol: float = DEF
     ``f``, ``g``, ``A``, ``B``, ``mode``, ``interval`` and ``vector_seed``
     hold one value per trial; the A share a shape, and so do the B that are
     read (B is ignored in expectation mode, and may be None there). The
-    matrices are factored as stacks, each batch of quadratic forms, g(A),
-    lift and Loewner link is one stacked call, and the admissibility gate and
-    the unit vectors are per trial.
+    matrices are factored as stacks, each batch of quadratic forms, g(A) and
+    Loewner link is one stacked call, congruence mode is decided on the
+    spectrum of X, and the admissibility gate and the unit vectors are per
+    trial.
     """
     k = len(mode)
     ops = _Operands(A, B, mode)
@@ -609,7 +627,8 @@ def two_function_stack(f, g, A, B, mode, interval, vector_seed, tol: float = DEF
         major = [i for i, verdict in zip(major, below) if verdict.holds]
 
     links = {"lhs(h)": np.zeros((k, 1, 1)), "rhs(h)": np.zeros((k, 1, 1))}
-    links.update({"lhs": np.zeros_like(ops.A), "rhs": np.zeros_like(ops.A)})
+    links.update({"f(X)": np.zeros(ops.A.shape[:2]), "ratio*g(X)": np.zeros(ops.A.shape[:2])})
+    links.update({"f(B)": np.zeros_like(ops.A), "ratio*g(A)": np.zeros_like(ops.A)})
     if expect + major:
         gA = eig_apply(ops.eig_a.take(expect + major), _each(g, expect + major))
     if expect:
@@ -626,17 +645,26 @@ def two_function_stack(f, g, A, B, mode, interval, vector_seed, tol: float = DEF
             links["lhs(h)"][i], links["rhs(h)"][i] = lhs[j, w], rhs[j, w]
             layouts[i] = ("lhs(h)", "rhs(h)")
     if congruent:
-        root, eig_x = ops.root[congruent], ops.eig_x.take(congruent)
-        ratio = _column([regimes[i]["ratio"] for i in congruent])[:, :, None]
-        links["lhs"][congruent] = symmetrize(root @ eig_apply(eig_x, _each(f, congruent)) @ root)
-        links["rhs"][congruent] = ratio * symmetrize(root @ eig_apply(eig_x, _each(g, congruent)) @ root)
+        lam = ops.lam_x[congruent]
+        links["f(X)"][congruent] = _each(f, congruent)(lam)
+        links["ratio*g(X)"][congruent] = _column([regimes[i]["ratio"] for i in congruent]) * _each(g, congruent)(lam)
+        for i in congruent:
+            layouts[i] = ("f(X)", "ratio*g(X)")
     if major:
         ratio = _column([regimes[i]["ratio"] for i in major])[:, :, None]
-        links["lhs"][major] = eig_apply(ops.eig_b.take(major), _each(f, major))
-        links["rhs"][major] = ratio * gA[len(expect):]
-    for i in congruent + major:
-        layouts[i] = ("lhs", "rhs")
-    return _chains("thm-2.12", links, layouts, regimes, errors, tol)
+        links["f(B)"][major] = eig_apply(ops.eig_b.take(major), _each(f, major))
+        links["ratio*g(A)"][major] = ratio * gA[len(expect):]
+        for i in major:
+            layouts[i] = ("f(B)", "ratio*g(A)")
+
+    def lift(i, name):
+        if name == "f(X)":
+            return congruence_sandwich(ops.A[i], ops.B[i], f[i].eval)
+        if name == "ratio*g(X)":
+            return congruence_sandwich(ops.A[i], ops.B[i], lambda lam: regimes[i]["ratio"] * g[i].eval(lam))
+        return links[name][i]
+
+    return _decide("thm-2.12", links, layouts, regimes, errors, tol, lift)
 
 
 def check_two_function_operator(

@@ -20,10 +20,10 @@ the one-trial block, so a trial is bit for bit the same whether it is drawn
 alone or in a block. Only scalar chains generate trial by trial.
 
 Evaluation model: a matrix chain evaluates the trials of a block that share
-their shapes as one stack (``ChainEntry.stack``), whose per-trial outcomes
-are bitwise those of evaluating each trial alone (``ChainEntry.run``, the
-one-trial case of the same code); only scalar chains run trial by trial.
-Outcomes are merged back in trial order.
+their shapes as one stack (``ChainEntry.stack``), bitwise as each trial
+alone (``ChainEntry.run``); pair chains are decided on the eigenvalues of
+A^-1/2 B A^-1/2, with no link matrix built. Scalar chains run trial by
+trial. Outcomes are merged back in trial order.
 """
 
 from __future__ import annotations
@@ -943,7 +943,7 @@ def _emit_json(obj) -> str:
 
 def report_document(reports: list, include_timing: bool = False) -> dict:
     return {
-        "version": 3,
+        "version": 4,
         "seed": reports[0].seed if reports else 0,
         "chains": [r.to_obj(include_timing) for r in reports],
     }

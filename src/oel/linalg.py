@@ -1,8 +1,9 @@
 """Dense real symmetric matrix kernel, on single matrices and on stacks.
 
 The eigensolver is LAPACK's divide-and-conquer ``syevd`` through
-``numpy.linalg.eigh``; Loewner comparisons need only the smallest eigenvalue
-and call ``numpy.linalg.eigvalsh``.
+``numpy.linalg.eigh``; Loewner comparisons and the relative spectrum of a
+pair (the eigenvalues of A**(-1/2) B A**(-1/2)) need only eigenvalues and
+call ``numpy.linalg.eigvalsh``.
 
 Validation happens once, at the input boundary: public functions pass every
 matrix they receive through ``as_symmetric``, while the ``_``-prefixed
@@ -14,7 +15,7 @@ The helpers work on stacks of shape ``(k, n, n)``, so that one LAPACK or
 BLAS call serves k matrices; numpy runs the same routine on every matrix of
 a stack, so a stacked result is bitwise equal to the one-matrix result.
 Helpers that can refuse a matrix (``_symmetric_stack``, ``_pd_eig``,
-``_normalize_pair``) return one ``ValueError`` or ``None`` per matrix
+``_relative_spectrum``) return one ``ValueError`` or ``None`` per matrix
 instead of raising, so that a refused matrix does not affect the others;
 the public functions are their k = 1 case and raise the refusal.
 
@@ -125,20 +126,30 @@ def apply_matrix_function(A, fn, domain=None) -> np.ndarray:
     return eig_apply(eigendecomposition(A), fn, domain)
 
 
-def _pd_eig(M: np.ndarray, name: str) -> tuple[EigenDecomposition, list]:
-    """Decomposition of a stack, and one ValueError or None per matrix as it
-    is positive-definite or not. A refused matrix gets the identity's
-    decomposition, so that stacked work downstream stays finite."""
-    eig = _eig(M)
-    lo, hi = eig.values[:, 0], eig.values[:, -1]
+def _pd_refusals(values: np.ndarray, name: str) -> list:
+    """One ValueError or None per row of a stack of ascending eigenvalues, as
+    its matrix is positive-definite or not. A refused row is set to ones, so
+    that stacked work downstream stays finite."""
+    lo, hi = values[:, 0], values[:, -1]
     refused = (lo <= EIG_FLOOR * np.maximum(hi, 0.0)) | (lo <= 0.0)
     errors = [None] * len(lo)
     for i in np.flatnonzero(refused):
         errors[i] = ValueError(
             f"{name} must be positive-definite: min eigenvalue {lo[i]!r}, max {hi[i]!r}"
         )
-        eig.values[i] = 1.0
-        eig.vectors[i] = np.eye(eig.n)
+        values[i] = 1.0
+    return errors
+
+
+def _pd_eig(M: np.ndarray, name: str) -> tuple[EigenDecomposition, list]:
+    """Decomposition of a stack, and one ValueError or None per matrix as it
+    is positive-definite or not. A refused matrix gets the identity's
+    decomposition, so that stacked work downstream stays finite."""
+    eig = _eig(M)
+    errors = _pd_refusals(eig.values, name)
+    for i, error in enumerate(errors):
+        if error is not None:
+            eig.vectors[i] = np.eye(eig.n)
     return eig, errors
 
 
@@ -148,19 +159,19 @@ def _pd_eig_one(M: np.ndarray, name: str) -> EigenDecomposition:
     return EigenDecomposition(eig.vectors[0], eig.values[0])
 
 
-def _normalize_pair(A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-    """(A**(1/2), A**(-1/2) B A**(-1/2)) for a stack of pairs, and the
-    refusal of each pair whose A is not positive-definite."""
-    eig_a, errors = _pd_eig(A, "A")
-    return (*_normalized(eig_a, B), errors)
-
-
-def _normalized(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A**(1/2), A**(-1/2) B A**(-1/2)) for a stack of pairs, from the
+def _normalized(eig_a: EigenDecomposition, B: np.ndarray) -> np.ndarray:
+    """X = A**(-1/2) B A**(-1/2) for a stack of pairs, from the
     decompositions of the A."""
-    root = eig_apply(eig_a, np.sqrt)
     inv_root = eig_apply(eig_a, lambda lam: 1.0 / np.sqrt(lam))
-    return root, symmetrize(inv_root @ B @ inv_root)
+    return symmetrize(inv_root @ B @ inv_root)
+
+
+def _relative_spectrum(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.ndarray, list]:
+    """The ascending eigenvalues of X = A**(-1/2) B A**(-1/2) for a stack of
+    pairs, values only (one ``eigvalsh`` call), from the decompositions of
+    the A; and the refusal of each pair whose X is not positive-definite."""
+    values = np.linalg.eigvalsh(_normalized(eig_a, B))
+    return values, _pd_refusals(values, "B relative to A")
 
 
 def sqrtm_pd(A) -> np.ndarray:
@@ -173,9 +184,11 @@ def invsqrtm_pd(A) -> np.ndarray:
 
 def congruence_sandwich(A, B, fn, domain=None) -> np.ndarray:
     """A**(1/2) fn(A**(-1/2) B A**(-1/2)) A**(1/2) for positive-definite A."""
-    root, inner, errors = _normalize_pair(as_symmetric(A)[None], as_symmetric(B)[None])
+    A, B = as_symmetric(A)[None], as_symmetric(B)[None]
+    eig_a, errors = _pd_eig(A, "A")
     _only(errors)
-    return symmetrize(root @ eig_apply(_eig(inner), fn, domain) @ root)[0]
+    root = eig_apply(eig_a, np.sqrt)
+    return symmetrize(root @ eig_apply(_eig(_normalized(eig_a, B)), fn, domain) @ root)[0]
 
 
 @dataclass
@@ -222,10 +235,12 @@ def loewner_compare(X, Y, tol: float = 1e-9) -> LoewnerVerdict:
 def relative_spectrum_bounds(A, B) -> tuple[float, float]:
     """Tightest constants (m, M) with m*A <= B <= M*A for positive-definite
     A, B: the extreme eigenvalues of A**(-1/2) B A**(-1/2)."""
-    _, inner, errors = _normalize_pair(as_symmetric(A)[None], as_symmetric(B)[None])
+    A, B = as_symmetric(A)[None], as_symmetric(B)[None]
+    eig_a, errors = _pd_eig(A, "A")
     _only(errors)
-    lam = _pd_eig_one(inner[0], "B relative to A").values
-    return float(lam[0]), float(lam[-1])
+    lam, errors = _relative_spectrum(eig_a, B)
+    _only(errors)
+    return float(lam[0, 0]), float(lam[0, -1])
 
 
 # --- matrix file format ----------------------------------------------------

@@ -158,6 +158,8 @@ def _commuting_instance(rng, n, x_lo, x_hi):
 
 
 def _links_match(verdict, q, la, scalar_links, tol=1e-10):
+    if len(verdict.links) != len(scalar_links):
+        return False
     for link, vals in zip(verdict.links, scalar_links):
         oracle = symmetrize((q * (la * vals)) @ q.T)
         if np.abs(link - oracle).max() > tol * (1.0 + np.abs(oracle).max()):

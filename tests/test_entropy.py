@@ -1,3 +1,4 @@
+import collections
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from oel import entropy, scalar
 from oel.errors import NumericError
 from oel.funcs import REGISTRY
+from oel.harness import CHAINS, GeneratorConfig, fuzz_chain, trial_rng
 from oel.linalg import eigendecomposition, loewner_compare
 
 
@@ -396,3 +398,51 @@ def test_expectation_worst_slack_matches_mpmath_oracle(n):
             rhs = df * (slope * quad + intercept * mpmath.fsum(x * x for x in h))  # df <g(A)h, h>
             worst = min(worst, (rhs - lhs) / max(1, abs(lhs), abs(rhs)))
         assert verdict.regime["worst_rel_slack"] == pytest.approx(float(worst), abs=1e-13, rel=0.0)
+
+
+# the chains decided on the spectrum of X, with the regime that selects them
+SPECTRAL_CHAINS = [
+    *[(cid, None) for cid in ("zou", "thm-3.3", "thm-3.5", "thm-3.6", "thm-3.11", "prop-3.10")],
+    ("thm-2.12", {"mode": "congruence"}),
+]
+
+
+@pytest.mark.parametrize("chain_id, regime", SPECTRAL_CHAINS)
+def test_spectral_verdicts_match_loewner_checks_of_the_lifts(chain_id, regime):
+    # on sampled non-commuting pairs, link j's verdict on the spectrum of X
+    # holds at tol iff L_j - tol * scale * A <= L_{j+1} for the lazily built
+    # lifts L (congruence by A**(1/2) carries the constant tol * scale to
+    # tol * scale * A), wherever the margin exceeds 1e-8 * scale; the
+    # tolerances put the threshold on both sides of tight links
+    entry = CHAINS[chain_id]
+    decided = collections.Counter()
+    for n in range(1, 9):
+        cfg = GeneratorConfig(seed=100 + n, dim_range=(n, n), regime=regime)
+        for trial in range(5):
+            params = entry.generate(trial_rng(cfg.seed, trial), cfg)
+            for tol in (1e-2, 1e-8, 0.0, -1e-2):
+                verdict = entry.run(params, tol)
+                if not verdict.applicable:  # thm-2.12's gate reads tol too
+                    continue
+                assert len(verdict.links) == len(verdict.verdicts) + 1
+                for v, lower, upper in zip(verdict.verdicts, verdict.links, verdict.links[1:]):
+                    if abs(v.min_slack_eigenvalue + tol * v.scale) <= 1e-8 * v.scale:
+                        continue
+                    lifted = loewner_compare(lower - tol * v.scale * params["A"], upper, 0.0)
+                    assert lifted.holds == v.holds, (n, trial, tol)
+                    decided[v.holds] += 1
+    # thm-2.12's gate fails at tol <= 0, so all its decided links hold
+    assert decided[True] >= 20 and (decided[False] >= 10 or chain_id == "thm-2.12"), decided
+
+
+def test_fuzzing_spectral_chains_lifts_no_matrix(monkeypatch):
+    # the pair chains and thm-2.12's congruence mode are decided on the
+    # spectrum of X alone: no link matrix is lifted and no Loewner check runs
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on the fuzz path")
+
+    monkeypatch.setattr(entropy, "_loewner", forbidden)
+    monkeypatch.setattr(entropy, "congruence_sandwich", forbidden)
+    for cid, regime in SPECTRAL_CHAINS:
+        rep = fuzz_chain(cid, GeneratorConfig(seed=5, trials=20, regime=regime))
+        assert len(rep.slack_rows) == 20 and not rep.failures, cid
