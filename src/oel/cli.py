@@ -2,7 +2,11 @@
 
 Verbs: ``compute`` evaluates an entropy on matrix files, ``verify`` runs one
 chain on explicit parameters, ``fuzz`` runs seeded random suites and writes
-the JSON report, ``list`` enumerates registered chains.
+the JSON report, ``list`` enumerates registered chains with their options.
+
+``verify`` knows no chain by name: its flags are the options of every
+chain's ``harness.ChainEntry.params`` declaration, and ``_build_params``
+reads a chain's params from them in one loop over that declaration.
 
 Exit codes: 0 pass, 1 inequality failure, 2 usage or domain error,
 3 hypothesis not applicable. Output is JSON unless --pretty is given; floats
@@ -43,94 +47,38 @@ def _floats(text: str) -> list:
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
-def _require(args, *names):
-    missing = [n for n in names if getattr(args, n.replace("-", "_"), None) is None]
-    if missing:
-        raise ValueError(f"missing required option(s): {', '.join('--' + n for n in missing)}")
-
-
-def _fn(args, attr, default_id):
-    name = getattr(args, attr, None) or default_id
+def _function(name: str):
     if name not in REGISTRY:
         raise ValueError(f"unknown function {name!r}; see `oel list --functions`")
     return REGISTRY[name]
 
 
+# how the text of a verify flag becomes a value, by ``Param.parser``
+_PARSERS = {"float": float, "int": int, "str": str, "floats": _floats, "function": _function, "matrix": load_matrix}
+
+
 def _build_params(chain_id: str, args) -> dict:
-    entry = CHAINS[chain_id]
-    if entry.kind == "operator":
-        # expectation mode of thm-2.12 reads A alone
-        needs_b = chain_id != "thm-2.12" or (args.mode or "expectation") != "expectation"
-        _require(args, "A", *(("B",) if needs_b else ()))
-        params = {"A": load_matrix(args.A)}
-        if args.B is not None:
-            params["B"] = load_matrix(args.B)
-        if chain_id in ("zou", "thm-3.3", "thm-3.11"):
-            _require(args, "t")
-            params["t"] = args.t
-        elif chain_id == "thm-3.5":
-            _require(args, "s", "t")
-            params.update({"s": args.s, "t": args.t})
-        elif chain_id == "prop-3.10":
-            _require(args, "p")
-            params["p"] = args.p
-        elif chain_id == "thm-2.12":
-            params.update(
-                {
-                    "fn_f": _fn(args, "fn_f", "log-wide"),
-                    "fn_g": _fn(args, "fn_g", "lin-0.04-0.12"),
-                    "a": args.a if args.a is not None else 1.5,
-                    "b": args.b if args.b is not None else 4.0,
-                    "mode": args.mode or "expectation",
-                    "vector_seed": args.seed or 0,
-                }
-            )
-        return params
-    if chain_id == "prop-2.1":
-        _require(args, "a", "b", "v", "n")
-        return {"a": args.a, "b": args.b, "v": args.v, "n": args.n}
-    if chain_id == "thm-2.2":
-        _require(args, "s", "t")
-        return {"fn": _fn(args, "fn", "exp"), "s": args.s, "t": args.t}
-    if chain_id == "rem-2.3":
-        _require(args, "s", "t", "p", "q")
-        return {"fn": _fn(args, "fn", "exp"), "s": args.s, "t": args.t, "p": args.p, "q": args.q}
-    if chain_id == "cor-2.4":
-        _require(args, "w", "x", "t")
-        return {"fn": _fn(args, "fn", "neg-log-wide"), "w": _floats(args.w), "x": _floats(args.x), "t": args.t}
-    if chain_id == "cor-2.4-am-gm":
-        _require(args, "w", "x", "t")
-        return {"w": _floats(args.w), "x": _floats(args.x), "t": args.t}
-    if chain_id in ("thm-2.6-convex", "thm-2.6-concave"):
-        _require(args, "s", "t")
-        default = "exp-pow-2" if chain_id.endswith("convex") else "log"
-        return {
-            "fn": _fn(args, "fn", default),
-            "s": args.s,
-            "t": args.t,
-            "mode": "convex" if chain_id.endswith("convex") else "concave",
-        }
-    if chain_id == "thm-2.7":
-        _require(args, "s", "t")
-        return {"fn": _fn(args, "fn", "exp"), "s": args.s, "t": args.t}
-    if chain_id == "cor-2.8":
-        _require(args, "a", "b", "t")
-        return {"fn": _fn(args, "fn", "exp"), "a": args.a, "b": args.b, "t": args.t}
-    if chain_id in ("cor-2.9-logconvex", "cor-2.9-geomconvex"):
-        _require(args, "w", "x")
-        kind = "log_convex" if chain_id.endswith("logconvex") else "geometrically_convex"
-        default = "inv-pow-1" if kind == "log_convex" else "exp"
-        return {"fn": _fn(args, "fn", default), "w": _floats(args.w), "a": _floats(args.x), "kind": kind}
-    if chain_id == "lem-3.4":
-        _require(args, "x", "s", "t")
-        return {"x": float(args.x), "s": args.s, "t": args.t}
-    if chain_id == "lem-3.7":
-        _require(args, "u", "w")
-        return {"fn": _fn(args, "fn", "quad-exp-1-0"), "u": args.u, "w": float(args.w)}
-    if chain_id == "cor-3.8":
-        _require(args, "a", "b", "t")
-        return {"a": args.a, "b": args.b, "t": args.t}
-    raise ValueError(f"no parameter builder for chain {chain_id!r}")
+    """The params of a chain from the verify flags, read through the chain's
+    ``params`` declaration."""
+    params, missing = {}, []
+    for prm in CHAINS[chain_id].params:
+        text = None if prm.option is None else getattr(args, prm.option)
+        if text is None:
+            if prm.when is not None and not prm.when(params):
+                continue  # the chain does not read it here
+            text = prm.default
+        if text is None:
+            missing.append(f"--{prm.option}")
+        elif prm.parser is None:
+            params[prm.name] = text
+        else:
+            try:
+                params[prm.name] = _PARSERS[prm.parser](text)
+            except ValueError as exc:
+                raise ValueError(f"--{prm.option}: {exc}") from exc
+    if missing:
+        raise ValueError(f"missing required option(s): {', '.join(missing)}")
+    return params
 
 
 def _print_verdict(verdict, pretty: bool):
@@ -152,7 +100,6 @@ def _print_verdict(verdict, pretty: bool):
 
 
 def cmd_compute(args) -> int:
-    _require(args, "A", "B")
     A = load_matrix(args.A)
     B = load_matrix(args.B)
     if args.kind in ("T", "St") and args.t is None:
@@ -213,7 +160,8 @@ def cmd_list(args) -> int:
             print(f"{name}: domain=({spec.domain[0]:g}, {spec.domain[1]:g}) flags={flags}")
         return EXIT_PASS
     for cid, entry in CHAINS.items():
-        print(f"{cid} [{entry.kind}]: {entry.description}")
+        options = (f"--{p.option}" + ("" if p.default is None else f"={p.default}") for p in entry.params if p.option)
+        print(f"{cid} [{entry.kind}] {' '.join(options)}: {entry.description}")
     return EXIT_PASS
 
 
@@ -236,20 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--pretty", action="store_true")
     p_comp.set_defaults(fn_cmd=cmd_compute)
 
-    p_ver = sub.add_parser("verify", help="evaluate one chain on explicit parameters")
+    p_ver = sub.add_parser(
+        "verify", help="evaluate one chain on explicit parameters",
+        epilog="`oel list` shows the options of each chain; matrix options take JSON matrix files",
+    )
     p_ver.add_argument("chain")
-    p_ver.add_argument("--A", help="matrix file for operator chains")
-    p_ver.add_argument("--B", help="matrix file for operator chains")
-    for flag in ("a", "b", "s", "t", "v", "p", "q", "u"):
-        p_ver.add_argument(f"--{flag}", type=float, default=None)
-    p_ver.add_argument("--n", type=int, default=None)
-    p_ver.add_argument("--x", type=str, default=None, help="point list (csv) or scalar, by chain")
-    p_ver.add_argument("--w", type=str, default=None, help="weight list (csv) or scalar, by chain")
-    p_ver.add_argument("--fn", type=str, default=None, help="registered function id")
-    p_ver.add_argument("--fn-f", dest="fn_f", type=str, default=None)
-    p_ver.add_argument("--fn-g", dest="fn_g", type=str, default=None)
-    p_ver.add_argument("--mode", choices=["expectation", "congruence", "majorize"], default=None)
-    p_ver.add_argument("--seed", type=int, default=0, help="seed for sampled unit vectors")
+    for option in dict.fromkeys(prm.option for entry in CHAINS.values() for prm in entry.params if prm.option):
+        p_ver.add_argument(f"--{option}", dest=option)
     p_ver.add_argument("--tol", type=float, default=None)
     p_ver.add_argument("--pretty", action="store_true")
     p_ver.set_defaults(fn_cmd=cmd_verify)

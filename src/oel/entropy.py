@@ -559,14 +559,15 @@ def _store(rows: list, errors: list, found: list) -> None:
         found[i] = error
 
 
-def _increments(f, g, mode, interval, spectrum, tol, grid, regime):
+def _increments(f, g, mode, a, b, spectrum, tol, grid, regime):
     """(f(b) - f(a), g(b) - g(a)) of a trial whose spectrum fits its
-    interval [a, b] and whose function pair passes the gate there, else None
-    (not applicable); records the reason in ``regime``."""
+    interval [a, b] (the spectrum itself where a is None) and whose function
+    pair passes the gate there, else None (not applicable); records the
+    reason in ``regime``."""
     spec_lo, spec_hi = spectrum
-    if interval is None:
-        interval = spectrum
-    a, b = float(interval[0]), float(interval[1])
+    if a is None:
+        a, b = spectrum
+    a, b = float(a), float(b)
     regime.update({"a": a, "b": b})
     cushion = REGIME_CUSHION * max(1.0, abs(a), abs(b))
     if spec_lo < a - cushion or spec_hi > b + cushion:
@@ -588,14 +589,16 @@ def _increments(f, g, mode, interval, spectrum, tol, grid, regime):
     return df, dg
 
 
-def two_function_stack(f, g, A, B, mode, interval, vector_seed, tol: float = DEFAULT_TOL,
+def two_function_stack(f, g, a, b, mode, A, B, vector_seed, tol: float = DEFAULT_TOL,
                        draws: int = 1000, grid: int = 257) -> list:
     """``check_two_function_operator`` over a stack of k trials: one outcome
     per trial.
 
-    ``f``, ``g``, ``A``, ``B``, ``mode``, ``interval`` and ``vector_seed``
-    hold one value per trial; the A share a shape, and so do the B that are
-    read (B is ignored in expectation mode, and may be None there). The
+    ``f``, ``g``, ``a``, ``b``, ``mode``, ``A``, ``B`` and ``vector_seed``
+    hold one value per trial, [a, b] being the trial's interval (its
+    spectral hull where a is None); the A share a shape, and so do the B
+    that are read (B is ignored in expectation mode, and may be None there,
+    and ``vector_seed`` is read in expectation mode alone). The
     matrices are factored as stacks, each batch of quadratic forms, g(A) and
     Loewner link is one stacked call, congruence mode is decided on the
     spectrum of X, and the admissibility gate and the unit vectors are per
@@ -610,7 +613,7 @@ def two_function_stack(f, g, A, B, mode, interval, vector_seed, tol: float = DEF
     for i in [i for i, error in enumerate(errors) if error is None]:
         regime = regimes[i] = {"mode": mode[i], "fn_f": f[i].id, "fn_g": g[i].id}
         try:
-            step = _increments(f[i], g[i], mode[i], interval[i], ops.spectrum(i, mode[i]), tol, grid, regime)
+            step = _increments(f[i], g[i], mode[i], a[i], b[i], ops.spectrum(i, mode[i]), tol, grid, regime)
             if step is not None and mode[i] == "expectation":
                 unit_vectors[i] = _unit_vectors(vector_seed[i], draws, ops.A.shape[1])
         except (ValueError, NumericError, OverflowError) as exc:
@@ -635,8 +638,8 @@ def two_function_stack(f, g, A, B, mode, interval, vector_seed, tol: float = DEF
         H = np.stack([unit_vectors.pop(i) for i in expect])
         quad_A = _quadratic_forms(H, ops.A[expect])
         quad_g = _quadratic_forms(H, gA[: len(expect)])
-        a, b = _column([regimes[i]["a"] for i in expect]), _column([regimes[i]["b"] for i in expect])
-        f_quad = np.array([f[i].eval(row) for i, row in zip(expect, np.clip(quad_A, a, b))])
+        lo, hi = _column([regimes[i]["a"] for i in expect]), _column([regimes[i]["b"] for i in expect])
+        f_quad = np.array([f[i].eval(row) for i, row in zip(expect, np.clip(quad_A, lo, hi))])
         lhs = _column([steps[i][1] for i in expect]) * f_quad
         rhs = _column([steps[i][0] for i in expect]) * quad_g
         rel = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
@@ -690,4 +693,5 @@ def check_two_function_operator(
       [a, b], scaled by the increment ratio.
     - majorize: f(B) <= ratio * g(A) for B <= A with both spectra in [a, b].
     """
-    return _single(two_function_stack([f], [g], [A], [B], [mode], [interval], [vector_seed], tol, draws, grid))
+    a, b = (None, None) if interval is None else interval
+    return _single(two_function_stack([f], [g], [a], [b], [mode], [A], [B], [vector_seed], tol, draws, grid))

@@ -24,12 +24,17 @@ their shapes as one stack (``ChainEntry.stack``), bitwise as each trial
 alone (``ChainEntry.run``); pair chains are decided on the eigenvalues of
 A^-1/2 B A^-1/2, with no link matrix built. Scalar chains run trial by
 trial. Outcomes are merged back in trial order.
+
+Declaration model: a chain is registered once, with its draw, its checker
+and ``ChainEntry.params``, which ``run``, ``stack`` and ``oel verify`` read.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import numbers
+import operator
 import os
 import time
 from dataclasses import dataclass, field
@@ -305,11 +310,34 @@ def gen_two_function_family(rng):
 # --- chain registry -----------------------------------------------------------
 
 @dataclass(frozen=True)
+class Param:
+    """One parameter of a chain, the key ``name`` of its params: ``oel
+    verify`` parses ``--{option}``, or else the text ``default`` (none:
+    required), with ``cli._PARSERS[parser]``; with ``parser`` None it is
+    ``default``, with no flag. ``when`` tells from the params before it
+    whether the chain reads it; if not, it is left out unless given."""
+
+    name: str
+    parser: str | None = "float"
+    default: str | None = None
+    flag: str | None = None  # when the option is not the name
+    when: Callable | None = None
+
+    @property
+    def option(self) -> str | None:
+        return None if self.parser is None else self.flag or self.name.replace("_", "-")
+
+
+@dataclass(frozen=True)
 class ChainEntry:
-    """``generate(rng, cfg)`` draws the params of one trial and ``run(params,
+    """A chain and its one declaration ``params``: its ``Param``s in the
+    argument order of its checker, the order its trials draw them in.
+
+    ``generate(rng, cfg)`` draws the params of one trial and ``run(params,
     tol)`` evaluates them. ``stack(params_list, tol)``, for matrix chains,
-    evaluates trials whose matrices share their shapes and returns one
-    outcome per trial: its verdict, or the exception its ``run`` raises.
+    evaluates trials whose matrices share their shapes, one column per
+    declared name, and returns one outcome per trial: its verdict, or the
+    exception that refuses it; ``run`` is the one-trial stack.
     ``draw(rng, cfg)``, for matrix chains, draws the params of one trial
     with its matrices left pending for ``_realize``; such a chain's
     ``generate`` is ``_realize`` of the one-trial block."""
@@ -317,6 +345,7 @@ class ChainEntry:
     id: str
     kind: str  # 'scalar' or 'operator'
     description: str
+    params: tuple
     generate: Callable
     run: Callable
     stack: Callable | None = None
@@ -358,22 +387,13 @@ def _gen_am_gm(rng, cfg):
     return {"w": _weights(rng, k), "x": x, "t": float(rng.uniform(1e-3, 1.0))}
 
 
-def _gen_logconvex(rng, cfg):
-    f = _pick(rng, _LOGCONVEX_POOL)
-    pts = _domain_points(rng, f, 2)
-    return {"fn": f, "s": float(pts[0]), "t": float(pts[1]), "mode": "convex"}
+def _gen_two_points(pool, **fixed):
+    def gen(rng, cfg):
+        f = _pick(rng, pool)
+        pts = _domain_points(rng, f, 2)
+        return {"fn": f, "s": float(pts[0]), "t": float(pts[1]), **fixed}
 
-
-def _gen_logconcave(rng, cfg):
-    f = _pick(rng, _LOGCONCAVE_POOL)
-    pts = _domain_points(rng, f, 2)
-    return {"fn": f, "s": float(pts[0]), "t": float(pts[1]), "mode": "concave"}
-
-
-def _gen_geomconvex(rng, cfg):
-    f = _pick(rng, _GEOMCONVEX_POOL)
-    pts = _domain_points(rng, f, 2)
-    return {"fn": f, "s": float(pts[0]), "t": float(pts[1])}
+    return gen
 
 
 def _gen_geom_interp(rng, cfg):
@@ -504,182 +524,142 @@ def _draw_two_function(rng, cfg):
     return params
 
 
-def _stack_two_function(params: list, tol: float) -> list:
-    """``ChainEntry.stack`` of thm-2.12."""
-    f, g, A, B, mode = ([p.get(key) for p in params] for key in ("fn_f", "fn_g", "A", "B", "mode"))
-    intervals = [(p["a"], p["b"]) for p in params]
-    return entropy.two_function_stack(f, g, A, B, mode, intervals, [p.get("vector_seed", 0) for p in params], tol)
-
-
-def _stacked(evaluate, *names):
-    """``ChainEntry.stack`` for an ``entropy.*_stack`` checker of (A, B)
-    pairs with the per-pair parameters ``names``."""
-
-    def stack(params: list, tol: float) -> list:
-        columns = [[p[key] for p in params] for key in ("A", "B", *names)]
-        return evaluate(*columns, tol=tol)
-
-    return stack
-
-
-def _one_trial(draw):
-    """``ChainEntry.generate`` for a chain with a ``draw``: the one-trial
-    block, so that a trial drawn alone and one drawn in a block match."""
-
-    def generate(rng, cfg):
-        (params,) = _realize([draw(rng, cfg)])
-        return params
-
-    return generate
-
-
 CHAINS: dict[str, ChainEntry] = {}
 
 
-def _register(entry: ChainEntry):
-    CHAINS[entry.id] = entry
+def _scalar_chain(cid, description, generate, check: str, params):
+    """Register a scalar chain whose checker is ``chains.<check>``, looked up
+    at each call like a direct call, so that perfbench's tracer sees it."""
+    names = [prm.name for prm in params]
+    # a tuple, for one name too; scalar trials take microseconds
+    values = operator.itemgetter(*names) if len(names) > 1 else lambda p: (p[names[0]],)
+
+    def run(p: dict, tol: float):
+        return getattr(chains, check)(*values(p), tol)
+
+    CHAINS[cid] = ChainEntry(cid, "scalar", description, params, generate, run)
 
 
-_register(ChainEntry(
-    "prop-2.1", "scalar",
-    "root-sequence bounds squeezing the arithmetic-to-geometric mean ratio",
-    _gen_prop21,
-    lambda p, tol: chains.young_ratio_chain(p["a"], p["b"], p["v"], p["n"], tol),
-))
-_register(ChainEntry(
-    "thm-2.2", "scalar",
-    "min/max squeeze of a function increment by its squared difference quotient",
-    _gen_minmax_square,
-    lambda p, tol: chains.check_minmax_square(p["fn"], p["s"], p["t"], tol),
-))
-_register(ChainEntry(
-    "rem-2.3", "scalar",
-    "power-exponent min/max squeeze for increasing functions",
-    _gen_minmax_power,
-    lambda p, tol: chains.check_minmax_power(p["fn"], p["s"], p["t"], p["p"], p["q"], tol),
-))
-_register(ChainEntry(
-    "cor-2.4", "scalar",
-    "Jensen bound sharpened by a min-of-squares correction",
-    _gen_jensen,
-    lambda p, tol: chains.jensen_refinement(p["fn"], p["w"], p["x"], p["t"], tol),
-))
-_register(ChainEntry(
-    "cor-2.4-am-gm", "scalar",
-    "arithmetic-geometric mean gap bounded below by the Jensen correction",
-    _gen_am_gm,
-    lambda p, tol: chains.am_gm_refinement(p["w"], p["x"], p["t"], tol),
-))
-_register(ChainEntry(
-    "thm-2.6-convex", "scalar",
-    "tangent-line ratio bounds for log-convex functions",
-    _gen_logconvex,
-    lambda p, tol: chains.logconvex_chain(p["fn"], p["s"], p["t"], "convex", tol),
-))
-_register(ChainEntry(
-    "thm-2.6-concave", "scalar",
-    "tangent-line ratio bounds for log-concave functions",
-    _gen_logconcave,
-    lambda p, tol: chains.logconvex_chain(p["fn"], p["s"], p["t"], "concave", tol),
-))
-_register(ChainEntry(
-    "thm-2.7", "scalar",
-    "power-law ratio bounds for geometrically convex functions",
-    _gen_geomconvex,
-    lambda p, tol: chains.geomconvex_chain(p["fn"], p["s"], p["t"], tol),
-))
-_register(ChainEntry(
-    "cor-2.8", "scalar",
-    "bounds on the geometric-interpolation ratio of a geometrically convex function",
-    _gen_geom_interp,
-    lambda p, tol: chains.geom_interpolation_chain(p["fn"], p["a"], p["b"], p["t"], tol),
-))
-_register(ChainEntry(
-    "cor-2.9-logconvex", "scalar",
-    "multiplicative Jensen bounds with log-derivative correction factors",
-    _gen_jensen_exp("log_convex"),
-    lambda p, tol: chains.jensen_exponential_bounds(p["fn"], p["w"], p["a"], p["kind"], tol),
-))
-_register(ChainEntry(
-    "cor-2.9-geomconvex", "scalar",
-    "multiplicative Jensen bounds with power correction factors",
-    _gen_jensen_exp("geometrically_convex"),
-    lambda p, tol: chains.jensen_exponential_bounds(p["fn"], p["w"], p["a"], p["kind"], tol),
-))
-_register(ChainEntry(
-    "lem-3.4", "scalar",
-    "exponential-factor relation between two deformed logarithms",
-    _gen_tsallis_scalar,
-    lambda p, tol: chains.tsallis_scalar_chain(p["x"], p["s"], p["t"], tol),
-))
-_register(ChainEntry(
-    "lem-3.7", "scalar",
-    "log-convexity of endpoint-normalized quotients",
-    _gen_derived_logconvexity,
-    lambda p, tol: chains.derived_logconvexity_check(p["fn"], p["u"], p["w"], tol),
-))
-_register(ChainEntry(
-    "cor-3.8", "scalar",
-    "exponential-factor refinement and reverse of the two-mean inequality",
-    _gen_young_refinement,
-    lambda p, tol: chains.young_refinement_chain(p["a"], p["b"], p["t"], tol),
-))
-_register(ChainEntry(
-    "zou", "operator",
-    "five-link entropy ordering between A - A B^-1 A and B - A",
-    _one_trial(_draw_zou),
-    lambda p, tol: entropy.check_zou_chain(p["A"], p["B"], p["t"], tol),
-    _stacked(entropy.zou_stack, "t"),
-    _draw_zou,
-))
-_register(ChainEntry(
-    "thm-3.3", "operator",
-    "entropy ordering sharpened by a spectral-endpoint additive term",
-    _one_trial(_draw_refined_st),
-    lambda p, tol: entropy.check_refined_ST(p["A"], p["B"], p["t"], tol),
-    _stacked(entropy.refined_st_stack, "t"),
-    _draw_refined_st,
-))
-_register(ChainEntry(
-    "thm-3.5", "operator",
-    "exponential-factor relation between two deformed entropies",
-    _one_trial(_draw_tsallis_relation),
-    lambda p, tol: entropy.check_tsallis_relation(p["A"], p["B"], p["s"], p["t"], tol),
-    _stacked(entropy.tsallis_relation_stack, "s", "t"),
-    _draw_tsallis_relation,
-))
-_register(ChainEntry(
-    "thm-3.6", "operator",
-    "two-sided exponential estimates of the relative entropy in multiples of A",
-    _one_trial(_draw_roe),
-    lambda p, tol: entropy.check_roe_bounds(p["A"], p["B"], tol),
-    _stacked(entropy.roe_bounds_stack),
-    _draw_roe,
-))
-_register(ChainEntry(
-    "thm-3.11", "operator",
-    "secant-line bound on the deformed entropy over the relative spectrum",
-    _one_trial(_draw_troe),
-    lambda p, tol: entropy.check_troe_linear_bound(p["A"], p["B"], p["t"], tol),
-    _stacked(entropy.troe_linear_bound_stack, "t"),
-    _draw_troe,
-))
-_register(ChainEntry(
-    "prop-3.10", "operator",
-    "sign-dependent ordering of plain, deformed, and generalized entropies",
-    _one_trial(_draw_ordering),
-    lambda p, tol: entropy.check_ordering_S_Tp_Sp(p["A"], p["B"], p["p"], tol),
-    _stacked(entropy.ordering_stack, "p"),
-    _draw_ordering,
-))
-_register(ChainEntry(
-    "thm-2.12", "operator",
-    "operator comparison of a gated concave/convex function pair",
-    _one_trial(_draw_two_function),
-    lambda p, tol: entropy._single(_stack_two_function([p], tol)),
-    _stack_two_function,
-    _draw_two_function,
-))
+def _operator_chain(cid, description, draw, check_stack: str, params):
+    """Register a matrix chain whose stacked checker, ``entropy.<check_stack>``
+    looked up likewise, takes one column per declared parameter."""
+
+    def generate(rng, cfg):
+        (p,) = _realize([draw(rng, cfg)])
+        return p
+
+    def stack(ps: list, tol: float) -> list:
+        columns = [[p.get(prm.name) if prm.when else p[prm.name] for p in ps] for prm in params]
+        return getattr(entropy, check_stack)(*columns, tol=tol)
+
+    def run(p: dict, tol: float):
+        return entropy._single(stack([p], tol))
+
+    CHAINS[cid] = ChainEntry(cid, "operator", description, params, generate, run, stack, draw)
+
+
+def _fn(default: str, name: str = "fn") -> Param:
+    return Param(name, "function", default)
+
+
+_A, _B = Param("A", "matrix"), Param("B", "matrix")
+_S, _T, _W, _X = Param("s"), Param("t"), Param("w", "floats"), Param("x", "floats")
+
+_scalar_chain(
+    "prop-2.1", "root-sequence bounds squeezing the arithmetic-to-geometric mean ratio",
+    _gen_prop21, "young_ratio_chain", (Param("a"), Param("b"), Param("v"), Param("n", "int")),
+)
+_scalar_chain(
+    "thm-2.2", "min/max squeeze of a function increment by its squared difference quotient",
+    _gen_minmax_square, "check_minmax_square", (_fn("exp"), _S, _T),
+)
+_scalar_chain(
+    "rem-2.3", "power-exponent min/max squeeze for increasing functions",
+    _gen_minmax_power, "check_minmax_power", (_fn("exp"), _S, _T, Param("p"), Param("q")),
+)
+_scalar_chain(
+    "cor-2.4", "Jensen bound sharpened by a min-of-squares correction",
+    _gen_jensen, "jensen_refinement", (_fn("neg-log-wide"), _W, _X, _T),
+)
+_scalar_chain(
+    "cor-2.4-am-gm", "arithmetic-geometric mean gap bounded below by the Jensen correction",
+    _gen_am_gm, "am_gm_refinement", (_W, _X, _T),
+)
+_scalar_chain(
+    "thm-2.6-convex", "tangent-line ratio bounds for log-convex functions",
+    _gen_two_points(_LOGCONVEX_POOL, mode="convex"), "logconvex_chain",
+    (_fn("exp-pow-2"), _S, _T, Param("mode", None, "convex")),
+)
+_scalar_chain(
+    "thm-2.6-concave", "tangent-line ratio bounds for log-concave functions",
+    _gen_two_points(_LOGCONCAVE_POOL, mode="concave"), "logconvex_chain",
+    (_fn("log"), _S, _T, Param("mode", None, "concave")),
+)
+_scalar_chain(
+    "thm-2.7", "power-law ratio bounds for geometrically convex functions",
+    _gen_two_points(_GEOMCONVEX_POOL), "geomconvex_chain", (_fn("exp"), _S, _T),
+)
+_scalar_chain(
+    "cor-2.8", "bounds on the geometric-interpolation ratio of a geometrically convex function",
+    _gen_geom_interp, "geom_interpolation_chain", (_fn("exp"), Param("a"), Param("b"), _T),
+)
+_scalar_chain(
+    "cor-2.9-logconvex", "multiplicative Jensen bounds with log-derivative correction factors",
+    _gen_jensen_exp("log_convex"), "jensen_exponential_bounds",
+    (_fn("inv-pow-1"), _W, Param("a", "floats", flag="x"), Param("kind", None, "log_convex")),
+)
+_scalar_chain(
+    "cor-2.9-geomconvex", "multiplicative Jensen bounds with power correction factors",
+    _gen_jensen_exp("geometrically_convex"), "jensen_exponential_bounds",
+    (_fn("exp"), _W, Param("a", "floats", flag="x"), Param("kind", None, "geometrically_convex")),
+)
+_scalar_chain(
+    "lem-3.4", "exponential-factor relation between two deformed logarithms",
+    _gen_tsallis_scalar, "tsallis_scalar_chain", (Param("x"), _S, _T),
+)
+_scalar_chain(
+    "lem-3.7", "log-convexity of endpoint-normalized quotients",
+    _gen_derived_logconvexity, "derived_logconvexity_check",
+    (_fn("quad-exp-1-0"), Param("u"), Param("w")),
+)
+_scalar_chain(
+    "cor-3.8", "exponential-factor refinement and reverse of the two-mean inequality",
+    _gen_young_refinement, "young_refinement_chain", (Param("a"), Param("b"), _T),
+)
+_operator_chain(
+    "zou", "five-link entropy ordering between A - A B^-1 A and B - A",
+    _draw_zou, "zou_stack", (_A, _B, _T),
+)
+_operator_chain(
+    "thm-3.3", "entropy ordering sharpened by a spectral-endpoint additive term",
+    _draw_refined_st, "refined_st_stack", (_A, _B, _T),
+)
+_operator_chain(
+    "thm-3.5", "exponential-factor relation between two deformed entropies",
+    _draw_tsallis_relation, "tsallis_relation_stack", (_A, _B, _S, _T),
+)
+_operator_chain(
+    "thm-3.6", "two-sided exponential estimates of the relative entropy in multiples of A",
+    _draw_roe, "roe_bounds_stack", (_A, _B),
+)
+_operator_chain(
+    "thm-3.11", "secant-line bound on the deformed entropy over the relative spectrum",
+    _draw_troe, "troe_linear_bound_stack", (_A, _B, _T),
+)
+_operator_chain(
+    "prop-3.10", "sign-dependent ordering of plain, deformed, and generalized entropies",
+    _draw_ordering, "ordering_stack", (_A, _B, Param("p")),
+)
+_operator_chain(
+    "thm-2.12", "operator comparison of a gated concave/convex function pair",
+    _draw_two_function, "two_function_stack",
+    (
+        _fn("log-wide", "fn_f"), _fn("lin-0.04-0.12", "fn_g"),
+        Param("a", default="1.5"), Param("b", default="4.0"), Param("mode", "str", "expectation"), _A,
+        Param("B", "matrix", when=lambda p: p["mode"] != "expectation"),
+        Param("vector_seed", "int", "0", flag="seed", when=lambda p: p["mode"] == "expectation"),
+    ),
+)
 
 
 # --- fuzzing ------------------------------------------------------------------
@@ -801,10 +781,9 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
                 n_rejected += 1
                 continue
             if isinstance(verdict, Exception):
-                outcome, rel_slack = "fail", None
                 failures.append({"trial": trial, "error": str(verdict), "params": serialize_params(params)})
-            else:
-                outcome, rel_slack = _classify(verdict)
+                continue
+            outcome, rel_slack = _classify(verdict)
             if outcome == "na":
                 n_na += 1
                 continue
@@ -812,12 +791,8 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
                 slack_rows.append((trial, rel_slack))
                 if min_slack is None or rel_slack < min_slack:
                     min_slack = rel_slack
-            if outcome == "fail" and (not failures or failures[-1].get("trial") != trial):
-                failures.append({
-                    "trial": trial,
-                    "min_rel_slack": rel_slack,
-                    "params": serialize_params(params),
-                })
+            if outcome == "fail":
+                failures.append({"trial": trial, "min_rel_slack": rel_slack, "params": serialize_params(params)})
     return FuzzReport(
         chain_id=chain_id,
         trials_run=cfg.trials,
@@ -929,14 +904,10 @@ def _emit_json(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        import json
-
         return "{" + ", ".join(f"{json.dumps(str(k))}: {_emit_json(v)}" for k, v in obj.items()) + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 

@@ -56,7 +56,7 @@ def _symmetric_stack(M, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, list]:
     if asymmetric.any():
         for i in np.flatnonzero(asymmetric):
             r, c = np.unravel_index(np.argmax(gap[i] - bound[i]), M.shape[1:])
-            errors[i] = ValueError(f"matrix is not symmetric at ({r}, {c}): {M[i, r, c]!r} vs {M[i, c, r]!r}")
+            errors[i] = ValueError(f"matrix is not symmetric at ({r}, {c}): {float(M[i, r, c])!r} vs {float(M[i, c, r])!r}")
             M[i] = 0.0
     return symmetrize(M), errors
 
@@ -115,7 +115,7 @@ def eig_apply(eig: EigenDecomposition, fn, domain=None) -> np.ndarray:
         bad = (lam < lo) | (lam > hi)
         if np.any(bad):
             raise DomainError(
-                f"eigenvalue {lam[bad][0]!r} escapes function domain [{lo!r}, {hi!r}]"
+                f"eigenvalue {float(lam[bad][0])!r} escapes function domain [{float(lo)!r}, {float(hi)!r}]"
             )
     vals = np.asarray(fn(lam), dtype=float)
     return symmetrize((eig.vectors * vals[..., None, :]) @ eig.vectors.swapaxes(-1, -2))
@@ -135,7 +135,7 @@ def _pd_refusals(values: np.ndarray, name: str) -> list:
     errors = [None] * len(lo)
     for i in np.flatnonzero(refused):
         errors[i] = ValueError(
-            f"{name} must be positive-definite: min eigenvalue {lo[i]!r}, max {hi[i]!r}"
+            f"{name} must be positive-definite: min eigenvalue {float(lo[i])!r}, max {float(hi[i])!r}"
         )
         values[i] = 1.0
     return errors

@@ -5,10 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from oel import cli
+from oel import cli, entropy
+from oel.chains import DEFAULT_TOL
 from oel.cli import main
-from oel.harness import GeneratorConfig
-from oel.linalg import dump_matrix
+from oel.entropy import OperatorChainVerdict
+from oel.errors import NumericError
+from oel.funcs import REGISTRY, FunctionSpec
+from oel.harness import CHAINS, GeneratorConfig, _emit_json, trial_rng
+from oel.linalg import apply_matrix_function, dump_matrix
+from test_harness import _fingerprint
 
 
 @pytest.fixture()
@@ -61,9 +66,9 @@ def test_verify_pass_fail_error_na(matrices, capsys):
     capsys.readouterr()
     # usage error: unknown chain
     assert main(["verify", "nope-1.1"]) == 2
-    # not applicable: operator hypothesis violated
-    a, b = matrices
-    bad_b = b  # relative spectrum (2, 3)... need one below 1 for thm-3.5
+    # pass of an operator chain at m = M = 1 (B = A); the not-applicable
+    # exit is test_verify_not_applicable_exit_code's
+    a, _ = matrices
     assert main(["verify", "thm-3.5", "--A", a, "--B", a, "--s", "0.5", "--t", "1.0"]) == 0
     capsys.readouterr()
 
@@ -162,6 +167,9 @@ def test_list_chains_and_functions(capsys):
     out = capsys.readouterr().out
     for cid in ("prop-2.1", "thm-2.6-convex", "cor-3.8", "zou", "thm-3.6", "thm-2.12"):
         assert cid in out
+    # each chain's options, from its declaration, with their defaults
+    assert "\nzou [operator] --A --B --t: five-link" in out
+    assert "\nthm-2.2 [scalar] --fn=exp --s --t: " in out
     assert main(["list", "--functions"]) == 0
     out = capsys.readouterr().out
     assert "inv-sin" in out and "log_convex" in out
@@ -190,3 +198,77 @@ def test_env_var_tolerance(monkeypatch, capsys):
     capsys.readouterr()
     monkeypatch.setenv("OEL_DEFAULT_TOL", "not-a-float")
     assert main(["verify", "cor-3.8", "--a", "2", "--b", "2", "--t", "0.5"]) == 2
+
+
+def test_refusal_messages_print_plain_floats(tmp_path, capsys):
+    # numpy scalars print as np.float64(...) under numpy 2 and bare under 1.x
+    a, b, c = tmp_path / "A.json", tmp_path / "B.json", tmp_path / "C.json"
+    dump_matrix(np.diag([1.0, -1.0]), a)
+    dump_matrix(np.eye(2), b)
+    c.write_text('{"n": 2, "data": [[1.0, 2.0], [0.0, 1.0]]}')
+    assert main(["verify", "zou", "--A", str(a), "--B", str(b), "--t", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: A must be positive-definite: min eigenvalue -1.0, max 1.0\n"
+    assert main(["verify", "zou", "--A", str(c), "--B", str(b), "--t", "0.5"]) == 2
+    assert capsys.readouterr().err == "error: --A: matrix is not symmetric at (1, 0): 0.0 vs 2.0\n"
+    with pytest.raises(ValueError) as exc:
+        apply_matrix_function(np.diag([1.0, 3.0]), np.log, domain=(np.float64(0.5), np.float64(2.0)))
+    assert str(exc.value) == "eigenvalue 3.0 escapes function domain [0.5, 2.0]"
+
+
+def _round_trip_draws():
+    """A few drawn trials of every chain, of every mode of thm-2.12, and at a
+    scalar range wide enough for refused pairs."""
+    configs = [{"regime": {"mode": mode}} for mode in entropy.TWO_FUNCTION_MODES] + [{"scalar_range": (1e-7, 1e7)}]
+    for seed, config in enumerate(configs):
+        cfg = GeneratorConfig(seed=seed, trials=1, dim_range=(1, 3), **config)
+        for entry in CHAINS.values():
+            for k in range(2):
+                yield entry, entry.generate(trial_rng(seed, k), cfg)
+
+
+def _verify_argv(entry, params: dict, tol: float, tmp_path) -> list:
+    """``oel verify`` arguments that state ``params`` through the chain's
+    declaration."""
+    argv = ["verify", entry.id, f"--tol={tol!r}"]
+    for prm in entry.params:
+        if prm.option is None or prm.name not in params:
+            continue
+        val = params[prm.name]
+        if isinstance(val, np.ndarray):
+            text = str(tmp_path / f"{prm.name}.json")
+            dump_matrix(val, text)
+        elif isinstance(val, FunctionSpec):
+            text = val.id
+        elif isinstance(val, list):
+            text = ",".join(repr(v) for v in val)
+        else:
+            text = repr(val) if isinstance(val, float) else str(val)
+        argv.append(f"--{prm.option}={text}")  # "=" keeps a leading minus sign a value
+    return argv
+
+
+def test_verify_round_trips_drawn_params_of_every_chain(tmp_path, capsys):
+    seen = set()
+    for i, (entry, drawn) in enumerate(_round_trip_draws()):
+        params = dict(drawn)
+        for prm in entry.params:  # a drawn parametric function has no registered id
+            val = params.get(prm.name)
+            if isinstance(val, FunctionSpec) and _fingerprint({0: val}) != _fingerprint({0: REGISTRY.get(val.id)}):
+                params[prm.name] = REGISTRY[prm.default]
+        tol = DEFAULT_TOL if i % 2 == 0 else -1.0  # a negative tolerance fails every applicable link
+        argv = _verify_argv(entry, params, tol, tmp_path)
+        assert _fingerprint(cli._build_params(entry.id, cli.build_parser().parse_args(argv))) == _fingerprint(params), argv
+        try:
+            verdict = entry.run(params, tol)
+        except (ValueError, NumericError, OverflowError):
+            code, out = cli.EXIT_ERROR, ""
+        else:
+            out = _emit_json(verdict.to_dict()) + "\n"
+            if isinstance(verdict, OperatorChainVerdict) and not verdict.applicable:
+                code = cli.EXIT_NOT_APPLICABLE
+            else:
+                code = cli.EXIT_PASS if verdict.ok else cli.EXIT_FAIL
+        assert main(argv) == code, argv
+        assert capsys.readouterr().out == out, argv
+        seen.add(code)
+    assert seen == {0, 1, 2, 3}, seen

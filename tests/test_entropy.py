@@ -336,7 +336,7 @@ def test_two_function_stack_outcomes_match_single_trials():
     ]
     modes, A, B, seeds = (list(column) for column in zip(*trials))
     k = len(trials)
-    stacked = entropy.two_function_stack([f] * k, [g] * k, A, B, modes, [(1.5, 4.0)] * k, seeds)
+    stacked = entropy.two_function_stack([f] * k, [g] * k, [1.5] * k, [4.0] * k, modes, A, B, seeds)
     statuses = []
     for i, (mode, a, b, seed) in enumerate(trials):
         try:
