@@ -62,10 +62,10 @@ def _build_params(chain_id: str, args) -> dict:
     ``params`` declaration."""
     params, missing = {}, []
     for prm in CHAINS[chain_id].params:
+        if prm.when is not None and not prm.when(params):
+            continue  # the chain does not read it here, so its flag is not read either
         text = None if prm.option is None else getattr(args, prm.option)
         if text is None:
-            if prm.when is not None and not prm.when(params):
-                continue  # the chain does not read it here
             text = prm.default
         if text is None:
             missing.append(f"--{prm.option}")

@@ -21,14 +21,16 @@ the pair's own evaluation raises, which does not touch the other pairs.
 The public ``check_*`` functions are the k = 1 case and raise that
 exception.
 
-The two-function comparison of thm-2.12 (``two_function_stack``) stacks
-trials whose function pair, interval and mode vary from trial to trial.
-Congruence mode is decided on the spectrum of X like the pair chains. In
-expectation mode each trial's seeded unit vectors h give the quadratic
-forms <Ah,h> and <g(A)h,h> of the whole stack in one batched product, and
-majorize mode compares f(B) with a multiple of g(A), which are not
-functions of one X, by Loewner checks on the matrices. The admissibility
-gate of each function pair runs per trial.
+The two-function comparison of thm-2.12 (``two_function_stack``) takes
+trials whose function pair, interval and mode vary from trial to trial,
+and evaluates one stack per mode that meets each trial's refusals in the
+order its one-trial evaluation meets them. Congruence mode is factored by
+``_Pairs`` and decided on the spectrum of X. In expectation mode each
+trial's seeded unit vectors h give the quadratic forms <Ah,h> and
+<g(A)h,h> of the whole stack in one batched product. Majorize mode
+compares f(B) with a multiple of g(A), which are not functions of one X,
+and is the one mode that makes Loewner checks on matrices. The
+admissibility gate of each function pair runs per trial.
 
 Hypothesis mismatches (a pair outside a theorem's spectral regime) yield a
 verdict with status "not-applicable"; only genuine link violations count as
@@ -47,7 +49,6 @@ from . import scalar
 from .chains import DEFAULT_TOL, two_function_gate
 from .errors import NumericError
 from .linalg import (
-    EigenDecomposition,
     LoewnerVerdict,
     _loewner,
     _only,
@@ -71,6 +72,11 @@ def _require(ok: bool, message: str):
     return None if ok else ValueError(message)
 
 
+def _first(*errors) -> list:
+    """Per pair, the first refusal in the per-pair lists ``errors``, or None."""
+    return [next((e for e in found if e is not None), None) for found in zip(*errors)]
+
+
 def _column(values) -> np.ndarray:
     """Per-pair parameters as a (k, 1) column, to broadcast over eigenvalues."""
     return np.array(values, dtype=float)[:, None]
@@ -92,18 +98,11 @@ class _Pairs:
         self.B, errors_b = _symmetric_stack(B)
         if self.A.shape != self.B.shape:
             raise ValueError(f"dimension mismatch: {self.A.shape[1:]} vs {self.B.shape[1:]}")
-        self.errors = list(errors) if errors is not None else [None] * len(self.A)
-        self.refuse(errors_a)
-        self.refuse(errors_b)
-        eig_a, errors_a = _pd_eig(self.A, "A")
-        self.refuse(errors_a)
+        eig_a, errors_pd = _pd_eig(self.A, "A")
         self.lam, errors_x = _relative_spectrum(eig_a, self.B)
-        self.refuse(errors_x)
+        self.errors = _first(errors or [None] * len(self.A), errors_a, errors_b, errors_pd, errors_x)
         self.m = self.lam[:, 0].tolist()
         self.M = self.lam[:, -1].tolist()
-
-    def refuse(self, errors) -> None:
-        self.errors = [old if old is not None else new for old, new in zip(self.errors, errors)]
 
     def live(self) -> list:
         """Indices of the pairs not refused."""
@@ -175,8 +174,9 @@ class OperatorChainVerdict:
 
 def _compare(lower: np.ndarray, upper: np.ndarray, tol: float) -> list:
     """One verdict lower[i] <= upper[i] per row: by ``_loewner`` for stacks
-    of matrices, and for rows of link values f(l) on a spectrum, pointwise,
-    with slack min(upper - lower) and scale max(1, max |lower|, max |upper|)."""
+    of matrices, and for rows of values (link values f(l) on a spectrum, or
+    the two sides of an expectation), pointwise, with slack
+    min(upper - lower) and scale max(1, max |lower|, max |upper|)."""
     if lower.ndim == 3:
         return _loewner(lower, upper, tol)
     slack = (upper - lower).min(axis=1).tolist()
@@ -188,13 +188,14 @@ def _decide(chain_id, links, layouts, regimes, errors, tol, lift) -> list:
     """One outcome per pair of a stack.
 
     ``links`` maps names to the links of every pair: (k, n) rows of values
-    f(l) at the ascending eigenvalues l of each pair's X, or (k, m, m)
-    stacks of matrices. Pair i's chain is ``links[name][i]`` for the names
-    in ``layouts[i]``, or not applicable when that layout is None; a
-    refused pair's outcome is its error. A link with a non-finite entry
-    fails the pair with NumericError. Each link of the pairs sharing a
-    layout is decided by one ``_compare`` call. ``lift(i, name)`` builds a
-    link matrix of pair i, when its verdict's ``links`` is first read.
+    f(l) at the ascending eigenvalues l of each pair's X, (k, 1) rows of one
+    value, or (k, m, m) stacks of matrices. Pair i's chain is
+    ``links[name][i]`` for the names in ``layouts[i]``, or not applicable
+    when that layout is None; a refused pair's outcome is its error. A
+    link with a non-finite entry fails the pair with NumericError. Each
+    link of the pairs sharing a layout is decided by one ``_compare`` call.
+    ``lift(i, name)`` builds a link matrix of pair i, when its verdict's
+    ``links`` is first read.
     """
     finite = {name: np.isfinite(v).all(axis=tuple(range(1, v.ndim))).tolist() for name, v in links.items()}
     outcomes = list(errors)
@@ -446,23 +447,8 @@ def check_ordering_S_Tp_Sp(A, B, p: float, tol: float = DEFAULT_TOL) -> Operator
 
 TWO_FUNCTION_MODES = ("expectation", "congruence", "majorize")
 
-# the refusals a trial of each mode can meet, in the order that evaluating
-# the trial alone meets them (after a refused mode, which comes first)
-_REFUSAL_ORDER = {
-    "expectation": ("square_a", "valid_a", "pd_a"),
-    "congruence": ("square_a", "square_b", "shape", "valid_a", "valid_b", "pd_a", "pd_x"),
-    "majorize": ("square_a", "valid_a", "pd_a", "square_b", "valid_b", "shape", "pd_b"),
-}
-
-
-def _validated(M, k: int) -> tuple:
-    """``_symmetric_stack`` of k matrices, plus the refusal of each when they
-    do not form a stack of square matrices (then the stack is None)."""
-    try:
-        stack, errors = _symmetric_stack(M)
-    except ValueError as exc:
-        return None, [None] * k, [exc] * k
-    return stack, errors, [None] * k
+# what evaluating one trial can raise, kept as the trial's outcome
+_TRIAL_ERRORS = (ValueError, NumericError, OverflowError)
 
 
 def _each(specs, rows):
@@ -485,78 +471,12 @@ def _quadratic_forms(H: np.ndarray, M: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...ij->...i", H @ M, H)
 
 
-class _Operands:
-    """The matrices of a stack of k thm-2.12 trials, validated and factored.
-
-    One ``eigh`` call factors every A and one the B of every majorize
-    trial; one values-only ``eigvalsh`` call gives the spectrum ``lam_x`` of
-    X = A**(-1/2) B A**(-1/2) for every congruence trial. ``errors[i]`` is
-    the first refusal that evaluating trial i alone would meet, or None. As
-    in ``_Pairs``, a refused matrix is zeros and a refused factorization the
-    identity's; a B that no trial reads is zeros too. ``A`` is None when the A do not form a stack of
-    square matrices, which refuses every trial.
-    """
-
-    def __init__(self, A, B, mode):
-        k = len(mode)
-        found = {name: [None] * k for name in ("mode", "shape", "square_b", "valid_b", "pd_x", "pd_b")}
-        for i, (m, b) in enumerate(zip(mode, B)):
-            if m not in TWO_FUNCTION_MODES:
-                found["mode"][i] = ValueError(f"unknown mode {m!r}")
-            elif m != "expectation" and b is None:
-                found["mode"][i] = ValueError(f"mode {m!r} requires B")
-        self.A, found["valid_a"], found["square_a"] = _validated(A, k)
-        if self.A is not None:
-            self.eig_a, found["pd_a"] = _pd_eig(self.A, "A")
-            reads = [i for i in range(k) if found["mode"][i] is None and mode[i] != "expectation"]
-            self._factor_b([B[i] for i in reads], reads, mode, found)
-        self.errors = [
-            next((found[name][i] for name in ("mode", *_REFUSAL_ORDER.get(m, ())) if found[name][i] is not None), None)
-            for i, m in enumerate(mode)
-        ]
-
-    def _factor_b(self, B: list, reads: list, mode: list, found: dict) -> None:
-        """Validate the B of the trials ``reads`` and factor X or B."""
-        shape = self.A.shape
-        self.B, self.lam_x = np.zeros(shape), np.ones(shape[:2])
-        self.eig_b = EigenDecomposition(np.zeros(shape), np.ones(shape[:2]))
-        if not reads:
-            return
-        B, valid, square = _validated(B, len(reads))
-        for j, i in enumerate(reads):
-            found["valid_b"][i], found["square_b"][i] = valid[j], square[j]
-        if B is None:
-            return
-        if B.shape[1:] != shape[1:]:
-            mismatch = ValueError(f"dimension mismatch: {shape[1:]} vs {B.shape[1:]}")
-            for i in reads:
-                found["shape"][i] = mismatch
-            return
-        self.B[reads] = B
-        congruent = [i for i in reads if mode[i] == "congruence"]
-        if congruent:
-            self.lam_x[congruent], errors = _relative_spectrum(self.eig_a.take(congruent), self.B[congruent])
-            _store(congruent, errors, found["pd_x"])
-        major = [i for i in reads if mode[i] == "majorize"]
-        if major:
-            eig_b, errors = _pd_eig(self.B[major], "B")
-            self.eig_b.vectors[major], self.eig_b.values[major] = eig_b.vectors, eig_b.values
-            _store(major, errors, found["pd_b"])
-
-    def spectrum(self, i: int, mode: str) -> tuple:
-        """The spectral hull the trial's interval must contain."""
-        if mode == "congruence":
-            return float(self.lam_x[i, 0]), float(self.lam_x[i, -1])
-        lo, hi = float(self.eig_a.values[i, 0]), float(self.eig_a.values[i, -1])
-        if mode == "majorize":
-            lo, hi = min(lo, float(self.eig_b.values[i, 0])), max(hi, float(self.eig_b.values[i, -1]))
-        return lo, hi
-
-
-def _store(rows: list, errors: list, found: list) -> None:
-    """Put the refusals of ``rows`` of a stack in place."""
-    for i, error in zip(rows, errors):
-        found[i] = error
+def _hulls(*values) -> list:
+    """The spectral hull (min, max) of each trial over its rows of the
+    stacks of ascending eigenvalues ``values``."""
+    lo = np.min([v[:, 0] for v in values], axis=0)
+    hi = np.max([v[:, -1] for v in values], axis=0)
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def _increments(f, g, mode, a, b, spectrum, tol, grid, regime):
@@ -589,6 +509,116 @@ def _increments(f, g, mode, a, b, spectrum, tol, grid, regime):
     return df, dg
 
 
+def _gated(mode, f, g, a, b, spectra, errors, tol, grid) -> tuple:
+    """The regime of each trial of a stack of one mode that ``errors`` does
+    not refuse, and by trial the ``_increments`` of those that are
+    applicable, ``spectra[i]`` being trial i's spectral hull; an exception
+    of the gate becomes the trial's entry in ``errors``."""
+    regimes, steps = [None] * len(errors), {}
+    for i in [i for i, error in enumerate(errors) if error is None]:
+        regime = regimes[i] = {"mode": mode, "fn_f": f[i].id, "fn_g": g[i].id}
+        try:
+            step = _increments(f[i], g[i], mode, a[i], b[i], spectra[i], tol, grid, regime)
+        except _TRIAL_ERRORS as exc:
+            errors[i] = exc
+            continue
+        if step is not None:
+            steps[i] = step
+    return regimes, steps
+
+
+def _expectation(f, g, a, b, A, B, vector_seed, tol, draws, grid) -> list:
+    """Expectation mode: the worst of ``draws`` seeded unit vectors h per
+    trial, its two sides decided as (k, 1) rows; B is not read."""
+    A, errors_a = _symmetric_stack(A)
+    eig_a, errors_pd = _pd_eig(A, "A")
+    errors = _first(errors_a, errors_pd)
+    regimes, steps = _gated("expectation", f, g, a, b, _hulls(eig_a.values), errors, tol, grid)
+    k, n = A.shape[:2]
+    unit_vectors = {}
+    for i in list(steps):
+        try:
+            unit_vectors[i] = _unit_vectors(vector_seed[i], draws, n)
+        except _TRIAL_ERRORS as exc:
+            errors[i] = exc
+            del steps[i]
+    rows, layouts = list(steps), [None] * k
+    links = {"lhs(h)": np.zeros((k, 1)), "rhs(h)": np.zeros((k, 1))}
+    if rows:
+        gA = eig_apply(eig_a.take(rows), _each(g, rows))
+        H = np.stack([unit_vectors[i] for i in rows])
+        quad_A = _quadratic_forms(H, A[rows])
+        quad_g = _quadratic_forms(H, gA)
+        lo, hi = _column([regimes[i]["a"] for i in rows]), _column([regimes[i]["b"] for i in rows])
+        f_quad = np.array([f[i].eval(row) for i, row in zip(rows, np.clip(quad_A, lo, hi))])
+        lhs = _column([steps[i][1] for i in rows]) * f_quad
+        rhs = _column([steps[i][0] for i in rows]) * quad_g
+        rel = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+        for j, (i, w) in enumerate(zip(rows, np.argmin(rel, axis=1))):
+            regimes[i].update({"draws": draws, "worst_rel_slack": float(rel[j, w])})
+            links["lhs(h)"][i], links["rhs(h)"][i] = lhs[j, w], rhs[j, w]
+            layouts[i] = ("lhs(h)", "rhs(h)")
+    return _decide("thm-2.12", links, layouts, regimes, errors, tol, lambda i, name: links[name][i].reshape(1, 1))
+
+
+def _congruence(f, g, a, b, A, B, vector_seed, tol, draws, grid) -> list:
+    """Congruence mode: f(X) <= ratio g(X), decided on the spectrum of X
+    like the pair chains."""
+    pairs = _Pairs(A, B)
+    regimes, steps = _gated("congruence", f, g, a, b, _hulls(pairs.lam), pairs.errors, tol, grid)
+    rows, layouts = list(steps), [None] * len(pairs.A)
+    links = {"f(X)": np.zeros(pairs.lam.shape), "ratio*g(X)": np.zeros(pairs.lam.shape)}
+    if rows:
+        lam = pairs.lam[rows]
+        links["f(X)"][rows] = _each(f, rows)(lam)
+        links["ratio*g(X)"][rows] = _column([regimes[i]["ratio"] for i in rows]) * _each(g, rows)(lam)
+        for i in rows:
+            layouts[i] = ("f(X)", "ratio*g(X)")
+
+    def lift(i, name):
+        fn = f[i].eval if name == "f(X)" else lambda lam: regimes[i]["ratio"] * g[i].eval(lam)
+        return congruence_sandwich(pairs.A[i], pairs.B[i], fn)
+
+    return _decide("thm-2.12", links, layouts, regimes, pairs.errors, tol, lift)
+
+
+def _majorize(f, g, a, b, A, B, vector_seed, tol, draws, grid) -> list:
+    """Majorize mode: f(B) <= ratio g(A) where B <= A, by Loewner checks on
+    the matrices. A's refusals come before B's, also when the B are not
+    square."""
+    A, errors_a = _symmetric_stack(A)
+    eig_a, errors_pd_a = _pd_eig(A, "A")
+    errors = _first(errors_a, errors_pd_a)
+    try:
+        B, errors_b = _symmetric_stack(B)
+    except ValueError as exc:
+        return _first(errors, [exc] * len(errors))
+    errors = _first(errors, errors_b)
+    if B.shape != A.shape:
+        return _first(errors, [ValueError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")] * len(errors))
+    eig_b, errors_pd_b = _pd_eig(B, "B")
+    errors = _first(errors, errors_pd_b)
+    regimes, steps = _gated("majorize", f, g, a, b, _hulls(eig_a.values, eig_b.values), errors, tol, grid)
+    rows, layouts = list(steps), [None] * len(errors)
+    if rows:
+        below = _loewner(B[rows], A[rows], tol)
+        for i, verdict in zip(rows, below):
+            if not verdict.holds:
+                regimes[i]["reason"] = "hypothesis B <= A fails"
+        rows = [i for i, verdict in zip(rows, below) if verdict.holds]
+    links = {"f(B)": np.zeros_like(A), "ratio*g(A)": np.zeros_like(A)}
+    if rows:
+        ratio = _column([regimes[i]["ratio"] for i in rows])[:, :, None]
+        links["f(B)"][rows] = eig_apply(eig_b.take(rows), _each(f, rows))
+        links["ratio*g(A)"][rows] = ratio * eig_apply(eig_a.take(rows), _each(g, rows))
+        for i in rows:
+            layouts[i] = ("f(B)", "ratio*g(A)")
+    return _decide("thm-2.12", links, layouts, regimes, errors, tol, lambda i, name: links[name][i])
+
+
+_MODE_STACKS = {"expectation": _expectation, "congruence": _congruence, "majorize": _majorize}
+
+
 def two_function_stack(f, g, a, b, mode, A, B, vector_seed, tol: float = DEFAULT_TOL,
                        draws: int = 1000, grid: int = 257) -> list:
     """``check_two_function_operator`` over a stack of k trials: one outcome
@@ -596,78 +626,28 @@ def two_function_stack(f, g, a, b, mode, A, B, vector_seed, tol: float = DEFAULT
 
     ``f``, ``g``, ``a``, ``b``, ``mode``, ``A``, ``B`` and ``vector_seed``
     hold one value per trial, [a, b] being the trial's interval (its
-    spectral hull where a is None); the A share a shape, and so do the B
-    that are read (B is ignored in expectation mode, and may be None there,
-    and ``vector_seed`` is read in expectation mode alone). The
-    matrices are factored as stacks, each batch of quadratic forms, g(A) and
-    Loewner link is one stacked call, congruence mode is decided on the
-    spectrum of X, and the admissibility gate and the unit vectors are per
-    trial.
+    spectral hull where a is None). B is read outside expectation mode
+    alone, and may be None there; ``vector_seed`` is read in expectation
+    mode alone. A trial with an unknown mode or a missing B is refused;
+    the others go to one stack per mode, which meets a trial's refusals in
+    the order its one-trial evaluation meets them. Matrices of a mode that
+    are not one stack of square matrices raise, as in the pair chains,
+    except majorize mode's B, which refuses each trial after A's own
+    refusals.
     """
-    k = len(mode)
-    ops = _Operands(A, B, mode)
-    if ops.A is None:
-        return ops.errors
-    errors, regimes, layouts = ops.errors, [None] * k, [None] * k
-    steps, unit_vectors = {}, {}
-    for i in [i for i, error in enumerate(errors) if error is None]:
-        regime = regimes[i] = {"mode": mode[i], "fn_f": f[i].id, "fn_g": g[i].id}
-        try:
-            step = _increments(f[i], g[i], mode[i], a[i], b[i], ops.spectrum(i, mode[i]), tol, grid, regime)
-            if step is not None and mode[i] == "expectation":
-                unit_vectors[i] = _unit_vectors(vector_seed[i], draws, ops.A.shape[1])
-        except (ValueError, NumericError, OverflowError) as exc:
-            errors[i] = exc
-            continue
-        if step is not None:
-            steps[i] = step
-    expect, congruent, major = ([i for i in steps if mode[i] == m] for m in TWO_FUNCTION_MODES)
-    if major:
-        below = _loewner(ops.B[major], ops.A[major], tol)
-        for i, verdict in zip(major, below):
-            if not verdict.holds:
-                regimes[i]["reason"] = "hypothesis B <= A fails"
-        major = [i for i, verdict in zip(major, below) if verdict.holds]
-
-    links = {"lhs(h)": np.zeros((k, 1, 1)), "rhs(h)": np.zeros((k, 1, 1))}
-    links.update({"f(X)": np.zeros(ops.A.shape[:2]), "ratio*g(X)": np.zeros(ops.A.shape[:2])})
-    links.update({"f(B)": np.zeros_like(ops.A), "ratio*g(A)": np.zeros_like(ops.A)})
-    if expect + major:
-        gA = eig_apply(ops.eig_a.take(expect + major), _each(g, expect + major))
-    if expect:
-        H = np.stack([unit_vectors.pop(i) for i in expect])
-        quad_A = _quadratic_forms(H, ops.A[expect])
-        quad_g = _quadratic_forms(H, gA[: len(expect)])
-        lo, hi = _column([regimes[i]["a"] for i in expect]), _column([regimes[i]["b"] for i in expect])
-        f_quad = np.array([f[i].eval(row) for i, row in zip(expect, np.clip(quad_A, lo, hi))])
-        lhs = _column([steps[i][1] for i in expect]) * f_quad
-        rhs = _column([steps[i][0] for i in expect]) * quad_g
-        rel = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        for j, (i, w) in enumerate(zip(expect, np.argmin(rel, axis=1))):
-            regimes[i].update({"draws": draws, "worst_rel_slack": float(rel[j, w])})
-            links["lhs(h)"][i], links["rhs(h)"][i] = lhs[j, w], rhs[j, w]
-            layouts[i] = ("lhs(h)", "rhs(h)")
-    if congruent:
-        lam = ops.lam_x[congruent]
-        links["f(X)"][congruent] = _each(f, congruent)(lam)
-        links["ratio*g(X)"][congruent] = _column([regimes[i]["ratio"] for i in congruent]) * _each(g, congruent)(lam)
-        for i in congruent:
-            layouts[i] = ("f(X)", "ratio*g(X)")
-    if major:
-        ratio = _column([regimes[i]["ratio"] for i in major])[:, :, None]
-        links["f(B)"][major] = eig_apply(ops.eig_b.take(major), _each(f, major))
-        links["ratio*g(A)"][major] = ratio * gA[len(expect):]
-        for i in major:
-            layouts[i] = ("f(B)", "ratio*g(A)")
-
-    def lift(i, name):
-        if name == "f(X)":
-            return congruence_sandwich(ops.A[i], ops.B[i], f[i].eval)
-        if name == "ratio*g(X)":
-            return congruence_sandwich(ops.A[i], ops.B[i], lambda lam: regimes[i]["ratio"] * g[i].eval(lam))
-        return links[name][i]
-
-    return _decide("thm-2.12", links, layouts, regimes, errors, tol, lift)
+    outcomes, rows = [None] * len(mode), {}
+    for i, (m, b_i) in enumerate(zip(mode, B)):
+        if m not in TWO_FUNCTION_MODES:
+            outcomes[i] = ValueError(f"unknown mode {m!r}")
+        elif m != "expectation" and b_i is None:
+            outcomes[i] = ValueError(f"mode {m!r} requires B")
+        else:
+            rows.setdefault(m, []).append(i)
+    for m, trials in rows.items():
+        columns = ([column[i] for i in trials] for column in (f, g, a, b, A, B, vector_seed))
+        for i, outcome in zip(trials, _MODE_STACKS[m](*columns, tol, draws, grid)):
+            outcomes[i] = outcome
+    return outcomes
 
 
 def check_two_function_operator(

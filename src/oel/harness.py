@@ -315,7 +315,7 @@ class Param:
     verify`` parses ``--{option}``, or else the text ``default`` (none:
     required), with ``cli._PARSERS[parser]``; with ``parser`` None it is
     ``default``, with no flag. ``when`` tells from the params before it
-    whether the chain reads it; if not, it is left out unless given."""
+    whether the chain reads it; if not, it is left out."""
 
     name: str
     parser: str | None = "float"

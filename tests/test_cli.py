@@ -120,15 +120,29 @@ def test_verify_two_function_defaults(tmp_path, capsys):
 
 
 def test_verify_expectation_mode_needs_no_b(tmp_path, capsys):
-    # expectation mode never reads B; the modes that do still demand it
+    # expectation mode never reads B, so it does not open a --B file either
+    # and a bad one changes neither the exit code nor the output; the modes
+    # that do read B still demand it and refuse a bad one
     a = tmp_path / "A.json"
     dump_matrix(np.diag([1.6, 3.5]), a)
-    assert main(["verify", "thm-2.12", "--A", str(a)]) in (0, 3)
-    assert main(["verify", "thm-2.12", "--A", str(a), "--mode", "expectation"]) in (0, 3)
-    capsys.readouterr()
+    argv = ["verify", "thm-2.12", "--A", str(a)]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    bad = {
+        "malformed.json": "{ nope",
+        "asymmetric.json": '{"n": 2, "data": [[2.0, 1.0], [0.0, 2.0]]}',
+        "not-square.json": '{"n": 2, "data": [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]}',
+    }
+    for name, text in bad.items():
+        (tmp_path / name).write_text(text)
+    for extra in [[], *(["--B", str(tmp_path / name)] for name in [*bad, "missing.json"])]:
+        assert main(argv + ["--mode", "expectation"] + extra) == 0, extra
+        assert capsys.readouterr().out == expected, extra
     for mode in ("congruence", "majorize"):
-        assert main(["verify", "thm-2.12", "--A", str(a), "--mode", mode]) == 2
+        assert main(argv + ["--mode", mode]) == 2
         assert "--B" in capsys.readouterr().err
+        assert main(argv + ["--mode", mode, "--B", str(tmp_path / "malformed.json")]) == 2
+        assert "malformed matrix file" in capsys.readouterr().err
     assert main(["verify", "zou", "--A", str(a), "--t", "0.5"]) == 2
     assert "--B" in capsys.readouterr().err
 

@@ -369,6 +369,12 @@ def test_two_function_stack_refusal_order_follows_the_single_trial():
         ("congruence", -np.eye(2), 2.0 * np.eye(2), "A must be positive-definite"),
         ("congruence", np.eye(2), np.full((2, 2), np.nan), "matrix entries must be finite"),
         ("expectation", np.ones((2, 3)), None, "expected a square matrix"),
+        # a B that is not square comes after A's own refusals in majorize
+        # mode, before them in congruence mode, and is not read in
+        # expectation mode
+        ("majorize", bad_a, np.ones((2, 3)), "matrix is not symmetric"),
+        ("congruence", bad_a, np.ones((2, 3)), "expected a square matrix"),
+        ("expectation", -np.eye(2), np.ones((2, 3)), "A must be positive-definite"),
     ]
     for mode, a, b, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -437,12 +443,13 @@ def test_spectral_verdicts_match_loewner_checks_of_the_lifts(chain_id, regime):
 
 def test_fuzzing_spectral_chains_lifts_no_matrix(monkeypatch):
     # the pair chains and thm-2.12's congruence mode are decided on the
-    # spectrum of X alone: no link matrix is lifted and no Loewner check runs
+    # spectrum of X alone, and expectation mode on its two sides as numbers:
+    # no link matrix is lifted and no Loewner check runs
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the fuzz path")
 
     monkeypatch.setattr(entropy, "_loewner", forbidden)
     monkeypatch.setattr(entropy, "congruence_sandwich", forbidden)
-    for cid, regime in SPECTRAL_CHAINS:
+    for cid, regime in [*SPECTRAL_CHAINS, ("thm-2.12", {"mode": "expectation"})]:
         rep = fuzz_chain(cid, GeneratorConfig(seed=5, trials=20, regime=regime))
         assert len(rep.slack_rows) == 20 and not rep.failures, cid
