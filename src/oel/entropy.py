@@ -513,12 +513,13 @@ def _gated(mode, f, g, a, b, spectra, errors, tol, grid) -> tuple:
     """The regime of each trial of a stack of one mode that ``errors`` does
     not refuse, and by trial the ``_increments`` of those that are
     applicable, ``spectra[i]`` being trial i's spectral hull; an exception
-    of the gate becomes the trial's entry in ``errors``."""
+    of the gate becomes the trial's entry in ``errors``. The gate runs at
+    ``max(tol, DEFAULT_TOL)``, so a negative ``tol`` loosens only links."""
     regimes, steps = [None] * len(errors), {}
     for i in [i for i, error in enumerate(errors) if error is None]:
         regime = regimes[i] = {"mode": mode, "fn_f": f[i].id, "fn_g": g[i].id}
         try:
-            step = _increments(f[i], g[i], mode, a[i], b[i], spectra[i], tol, grid, regime)
+            step = _increments(f[i], g[i], mode, a[i], b[i], spectra[i], max(tol, DEFAULT_TOL), grid, regime)
         except _TRIAL_ERRORS as exc:
             errors[i] = exc
             continue
@@ -601,7 +602,7 @@ def _majorize(f, g, a, b, A, B, vector_seed, tol, draws, grid) -> list:
     regimes, steps = _gated("majorize", f, g, a, b, _hulls(eig_a.values, eig_b.values), errors, tol, grid)
     rows, layouts = list(steps), [None] * len(errors)
     if rows:
-        below = _loewner(B[rows], A[rows], tol)
+        below = _loewner(B[rows], A[rows], max(tol, DEFAULT_TOL))
         for i, verdict in zip(rows, below):
             if not verdict.holds:
                 regimes[i]["reason"] = "hypothesis B <= A fails"
@@ -672,6 +673,10 @@ def check_two_function_operator(
     - congruence: sandwich comparison for a pair with relative spectrum in
       [a, b], scaled by the increment ratio.
     - majorize: f(B) <= ratio * g(A) for B <= A with both spectra in [a, b].
+
+    ``tol`` decides the links; the hypothesis checks (the gate, the
+    increment of g and majorize mode's B <= A) use ``max(tol, 1e-9)``, so
+    that a negative ``tol`` makes failures instead of not-applicable trials.
     """
     a, b = (None, None) if interval is None else interval
     return _single(two_function_stack([f], [g], [a], [b], [mode], [A], [B], [vector_seed], tol, draws, grid))

@@ -13,11 +13,12 @@ Gaussian matrix per matrix, not yet factored (a pair (A, B), or thm-2.12's
 single A, with the rank-one shift that makes its B in majorize mode).
 ``_realize`` then factors the pending matrices of a block that share a
 dimension as one stack (one QR call for every Gaussian, one batched
-``Q diag(l) Q^T``, and for pairs with a prescribed relative spectrum one
-eigendecomposition for every A). Stacked LAPACK and BLAS calls are bitwise
-equal to per-matrix calls, and ``ChainEntry.generate`` of such a chain is
-the one-trial block, so a trial is bit for bit the same whether it is drawn
-alone or in a block. Only scalar chains generate trial by trial.
+``Q diag(l) Q^T``, and for pairs with a prescribed relative spectrum each
+such A's root from its drawn factors; generation never refuses). Stacked
+LAPACK and BLAS calls are bitwise equal to per-matrix calls, and
+``ChainEntry.generate`` of such a chain is the one-trial block, so a trial
+is bit for bit the same whether it is drawn alone or in a block. Only
+scalar chains generate trial by trial.
 
 Evaluation model: a matrix chain evaluates the trials of a block that share
 their shapes as one stack (``ChainEntry.stack``), bitwise as each trial
@@ -47,7 +48,7 @@ from .chains import DEFAULT_TOL, ChainVerdict
 from .entropy import OperatorChainVerdict
 from .errors import NumericError
 from .funcs import REGISTRY, FunctionSpec
-from .linalg import _pd_eig, eig_apply, eigendecomposition, matrix_to_obj, symmetrize
+from .linalg import EigenDecomposition, eig_apply, eigendecomposition, matrix_to_obj, symmetrize
 
 _U64 = (1 << 64) - 1
 
@@ -177,35 +178,29 @@ def _realize(block: list) -> list:
 
     The draws of one dimension are factored as one stack: one QR call for
     every Gaussian, one batched ``Q diag(l) Q^T``, and for the constrained
-    pairs one eigendecomposition for every A and one batched
-    ``A^(1/2) C A^(1/2)``. A constrained pair whose A is not
-    positive-definite raises the refusal of the first such trial.
+    pairs each such A's root ``Q diag(sqrt l) Q^T`` from its drawn factors
+    and one batched ``A^(1/2) C A^(1/2)``; generation never refuses.
     """
     pending = [next(val for val in p.values() if isinstance(val, _Pending)) for p in block]
     groups: dict = {}
     for i, d in enumerate(pending):
         groups.setdefault(len(d.lam_a), []).append(i)
     matrices = [None] * len(block)
-    refusals = []
     for rows in groups.values():
         drawn = [pending[i].drawn() for i in rows]
         Q = _orthogonal(np.stack([G for d in drawn for _, G in d]))
-        lam = np.stack([lam for d in drawn for lam, _ in d])
-        M = symmetrize((Q * lam[:, None, :]) @ Q.swapaxes(1, 2))
+        eig = EigenDecomposition(Q, np.stack([lam for d in drawn for lam, _ in d]))
+        M = eig_apply(eig, np.asarray)  # Q diag(l) Q^T
         first = np.cumsum([0] + [len(d) for d in drawn])  # trial j's matrices are M[first[j]:first[j + 1]]
         cons = [j for j, i in enumerate(rows) if pending[i].constrained]
         if cons:
             at = first[cons]
-            eig, errors = _pd_eig(M[at], "matrix")
-            refusals += [(rows[j], error) for j, error in zip(cons, errors) if error is not None]
-            root = eig_apply(eig, np.sqrt)
+            root = eig_apply(eig.take(at), np.sqrt)
             M[at + 1] = symmetrize(root @ M[at + 1] @ root)
         for j, i in enumerate(rows):
             mats = matrices[i] = list(M[first[j]:first[j + 1]])
             if pending[i].shift is not None:
                 mats.append(symmetrize(mats[0] - pending[i].shift * np.outer(pending[i].v, pending[i].v)))
-    if refusals:
-        raise min(refusals, key=lambda r: r[0])[1]
     realized = []
     for p, mats in zip(block, matrices):
         out = {}
@@ -256,7 +251,8 @@ def _constrained(rng, n, m_target, M_target, lo, hi) -> _Pending:
 
 
 def gen_constrained_pair(cfg: GeneratorConfig, m_target: float, M_target: float, trial: int = 0):
-    """Pair with prescribed tight relative spectral bounds."""
+    """Pair with prescribed tight relative spectral bounds: B = A^(1/2) C
+    A^(1/2), with A's root built from its drawn factors; never refuses."""
     if not 0.0 < m_target <= M_target:
         raise ValueError(f"need 0 < m <= M, got {m_target!r}, {M_target!r}")
     rng = trial_rng(cfg.seed, trial)
@@ -914,7 +910,7 @@ def _emit_json(obj) -> str:
 
 def report_document(reports: list, include_timing: bool = False) -> dict:
     return {
-        "version": 4,
+        "version": 5,
         "seed": reports[0].seed if reports else 0,
         "chains": [r.to_obj(include_timing) for r in reports],
     }

@@ -81,8 +81,8 @@ def symmetrize(M: np.ndarray) -> np.ndarray:
 
 @dataclass
 class EigenDecomposition:
-    """Orthogonal factor and ascending eigenvalues with A = Q diag(l) Q^T,
-    for one matrix or, with a leading axis, for a stack."""
+    """Orthogonal factor and eigenvalues with A = Q diag(l) Q^T, for one
+    matrix or, with a leading axis, for a stack; ascending from ``_eig``."""
 
     vectors: np.ndarray
     values: np.ndarray
@@ -153,12 +153,6 @@ def _pd_eig(M: np.ndarray, name: str) -> tuple[EigenDecomposition, list]:
     return eig, errors
 
 
-def _pd_eig_one(M: np.ndarray, name: str) -> EigenDecomposition:
-    eig, errors = _pd_eig(M[None], name)
-    _only(errors)
-    return EigenDecomposition(eig.vectors[0], eig.values[0])
-
-
 def _normalized(eig_a: EigenDecomposition, B: np.ndarray) -> np.ndarray:
     """X = A**(-1/2) B A**(-1/2) for a stack of pairs, from the
     decompositions of the A."""
@@ -172,14 +166,6 @@ def _relative_spectrum(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.nda
     the A; and the refusal of each pair whose X is not positive-definite."""
     values = np.linalg.eigvalsh(_normalized(eig_a, B))
     return values, _pd_refusals(values, "B relative to A")
-
-
-def sqrtm_pd(A) -> np.ndarray:
-    return eig_apply(_pd_eig_one(as_symmetric(A), "matrix"), np.sqrt)
-
-
-def invsqrtm_pd(A) -> np.ndarray:
-    return eig_apply(_pd_eig_one(as_symmetric(A), "matrix"), lambda lam: 1.0 / np.sqrt(lam))
 
 
 def congruence_sandwich(A, B, fn, domain=None) -> np.ndarray:

@@ -142,7 +142,9 @@ PAIR_CHAINS = ["zou", "thm-3.3", "thm-3.5", "thm-3.6", "thm-3.11", "prop-3.10"]
 # counted them before the pair chains were decided on the spectrum of X;
 # every chain a config runs and does not list passes every trial. The one
 # change: zou's trial 33 at scalar_range (1e-7, 1e7), whose B (eigenvalues
-# 7.4e-7 .. 9.6e5) only the factorization of B refused, now passes.
+# 7.4e-7 .. 9.6e5) only the factorization of B refused, now passes. thm-2.12
+# checks its hypotheses at max(tol, 1e-9), so at tol -1 its trials fail
+# instead of being not-applicable, and at tol 0 none is not-applicable.
 PINNED_COUNTS = [
     ("fuzz-all-seed-42", {"seed": 42, "trials": 60}, list(CHAINS), {}),
     ("fuzz-all-seed-7", {"seed": 7, "trials": 60}, list(CHAINS), {}),
@@ -152,7 +154,8 @@ PINNED_COUNTS = [
         for n in range(1, 9)
     ],
     ("tol-minus-1", {"seed": 42, "trials": 60, "tol": -1.0}, OPERATOR_CHAINS,
-     {**{cid: (0, 60, 0, 0) for cid in PAIR_CHAINS}, "thm-2.12": (0, 0, 60, 0)}),
+     {cid: (0, 60, 0, 0) for cid in [*PAIR_CHAINS, "thm-2.12"]}),
+    ("tol-zero", {"seed": 42, "trials": 60, "tol": 0.0}, ["thm-2.12"], {}),
     ("wide-scalar-range", {"seed": 0, "trials": 200, "scalar_range": (1e-7, 1e7)}, OPERATOR_CHAINS,
      {"zou": (42, 0, 0, 158), "prop-3.10": (51, 0, 0, 149)}),
 ]
@@ -207,7 +210,7 @@ def test_write_report_roundtrip(tmp_path):
     path = tmp_path / "report.json"
     harness.write_report(reports, path)
     doc = json.loads(path.read_text())
-    assert doc["version"] == 4 and doc["seed"] == 21
+    assert doc["version"] == 5 and doc["seed"] == 21
     assert [c["id"] for c in doc["chains"]] == ["prop-2.1", "cor-3.8"]
     for chain in doc["chains"]:
         assert chain["trials"] == 10
@@ -226,7 +229,7 @@ def test_write_report_empty(tmp_path):
     path = tmp_path / "empty.json"
     harness.write_report([], path)
     doc = json.loads(path.read_text())
-    assert doc == {"version": 4, "seed": 0, "chains": []}
+    assert doc == {"version": 5, "seed": 0, "chains": []}
 
 
 def test_report_timing_flag(tmp_path):
@@ -412,24 +415,22 @@ def test_every_chain_runs_at_any_accepted_scalar_range(scalar_range):
     assert harness._meet((1e-2, 1e2), 1e5, 1e9) == (1e-2, 1e2)
 
 
-def test_realize_raises_the_first_refusal_in_trial_order():
-    # the pairs of one dimension are factored together, but the refusal
-    # raised is the one generating the trials in order would meet first
-    rng = np.random.default_rng(0)
+def test_generation_decomposes_nothing(monkeypatch):
+    # a constrained pair's A^(1/2) is built from the factors that built A,
+    # so drawing and realizing a block calls no eigensolver
+    def refuse(*args, **kwargs):
+        raise AssertionError("generation called an eigensolver")
 
-    def drawn(lam_a):
-        n = len(lam_a)
-        pair = harness._Pending(np.array(lam_a), rng.normal(size=(n, n)), np.ones(n), rng.normal(size=(n, n)), True)
-        return {"pair": pair}
-
-    block = [drawn([1.0, 2.0, 3.0]), drawn([-2.0, 1.0]), drawn([-3.0, 1.0, 2.0]), drawn([1.0, 2.0])]
-    with pytest.raises(ValueError, match="positive-definite") as first:
-        harness._realize(block)
-    with pytest.raises(ValueError) as alone:
-        harness._realize([block[1]])
-    assert str(first.value) == str(alone.value)
-    (ok,) = harness._realize(block[:1])
-    assert list(ok) == ["A", "B"]
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    configs = [(cid, GeneratorConfig(seed=47, trials=40)) for cid in ("thm-3.3", "thm-3.5", "thm-3.6", "thm-3.11")]
+    configs.append(("thm-2.12", GeneratorConfig(seed=47, trials=40, regime={"mode": "congruence"})))
+    for cid, cfg in configs:
+        streams = TrialStreams(cfg.seed)
+        block = harness._realize([CHAINS[cid].draw(streams.rng(k), cfg) for k in range(cfg.trials)])
+        assert all({"A", "B"} <= set(params) for params in block), cid
+    A, B = harness.gen_constrained_pair(GeneratorConfig(seed=11, dim_range=(3, 3)), 2.0, 5.0)
+    assert A.shape == B.shape == (3, 3)
 
 
 def test_fingerprint_tells_equal_functions_from_different_ones():

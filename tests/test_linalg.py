@@ -166,6 +166,8 @@ def test_relative_spectrum_bounds():
     assert m == pytest.approx(1.0) and M == pytest.approx(1.0)
     m, M = linalg.relative_spectrum_bounds(np.eye(2), np.diag([2.0, 5.0]))
     assert (m, M) == (pytest.approx(2.0), pytest.approx(5.0))
+    with pytest.raises(ValueError):  # A positive but under the floor
+        linalg.relative_spectrum_bounds(np.diag([1.0, 1e-14]), np.eye(2))
     rng = np.random.default_rng(89)
     for _ in range(30):
         n = int(rng.integers(2, 6))
@@ -198,10 +200,3 @@ def test_matrix_io_rejects_bad_files(tmp_path):
     p.write_text(json.dumps({"n": 3, "data": [[1.0]]}))
     with pytest.raises(ValueError):
         linalg.load_matrix(p)
-
-
-def test_sqrtm_floor_rejects_near_singular():
-    with pytest.raises(ValueError):
-        linalg.invsqrtm_pd(np.diag([1.0, 1e-14]))
-    out = linalg.sqrtm_pd(np.diag([4.0, 9.0]))
-    assert np.allclose(out, np.diag([2.0, 3.0]), atol=1e-12)
