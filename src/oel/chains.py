@@ -30,6 +30,8 @@ class ChainVerdict:
     scale: float
     witness: dict = field(default_factory=dict)
 
+    applicable = True  # a scalar chain has no hypothesis to fail; bad input raises
+
     @property
     def min_rel_slack(self) -> float:
         if not self.slacks:

@@ -16,13 +16,14 @@ are printed with 17 significant digits so they round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import re
 import sys
 
 from . import chains, entropy, harness
 from .chains import ChainVerdict
-from .entropy import OperatorChainVerdict
-from .errors import NumericError
+from .errors import TRIAL_ERRORS
 from .funcs import REGISTRY
 from .harness import CHAINS, GeneratorConfig, _emit_json
 from .linalg import load_matrix, matrix_to_obj
@@ -33,28 +34,18 @@ EXIT_ERROR = 2
 EXIT_NOT_APPLICABLE = 3
 
 
-def _default_tol() -> float:
-    raw = os.environ.get("OEL_DEFAULT_TOL")
-    if raw is None:
-        return chains.DEFAULT_TOL
-    try:
-        return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"OEL_DEFAULT_TOL={raw!r} is not a float") from exc
-
-
-def _floats(text: str) -> list:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
-
-
-def _function(name: str):
-    if name not in REGISTRY:
-        raise ValueError(f"unknown function {name!r}; see `oel list --functions`")
-    return REGISTRY[name]
-
-
-# how the text of a verify flag becomes a value, by ``Param.parser``
-_PARSERS = {"float": float, "int": int, "str": str, "floats": _floats, "function": _function, "matrix": load_matrix}
+def _tolerance(tol: float | None) -> float:
+    """``--tol``, else ``OEL_DEFAULT_TOL``, else the default; a finite one,
+    as NaN would fail every link and inf pass every one."""
+    if tol is None:
+        raw = os.environ.get("OEL_DEFAULT_TOL", repr(chains.DEFAULT_TOL))
+        try:
+            tol = float(raw)
+        except ValueError as exc:
+            raise ValueError(f"OEL_DEFAULT_TOL={raw!r} is not a float") from exc
+    if not math.isfinite(tol):
+        raise ValueError(f"--tol or OEL_DEFAULT_TOL must be finite, got {tol}")
+    return tol
 
 
 def _build_params(chain_id: str, args) -> dict:
@@ -69,13 +60,11 @@ def _build_params(chain_id: str, args) -> dict:
             text = prm.default
         if text is None:
             missing.append(f"--{prm.option}")
-        elif prm.parser is None:
-            params[prm.name] = text
-        else:
-            try:
-                params[prm.name] = _PARSERS[prm.parser](text)
-            except ValueError as exc:
-                raise ValueError(f"--{prm.option}: {exc}") from exc
+            continue
+        try:
+            params[prm.name] = prm.parse(text)
+        except ValueError as exc:
+            raise ValueError(f"--{prm.option}: {exc}") from exc
     if missing:
         raise ValueError(f"missing required option(s): {', '.join(missing)}")
     return params
@@ -125,7 +114,7 @@ def cmd_verify(args) -> int:
     params = _build_params(args.chain, args)
     verdict = CHAINS[args.chain].run(params, args.tol)
     _print_verdict(verdict, args.pretty)
-    if isinstance(verdict, OperatorChainVerdict) and not verdict.applicable:
+    if not verdict.applicable:
         return EXIT_NOT_APPLICABLE
     return EXIT_PASS if verdict.ok else EXIT_FAIL
 
@@ -210,15 +199,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_CLI_ERRORS = (ValueError, KeyError, OSError, NumericError, OverflowError)
+_CLI_ERRORS = (*TRIAL_ERRORS, KeyError, OSError)
+
+_NEGATIVE_VALUE = re.compile(r"-([0-9.]|inf|nan)", re.IGNORECASE)
+
+
+def _attach_negative_values(argv: list) -> list:
+    """``--opt -0.3,0.5`` as ``--opt=-0.3,0.5``. argparse takes a value that
+    starts with a minus sign and is not a plain negative number (``-0.3,0.5``,
+    ``-1e-3``, ``-inf``) for an option; no option of ``oel`` looks like one."""
+    out = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_VALUE.match(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
-        if getattr(args, "tol", None) is None and args.verb in ("verify", "fuzz"):
-            args.tol = _default_tol()
+        if args.verb in ("verify", "fuzz"):
+            args.tol = _tolerance(args.tol)
         return args.fn_cmd(args)
     except _CLI_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

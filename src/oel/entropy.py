@@ -47,7 +47,7 @@ import numpy as np
 
 from . import scalar
 from .chains import DEFAULT_TOL, two_function_gate
-from .errors import NumericError
+from .errors import TRIAL_ERRORS, NumericError
 from .linalg import (
     LoewnerVerdict,
     _loewner,
@@ -447,9 +447,6 @@ def check_ordering_S_Tp_Sp(A, B, p: float, tol: float = DEFAULT_TOL) -> Operator
 
 TWO_FUNCTION_MODES = ("expectation", "congruence", "majorize")
 
-# what evaluating one trial can raise, kept as the trial's outcome
-_TRIAL_ERRORS = (ValueError, NumericError, OverflowError)
-
 
 def _each(specs, rows):
     """``eig_apply`` map sending row j of the eigenvalues through the
@@ -520,7 +517,7 @@ def _gated(mode, f, g, a, b, spectra, errors, tol, grid) -> tuple:
         regime = regimes[i] = {"mode": mode, "fn_f": f[i].id, "fn_g": g[i].id}
         try:
             step = _increments(f[i], g[i], mode, a[i], b[i], spectra[i], max(tol, DEFAULT_TOL), grid, regime)
-        except _TRIAL_ERRORS as exc:
+        except TRIAL_ERRORS as exc:
             errors[i] = exc
             continue
         if step is not None:
@@ -540,7 +537,7 @@ def _expectation(f, g, a, b, A, B, vector_seed, tol, draws, grid) -> list:
     for i in list(steps):
         try:
             unit_vectors[i] = _unit_vectors(vector_seed[i], draws, n)
-        except _TRIAL_ERRORS as exc:
+        except TRIAL_ERRORS as exc:
             errors[i] = exc
             del steps[i]
     rows, layouts = list(steps), [None] * k

@@ -7,3 +7,7 @@ class DomainError(ValueError):
 
 class NumericError(RuntimeError):
     """A numerical routine failed to meet its accuracy contract."""
+
+
+# what evaluating one trial can raise: a fuzz run keeps it as the outcome
+TRIAL_ERRORS = (ValueError, NumericError, OverflowError)

@@ -27,13 +27,15 @@ A^-1/2 B A^-1/2, with no link matrix built. Scalar chains run trial by
 trial. Outcomes are merged back in trial order.
 
 Declaration model: a chain is registered once, with its draw, its checker
-and ``ChainEntry.params``, which ``run``, ``stack`` and ``oel verify`` read.
+and ``ChainEntry.params``; every reader of a chain's params (``run``,
+``stack``, ``oel verify``, serialization, shrinking) reads their types there.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 import operator
 import os
@@ -44,11 +46,10 @@ from typing import Callable
 import numpy as np
 
 from . import chains, entropy, funcs
-from .chains import DEFAULT_TOL, ChainVerdict
-from .entropy import OperatorChainVerdict
-from .errors import NumericError
+from .chains import DEFAULT_TOL
+from .errors import TRIAL_ERRORS
 from .funcs import REGISTRY, FunctionSpec
-from .linalg import EigenDecomposition, eig_apply, eigendecomposition, matrix_to_obj, symmetrize
+from .linalg import EigenDecomposition, eig_apply, eigendecomposition, load_matrix, matrix_to_obj, symmetrize
 
 _U64 = (1 << 64) - 1
 
@@ -99,6 +100,8 @@ class GeneratorConfig:
     regime: dict | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.tol):  # NaN would fail every link, inf pass every one
+            raise ValueError(f"tol must be finite, got {self.tol!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         lo, hi = self.dim_range
@@ -231,8 +234,8 @@ def gen_pd_matrix(cfg: GeneratorConfig, trial: int = 0) -> np.ndarray:
     lo, hi = cfg.scalar_range
     n = _draw_dim(rng, cfg)
     lam = log_uniform(rng, lo, hi, n)
-    (params,) = _realize([{"A": _Pending(lam, rng.normal(size=(n, n)))}])
-    return params["A"]
+    (A,) = _realize([{"pending": _Pending(lam, rng.normal(size=(n, n)))}])[0].values()
+    return A
 
 
 def _constrained(rng, n, m_target, M_target, lo, hi) -> _Pending:
@@ -257,8 +260,8 @@ def gen_constrained_pair(cfg: GeneratorConfig, m_target: float, M_target: float,
         raise ValueError(f"need 0 < m <= M, got {m_target!r}, {M_target!r}")
     rng = trial_rng(cfg.seed, trial)
     lo, hi = cfg.scalar_range
-    (params,) = _realize([{"pair": _constrained(rng, _draw_dim(rng, cfg), m_target, M_target, lo, hi)}])
-    return params["A"], params["B"]
+    A, B = _realize([{"pair": _constrained(rng, _draw_dim(rng, cfg), m_target, M_target, lo, hi)}])[0].values()
+    return A, B
 
 
 def _domain_points(rng, f: FunctionSpec, k: int, margin=0.02):
@@ -305,13 +308,33 @@ def gen_two_function_family(rng):
 
 # --- chain registry -----------------------------------------------------------
 
+def _floats(text: str) -> list:
+    return [float(v) for v in text.split(",") if v.strip() != ""]
+
+
+def _function(name: str) -> FunctionSpec:
+    if name not in REGISTRY:
+        raise ValueError(f"unknown function {name!r}; see `oel list --functions`")
+    return REGISTRY[name]
+
+
+# each parameter type, by ``Param.parser``: (how a value is parsed from its
+# text, how a report writes it); None is a fixed value, its ``default``
+_PARAM_TYPES = {
+    "float": (float, float), "int": (int, int), "str": (str, str), None: (str, str),
+    "floats": (_floats, lambda values: [float(v) for v in values]),
+    "function": (_function, operator.attrgetter("id")), "matrix": (load_matrix, matrix_to_obj),
+}
+
+
 @dataclass(frozen=True)
 class Param:
-    """One parameter of a chain, the key ``name`` of its params: ``oel
-    verify`` parses ``--{option}``, or else the text ``default`` (none:
-    required), with ``cli._PARSERS[parser]``; with ``parser`` None it is
-    ``default``, with no flag. ``when`` tells from the params before it
-    whether the chain reads it; if not, it is left out."""
+    """One parameter of a chain, the key ``name`` of its params, of the type
+    ``parser`` (a key of ``_PARAM_TYPES``). ``oel verify`` reads it from
+    ``--{option}``, or else from the text ``default`` (none: required),
+    through ``parse``; a report writes it through ``write``. With ``parser``
+    None it is ``default``, with no flag. ``when`` tells from the params
+    before it whether the chain reads it; if not, it is left out."""
 
     name: str
     parser: str | None = "float"
@@ -322,6 +345,12 @@ class Param:
     @property
     def option(self) -> str | None:
         return None if self.parser is None else self.flag or self.name.replace("_", "-")
+
+    def parse(self, text: str):
+        return _PARAM_TYPES[self.parser][0](text)
+
+    def write(self, value):
+        return _PARAM_TYPES[self.parser][1](value)
 
 
 @dataclass(frozen=True)
@@ -506,7 +535,7 @@ def _draw_two_function(rng, cfg):
     params = {"fn_f": f, "fn_g": g, "a": a, "b": b, "mode": mode}
     if mode == "expectation":
         lam = rng.uniform(a, b, n)
-        params["A"] = _Pending(lam, rng.normal(size=(n, n)))
+        params["pending"] = _Pending(lam, rng.normal(size=(n, n)))
         params["vector_seed"] = int(rng.integers(0, 2**32))
     elif mode == "congruence":
         params["pair"] = _constrained(rng, n, a, b, 0.5, 2.0)
@@ -516,7 +545,7 @@ def _draw_two_function(rng, cfg):
         v = rng.normal(size=n)
         v /= np.linalg.norm(v)
         shift = float(rng.uniform(0.0, max(lam[0] - a, 0.0)))
-        params["A"] = _Pending(lam, G, shift=shift, v=v)  # B = A - shift v v^T
+        params["pending"] = _Pending(lam, G, shift=shift, v=v)  # B = A - shift v v^T
     return params
 
 
@@ -684,35 +713,11 @@ class FuzzReport:
         }
 
 
-def serialize_params(params: dict) -> dict:
-    out = {}
-    for key, val in params.items():
-        if isinstance(val, np.ndarray):
-            out[key] = matrix_to_obj(val) if val.ndim == 2 else [float(v) for v in val]
-        elif isinstance(val, FunctionSpec):
-            out[key] = val.id
-        elif isinstance(val, (bool, str)) or val is None:
-            out[key] = val
-        elif isinstance(val, (int, np.integer)):
-            out[key] = int(val)
-        elif isinstance(val, (float, np.floating)):
-            out[key] = float(val)
-        elif isinstance(val, (list, tuple)):
-            out[key] = [float(v) for v in val]
-        else:
-            out[key] = repr(val)
-    return out
-
-
-def _classify(verdict):
-    """Returns (outcome, rel_slack) with outcome in {'pass','fail','na'}."""
-    if isinstance(verdict, OperatorChainVerdict):
-        if not verdict.applicable:
-            return "na", None
-        return ("pass" if verdict.ok else "fail"), verdict.min_rel_slack
-    if isinstance(verdict, ChainVerdict):
-        return ("pass" if verdict.ok else "fail"), verdict.min_rel_slack
-    raise TypeError(f"unexpected verdict {verdict!r}")
+def serialize_params(entry: ChainEntry, params: dict) -> dict:
+    """The JSON object of a trial's params: each declared name they hold, in
+    declared order, written per its type (a matrix as ``{"n", "data"}``, a
+    function as its id, a list as floats)."""
+    return {prm.name: prm.write(params[prm.name]) for prm in entry.params if prm.name in params}
 
 
 FUZZ_BLOCK = 64  # trials drawn and evaluated together; bounds the stacks' memory
@@ -722,23 +727,25 @@ def _attempt(run, params: dict, tol: float):
     """The verdict of one trial, or the exception that refuses or fails it."""
     try:
         return run(params, tol)
-    except (ValueError, NumericError, OverflowError) as exc:
+    except TRIAL_ERRORS as exc:
         return exc
 
 
 def _evaluate(entry: ChainEntry, params: list, tol: float) -> list:
-    """One outcome per trial of a block, in trial order."""
+    """One outcome per trial of a block, in trial order: one stack per shape
+    of the declared matrices."""
     if entry.stack is None:
         return [_attempt(entry.run, p, tol) for p in params]
+    matrices = [prm.name for prm in entry.params if prm.parser == "matrix"]
     groups: dict = {}
     for i, p in enumerate(params):
-        groups.setdefault((np.shape(p["A"]), np.shape(p.get("B"))), []).append(i)
+        groups.setdefault(tuple(np.shape(p.get(name)) for name in matrices), []).append(i)
     outcomes = [None] * len(params)
     for rows in groups.values():
         stack = [params[i] for i in rows]
         try:
             results = entry.stack(stack, tol)
-        except (ValueError, NumericError, OverflowError):
+        except TRIAL_ERRORS:
             # an error the stack cannot pin on one trial: evaluate each alone
             results = [_attempt(entry.run, p, tol) for p in stack]
         for i, result in zip(rows, results):
@@ -762,7 +769,6 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
     start = time.perf_counter()
     failures = []
     slack_rows = []
-    min_slack = None
     n_na = 0
     n_rejected = 0
     streams = TrialStreams(cfg.seed)
@@ -777,25 +783,22 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
                 n_rejected += 1
                 continue
             if isinstance(verdict, Exception):
-                failures.append({"trial": trial, "error": str(verdict), "params": serialize_params(params)})
+                failures.append({"trial": trial, "error": str(verdict), "params": serialize_params(entry, params)})
                 continue
-            outcome, rel_slack = _classify(verdict)
-            if outcome == "na":
+            if not verdict.applicable:
                 n_na += 1
                 continue
-            if rel_slack is not None:
-                slack_rows.append((trial, rel_slack))
-                if min_slack is None or rel_slack < min_slack:
-                    min_slack = rel_slack
-            if outcome == "fail":
-                failures.append({"trial": trial, "min_rel_slack": rel_slack, "params": serialize_params(params)})
+            rel_slack = verdict.min_rel_slack  # an applicable verdict decided at least one link
+            slack_rows.append((trial, rel_slack))
+            if not verdict.ok:
+                failures.append({"trial": trial, "min_rel_slack": rel_slack, "params": serialize_params(entry, params)})
     return FuzzReport(
         chain_id=chain_id,
         trials_run=cfg.trials,
         not_applicable=n_na,
         rejected=n_rejected,
         failures=failures,
-        min_slack=min_slack,
+        min_slack=min((slack for _, slack in slack_rows), default=None),
         seed=cfg.seed,
         elapsed_s=time.perf_counter() - start,
         slack_rows=slack_rows,
@@ -814,32 +817,25 @@ _CANONICAL = {
 }
 
 
-def _project_matrices(params: dict, k: int) -> dict:
-    A = params["A"]
-    eig = eigendecomposition(A)
-    V = eig.vectors[:, -k:]  # leading eigenvectors
-    out = dict(params)
-    for key in ("A", "B"):
-        if key in params and isinstance(params[key], np.ndarray):
-            out[key] = symmetrize(V.T @ params[key] @ V)
-    return out
-
-
 def shrink_witness(chain_id: str, witness: dict, tol: float = DEFAULT_TOL, max_steps: int = 200) -> dict:
     """Greedily reduce a failing parameter set while the failure persists.
 
-    Matrix pairs shrink by congruence projection onto leading eigenvectors;
-    scalars bisect toward canonical values. The returned witness fails the
-    same chain at the same tolerance.
+    ``witness`` holds live params, as drawn. Its declared matrices shrink by
+    congruence projection onto leading eigenvectors of the first; its
+    declared numbers bisect toward canonical values. The returned witness
+    fails the same chain at the same tolerance.
     """
     entry = CHAINS[chain_id]
+    held = [prm for prm in entry.params if prm.name in witness]
+    matrices = [prm.name for prm in held if prm.parser == "matrix"]
+    numeric = {prm.name: prm.parser for prm in held if prm.parser in ("float", "int")}
 
     def fails(p) -> bool:
         try:
-            outcome, _ = _classify(entry.run(p, tol))
-        except (ValueError, NumericError, OverflowError):
+            verdict = entry.run(p, tol)
+        except TRIAL_ERRORS:
             return False
-        return outcome == "fail"
+        return verdict.applicable and not verdict.ok
 
     if not fails(witness):
         raise ValueError("witness does not fail the chain at this tolerance")
@@ -848,9 +844,10 @@ def shrink_witness(chain_id: str, witness: dict, tol: float = DEFAULT_TOL, max_s
     improved = True
     while improved and steps < max_steps:
         improved = False
-        if isinstance(params.get("A"), np.ndarray) and params["A"].shape[0] > 1:
+        if matrices and len(params[matrices[0]]) > 1:
             steps += 1
-            candidate = _project_matrices(params, params["A"].shape[0] - 1)
+            V = eigendecomposition(params[matrices[0]]).vectors[:, 1:]  # the n - 1 leading eigenvectors
+            candidate = {**params, **{name: symmetrize(V.T @ params[name] @ V) for name in matrices}}
             if fails(candidate):
                 params = candidate
                 improved = True
@@ -858,10 +855,10 @@ def shrink_witness(chain_id: str, witness: dict, tol: float = DEFAULT_TOL, max_s
         for key, canon in _CANONICAL.items():
             if steps >= max_steps:
                 break
-            val = params.get(key)
-            if isinstance(val, bool) or not isinstance(val, (int, float, np.integer, np.floating)):
+            if key not in numeric:
                 continue
-            if isinstance(val, (int, np.integer)):
+            val = params[key]
+            if numeric[key] == "int":
                 cand = int(canon + (int(val) - canon) // 2)
                 if cand == val:
                     continue
@@ -881,26 +878,18 @@ def shrink_witness(chain_id: str, witness: dict, tol: float = DEFAULT_TOL, max_s
 # --- report emission --------------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
-        return "null"
-    return format(float(x), ".17g")
+    return format(float(x), ".17g") if math.isfinite(x) else "null"
 
 
 def _emit_json(obj) -> str:
     """Minimal JSON writer: floats carry 17 significant digits so every
     value round-trips exactly, and byte output is deterministic."""
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
+    if obj is None or isinstance(obj, (bool, str)):
+        return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
     if isinstance(obj, dict):

@@ -214,6 +214,46 @@ def test_env_var_tolerance(monkeypatch, capsys):
     assert main(["verify", "cor-3.8", "--a", "2", "--b", "2", "--t", "0.5"]) == 2
 
 
+NON_FINITE = ["nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("tol", NON_FINITE)
+def test_verify_refuses_non_finite_tol(tol, capsys):
+    for argv in (["--tol", tol], [f"--tol={tol}"]):
+        assert main(["verify", "cor-3.8", "--a", "4", "--b", "1", "--t", "0.25", *argv]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "must be finite" in out.err
+
+
+@pytest.mark.parametrize("tol", NON_FINITE)
+def test_fuzz_refuses_non_finite_tol(tol, capsys):
+    assert main(["fuzz", "zou", "--trials", "2", "--tol", tol]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "must be finite" in out.err
+
+
+@pytest.mark.parametrize("tol", NON_FINITE)
+def test_env_var_refuses_non_finite_tol(tol, monkeypatch, capsys):
+    monkeypatch.setenv("OEL_DEFAULT_TOL", tol)
+    assert main(["verify", "cor-3.8", "--a", "4", "--b", "1", "--t", "0.25"]) == 2
+    assert "OEL_DEFAULT_TOL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", [
+    ["--x", "-0.3,0.5", "--t", "0.5"],
+    ["--x", "-0.3,0.5", "--t", "0.5", "--tol", "-1e-3"],  # an exponent form is not a plain negative number
+    ["--x", "-0.3,-0.1", "--t", "0.5", "--tol", "-1"],
+])
+def test_spaced_negative_values_parse_like_attached_ones(values, capsys):
+    base = ["verify", "cor-2.4", "--fn", "quad-exp-1-0", "--w", "0.5,0.5"]
+    attached = [f"{opt}={val}" for opt, val in zip(values[::2], values[1::2])]
+    code = main(base + attached)
+    out = capsys.readouterr().out
+    assert code in (0, 1) and out
+    assert main(base + values) == code
+    assert capsys.readouterr().out == out
+
+
 def test_refusal_messages_print_plain_floats(tmp_path, capsys):
     # numpy scalars print as np.float64(...) under numpy 2 and bare under 1.x
     a, b, c = tmp_path / "A.json", tmp_path / "B.json", tmp_path / "C.json"

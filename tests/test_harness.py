@@ -22,6 +22,13 @@ def test_config_validation():
         GeneratorConfig(scalar_range=(-1.0, 2.0))
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite_tol(tol):
+    # NaN would fail every link with positive slack, inf pass every link
+    with pytest.raises(ValueError, match="tol must be finite"):
+        GeneratorConfig(tol=tol)
+
+
 @pytest.mark.parametrize("regime", [
     {"bogus": 1.0},
     {"mode": "bogus"},
@@ -186,6 +193,17 @@ def test_shrink_commuting_witness_to_scalar():
     assert verdict.status == "fail"
 
 
+def test_shrink_thm_2_12_expectation_witness_with_a_and_no_b():
+    cfg = GeneratorConfig(seed=5, trials=1, dim_range=(4, 4), tol=-1.0, regime={"mode": "expectation"})
+    witness = CHAINS["thm-2.12"].generate(trial_rng(cfg.seed, 0), cfg)
+    assert "B" not in witness and witness["A"].shape == (4, 4)
+    shrunk = shrink_witness("thm-2.12", witness, tol=-1.0)
+    assert "B" not in shrunk
+    assert shrunk["A"].shape == (1, 1)
+    assert shrunk["vector_seed"] == witness["vector_seed"]  # not a number to bisect
+    assert CHAINS["thm-2.12"].run(shrunk, -1.0).status == "fail"
+
+
 def test_shrink_requires_failing_witness():
     witness = {"A": np.eye(2), "B": np.diag([2.0, 3.0]), "t": 0.5}
     with pytest.raises(ValueError):
@@ -262,6 +280,44 @@ def test_failures_recorded_with_serialized_params():
     assert rep_op.failures[0]["params"]["A"]["n"] >= 2
 
 
+# how a failure record writes a value of each declared parameter type
+_WRITTEN = {
+    "matrix": lambda val: {"n": val.shape[0], "data": val.tolist()},
+    "function": lambda val: val.id,
+    "floats": lambda val: [float(v) for v in val],
+    "float": float,
+    "int": int,
+    "str": str,
+    None: str,
+}
+
+
+def test_failure_records_write_declared_params_per_type():
+    # at tol=-1 every applicable link fails, so every chain and every
+    # thm-2.12 mode leaves records that send its params through serialize_params
+    configs = [GeneratorConfig(seed=3, trials=12, dim_range=(1, 3), tol=-1.0)]
+    configs += [GeneratorConfig(seed=3, trials=6, tol=-1.0, regime={"mode": mode}) for mode in entropy.TWO_FUNCTION_MODES]
+    seen = set()
+    for cfg in configs:
+        for entry in CHAINS.values():
+            if cfg.regime and entry.id != "thm-2.12":
+                continue
+            rep = fuzz_chain(entry.id, cfg)
+            assert rep.failures, entry.id
+            for record in rep.failures:
+                drawn = entry.generate(trial_rng(cfg.seed, record["trial"]), cfg)
+                held = [prm for prm in entry.params if prm.name in drawn]
+                assert list(record["params"]) == [prm.name for prm in held] == list(drawn), entry.id
+                for prm in held:
+                    written = record["params"][prm.name]
+                    assert written == _WRITTEN[prm.parser](drawn[prm.name]), (entry.id, prm.name)
+                    assert type(written) is type(_WRITTEN[prm.parser](drawn[prm.name]))
+                    if prm.parser == "floats":
+                        assert all(type(v) is float for v in written)
+                    seen.add(prm.parser)
+    assert seen == set(_WRITTEN)
+
+
 def _per_trial_reference(chain_id: str, cfg: GeneratorConfig) -> dict:
     """What fuzz_chain aggregates, from generating and running each trial on
     its own: CHAINS[chain_id].generate on the trial's stream, then .run."""
@@ -275,7 +331,7 @@ def _per_trial_reference(chain_id: str, cfg: GeneratorConfig) -> dict:
             rejected += 1
             continue
         except (NumericError, OverflowError) as exc:
-            failures.append({"trial": trial, "error": str(exc), "params": harness.serialize_params(params)})
+            failures.append({"trial": trial, "error": str(exc), "params": harness.serialize_params(entry, params)})
             continue
         if not verdict.applicable:
             na += 1
@@ -283,7 +339,7 @@ def _per_trial_reference(chain_id: str, cfg: GeneratorConfig) -> dict:
         slack = verdict.min_rel_slack
         rows.append((trial, slack))
         if not verdict.ok:
-            failures.append({"trial": trial, "min_rel_slack": slack, "params": harness.serialize_params(params)})
+            failures.append({"trial": trial, "min_rel_slack": slack, "params": harness.serialize_params(entry, params)})
     return {
         "slack_rows": rows,
         "failures": failures,
