@@ -25,12 +25,12 @@ The two-function comparison of thm-2.12 (``two_function_stack``) takes
 trials whose function pair, interval and mode vary from trial to trial,
 and evaluates one stack per mode that meets each trial's refusals in the
 order its one-trial evaluation meets them. Congruence mode is factored by
-``_Pairs`` and decided on the spectrum of X. In expectation mode each
-trial's seeded unit vectors h give the quadratic forms <Ah,h> and
-<g(A)h,h> of the whole stack in one batched product. Majorize mode
-compares f(B) with a multiple of g(A), which are not functions of one X,
-and is the one mode that makes Loewner checks on matrices. The
-admissibility gate of each function pair runs per trial.
+``_Pairs`` and decided on the spectrum of X. Expectation mode is decided
+on the spectrum of A, at each trial's worst unit vector h, which it finds
+exactly from the eigenvalues of A and the values of f, f' and g at them.
+Majorize mode compares f(B) with a multiple of g(A), which are not
+functions of one X, and is the one mode that makes Loewner checks on
+matrices. The admissibility gate of each function pair runs per trial.
 
 Hypothesis mismatches (a pair outside a theorem's spectral regime) yield a
 verdict with status "not-applicable"; only genuine link violations count as
@@ -454,20 +454,6 @@ def _each(specs, rows):
     return lambda lam: np.array([specs[i].eval(row) for i, row in zip(rows, lam)])
 
 
-def _unit_vectors(seed: int, draws: int, n: int) -> np.ndarray:
-    """``draws`` random unit vectors of R^n, from the Philox stream keyed by
-    (seed, 0)."""
-    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    H = rng.normal(size=(draws, n))
-    H /= np.linalg.norm(H, axis=1)[:, None]
-    return H
-
-
-def _quadratic_forms(H: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """<M h, h> for every row h of each H[i] against M[i]."""
-    return np.einsum("...ij,...ij->...i", H @ M, H)
-
-
 def _hulls(*values) -> list:
     """The spectral hull (min, max) of each trial over its rows of the
     stacks of ascending eigenvalues ``values``."""
@@ -525,41 +511,80 @@ def _gated(mode, f, g, a, b, spectra, errors, tol, grid) -> tuple:
     return regimes, steps
 
 
-def _expectation(f, g, a, b, A, B, vector_seed, tol, draws, grid) -> list:
-    """Expectation mode: the worst of ``draws`` seeded unit vectors h per
-    trial, its two sides decided as (k, 1) rows; B is not read."""
+def _bisect(d, lo: float, hi: float) -> float:
+    """Where the nondecreasing ``d`` changes sign in [lo, hi], given d(lo) < 0
+    < d(hi), to the resolution of floats."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if d(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _worst_unit_vector(f, g, a, b, df, dg, lam) -> tuple:
+    """(x, [i, j], w, lhs, rhs) of the unit vector h = sqrt(w) v_i + sqrt(1 -
+    w) v_j of mean x = <Ah, h> at which phi(x) = df gc(x) - dg f(x) of one
+    trial is least, and its two sides lhs = dg f(x) and rhs = df gc(x): at
+    the eigenvalue l_i where phi is least, or at the root of phi' on a chord
+    (l_j, l_{j+1}) where phi' turns from negative to positive, if phi is less
+    there. ``lam`` holds the ascending eigenvalues; f and f' are read at
+    points clipped to [a, b]."""
+    g_lam = g.eval(lam)
+    clipped = np.clip(lam, a, b)
+    lower, upper = dg * f.eval(clipped), df * g_lam
+    i = int(np.argmin(upper - lower))
+    best = (upper[i] - lower[i], lam[i], [i, i], 1.0, lower[i], upper[i])
+    fp = f.deriv(clipped)
+    width = np.diff(lam)
+    slope = np.divide(np.diff(g_lam), width, out=np.zeros_like(width), where=width > 0.0)
+    turns = (width > 0.0) & (df * slope < dg * fp[:-1]) & (df * slope > dg * fp[1:])
+    for j in np.flatnonzero(turns).tolist():
+        lo, hi, s = lam[j], lam[j + 1], slope[j]
+        root = _bisect(lambda x: df * s - dg * f.deriv(min(max(x, a), b)), lo, hi)
+        w = (hi - root) / (hi - lo)
+        x = w * lo + (1.0 - w) * hi
+        lhs, rhs = dg * f.eval(min(max(x, a), b)), df * (w * g_lam[j] + (1.0 - w) * g_lam[j + 1])
+        if rhs - lhs < best[0]:
+            best = (rhs - lhs, x, [j, j + 1], w, lhs, rhs)
+    return best[1:]
+
+
+def _expectation(f, g, a, b, A, B, tol, grid) -> list:
+    """Expectation mode, decided at each trial's worst unit vector h; B is
+    not read.
+
+    In A's eigenbasis (l_i, v_i), a unit vector h has weights w_i = <h,
+    v_i>**2 of mean x = <Ah, h> = sum w_i l_i, and the link's slack is
+    df sum w_i g(l_i) - dg f(x), with (df, dg) the increments of (f, g) on
+    [a, b]. For a fixed x its least value over the weights is phi(x) = df
+    gc(x) - dg f(x), gc being the chord polyline through the points (l_i,
+    g(l_i)), because the gate certifies that g is convex and df >= 0. With
+    dg >= 0 and f concave, phi is convex, so ``_worst_unit_vector`` finds
+    its minimum exactly; with dg < 0, which the gate allows within its
+    slack, phi is concave on each chord and the minimum is at an l_i. The
+    regime records the worst mean "x", the "pair" [i, j] and "weight" w of
+    its witness h = sqrt(w) v_i + sqrt(1 - w) v_j, and "worst_rel_slack";
+    the two sides at h are decided as (k, 1) rows.
+    """
     A, errors_a = _symmetric_stack(A)
     eig_a, errors_pd = _pd_eig(A, "A")
     errors = _first(errors_a, errors_pd)
     regimes, steps = _gated("expectation", f, g, a, b, _hulls(eig_a.values), errors, tol, grid)
-    k, n = A.shape[:2]
-    unit_vectors = {}
-    for i in list(steps):
-        try:
-            unit_vectors[i] = _unit_vectors(vector_seed[i], draws, n)
-        except TRIAL_ERRORS as exc:
-            errors[i] = exc
-            del steps[i]
-    rows, layouts = list(steps), [None] * k
+    k = len(errors)
+    layouts = [None] * k
     links = {"lhs(h)": np.zeros((k, 1)), "rhs(h)": np.zeros((k, 1))}
-    if rows:
-        gA = eig_apply(eig_a.take(rows), _each(g, rows))
-        H = np.stack([unit_vectors[i] for i in rows])
-        quad_A = _quadratic_forms(H, A[rows])
-        quad_g = _quadratic_forms(H, gA)
-        lo, hi = _column([regimes[i]["a"] for i in rows]), _column([regimes[i]["b"] for i in rows])
-        f_quad = np.array([f[i].eval(row) for i, row in zip(rows, np.clip(quad_A, lo, hi))])
-        lhs = _column([steps[i][1] for i in rows]) * f_quad
-        rhs = _column([steps[i][0] for i in rows]) * quad_g
-        rel = (rhs - lhs) / np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-        for j, (i, w) in enumerate(zip(rows, np.argmin(rel, axis=1))):
-            regimes[i].update({"draws": draws, "worst_rel_slack": float(rel[j, w])})
-            links["lhs(h)"][i], links["rhs(h)"][i] = lhs[j, w], rhs[j, w]
-            layouts[i] = ("lhs(h)", "rhs(h)")
+    for i, (df, dg) in steps.items():
+        regime = regimes[i]
+        x, pair, w, lhs, rhs = _worst_unit_vector(f[i], g[i], regime["a"], regime["b"], df, dg, eig_a.values[i])
+        rel = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
+        regime.update({"x": float(x), "pair": pair, "weight": float(w), "worst_rel_slack": float(rel)})
+        links["lhs(h)"][i], links["rhs(h)"][i] = lhs, rhs
+        layouts[i] = ("lhs(h)", "rhs(h)")
     return _decide("thm-2.12", links, layouts, regimes, errors, tol, lambda i, name: links[name][i].reshape(1, 1))
 
 
-def _congruence(f, g, a, b, A, B, vector_seed, tol, draws, grid) -> list:
+def _congruence(f, g, a, b, A, B, tol, grid) -> list:
     """Congruence mode: f(X) <= ratio g(X), decided on the spectrum of X
     like the pair chains."""
     pairs = _Pairs(A, B)
@@ -580,7 +605,7 @@ def _congruence(f, g, a, b, A, B, vector_seed, tol, draws, grid) -> list:
     return _decide("thm-2.12", links, layouts, regimes, pairs.errors, tol, lift)
 
 
-def _majorize(f, g, a, b, A, B, vector_seed, tol, draws, grid) -> list:
+def _majorize(f, g, a, b, A, B, tol, grid) -> list:
     """Majorize mode: f(B) <= ratio g(A) where B <= A, by Loewner checks on
     the matrices. A's refusals come before B's, also when the B are not
     square."""
@@ -617,16 +642,14 @@ def _majorize(f, g, a, b, A, B, vector_seed, tol, draws, grid) -> list:
 _MODE_STACKS = {"expectation": _expectation, "congruence": _congruence, "majorize": _majorize}
 
 
-def two_function_stack(f, g, a, b, mode, A, B, vector_seed, tol: float = DEFAULT_TOL,
-                       draws: int = 1000, grid: int = 257) -> list:
+def two_function_stack(f, g, a, b, mode, A, B, tol: float = DEFAULT_TOL, grid: int = 257) -> list:
     """``check_two_function_operator`` over a stack of k trials: one outcome
     per trial.
 
-    ``f``, ``g``, ``a``, ``b``, ``mode``, ``A``, ``B`` and ``vector_seed``
-    hold one value per trial, [a, b] being the trial's interval (its
-    spectral hull where a is None). B is read outside expectation mode
-    alone, and may be None there; ``vector_seed`` is read in expectation
-    mode alone. A trial with an unknown mode or a missing B is refused;
+    ``f``, ``g``, ``a``, ``b``, ``mode``, ``A`` and ``B`` hold one value
+    per trial, [a, b] being the trial's interval (its spectral hull where a
+    is None). B is read outside expectation mode alone, and may be None
+    there. A trial with an unknown mode or a missing B is refused;
     the others go to one stack per mode, which meets a trial's refusals in
     the order its one-trial evaluation meets them. Matrices of a mode that
     are not one stack of square matrices raise, as in the pair chains,
@@ -642,8 +665,8 @@ def two_function_stack(f, g, a, b, mode, A, B, vector_seed, tol: float = DEFAULT
         else:
             rows.setdefault(m, []).append(i)
     for m, trials in rows.items():
-        columns = ([column[i] for i in trials] for column in (f, g, a, b, A, B, vector_seed))
-        for i, outcome in zip(trials, _MODE_STACKS[m](*columns, tol, draws, grid)):
+        columns = ([column[i] for i in trials] for column in (f, g, a, b, A, B))
+        for i, outcome in zip(trials, _MODE_STACKS[m](*columns, tol, grid)):
             outcomes[i] = outcome
     return outcomes
 
@@ -656,8 +679,6 @@ def check_two_function_operator(
     mode="expectation",
     interval=None,
     tol: float = DEFAULT_TOL,
-    draws: int = 1000,
-    vector_seed: int = 0,
     grid: int = 257,
 ) -> OperatorChainVerdict:
     """Operator comparison of a gated function pair.
@@ -665,8 +686,10 @@ def check_two_function_operator(
     ``interval`` is the [a, b] window on which the admissibility gate runs;
     it defaults to the relevant spectral hull. Modes:
 
-    - expectation: (g(b)-g(a)) f(<Ah,h>) <= (f(b)-f(a)) <g(A)h,h> over
-      seeded random unit vectors h; the verdict carries the worst pair.
+    - expectation: (g(b)-g(a)) f(<Ah,h>) <= (f(b)-f(a)) <g(A)h,h> for
+      every unit vector h, decided exactly at the worst h, which lies in
+      the span of at most two adjacent eigenvectors of A; the regime
+      records it and the verdict carries its two sides.
     - congruence: sandwich comparison for a pair with relative spectrum in
       [a, b], scaled by the increment ratio.
     - majorize: f(B) <= ratio * g(A) for B <= A with both spectra in [a, b].
@@ -676,4 +699,4 @@ def check_two_function_operator(
     that a negative ``tol`` makes failures instead of not-applicable trials.
     """
     a, b = (None, None) if interval is None else interval
-    return _single(two_function_stack([f], [g], [a], [b], [mode], [A], [B], [vector_seed], tol, draws, grid))
+    return _single(two_function_stack([f], [g], [a], [b], [mode], [A], [B], tol, grid))

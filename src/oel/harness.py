@@ -536,7 +536,6 @@ def _draw_two_function(rng, cfg):
     if mode == "expectation":
         lam = rng.uniform(a, b, n)
         params["pending"] = _Pending(lam, rng.normal(size=(n, n)))
-        params["vector_seed"] = int(rng.integers(0, 2**32))
     elif mode == "congruence":
         params["pair"] = _constrained(rng, n, a, b, 0.5, 2.0)
     else:
@@ -682,7 +681,6 @@ _operator_chain(
         _fn("log-wide", "fn_f"), _fn("lin-0.04-0.12", "fn_g"),
         Param("a", default="1.5"), Param("b", default="4.0"), Param("mode", "str", "expectation"), _A,
         Param("B", "matrix", when=lambda p: p["mode"] != "expectation"),
-        Param("vector_seed", "int", "0", flag="seed", when=lambda p: p["mode"] == "expectation"),
     ),
 )
 
@@ -899,7 +897,7 @@ def _emit_json(obj) -> str:
 
 def report_document(reports: list, include_timing: bool = False) -> dict:
     return {
-        "version": 5,
+        "version": 6,
         "seed": reports[0].seed if reports else 0,
         "chains": [r.to_obj(include_timing) for r in reports],
     }

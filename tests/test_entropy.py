@@ -6,7 +6,7 @@ import pytest
 
 from oel import entropy, scalar
 from oel.errors import NumericError
-from oel.funcs import REGISTRY
+from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, fuzz_chain, trial_rng
 from oel.linalg import eigendecomposition, loewner_compare
 
@@ -203,7 +203,9 @@ def test_two_function_operator_modes():
     g = REGISTRY["lin-0.04-0.12"]
     A = np.diag([1.5, 2.0, 4.0])
     v = entropy.check_two_function_operator(f, g, A, mode="expectation", interval=(1.5, 4.0))
-    assert v.ok and v.regime["draws"] == 1000
+    i, j = v.regime["pair"]
+    assert v.ok and j - i in (0, 1) and 1.5 <= v.regime["x"] <= 4.0
+    assert v.regime["worst_rel_slack"] == v.min_rel_slack
     # congruence mode on a pair with relative spectrum inside the window
     A2 = np.diag([1.0, 2.0])
     B2 = np.diag([1.5, 2.0 * 3.9])
@@ -323,24 +325,24 @@ def test_two_function_stack_outcomes_match_single_trials():
     A_maj = _rotated(rng, [2.0, 2.5, 3.5])
     asymmetric = A_maj - 0.1 * np.outer(v, v)
     asymmetric[0, 1] += 1e-3
-    trials = [  # (mode, A, B, vector_seed)
-        ("expectation", _rotated(rng, [1.6, 2.5, 3.9]), None, 1),
-        ("expectation", np.diag([-1.0, 2.0, 3.0]), None, 2),  # A not positive-definite
-        ("congruence", np.diag([1.0, 2.0, 0.5]), np.diag([1.6, 7.0, 1.9]), 0),
-        ("majorize", A_maj, A_maj - 0.1 * np.outer(v, v), 0),
-        ("majorize", A_maj, asymmetric, 0),  # B not symmetric
-        ("majorize", A_maj, A_maj + 0.1 * np.outer(v, v), 0),  # B <= A fails
-        ("expectation", _rotated(rng, [2.0, 2.0, 3.0]), np.eye(3), 3),  # B ignored
-        ("congruence", np.eye(3), None, 0),  # B missing
-        ("bogus", np.eye(3), np.eye(3), 0),
+    trials = [  # (mode, A, B)
+        ("expectation", _rotated(rng, [1.6, 2.5, 3.9]), None),
+        ("expectation", np.diag([-1.0, 2.0, 3.0]), None),  # A not positive-definite
+        ("congruence", np.diag([1.0, 2.0, 0.5]), np.diag([1.6, 7.0, 1.9])),
+        ("majorize", A_maj, A_maj - 0.1 * np.outer(v, v)),
+        ("majorize", A_maj, asymmetric),  # B not symmetric
+        ("majorize", A_maj, A_maj + 0.1 * np.outer(v, v)),  # B <= A fails
+        ("expectation", _rotated(rng, [2.0, 2.0, 3.0]), np.eye(3)),  # B ignored
+        ("congruence", np.eye(3), None),  # B missing
+        ("bogus", np.eye(3), np.eye(3)),
     ]
-    modes, A, B, seeds = (list(column) for column in zip(*trials))
+    modes, A, B = (list(column) for column in zip(*trials))
     k = len(trials)
-    stacked = entropy.two_function_stack([f] * k, [g] * k, [1.5] * k, [4.0] * k, modes, A, B, seeds)
+    stacked = entropy.two_function_stack([f] * k, [g] * k, [1.5] * k, [4.0] * k, modes, A, B)
     statuses = []
-    for i, (mode, a, b, seed) in enumerate(trials):
+    for i, (mode, a, b) in enumerate(trials):
         try:
-            alone = entropy.check_two_function_operator(f, g, a, b, mode=mode, interval=(1.5, 4.0), vector_seed=seed)
+            alone = entropy.check_two_function_operator(f, g, a, b, mode=mode, interval=(1.5, 4.0))
         except ValueError as exc:
             assert type(stacked[i]) is type(exc) and str(stacked[i]) == str(exc), i
             statuses.append(str(exc).split(":")[0])
@@ -381,29 +383,98 @@ def test_two_function_stack_refusal_order_follows_the_single_trial():
             entropy.check_two_function_operator(f, g, a, b, mode=mode, interval=(1.5, 4.0))
 
 
+# a convex g that is not affine, so that <g(A)h, h> differs from g(<Ah, h>):
+# g(x) = 0.02 (9 + (x - 1.5)**2) passes the gate with f = log-wide on [1.5, 4],
+# as 9 >= (b - a)**2 f(b) / (f(b) - f(a)) = 8.83 meets the increment condition
+# and 0.02 <= f(a) / (9 + (b - a)**2) = 0.027 keeps g below f
+QUAD_G = FunctionSpec("quad-g", (0.0, 50.0), lambda x: 0.02 * (9.0 + (x - 1.5) ** 2),
+                      lambda x: 0.04 * (x - 1.5), frozenset({"convex"}))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_expectation_worst_slack_matches_mpmath_oracle(n):
-    # every relative slack recomputed in 50-digit arithmetic from the same
-    # unit vectors; f = log and g(x) = 0.04 x + 0.12, so g(A) = 0.04 A + 0.12 I
+    # in 50-digit arithmetic, on the eigenvalues l of A, phi(x) = df gc(x) -
+    # dg log x, gc the chord polyline through the points (l, g(l)), is least
+    # at a vertex or where phi' = df slope - dg / x vanishes inside a chord
     mpmath = pytest.importorskip("mpmath")
-    f, g = REGISTRY["log-wide"], REGISTRY["lin-0.04-0.12"]
-    a, b, seed, draws = 1.5, 4.0, 50 + n, 1000
+    f, a, b = REGISTRY["log-wide"], 1.5, 4.0
     A = _rotated(np.random.default_rng(n), np.linspace(1.7, 3.8, n))
-    verdict = entropy.check_two_function_operator(f, g, A, mode="expectation", interval=(a, b), vector_seed=seed)
-    H = entropy._unit_vectors(seed, draws, n)
+    verdict = entropy.check_two_function_operator(f, QUAD_G, A, mode="expectation", interval=(a, b))
     with mpmath.workdps(50):
-        slope, intercept = mpmath.mpf(0.04), mpmath.mpf(0.12)
-        df = mpmath.log(b) - mpmath.log(a)
-        dg = slope * (b - a)
-        rows = [[mpmath.mpf(x) for x in row] for row in A.tolist()]
-        worst = mpmath.inf
-        for h in H.tolist():
-            h = [mpmath.mpf(x) for x in h]
-            quad = mpmath.fsum(h[i] * rows[i][j] * h[j] for i in range(n) for j in range(n))
-            lhs = dg * mpmath.log(min(max(quad, a), b))
-            rhs = df * (slope * quad + intercept * mpmath.fsum(x * x for x in h))  # df <g(A)h, h>
-            worst = min(worst, (rhs - lhs) / max(1, abs(lhs), abs(rhs)))
-        assert verdict.regime["worst_rel_slack"] == pytest.approx(float(worst), abs=1e-13, rel=0.0)
+        g = lambda x: mpmath.mpf(0.02) * (9 + (x - mpmath.mpf(a)) ** 2)
+        df, dg = mpmath.log(b) - mpmath.log(a), g(mpmath.mpf(b)) - g(mpmath.mpf(a))
+        lam = sorted(mpmath.eigsy(mpmath.matrix(A.tolist()), eigvals_only=True))
+        points = [(x, g(x)) for x in lam]  # (x, gc(x))
+        for l0, l1 in zip(lam, lam[1:]):
+            slope = (g(l1) - g(l0)) / (l1 - l0)
+            root = dg / (df * slope)
+            if l0 < root < l1:
+                points.append((root, g(l0) + slope * (root - l0)))
+        lhs, rhs = min(((dg * mpmath.log(x), df * gx) for x, gx in points), key=lambda s: s[1] - s[0])
+        worst = (rhs - lhs) / max(1, abs(lhs), abs(rhs))
+    assert verdict.regime["worst_rel_slack"] == pytest.approx(float(worst), abs=1e-13, rel=0.0)
+
+
+def _expectation_witness(n):
+    """An expectation-mode verdict on a random A of order n with spectrum in
+    [1.5, 4], and its worst unit vector h rebuilt from the regime."""
+    rng = np.random.default_rng(n)
+    A = _rotated(rng, rng.uniform(1.5, 4.0, n))
+    verdict = entropy.check_two_function_operator(REGISTRY["log-wide"], QUAD_G, A, mode="expectation", interval=(1.5, 4.0))
+    eig = eigendecomposition(A)
+    (i, j), w = verdict.regime["pair"], verdict.regime["weight"]
+    h = math.sqrt(w) * eig.vectors[:, i] + math.sqrt(1.0 - w) * eig.vectors[:, j]
+    return A, (eig.vectors * QUAD_G.eval(eig.values)) @ eig.vectors.T, verdict, h
+
+
+def _expectation_sides(A, gA, H):
+    """The two sides dg f(<Ah, h>) and df <g(A)h, h> of each row h of H."""
+    f, a, b = REGISTRY["log-wide"], 1.5, 4.0
+    df, dg = f.eval(b) - f.eval(a), QUAD_G.eval(b) - QUAD_G.eval(a)
+    return dg * f.eval(np.clip(((H @ A) * H).sum(axis=1), a, b)), df * ((H @ gA) * H).sum(axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 32])
+def test_expectation_witness_reproduces_its_mean_and_sides(n):
+    A, gA, verdict, h = _expectation_witness(n)
+    assert h @ A @ h == pytest.approx(verdict.regime["x"], abs=1e-12, rel=0.0)
+    (lhs,), (rhs,) = _expectation_sides(A, gA, h[None, :])
+    lower, upper = verdict.links
+    assert lhs == pytest.approx(lower[0, 0], abs=1e-12, rel=0.0)
+    assert rhs == pytest.approx(upper[0, 0], abs=1e-12, rel=0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 32])
+def test_expectation_minimum_is_not_beaten_by_random_unit_vectors(n):
+    A, gA, verdict, _ = _expectation_witness(n)
+    H = np.random.default_rng(1000 + n).normal(size=(10_000, n))
+    H /= np.linalg.norm(H, axis=1)[:, None]
+    lhs, rhs = _expectation_sides(A, gA, H)
+    assert (rhs - lhs).min() >= verdict.verdicts[0].min_slack_eigenvalue - 1e-13
+
+
+def test_expectation_on_a_multiple_of_the_identity():
+    # every chord has zero width, or one of rounding size once rotated
+    for A in (2.5 * np.eye(4), _rotated(np.random.default_rng(7), [2.5] * 4)):
+        with np.errstate(all="raise"):
+            v = entropy.check_two_function_operator(REGISTRY["log-wide"], QUAD_G, A, mode="expectation", interval=(1.5, 4.0))
+        assert v.ok and math.isfinite(v.regime["worst_rel_slack"])
+        assert v.regime["x"] == pytest.approx(2.5, abs=1e-12, rel=0.0)
+
+
+def test_expectation_with_g_falling_within_the_gate_slack_is_decided_at_an_eigenvector():
+    # g(b) - g(a) = -5e-10, which the gate admits: phi = df gc + |dg| f is then
+    # concave on each chord, so its least value is at an eigenvalue of A
+    f, a, b, centre = REGISTRY["log-wide"], 1.5, 4.0, 2.75 + 5e-9
+    g = FunctionSpec("dip", (0.0, 50.0), lambda x: 0.02 * (1.0 + (x - centre) ** 2),
+                     lambda x: 0.04 * (x - centre), frozenset({"convex"}))
+    A = _rotated(np.random.default_rng(11), [1.6, 2.2, 2.7, 2.8, 3.3, 3.9])
+    v = entropy.check_two_function_operator(f, g, A, mode="expectation", interval=(a, b))
+    dg, df = g.eval(b) - g.eval(a), f.eval(b) - f.eval(a)
+    assert -1e-9 < dg < 0.0 and v.ok
+    (i, j), lam = v.regime["pair"], eigendecomposition(A).values
+    assert i == j and v.regime["weight"] == 1.0 and v.regime["x"] == lam[i]
+    assert v.verdicts[0].min_slack_eigenvalue == (df * g.eval(lam) - dg * f.eval(lam)).min()
 
 
 # the chains decided on the spectrum of X, with the regime that selects them

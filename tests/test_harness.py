@@ -200,7 +200,7 @@ def test_shrink_thm_2_12_expectation_witness_with_a_and_no_b():
     shrunk = shrink_witness("thm-2.12", witness, tol=-1.0)
     assert "B" not in shrunk
     assert shrunk["A"].shape == (1, 1)
-    assert shrunk["vector_seed"] == witness["vector_seed"]  # not a number to bisect
+    assert set(shrunk) == set(witness) and shrunk["mode"] == "expectation"
     assert CHAINS["thm-2.12"].run(shrunk, -1.0).status == "fail"
 
 
@@ -228,7 +228,7 @@ def test_write_report_roundtrip(tmp_path):
     path = tmp_path / "report.json"
     harness.write_report(reports, path)
     doc = json.loads(path.read_text())
-    assert doc["version"] == 5 and doc["seed"] == 21
+    assert doc["version"] == 6 and doc["seed"] == 21
     assert [c["id"] for c in doc["chains"]] == ["prop-2.1", "cor-3.8"]
     for chain in doc["chains"]:
         assert chain["trials"] == 10
@@ -247,7 +247,7 @@ def test_write_report_empty(tmp_path):
     path = tmp_path / "empty.json"
     harness.write_report([], path)
     doc = json.loads(path.read_text())
-    assert doc == {"version": 5, "seed": 0, "chains": []}
+    assert doc == {"version": 6, "seed": 0, "chains": []}
 
 
 def test_report_timing_flag(tmp_path):
