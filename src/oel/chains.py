@@ -425,16 +425,17 @@ class GateRecord:
     checks: dict = field(default_factory=dict)
 
 
-def two_function_gate(f: FunctionSpec, g: FunctionSpec, a, b, grid=257, tol=DEFAULT_TOL) -> GateRecord:
+GATE_GRID = 257  # points of [a, b] at which the gate samples f and g
+
+
+def two_function_gate(f: FunctionSpec, g: FunctionSpec, a, b, tol=DEFAULT_TOL) -> GateRecord:
     if not b > a:
         raise ValueError(f"need b > a, got a={a!r}, b={b!r}")
-    if grid < 3:
-        raise ValueError("grid must have at least 3 points")
     for spec in (f, g):
         flo, fhi = spec.domain
         if not (flo < a and b < fhi):
             raise DomainError(f"[{a}, {b}] escapes domain {spec.domain!r} of {spec.id!r}")
-    xs = np.linspace(a, b, grid)
+    xs = np.linspace(a, b, GATE_GRID)
     fs = f.eval(xs)
     gs = g.eval(xs)
     scale = max(1.0, float(np.abs(fs).max()), float(np.abs(gs).max()))

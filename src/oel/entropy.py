@@ -462,21 +462,18 @@ def _hulls(*values) -> list:
     return list(zip(lo.tolist(), hi.tolist()))
 
 
-def _increments(f, g, mode, a, b, spectrum, tol, grid, regime):
-    """(f(b) - f(a), g(b) - g(a)) of a trial whose spectrum fits its
-    interval [a, b] (the spectrum itself where a is None) and whose function
-    pair passes the gate there, else None (not applicable); records the
-    reason in ``regime``."""
+def _increments(f, g, mode, a, b, spectrum, tol, regime):
+    """(f(b) - f(a), g(b) - g(a)) of a trial whose spectral hull ``spectrum``
+    fits its interval [a, b] and whose function pair passes the gate there,
+    else None (not applicable); records the reason in ``regime``."""
     spec_lo, spec_hi = spectrum
-    if a is None:
-        a, b = spectrum
     a, b = float(a), float(b)
     regime.update({"a": a, "b": b})
     cushion = REGIME_CUSHION * max(1.0, abs(a), abs(b))
     if spec_lo < a - cushion or spec_hi > b + cushion:
         regime["reason"] = f"spectrum [{spec_lo}, {spec_hi}] escapes [{a}, {b}]"
         return None
-    gate = two_function_gate(f, g, a, b, grid=grid, tol=tol)
+    gate = two_function_gate(f, g, a, b, tol=tol)
     regime["gate"] = gate.checks
     regime["m_ratio"] = gate.m_ratio if np.isfinite(gate.m_ratio) else None
     if not gate.conditions_hold:
@@ -492,7 +489,7 @@ def _increments(f, g, mode, a, b, spectrum, tol, grid, regime):
     return df, dg
 
 
-def _gated(mode, f, g, a, b, spectra, errors, tol, grid) -> tuple:
+def _gated(mode, f, g, a, b, spectra, errors, tol) -> tuple:
     """The regime of each trial of a stack of one mode that ``errors`` does
     not refuse, and by trial the ``_increments`` of those that are
     applicable, ``spectra[i]`` being trial i's spectral hull; an exception
@@ -502,7 +499,7 @@ def _gated(mode, f, g, a, b, spectra, errors, tol, grid) -> tuple:
     for i in [i for i, error in enumerate(errors) if error is None]:
         regime = regimes[i] = {"mode": mode, "fn_f": f[i].id, "fn_g": g[i].id}
         try:
-            step = _increments(f[i], g[i], mode, a[i], b[i], spectra[i], max(tol, DEFAULT_TOL), grid, regime)
+            step = _increments(f[i], g[i], mode, a[i], b[i], spectra[i], max(tol, DEFAULT_TOL), regime)
         except TRIAL_ERRORS as exc:
             errors[i] = exc
             continue
@@ -550,7 +547,7 @@ def _worst_unit_vector(f, g, a, b, df, dg, lam) -> tuple:
     return best[1:]
 
 
-def _expectation(f, g, a, b, A, B, tol, grid) -> list:
+def _expectation(f, g, a, b, A, B, tol) -> list:
     """Expectation mode, decided at each trial's worst unit vector h; B is
     not read.
 
@@ -570,7 +567,7 @@ def _expectation(f, g, a, b, A, B, tol, grid) -> list:
     A, errors_a = _symmetric_stack(A)
     eig_a, errors_pd = _pd_eig(A, "A")
     errors = _first(errors_a, errors_pd)
-    regimes, steps = _gated("expectation", f, g, a, b, _hulls(eig_a.values), errors, tol, grid)
+    regimes, steps = _gated("expectation", f, g, a, b, _hulls(eig_a.values), errors, tol)
     k = len(errors)
     layouts = [None] * k
     links = {"lhs(h)": np.zeros((k, 1)), "rhs(h)": np.zeros((k, 1))}
@@ -584,11 +581,11 @@ def _expectation(f, g, a, b, A, B, tol, grid) -> list:
     return _decide("thm-2.12", links, layouts, regimes, errors, tol, lambda i, name: links[name][i].reshape(1, 1))
 
 
-def _congruence(f, g, a, b, A, B, tol, grid) -> list:
+def _congruence(f, g, a, b, A, B, tol) -> list:
     """Congruence mode: f(X) <= ratio g(X), decided on the spectrum of X
     like the pair chains."""
     pairs = _Pairs(A, B)
-    regimes, steps = _gated("congruence", f, g, a, b, _hulls(pairs.lam), pairs.errors, tol, grid)
+    regimes, steps = _gated("congruence", f, g, a, b, _hulls(pairs.lam), pairs.errors, tol)
     rows, layouts = list(steps), [None] * len(pairs.A)
     links = {"f(X)": np.zeros(pairs.lam.shape), "ratio*g(X)": np.zeros(pairs.lam.shape)}
     if rows:
@@ -605,7 +602,7 @@ def _congruence(f, g, a, b, A, B, tol, grid) -> list:
     return _decide("thm-2.12", links, layouts, regimes, pairs.errors, tol, lift)
 
 
-def _majorize(f, g, a, b, A, B, tol, grid) -> list:
+def _majorize(f, g, a, b, A, B, tol) -> list:
     """Majorize mode: f(B) <= ratio g(A) where B <= A, by Loewner checks on
     the matrices. A's refusals come before B's, also when the B are not
     square."""
@@ -621,7 +618,7 @@ def _majorize(f, g, a, b, A, B, tol, grid) -> list:
         return _first(errors, [ValueError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")] * len(errors))
     eig_b, errors_pd_b = _pd_eig(B, "B")
     errors = _first(errors, errors_pd_b)
-    regimes, steps = _gated("majorize", f, g, a, b, _hulls(eig_a.values, eig_b.values), errors, tol, grid)
+    regimes, steps = _gated("majorize", f, g, a, b, _hulls(eig_a.values, eig_b.values), errors, tol)
     rows, layouts = list(steps), [None] * len(errors)
     if rows:
         below = _loewner(B[rows], A[rows], max(tol, DEFAULT_TOL))
@@ -642,19 +639,18 @@ def _majorize(f, g, a, b, A, B, tol, grid) -> list:
 _MODE_STACKS = {"expectation": _expectation, "congruence": _congruence, "majorize": _majorize}
 
 
-def two_function_stack(f, g, a, b, mode, A, B, tol: float = DEFAULT_TOL, grid: int = 257) -> list:
+def two_function_stack(f, g, a, b, mode, A, B, tol: float = DEFAULT_TOL) -> list:
     """``check_two_function_operator`` over a stack of k trials: one outcome
     per trial.
 
     ``f``, ``g``, ``a``, ``b``, ``mode``, ``A`` and ``B`` hold one value
-    per trial, [a, b] being the trial's interval (its spectral hull where a
-    is None). B is read outside expectation mode alone, and may be None
-    there. A trial with an unknown mode or a missing B is refused;
-    the others go to one stack per mode, which meets a trial's refusals in
-    the order its one-trial evaluation meets them. Matrices of a mode that
-    are not one stack of square matrices raise, as in the pair chains,
-    except majorize mode's B, which refuses each trial after A's own
-    refusals.
+    per trial, [a, b] being the trial's interval, on which the gate runs.
+    B is read outside expectation mode alone, and may be None there. A
+    trial with an unknown mode or a missing B is refused; the others go to
+    one stack per mode, which meets a trial's refusals in the order its
+    one-trial evaluation meets them. Matrices of a mode that are not one
+    stack of square matrices raise, as in the pair chains, except majorize
+    mode's B, which refuses each trial after A's own refusals.
     """
     outcomes, rows = [None] * len(mode), {}
     for i, (m, b_i) in enumerate(zip(mode, B)):
@@ -666,7 +662,7 @@ def two_function_stack(f, g, a, b, mode, A, B, tol: float = DEFAULT_TOL, grid: i
             rows.setdefault(m, []).append(i)
     for m, trials in rows.items():
         columns = ([column[i] for i in trials] for column in (f, g, a, b, A, B))
-        for i, outcome in zip(trials, _MODE_STACKS[m](*columns, tol, grid)):
+        for i, outcome in zip(trials, _MODE_STACKS[m](*columns, tol)):
             outcomes[i] = outcome
     return outcomes
 
@@ -677,14 +673,14 @@ def check_two_function_operator(
     A,
     B=None,
     mode="expectation",
-    interval=None,
+    *,
+    interval,
     tol: float = DEFAULT_TOL,
-    grid: int = 257,
 ) -> OperatorChainVerdict:
     """Operator comparison of a gated function pair.
 
     ``interval`` is the [a, b] window on which the admissibility gate runs;
-    it defaults to the relevant spectral hull. Modes:
+    a trial whose relevant spectrum escapes it is not applicable. Modes:
 
     - expectation: (g(b)-g(a)) f(<Ah,h>) <= (f(b)-f(a)) <g(A)h,h> for
       every unit vector h, decided exactly at the worst h, which lies in
@@ -698,5 +694,5 @@ def check_two_function_operator(
     increment of g and majorize mode's B <= A) use ``max(tol, 1e-9)``, so
     that a negative ``tol`` makes failures instead of not-applicable trials.
     """
-    a, b = (None, None) if interval is None else interval
-    return _single(two_function_stack([f], [g], [a], [b], [mode], [A], [B], tol, grid))
+    a, b = interval
+    return _single(two_function_stack([f], [g], [a], [b], [mode], [A], [B], tol))

@@ -59,9 +59,9 @@ class FunctionSpec:
     def has(self, flag: str) -> bool:
         return flag in self.flags
 
-    def contains(self, x: float, margin: float = 0.0) -> bool:
+    def contains(self, x: float) -> bool:
         lo, hi = self.domain
-        return lo + margin < x < hi - margin
+        return lo < x < hi
 
     def require(self, x: float, what: str = "point"):
         if not self.contains(x):
@@ -141,89 +141,89 @@ def _pointwise(fn):
     return evaluate
 
 
-def exp_power(p: float, domain=(0.05, 2.0)) -> FunctionSpec:
+def exp_power(p: float) -> FunctionSpec:
     """exp(x**p) for p >= 1: log-convex, increasing, geometrically convex."""
     if p < 1.0:
         raise ValueError("exp_power requires p >= 1")
     return FunctionSpec(
         id=f"exp-pow-{p:g}",
-        domain=domain,
+        domain=(0.05, 2.0),
         eval=_pointwise(lambda x: np.exp(x**p)),
         deriv=_pointwise(lambda x: p * x ** (p - 1.0) * np.exp(x**p)),
         flags=frozenset({"log_convex", "convex", "monotone_increasing", "geometrically_convex"}),
     )
 
 
-def inv_power(p: float, domain=(0.2, 5.0)) -> FunctionSpec:
+def inv_power(p: float) -> FunctionSpec:
     """x**(-p) for p > 0: log-convex and decreasing. Domain kept away from 0
     so the exponential bounds in the chains stay inside float range."""
     if p <= 0.0:
         raise ValueError("inv_power requires p > 0")
     return FunctionSpec(
         id=f"inv-pow-{p:g}",
-        domain=domain,
+        domain=(0.2, 5.0),
         eval=_pointwise(lambda x: x ** (-p)),
         deriv=_pointwise(lambda x: -p * x ** (-p - 1.0)),
         flags=frozenset({"log_convex", "convex", "monotone_decreasing", "geometrically_convex"}),
     )
 
 
-def power(p: float, domain=(0.05, 5.0)) -> FunctionSpec:
+def power(p: float) -> FunctionSpec:
     """x**p for p >= 1; the equality case of the geometric interpolation chain."""
     if p < 1.0:
         raise ValueError("power requires p >= 1")
     return FunctionSpec(
         id=f"pow-{p:g}",
-        domain=domain,
+        domain=(0.05, 5.0),
         eval=_pointwise(lambda x: x**p),
         deriv=_pointwise(lambda x: p * x ** (p - 1.0)),
         flags=frozenset({"convex", "monotone_increasing", "geometrically_convex", "log_concave"}),
     )
 
 
-def deformed_log_in_t(x: float, domain=(-4.0, 4.0)) -> FunctionSpec:
+def deformed_log_in_t(x: float) -> FunctionSpec:
     """t -> deformed_log(t, x) for fixed x > 1: increasing, convex, and
     log-convex in the deformation index."""
     if x <= 1.0:
         raise ValueError("deformed_log_in_t requires x > 1 so the values stay positive")
     return FunctionSpec(
         id=f"lnt-x-{x:g}",
-        domain=domain,
+        domain=(-4.0, 4.0),
         eval=_pointwise(lambda t: scalar.deformed_log(t, x)),
         deriv=_pointwise(lambda t: scalar.deformed_log_t_derivative(t, x)),
         flags=frozenset({"log_convex", "convex", "monotone_increasing"}),
     )
 
 
-def quad_exponential(c: float, d: float, domain=(-0.5, 1.5)) -> FunctionSpec:
+def quad_exponential(c: float, d: float) -> FunctionSpec:
     """exp(c t**2 + d t) with c >= 0: the workhorse log-convex family."""
     if c < 0.0:
         raise ValueError("quad_exponential requires c >= 0")
     flags = {"log_convex", "convex"}
     return FunctionSpec(
         id=f"quad-exp-{c:g}-{d:g}",
-        domain=domain,
+        domain=(-0.5, 1.5),
         eval=_pointwise(lambda t: np.exp(c * t * t + d * t)),
         deriv=_pointwise(lambda t: (2.0 * c * t + d) * np.exp(c * t * t + d * t)),
         flags=frozenset(flags),
     )
 
 
-def geometric_interpolant(a: float, b: float, domain=(-0.5, 1.5)) -> FunctionSpec:
+def geometric_interpolant(a: float, b: float) -> FunctionSpec:
     """t -> a**(1-t) b**t; log-linear in t, hence both log-convex and log-concave."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError("geometric_interpolant requires a, b > 0")
     r = np.log(b / a)
     return FunctionSpec(
         id=f"geo-interp-{a:g}-{b:g}",
-        domain=domain,
+        domain=(-0.5, 1.5),
         eval=_pointwise(lambda t: a * np.exp(r * t)),
         deriv=_pointwise(lambda t: a * r * np.exp(r * t)),
         flags=frozenset({"log_convex", "log_concave", "convex"} | ({"monotone_increasing"} if b > a else {"monotone_decreasing"} if b < a else set())),
     )
 
 
-def linear(slope: float, intercept: float, domain=(0.0, 50.0)) -> FunctionSpec:
+def linear(slope: float, intercept: float) -> FunctionSpec:
     """slope*x + intercept; convex and concave, monotone per the slope sign."""
     mono = (
         {"monotone_increasing"}
@@ -234,18 +234,18 @@ def linear(slope: float, intercept: float, domain=(0.0, 50.0)) -> FunctionSpec:
     )
     return FunctionSpec(
         id=f"lin-{slope:g}-{intercept:g}",
-        domain=domain,
+        domain=(0.0, 50.0),
         eval=_pointwise(lambda x: slope * x + intercept),
         deriv=_pointwise(lambda x: np.full(np.shape(x), float(slope))),
         flags=frozenset({"convex", "concave"} | mono),
     )
 
 
-def log_wide(domain=(1.0 + 1e-9, 50.0)) -> FunctionSpec:
+def log_wide() -> FunctionSpec:
     """log x on a window above 1, where it is nonnegative increasing concave."""
     return FunctionSpec(
         id="log-wide",
-        domain=domain,
+        domain=(1.0 + 1e-9, 50.0),
         eval=_pointwise(lambda x: np.log(x)),
         deriv=_pointwise(lambda x: 1.0 / x),
         flags=frozenset({"concave", "monotone_increasing", "log_concave"}),
@@ -351,7 +351,7 @@ def default_registry() -> dict[str, FunctionSpec]:
         log_wide(),
         # shallow affine partner passing the two-function gate with log-wide
         # on [1.5, 4]
-        linear(0.04, 0.12, domain=(0.0, 50.0)),
+        linear(0.04, 0.12),
     ]
     return {s.id: s for s in specs}
 

@@ -36,7 +36,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import operator
 import os
 import time
@@ -87,7 +86,6 @@ class TrialStreams:
 _REFINED_CASES = ("below", "straddle", "above")
 _ROE_CASES = ("low", "high")
 _REGIME_CHOICES = {"mode": entropy.TWO_FUNCTION_MODES, "case": _REFINED_CASES + _ROE_CASES}
-_M_MIN_MAX = 100.0  # thm-3.5 draws its relative spectrum from [m_min, _M_MIN_MAX]
 
 
 @dataclass
@@ -111,12 +109,8 @@ class GeneratorConfig:
         if not (0.0 < slo <= shi):
             raise ValueError(f"bad scalar_range {self.scalar_range!r}")
         for key, val in (self.regime or {}).items():
-            if key == "m_min":  # a NaN fails the comparison
-                ok = isinstance(val, numbers.Real) and not isinstance(val, bool) and 0.0 < val <= _M_MIN_MAX
-            else:
-                ok = val in _REGIME_CHOICES.get(key, ())
-            if not ok:
-                raise ValueError(f"bad regime entry {key}={val!r}; admitted: m_min in (0, 100], {_REGIME_CHOICES}")
+            if val not in _REGIME_CHOICES.get(key, ()):
+                raise ValueError(f"bad regime entry {key}={val!r}; admitted: {_REGIME_CHOICES}")
 
     def regime_get(self, key, default):
         if self.regime and key in self.regime:
@@ -264,9 +258,9 @@ def gen_constrained_pair(cfg: GeneratorConfig, m_target: float, M_target: float,
     return A, B
 
 
-def _domain_points(rng, f: FunctionSpec, k: int, margin=0.02):
+def _domain_points(rng, f: FunctionSpec, k: int):
     lo, hi = f.domain
-    return lo + (hi - lo) * rng.uniform(margin, 1.0 - margin, k)
+    return lo + (hi - lo) * rng.uniform(0.02, 0.98, k)
 
 
 def _ordered_pair(rng, f: FunctionSpec):
@@ -302,7 +296,7 @@ def gen_two_function_family(rng):
     c = c_min + float(rng.uniform(0.05, 2.0)) * max(1.0, abs(c_min))
     eps = float(rng.uniform(0.1, 1.0)) * fa / (b + c)
     f = funcs.log_wide()
-    g = funcs.linear(eps, eps * c, domain=(0.0, max(50.0, b + 1.0)))
+    g = funcs.linear(eps, eps * c)
     return f, g, a, b
 
 
@@ -487,8 +481,7 @@ def _draw_refined_st(rng, cfg):
 def _draw_tsallis_relation(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
-    m_lo = cfg.regime_get("m_min", 1.0)
-    m, M = np.sort(log_uniform(rng, *_meet((m_lo, _M_MIN_MAX), hi=hi), 2))
+    m, M = np.sort(log_uniform(rng, *_meet((1.0, 100.0), hi=hi), 2))
     pair = _constrained(rng, n, float(m), float(M), lo, hi)
     s, t = log_uniform(rng, 0.05, 3.0, 2)
     return {"pair": pair, "s": float(s), "t": float(t)}
@@ -554,9 +547,7 @@ CHAINS: dict[str, ChainEntry] = {}
 def _scalar_chain(cid, description, generate, check: str, params):
     """Register a scalar chain whose checker is ``chains.<check>``, looked up
     at each call like a direct call, so that perfbench's tracer sees it."""
-    names = [prm.name for prm in params]
-    # a tuple, for one name too; scalar trials take microseconds
-    values = operator.itemgetter(*names) if len(names) > 1 else lambda p: (p[names[0]],)
+    values = operator.itemgetter(*[prm.name for prm in params])  # a tuple: every scalar chain has several
 
     def run(p: dict, tol: float):
         return getattr(chains, check)(*values(p), tol)
@@ -815,7 +806,10 @@ _CANONICAL = {
 }
 
 
-def shrink_witness(chain_id: str, witness: dict, tol: float = DEFAULT_TOL, max_steps: int = 200) -> dict:
+SHRINK_STEPS = 200  # candidate evaluations ``shrink_witness`` makes at most
+
+
+def shrink_witness(chain_id: str, witness: dict, tol: float = DEFAULT_TOL) -> dict:
     """Greedily reduce a failing parameter set while the failure persists.
 
     ``witness`` holds live params, as drawn. Its declared matrices shrink by
@@ -840,7 +834,7 @@ def shrink_witness(chain_id: str, witness: dict, tol: float = DEFAULT_TOL, max_s
     params = dict(witness)
     steps = 0
     improved = True
-    while improved and steps < max_steps:
+    while improved and steps < SHRINK_STEPS:
         improved = False
         if matrices and len(params[matrices[0]]) > 1:
             steps += 1
@@ -851,7 +845,7 @@ def shrink_witness(chain_id: str, witness: dict, tol: float = DEFAULT_TOL, max_s
                 improved = True
                 continue
         for key, canon in _CANONICAL.items():
-            if steps >= max_steps:
+            if steps >= SHRINK_STEPS:
                 break
             if key not in numeric:
                 continue

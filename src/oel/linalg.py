@@ -31,13 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-
 SYMMETRY_TOL = 1e-12
 EIG_FLOOR = 1e-12  # reject inverse roots when min eigenvalue <= floor * max
 
 
-def _symmetric_stack(M, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, list]:
+def _symmetric_stack(M) -> tuple[np.ndarray, list]:
     """Validate a stack of square matrices: the float64 stack, symmetrized,
     and one ValueError (entries not finite, or not symmetric) or None per
     matrix. A non-square stack raises. Refused matrices come back as zeros."""
@@ -51,7 +49,7 @@ def _symmetric_stack(M, tol: float = SYMMETRY_TOL) -> tuple[np.ndarray, list]:
             errors[i] = ValueError("matrix entries must be finite")
         M[~finite] = 0.0
     gap = np.abs(M - M.swapaxes(1, 2))
-    bound = tol * (1.0 + np.abs(M))
+    bound = SYMMETRY_TOL * (1.0 + np.abs(M))
     asymmetric = (gap > bound).any(axis=(1, 2))
     if asymmetric.any():
         for i in np.flatnonzero(asymmetric):
@@ -68,9 +66,9 @@ def _only(errors: list) -> None:
         raise error
 
 
-def as_symmetric(A, tol: float = SYMMETRY_TOL) -> np.ndarray:
+def as_symmetric(A) -> np.ndarray:
     """Validate and return a float64 copy of a symmetric matrix."""
-    M, errors = _symmetric_stack([A], tol)
+    M, errors = _symmetric_stack([A])
     _only(errors)
     return M[0]
 
@@ -106,24 +104,16 @@ def eigendecomposition(A) -> EigenDecomposition:
     return _eig(as_symmetric(A))
 
 
-def eig_apply(eig: EigenDecomposition, fn, domain=None) -> np.ndarray:
+def eig_apply(eig: EigenDecomposition, fn) -> np.ndarray:
     """Assemble Q fn(lambda) Q^T from a precomputed decomposition; ``fn``
     maps the eigenvalue array elementwise."""
-    lam = eig.values
-    if domain is not None:
-        lo, hi = domain
-        bad = (lam < lo) | (lam > hi)
-        if np.any(bad):
-            raise DomainError(
-                f"eigenvalue {float(lam[bad][0])!r} escapes function domain [{float(lo)!r}, {float(hi)!r}]"
-            )
-    vals = np.asarray(fn(lam), dtype=float)
+    vals = np.asarray(fn(eig.values), dtype=float)
     return symmetrize((eig.vectors * vals[..., None, :]) @ eig.vectors.swapaxes(-1, -2))
 
 
-def apply_matrix_function(A, fn, domain=None) -> np.ndarray:
+def apply_matrix_function(A, fn) -> np.ndarray:
     """Matrix function through the spectral decomposition: f(A) = Q f(L) Q^T."""
-    return eig_apply(eigendecomposition(A), fn, domain)
+    return eig_apply(eigendecomposition(A), fn)
 
 
 def _pd_refusals(values: np.ndarray, name: str) -> list:
@@ -131,7 +121,8 @@ def _pd_refusals(values: np.ndarray, name: str) -> list:
     its matrix is positive-definite or not. A refused row is set to ones, so
     that stacked work downstream stays finite."""
     lo, hi = values[:, 0], values[:, -1]
-    refused = (lo <= EIG_FLOOR * np.maximum(hi, 0.0)) | (lo <= 0.0)
+    # "not positive-definite" rather than "<= floor", so that NaN is refused
+    refused = ~((lo > EIG_FLOOR * hi) & (lo > 0.0))
     errors = [None] * len(lo)
     for i in np.flatnonzero(refused):
         errors[i] = ValueError(
@@ -163,18 +154,23 @@ def _normalized(eig_a: EigenDecomposition, B: np.ndarray) -> np.ndarray:
 def _relative_spectrum(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.ndarray, list]:
     """The ascending eigenvalues of X = A**(-1/2) B A**(-1/2) for a stack of
     pairs, values only (one ``eigvalsh`` call), from the decompositions of
-    the A; and the refusal of each pair whose X is not positive-definite."""
-    values = np.linalg.eigvalsh(_normalized(eig_a, B))
+    the A; and the refusal of each pair whose X is not positive-definite.
+    An X that overflows is refused with NaN eigenvalues, not decomposed."""
+    X = _normalized(eig_a, B)
+    finite = np.isfinite(X).all(axis=(1, 2))
+    X[~finite] = 0.0
+    values = np.linalg.eigvalsh(X)
+    values[~finite] = np.nan
     return values, _pd_refusals(values, "B relative to A")
 
 
-def congruence_sandwich(A, B, fn, domain=None) -> np.ndarray:
+def congruence_sandwich(A, B, fn) -> np.ndarray:
     """A**(1/2) fn(A**(-1/2) B A**(-1/2)) A**(1/2) for positive-definite A."""
     A, B = as_symmetric(A)[None], as_symmetric(B)[None]
     eig_a, errors = _pd_eig(A, "A")
     _only(errors)
     root = eig_apply(eig_a, np.sqrt)
-    return symmetrize(root @ eig_apply(_eig(_normalized(eig_a, B)), fn, domain) @ root)[0]
+    return symmetrize(root @ eig_apply(_eig(_normalized(eig_a, B)), fn) @ root)[0]
 
 
 @dataclass

@@ -265,7 +265,7 @@ def test_two_function_gate_rejects_chord_pair():
     # cannot hold (the ratio term is unbounded because min g = 0) and the
     # bilinear form dips negative, matching the direct grid minimum
     f = REGISTRY["log-wide"]
-    g = linear(1.0 / (math.e - 1.0), -1.0 / (math.e - 1.0), domain=(-1.0, 50.0))
+    g = linear(1.0 / (math.e - 1.0), -1.0 / (math.e - 1.0))
     gate = chains.two_function_gate(f, g, 1.0001, math.e)
     assert not gate.conditions_hold
     assert not gate.checks["increment_condition"]

@@ -12,7 +12,7 @@ from oel.entropy import OperatorChainVerdict
 from oel.errors import NumericError
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, _emit_json, trial_rng
-from oel.linalg import apply_matrix_function, dump_matrix
+from oel.linalg import dump_matrix
 from test_harness import _fingerprint
 
 
@@ -254,6 +254,18 @@ def test_spaced_negative_values_parse_like_attached_ones(values, capsys):
     assert capsys.readouterr().out == out
 
 
+def test_overflowing_pair_is_a_usage_error(tmp_path, capsys):
+    # X = A^-1/2 B A^-1/2 overflows although A and B are finite and
+    # positive-definite: refused with exit 2, not decided on NaN
+    a, b = tmp_path / "A.json", tmp_path / "B.json"
+    dump_matrix(1e-300 * np.eye(2), a)
+    dump_matrix(1e300 * np.eye(2), b)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for argv in (["compute", "S"], ["verify", "thm-3.6"], ["verify", "zou", "--t", "0.5"]):
+            assert main([*argv, "--A", str(a), "--B", str(b)]) == 2
+            assert capsys.readouterr().err == "error: B relative to A must be positive-definite: min eigenvalue nan, max nan\n"
+
+
 def test_refusal_messages_print_plain_floats(tmp_path, capsys):
     # numpy scalars print as np.float64(...) under numpy 2 and bare under 1.x
     a, b, c = tmp_path / "A.json", tmp_path / "B.json", tmp_path / "C.json"
@@ -264,9 +276,6 @@ def test_refusal_messages_print_plain_floats(tmp_path, capsys):
     assert capsys.readouterr().err == "error: A must be positive-definite: min eigenvalue -1.0, max 1.0\n"
     assert main(["verify", "zou", "--A", str(c), "--B", str(b), "--t", "0.5"]) == 2
     assert capsys.readouterr().err == "error: --A: matrix is not symmetric at (1, 0): 0.0 vs 2.0\n"
-    with pytest.raises(ValueError) as exc:
-        apply_matrix_function(np.diag([1.0, 3.0]), np.log, domain=(np.float64(0.5), np.float64(2.0)))
-    assert str(exc.value) == "eigenvalue 3.0 escapes function domain [0.5, 2.0]"
 
 
 def _round_trip_draws():

@@ -8,7 +8,7 @@ from oel import entropy, scalar
 from oel.errors import NumericError
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, fuzz_chain, trial_rng
-from oel.linalg import eigendecomposition, loewner_compare
+from oel.linalg import eigendecomposition, loewner_compare, relative_spectrum_bounds
 
 
 def commuting_pair(rng, n, lo=-1.5, hi=1.5):
@@ -293,13 +293,17 @@ def test_stack_refusals_leave_other_pairs_unchanged():
     p[3] = 0.0  # parameter refused
     B[4] = np.diag([1e3, 1e3, 1e3]) @ A[4]  # relative spectrum 1e3 ...
     p[4] = 400.0  # ... whose generalized entropy overflows
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in the overflowing lift
+    A.append(1e-300 * np.eye(3))  # finite and positive-definite, but X = A^-1/2 B A^-1/2 overflows
+    B.append(1e300 * np.eye(3))
+    p.append(0.5)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in the overflowing lift and X
         stacked = entropy.ordering_stack(A, B, p)
         refusals = {
             1: (ValueError, "A must be positive-definite"),
             2: (ValueError, "matrix entries must be finite"),
             3: (ValueError, "p must be nonzero"),
             4: (NumericError, "prop-3.10: chain link has non-finite entries"),
+            6: (ValueError, "B relative to A must be positive-definite: min eigenvalue nan"),
         }
         for i, (expected, message) in refusals.items():
             with pytest.raises(expected, match=message) as single:
@@ -307,6 +311,24 @@ def test_stack_refusals_leave_other_pairs_unchanged():
             assert type(stacked[i]) is type(single.value) and str(stacked[i]) == str(single.value)
     for i in (0, 5):
         _same_verdict(stacked[i], alone[i])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_overflowing_relative_spectrum_is_refused(n):
+    # A and B are finite and positive-definite, but X = A^-1/2 B A^-1/2
+    # overflows: to inf at n = 1, NaN at n = 2, and a matrix that LAPACK
+    # cannot decompose at n >= 3
+    A, B = 1e-300 * np.eye(n), 1e300 * np.eye(n)
+    calls = [
+        lambda: relative_spectrum_bounds(A, B),
+        lambda: entropy.relative_entropy(A, B),
+        lambda: entropy.check_zou_chain(A, B, 0.5),
+        lambda: entropy.check_roe_bounds(A, B),
+    ]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for call in calls:
+            with pytest.raises(ValueError, match="B relative to A must be positive-definite"):
+                call()
 
 
 def _rotated(rng, lam):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from oel import linalg
-from oel.errors import DomainError
 
 
 def random_symmetric(rng, n, scale=1.0):
@@ -71,12 +70,6 @@ def test_apply_matrix_function_examples():
     assert np.allclose(L, np.diag([0.0, 1.0]), atol=1e-14)
     sq = linalg.apply_matrix_function(A, lambda x: x * x)
     assert np.abs(sq - A @ A).max() <= 1e-10 * (1.0 + np.abs(A @ A).max())
-
-
-def test_apply_matrix_function_domain_error_names_eigenvalue():
-    A = np.diag([2.0, -3.0])
-    with pytest.raises(DomainError, match="-3"):
-        linalg.apply_matrix_function(A, np.log, domain=(0.0, math.inf))
 
 
 def test_matrix_function_morphism_on_common_argument():
