@@ -16,6 +16,7 @@ are printed with 17 significant digits so they round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -154,6 +155,7 @@ def cmd_list(args) -> int:
     return EXIT_PASS
 
 
+@functools.cache  # once per process: the verify options alone take a millisecond to add
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oel",
@@ -163,7 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_list = sub.add_parser("list", help="enumerate registered chains or functions")
     p_list.add_argument("--functions", action="store_true", help="list registered scalar functions")
-    p_list.set_defaults(fn_cmd=cmd_list)
 
     p_comp = sub.add_parser("compute", help="evaluate an entropy on matrix files")
     p_comp.add_argument("kind", choices=["S", "T", "St"])
@@ -171,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_comp.add_argument("--B", required=True, help="path to the second matrix (JSON)")
     p_comp.add_argument("--t", type=float, default=None, help="deformation parameter")
     p_comp.add_argument("--pretty", action="store_true")
-    p_comp.set_defaults(fn_cmd=cmd_compute)
 
     p_ver = sub.add_parser(
         "verify", help="evaluate one chain on explicit parameters",
@@ -182,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
         p_ver.add_argument(f"--{option}", dest=option)
     p_ver.add_argument("--tol", type=float, default=None)
     p_ver.add_argument("--pretty", action="store_true")
-    p_ver.set_defaults(fn_cmd=cmd_verify)
 
     p_fuzz = sub.add_parser("fuzz", help="run seeded random trials of one chain or all")
     p_fuzz.add_argument("chain", help="chain id or 'all'")
@@ -195,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="record wall-clock elapsed_s (off by default to keep reports byte-reproducible)",
     )
     p_fuzz.add_argument("--pretty", action="store_true")
-    p_fuzz.set_defaults(fn_cmd=cmd_fuzz)
     return parser
 
 
@@ -223,7 +221,9 @@ def main(argv=None) -> int:
     try:
         if args.verb in ("verify", "fuzz"):
             args.tol = _tolerance(args.tol)
-        return args.fn_cmd(args)
+        # looked up at each call, not bound into the cached parser, so that a
+        # replaced ``cmd_*`` (a test's or a tracer's) is the one that runs
+        return globals()[f"cmd_{args.verb}"](args)
     except _CLI_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

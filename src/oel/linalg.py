@@ -116,6 +116,10 @@ def apply_matrix_function(A, fn) -> np.ndarray:
     return eig_apply(eigendecomposition(A), fn)
 
 
+def _not_pd(name: str, lo: float, hi: float) -> ValueError:
+    return ValueError(f"{name} must be positive-definite: min eigenvalue {float(lo)!r}, max {float(hi)!r}")
+
+
 def _pd_refusals(values: np.ndarray, name: str) -> list:
     """One ValueError or None per row of a stack of ascending eigenvalues, as
     its matrix is positive-definite or not. A refused row is set to ones, so
@@ -125,9 +129,7 @@ def _pd_refusals(values: np.ndarray, name: str) -> list:
     refused = ~((lo > EIG_FLOOR * hi) & (lo > 0.0))
     errors = [None] * len(lo)
     for i in np.flatnonzero(refused):
-        errors[i] = ValueError(
-            f"{name} must be positive-definite: min eigenvalue {float(lo[i])!r}, max {float(hi[i])!r}"
-        )
+        errors[i] = _not_pd(name, lo[i], hi[i])
         values[i] = 1.0
     return errors
 
@@ -144,11 +146,16 @@ def _pd_eig(M: np.ndarray, name: str) -> tuple[EigenDecomposition, list]:
     return eig, errors
 
 
-def _normalized(eig_a: EigenDecomposition, B: np.ndarray) -> np.ndarray:
+def _normalized(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """X = A**(-1/2) B A**(-1/2) for a stack of pairs, from the
-    decompositions of the A."""
+    decompositions of the A, and which X are finite; an X that overflows is
+    set to zeros, so that no eigensolver sees it."""
     inv_root = eig_apply(eig_a, lambda lam: 1.0 / np.sqrt(lam))
-    return symmetrize(inv_root @ B @ inv_root)
+    with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse what overflows
+        X = symmetrize(inv_root @ B @ inv_root)
+    finite = np.isfinite(X).all(axis=(1, 2))
+    X[~finite] = 0.0
+    return X, finite
 
 
 def _relative_spectrum(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.ndarray, list]:
@@ -156,21 +163,24 @@ def _relative_spectrum(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.nda
     pairs, values only (one ``eigvalsh`` call), from the decompositions of
     the A; and the refusal of each pair whose X is not positive-definite.
     An X that overflows is refused with NaN eigenvalues, not decomposed."""
-    X = _normalized(eig_a, B)
-    finite = np.isfinite(X).all(axis=(1, 2))
-    X[~finite] = 0.0
+    X, finite = _normalized(eig_a, B)
     values = np.linalg.eigvalsh(X)
     values[~finite] = np.nan
     return values, _pd_refusals(values, "B relative to A")
 
 
 def congruence_sandwich(A, B, fn) -> np.ndarray:
-    """A**(1/2) fn(A**(-1/2) B A**(-1/2)) A**(1/2) for positive-definite A."""
+    """A**(1/2) fn(A**(-1/2) B A**(-1/2)) A**(1/2) for positive-definite A;
+    a pair whose A**(-1/2) B A**(-1/2) overflows is refused, as by
+    ``relative_spectrum_bounds``."""
     A, B = as_symmetric(A)[None], as_symmetric(B)[None]
     eig_a, errors = _pd_eig(A, "A")
     _only(errors)
+    X, finite = _normalized(eig_a, B)
+    if not finite[0]:
+        raise _not_pd("B relative to A", np.nan, np.nan)
     root = eig_apply(eig_a, np.sqrt)
-    return symmetrize(root @ eig_apply(_eig(_normalized(eig_a, B)), fn) @ root)[0]
+    return symmetrize(root @ eig_apply(_eig(X), fn) @ root)[0]
 
 
 @dataclass

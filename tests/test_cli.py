@@ -1,10 +1,15 @@
 import functools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oel
 from oel import cli, entropy
 from oel.chains import DEFAULT_TOL
 from oel.cli import main
@@ -176,6 +181,29 @@ def test_fuzz_rejected_draws_keep_exit_code(monkeypatch, capsys):
     assert chain["rejected"] > 0 and chain["failures"] == []
 
 
+def test_main_calls_share_no_state(capsys):
+    # one parser serves every call: a flag given to one call is not the next
+    # call's default
+    assert cli.build_parser() is cli.build_parser()
+    assert main(["fuzz", "prop-2.1", "--trials", "3", "--pretty"]) == 0
+    pretty = capsys.readouterr()
+    assert "prop-2.1: trials=3" in pretty.err
+    assert main(["fuzz", "prop-2.1", "--trials", "3"]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+    assert json.loads(plain.out)["chains"][0]["trials"] == 3
+    assert plain.out == pretty.out
+
+
+def test_main_calls_the_module_command(monkeypatch):
+    # the command is looked up at each call, not bound when the parser is built
+    cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_fuzz", lambda args: seen.append(args.chain) or 7)
+    assert main(["fuzz", "zou", "--trials", "1"]) == 7
+    assert seen == ["zou"]
+
+
 def test_list_chains_and_functions(capsys):
     assert main(["list"]) == 0
     out = capsys.readouterr().out
@@ -260,10 +288,26 @@ def test_overflowing_pair_is_a_usage_error(tmp_path, capsys):
     a, b = tmp_path / "A.json", tmp_path / "B.json"
     dump_matrix(1e-300 * np.eye(2), a)
     dump_matrix(1e300 * np.eye(2), b)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for argv in (["compute", "S"], ["verify", "thm-3.6"], ["verify", "zou", "--t", "0.5"]):
-            assert main([*argv, "--A", str(a), "--B", str(b)]) == 2
-            assert capsys.readouterr().err == "error: B relative to A must be positive-definite: min eigenvalue nan, max nan\n"
+    for argv in (["compute", "S"], ["verify", "thm-3.6"], ["verify", "zou", "--t", "0.5"]):
+        assert main([*argv, "--A", str(a), "--B", str(b)]) == 2
+        assert capsys.readouterr().err == "error: B relative to A must be positive-definite: min eigenvalue nan, max nan\n"
+
+
+def test_overflowing_pair_prints_only_the_error_line(tmp_path):
+    # the whole stderr of an `oel` process: no numpy RuntimeWarning from
+    # forming the overflowing X comes before the error line
+    a, b = tmp_path / "A.json", tmp_path / "B.json"
+    dump_matrix(1e-300 * np.eye(2), a)
+    dump_matrix(1e300 * np.eye(2), b)
+    src = str(Path(oel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for argv in (["compute", "S"], ["verify", "thm-3.6"]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "oel.cli", *argv, "--A", str(a), "--B", str(b)],
+            capture_output=True, text=True, env=env, check=False,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: B relative to A must be positive-definite: min eigenvalue nan, max nan\n"
 
 
 def test_refusal_messages_print_plain_floats(tmp_path, capsys):

@@ -67,6 +67,37 @@ def test_trial_streams_match_fresh_generators():
         assert np.array_equal(fresh.normal(size=4), reused.normal(size=4))
 
 
+# every (lo, hi) a generator draws uniformly from with literal ends, and the
+# ends whose logarithms log_uniform draws from
+_UNIFORM_RANGES = [
+    (0.0, 1.0), (0.02, 0.98), (1.2, 3.0), (1.2, 2.5), (0.05, 2.0), (0.1, 1.0), (1e-3, 1.0), (1.0, 3.0),
+    (-1.5, 1.0), (0.0, 2.0), (-1.0, 1.0), (1.0, 10.0), (1.0, np.e), (1.0, 5.0), (0.1, 5.0), (0.05, 1.0),
+    (-1.0, -0.05),
+]
+_LOG_UNIFORM_RANGES = [
+    (1e-3, 1e3), (1.0, 50.0), (0.1, 10.0), (0.05, 3.0), (1e-2, 1e2), (1e-3, 0.95), (1.02, 50.0),
+    (1.0, 100.0), (1e-3, 1.0 / np.e), (0.05, 2.0), (1.0, 1e3),
+]
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def test_uniform_is_generator_uniform_bitwise():
+    ranges = _UNIFORM_RANGES + [(np.log(lo), np.log(hi)) for lo, hi in _LOG_UNIFORM_RANGES]
+    ends = np.random.default_rng(3)
+    for trial in range(1000):
+        # drawn ends, like a constrained pair's [m, M] or thm-2.12's [a, b] and shift
+        m, M = sorted(ends.uniform(1e-3, 100.0, 2).tolist())
+        ours, theirs = trial_rng(42, trial), trial_rng(42, trial)
+        for lo, hi in ranges + [(m, M), (0.0, M)]:
+            for size in (None, 1, 5):
+                assert _bits(harness.uniform(ours, lo, hi, size)) == _bits(theirs.uniform(lo, hi, size)), (trial, lo, hi, size)
+        assert _bits(harness.uniform(ours)) == _bits(theirs.uniform())
+        assert ours.random() == theirs.random()  # still in step
+
+
 def test_gen_pd_matrix_contract():
     cfg = GeneratorConfig(seed=5, dim_range=(1, 1))
     M = harness.gen_pd_matrix(cfg)
@@ -239,6 +270,22 @@ def test_write_report_roundtrip(tmp_path):
     assert len(rows) == 21
     # csv slacks round-trip to the report values
     assert float(rows[1][2]) == reports[0].slack_rows[0][1]
+
+
+def test_csv_sidecar_is_csv_writer_output(tmp_path):
+    # the sidecar is written as one string, byte for byte what csv.writer writes
+    reports = harness.fuzz_all(GeneratorConfig(seed=4, trials=3, dim_range=(2, 2)))
+    path = tmp_path / "report.json"
+    harness.write_report(reports, path)
+    expected = tmp_path / "expected.csv"
+    with open(expected, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["chain_id", "trial", "min_link_slack"])
+        for rep in reports:
+            for trial, slack in rep.slack_rows:
+                writer.writerow([rep.chain_id, trial, harness._fmt_float(slack)])
+    assert (tmp_path / "report.csv").read_bytes() == expected.read_bytes()
+    assert len(expected.read_bytes().splitlines()) > len(CHAINS)
 
 
 def test_write_report_empty(tmp_path):

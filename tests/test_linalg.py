@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -124,6 +125,21 @@ def test_congruence_sandwich_examples():
     assert np.allclose(out, np.diag([4.0, 8.0]), atol=1e-10)
     with pytest.raises(ValueError):
         linalg.congruence_sandwich(np.diag([1.0, -1.0]), B, np.log)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_congruence_sandwich_refuses_overflowing_pair(n):
+    # A and B are finite and positive-definite, but X = A^-1/2 B A^-1/2
+    # overflows: refused as by relative_spectrum_bounds, with no numpy
+    # warning, where a NaN matrix (n = 2) or a LinAlgError (n = 3) came out
+    A, B = 1e-300 * np.eye(n), 1e300 * np.eye(n)
+    message = "^B relative to A must be positive-definite: min eigenvalue nan, max nan$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            linalg.congruence_sandwich(A, B, np.log)
+        with pytest.raises(ValueError, match=message):
+            linalg.relative_spectrum_bounds(A, B)
 
 
 def test_congruence_sandwich_commuting_oracle():
