@@ -34,7 +34,7 @@ from .entropy import (
 )
 from .errors import DomainError, NumericError
 from .funcs import REGISTRY, FunctionSpec
-from .harness import CHAINS, FuzzReport, GeneratorConfig, fuzz_all, fuzz_chain, shrink_witness, write_report
+from .harness import CHAINS, FuzzReport, GeneratorConfig, fuzz_all, fuzz_chain, write_report
 from .linalg import (
     EigenDecomposition,
     LoewnerVerdict,

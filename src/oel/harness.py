@@ -1,5 +1,4 @@
-"""Randomized instance generation, chain fuzzing, counterexample shrinking,
-and report emission.
+"""Randomized instance generation, chain fuzzing and report emission.
 
 Reproducibility model: every trial gets its own counter-based random stream
 keyed by (seed, trial index), so reports are bit-identical for a fixed seed
@@ -32,7 +31,7 @@ trial. Outcomes are merged back in trial order.
 
 Declaration model: a chain is registered once, with its draw, its checker
 and ``ChainEntry.params``; every reader of a chain's params (``run``,
-``stack``, ``oel verify``, serialization, shrinking) reads their types there.
+``stack``, ``oel verify``, serialization) reads their types there.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from . import chains, entropy, funcs
 from .chains import DEFAULT_TOL
 from .errors import TRIAL_ERRORS
 from .funcs import REGISTRY, FunctionSpec
-from .linalg import EigenDecomposition, eig_apply, eigendecomposition, load_matrix, matrix_to_obj, symmetrize
+from .linalg import EigenDecomposition, eig_apply, load_matrix, matrix_to_obj, symmetrize
 
 _U64 = (1 << 64) - 1
 
@@ -101,6 +100,11 @@ class GeneratorConfig:
     regime: dict | None = None
 
     def __post_init__(self):
+        try:  # a float seed or count breaks the run, a float dim_range draws outside it
+            self.seed, self.trials = operator.index(self.seed), operator.index(self.trials)
+            self.dim_range = tuple(operator.index(d) for d in self.dim_range)
+        except TypeError as exc:
+            raise ValueError(f"seed, trials and dim_range must be integers: {exc}") from None
         if not math.isfinite(self.tol):  # NaN would fail every link, inf pass every one
             raise ValueError(f"tol must be finite, got {self.tol!r}")
         if self.trials < 1:
@@ -213,6 +217,13 @@ def _realize(block: list) -> list:
     return realized
 
 
+def _regime(rng, cfg, key: str, choices: tuple) -> str:
+    """The regime's value at ``key`` if it is one of ``choices``, else one
+    drawn at random: a case of another chain draws as no regime does."""
+    value = (cfg.regime or {}).get(key)
+    return value if value in choices else choices[int(rng.integers(len(choices)))]
+
+
 def _draw_dim(rng, cfg) -> int:
     lo, hi = cfg.dim_range
     return int(rng.integers(lo, hi + 1))
@@ -222,17 +233,6 @@ def _weights(rng, n) -> list:
     w = rng.exponential(size=n)
     w = w / w.sum()
     return [float(v) for v in w]
-
-
-def gen_pd_matrix(cfg: GeneratorConfig, trial: int = 0) -> np.ndarray:
-    """Positive-definite matrix with log-uniform spectrum from the config
-    ranges; deterministic in (seed, trial)."""
-    rng = trial_rng(cfg.seed, trial)
-    lo, hi = cfg.scalar_range
-    n = _draw_dim(rng, cfg)
-    lam = log_uniform(rng, lo, hi, n)
-    (A,) = _realize([{"pending": _Pending(lam, rng.normal(size=(n, n)))}])[0].values()
-    return A
 
 
 def _constrained(rng, n, m_target, M_target, lo, hi) -> _Pending:
@@ -248,17 +248,6 @@ def _constrained(rng, n, m_target, M_target, lo, hi) -> _Pending:
 
     a_lo, a_hi = _meet((1e-2, 1e2), lo, hi)
     return _draw_pair(rng, n, lambda: log_uniform(rng, a_lo, a_hi, n), middle, constrained=True)
-
-
-def gen_constrained_pair(cfg: GeneratorConfig, m_target: float, M_target: float, trial: int = 0):
-    """Pair with prescribed tight relative spectral bounds: B = A^(1/2) C
-    A^(1/2), with A's root built from its drawn factors; never refuses."""
-    if not 0.0 < m_target <= M_target:
-        raise ValueError(f"need 0 < m <= M, got {m_target!r}, {M_target!r}")
-    rng = trial_rng(cfg.seed, trial)
-    lo, hi = cfg.scalar_range
-    A, B = _realize([{"pair": _constrained(rng, _draw_dim(rng, cfg), m_target, M_target, lo, hi)}])[0].values()
-    return A, B
 
 
 def _domain_points(rng, f: FunctionSpec, k: int) -> list:
@@ -470,7 +459,7 @@ def _draw_zou(rng, cfg):
 def _draw_refined_st(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
-    case = (cfg.regime or {}).get("case") or _REFINED_CASES[int(rng.integers(3))]
+    case = _regime(rng, cfg, "case", _REFINED_CASES)
     if case == "below":
         m, M = np.sort(log_uniform(rng, *_meet((1e-3, 0.95), lo=lo), 2))
     elif case == "above":
@@ -493,7 +482,7 @@ def _draw_tsallis_relation(rng, cfg):
 def _draw_roe(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
-    case = (cfg.regime or {}).get("case") or _ROE_CASES[int(rng.integers(2))]
+    case = _regime(rng, cfg, "case", _ROE_CASES)
     if case == "low":
         m, M = np.sort(log_uniform(rng, *_meet((1e-3, 1.0 / np.e), lo=lo), 2))
     else:
@@ -527,7 +516,7 @@ def _draw_ordering(rng, cfg):
 def _draw_two_function(rng, cfg):
     n = _draw_dim(rng, cfg)
     f, g, a, b = gen_two_function_family(rng)
-    mode = (cfg.regime or {}).get("mode") or entropy.TWO_FUNCTION_MODES[int(rng.integers(3))]
+    mode = _regime(rng, cfg, "mode", entropy.TWO_FUNCTION_MODES)
     params = {"fn_f": f, "fn_g": g, "a": a, "b": b, "mode": mode}
     if mode == "expectation":
         lam = uniform(rng, a, b, n)
@@ -799,75 +788,6 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
 
 def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
     return [fuzz_chain(cid, cfg) for cid in (ids or list(CHAINS))]
-
-
-# --- shrinking ------------------------------------------------------------------
-
-_CANONICAL = {
-    "t": 0.5, "s": 0.5, "v": 0.5, "u": 0.5, "w": 0.5,
-    "x": 1.0, "a": 1.0, "b": 1.0, "p": 1.0, "q": 0.0, "n": 1,
-}
-
-
-SHRINK_STEPS = 200  # candidate evaluations ``shrink_witness`` makes at most
-
-
-def shrink_witness(chain_id: str, witness: dict, tol: float = DEFAULT_TOL) -> dict:
-    """Greedily reduce a failing parameter set while the failure persists.
-
-    ``witness`` holds live params, as drawn. Its declared matrices shrink by
-    congruence projection onto leading eigenvectors of the first; its
-    declared numbers bisect toward canonical values. The returned witness
-    fails the same chain at the same tolerance.
-    """
-    entry = CHAINS[chain_id]
-    held = [prm for prm in entry.params if prm.name in witness]
-    matrices = [prm.name for prm in held if prm.parser == "matrix"]
-    numeric = {prm.name: prm.parser for prm in held if prm.parser in ("float", "int")}
-
-    def fails(p) -> bool:
-        try:
-            verdict = entry.run(p, tol)
-        except TRIAL_ERRORS:
-            return False
-        return verdict.applicable and not verdict.ok
-
-    if not fails(witness):
-        raise ValueError("witness does not fail the chain at this tolerance")
-    params = dict(witness)
-    steps = 0
-    improved = True
-    while improved and steps < SHRINK_STEPS:
-        improved = False
-        if matrices and len(params[matrices[0]]) > 1:
-            steps += 1
-            V = eigendecomposition(params[matrices[0]]).vectors[:, 1:]  # the n - 1 leading eigenvectors
-            candidate = {**params, **{name: symmetrize(V.T @ params[name] @ V) for name in matrices}}
-            if fails(candidate):
-                params = candidate
-                improved = True
-                continue
-        for key, canon in _CANONICAL.items():
-            if steps >= SHRINK_STEPS:
-                break
-            if key not in numeric:
-                continue
-            val = params[key]
-            if numeric[key] == "int":
-                cand = int(canon + (int(val) - canon) // 2)
-                if cand == val:
-                    continue
-            else:
-                cand = 0.5 * (float(val) + float(canon))
-                if abs(cand - val) <= 1e-12 * max(1.0, abs(float(val))):
-                    continue
-            steps += 1
-            trial_params = dict(params)
-            trial_params[key] = cand
-            if fails(trial_params):
-                params = trial_params
-                improved = True
-    return params
 
 
 # --- report emission --------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from oel import entropy, harness
 from oel.errors import NumericError
 from oel.funcs import FunctionSpec
-from oel.harness import CHAINS, GeneratorConfig, TrialStreams, fuzz_chain, shrink_witness, trial_rng
+from oel.harness import CHAINS, GeneratorConfig, TrialStreams, fuzz_chain, trial_rng
 from oel.linalg import relative_spectrum_bounds
 
 OPERATOR_CHAINS = [cid for cid, entry in CHAINS.items() if entry.kind == "operator"]
@@ -46,6 +46,40 @@ def test_config_rejects_non_finite_tol(tol):
 def test_config_rejects_bad_regime(regime):
     with pytest.raises(ValueError):
         GeneratorConfig(regime=regime)
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": 1.5},
+    {"seed": "1"},
+    {"trials": 2.5},
+    {"trials": 2.0},
+    {"dim_range": (1.5, 2)},
+    {"dim_range": (2, 3.0)},
+])
+def test_config_rejects_non_integer_counts(config):
+    # a float seed or trial count would break the run at its first use, and
+    # dim_range=(1.5, 2) would draw n = 1, outside the range
+    with pytest.raises(ValueError, match="must be integers"):
+        GeneratorConfig(**config)
+
+
+def test_config_takes_numpy_integers_as_ints():
+    cfg = GeneratorConfig(seed=np.int64(3), trials=np.int32(5), dim_range=(np.int64(2), np.uint8(3)))
+    assert (cfg.seed, cfg.trials, cfg.dim_range) == (3, 5, (2, 3))
+    assert all(type(v) is int for v in (cfg.seed, cfg.trials, *cfg.dim_range))
+    plain = GeneratorConfig(seed=3, trials=5, dim_range=(2, 3))
+    assert harness.dumps_report([fuzz_chain("zou", cfg)]) == harness.dumps_report([fuzz_chain("zou", plain)])
+
+
+@pytest.mark.parametrize("cid, case", [("thm-3.3", "low"), ("thm-3.3", "high"), ("thm-3.6", "below"), ("thm-3.6", "straddle")])
+def test_case_of_another_chain_draws_as_no_regime(cid, case):
+    # each chain reads only its own cases, so another chain's case must
+    # leave its draws as they are with no regime
+    def run(regime):
+        rep = fuzz_chain(cid, GeneratorConfig(seed=9, trials=50, regime=regime))
+        return harness.dumps_report([rep]), rep.slack_rows  # the JSON report and its CSV rows
+
+    assert run({"case": case}) == run(None)
 
 
 def test_config_accepts_every_regime_value():
@@ -99,33 +133,39 @@ def test_uniform_is_generator_uniform_bitwise():
 
 
 def test_gen_pd_matrix_contract():
-    cfg = GeneratorConfig(seed=5, dim_range=(1, 1))
-    M = harness.gen_pd_matrix(cfg)
-    assert M.shape == (1, 1) and M[0, 0] > 0
-    cfg = GeneratorConfig(seed=5, dim_range=(2, 6))
-    M1 = harness.gen_pd_matrix(cfg, trial=3)
-    M2 = harness.gen_pd_matrix(cfg, trial=3)
-    assert np.array_equal(M1, M2)
-    eigs = np.linalg.eigvalsh(M1)
-    assert eigs.min() > 0.0
-    lo, hi = cfg.scalar_range
-    assert eigs.min() >= lo * 0.99 and eigs.max() <= hi * 1.01
+    # zou draws A and B with log-uniform spectra from scalar_range
     from oel.linalg import loewner_compare
 
-    strict = loewner_compare(np.zeros_like(M1), M1, tol=0.0)
-    assert strict.holds and strict.min_slack_eigenvalue > 0.0
+    generate = CHAINS["zou"].generate
+    p = generate(trial_rng(5, 3), GeneratorConfig(seed=5, dim_range=(1, 1)))
+    assert p["A"].shape == p["B"].shape == (1, 1) and p["A"][0, 0] > 0 and p["B"][0, 0] > 0
+    cfg = GeneratorConfig(seed=5, dim_range=(2, 6))
+    p1, p2 = generate(trial_rng(5, 3), cfg), generate(trial_rng(5, 3), cfg)
+    lo, hi = cfg.scalar_range
+    for name in ("A", "B"):
+        M = p1[name]
+        assert np.array_equal(M, p2[name])
+        eigs = np.linalg.eigvalsh(M)
+        assert eigs.min() > 0.0
+        assert eigs.min() >= lo * 0.99 and eigs.max() <= hi * 1.01
+        strict = loewner_compare(np.zeros_like(M), M, tol=0.0)
+        assert strict.holds and strict.min_slack_eigenvalue > 0.0
+
+
+def _constrained_pair(trial: int, m: float, M: float):
+    """A 3 x 3 pair with relative spectrum [m, M], realized as a block of one."""
+    cfg = GeneratorConfig(seed=11)
+    p = harness._realize([{"pair": harness._constrained(trial_rng(cfg.seed, trial), 3, m, M, *cfg.scalar_range)}])[0]
+    return p["A"], p["B"]
 
 
 def test_gen_constrained_pair_recovers_targets():
-    cfg = GeneratorConfig(seed=11, dim_range=(3, 3))
-    A, B = harness.gen_constrained_pair(cfg, 2.0, 5.0)
+    A, B = _constrained_pair(0, 2.0, 5.0)
     m, M = relative_spectrum_bounds(A, B)
     assert m == pytest.approx(2.0, abs=1e-9)
     assert M == pytest.approx(5.0, abs=1e-9)
-    A, B = harness.gen_constrained_pair(cfg, 1.0, 1.0, trial=1)
+    A, B = _constrained_pair(1, 1.0, 1.0)
     assert np.abs(A - B).max() <= 1e-9 * (1.0 + np.abs(A).max())
-    with pytest.raises(ValueError):
-        harness.gen_constrained_pair(cfg, 2.0, 1.0)
 
 
 def test_fuzz_unknown_chain():
@@ -206,49 +246,6 @@ def test_outcome_counts_are_pinned(config, ids, expected):
         decided = rep.trials_run - rep.not_applicable - rep.rejected
         got[rep.chain_id] = (decided - len(rep.failures), len(rep.failures), rep.not_applicable, rep.rejected)
     assert got == {cid: expected.get(cid, (cfg.trials, 0, 0, 0)) for cid in ids}
-
-
-def test_shrink_commuting_witness_to_scalar():
-    # an all-equal pair fails every strictly positive slack demand, so a
-    # negative tolerance yields a reproducible failing witness
-    witness = {"A": np.diag([1.0, 1.5, 2.0, 2.5, 3.0, 3.5]), "B": np.diag([1.0, 1.5, 2.0, 2.5, 3.0, 3.5]), "t": 0.9}
-    shrunk = shrink_witness("zou", witness, tol=-1.0)
-    assert shrunk["A"].shape == (1, 1)
-    assert shrunk["B"].shape == (1, 1)
-    # scalar parameter pulled toward its canonical value
-    assert abs(shrunk["t"] - 0.5) < abs(witness["t"] - 0.5) + 1e-12
-    # soundness: the shrunk witness still fails the same chain and tolerance
-    verdict = CHAINS["zou"].run(shrunk, -1.0)
-    assert verdict.status == "fail"
-
-
-def test_shrink_thm_2_12_expectation_witness_with_a_and_no_b():
-    cfg = GeneratorConfig(seed=5, trials=1, dim_range=(4, 4), tol=-1.0, regime={"mode": "expectation"})
-    witness = CHAINS["thm-2.12"].generate(trial_rng(cfg.seed, 0), cfg)
-    assert "B" not in witness and witness["A"].shape == (4, 4)
-    shrunk = shrink_witness("thm-2.12", witness, tol=-1.0)
-    assert "B" not in shrunk
-    assert shrunk["A"].shape == (1, 1)
-    assert set(shrunk) == set(witness) and shrunk["mode"] == "expectation"
-    assert CHAINS["thm-2.12"].run(shrunk, -1.0).status == "fail"
-
-
-def test_shrink_requires_failing_witness():
-    witness = {"A": np.eye(2), "B": np.diag([2.0, 3.0]), "t": 0.5}
-    with pytest.raises(ValueError):
-        shrink_witness("zou", witness, tol=1e-9)
-
-
-def test_shrink_terminates_within_budget():
-    witness = {"A": np.diag(np.linspace(1.0, 2.0, 6)), "B": np.diag(np.linspace(1.0, 2.0, 6)), "t": 0.9}
-    shrunk = shrink_witness("zou", witness, tol=-1.0)
-    assert shrunk["A"].shape[0] >= 1  # reached a fixpoint without exhausting the budget
-
-
-def test_shrink_scalar_witness_fixpoint():
-    witness = {"a": 1.0, "b": 1.0, "v": 0.5, "n": 1}
-    shrunk = shrink_witness("prop-2.1", witness, tol=-1.0)
-    assert shrunk == witness
 
 
 def test_write_report_roundtrip(tmp_path):
@@ -540,7 +537,7 @@ def test_generation_decomposes_nothing(monkeypatch):
         streams = TrialStreams(cfg.seed)
         block = harness._realize([CHAINS[cid].draw(streams.rng(k), cfg) for k in range(cfg.trials)])
         assert all({"A", "B"} <= set(params) for params in block), cid
-    A, B = harness.gen_constrained_pair(GeneratorConfig(seed=11, dim_range=(3, 3)), 2.0, 5.0)
+    A, B = _constrained_pair(0, 2.0, 5.0)
     assert A.shape == B.shape == (3, 3)
 
 
