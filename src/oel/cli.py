@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import re
 import sys
 
@@ -36,16 +35,12 @@ EXIT_NOT_APPLICABLE = 3
 
 
 def _tolerance(tol: float | None) -> float:
-    """``--tol``, else ``OEL_DEFAULT_TOL``, else the default; a finite one,
-    as NaN would fail every link and inf pass every one."""
+    """``--tol``, else the default; a finite one, as NaN would fail every
+    link and inf pass every one."""
     if tol is None:
-        raw = os.environ.get("OEL_DEFAULT_TOL", repr(chains.DEFAULT_TOL))
-        try:
-            tol = float(raw)
-        except ValueError as exc:
-            raise ValueError(f"OEL_DEFAULT_TOL={raw!r} is not a float") from exc
+        return chains.DEFAULT_TOL
     if not math.isfinite(tol):
-        raise ValueError(f"--tol or OEL_DEFAULT_TOL must be finite, got {tol}")
+        raise ValueError(f"--tol must be finite, got {tol}")
     return tol
 
 

@@ -7,19 +7,20 @@ some scalar f. Congruence by A**(1/2) preserves the Loewner order and the
 lifts of one X commute, so a link holds iff f_j(l) <= f_{j+1}(l) at every
 eigenvalue l of X, and the chains are decided on the spectrum of X alone.
 
-The matrix checkers work on a stack of k pairs of one shape: one ``eigh``
-call factors every A and one values-only ``eigvalsh`` call gives the
-spectrum of every X. A chain is a table of link functions evaluated on the
-(k, n) eigenvalues, and one vectorized pass decides every link of the
-stack; a link's slack is min over l of f_{j+1}(l) - f_j(l), the smallest
-eigenvalue of the lifted difference, and its scale is max(1, max |f_j|,
-max |f_{j+1}|) over the spectrum. The link matrices themselves are lifted
-only when ``OperatorChainVerdict.links`` is read. ``<name>_stack(A, B,
-..., tol)`` takes k matrices for A and for B and k values for each
-parameter, and returns one outcome per pair: the verdict, or the exception
-the pair's own evaluation raises, which does not touch the other pairs.
-The public ``check_*`` functions are the k = 1 case and raise that
-exception.
+The matrix checkers work on a stack of k pairs of one shape, factored once
+by ``linalg._Pairs``: one ``eigh`` call factors every A and one values-only
+``eigvalsh`` call gives the spectrum of every X. A chain is a table of link
+functions evaluated on the (k, n) eigenvalues, and one vectorized pass
+decides every link of the stack; a link's slack is min over l of f_{j+1}(l) -
+f_j(l), the smallest eigenvalue of the lifted difference, and its scale is
+max(1, max |f_j|, max |f_{j+1}|) over the spectrum. The link matrices, like
+the entropies, are lifted from the factors of ``_Pairs``, one ``eigh`` of a
+pair's X serving them all, and only when ``OperatorChainVerdict.links`` is
+read. ``<name>_stack(A, B, ..., tol)`` takes k matrices for A and for B and
+k values for each parameter, and returns one outcome per pair: the verdict,
+or the exception the pair's own evaluation raises, which does not touch the
+other pairs. The public ``check_*`` functions are the k = 1 case and raise
+that exception.
 
 The two-function comparison of thm-2.12 (``two_function_stack``) takes
 trials whose function pair, interval and mode vary from trial to trial,
@@ -50,12 +51,12 @@ from .chains import DEFAULT_TOL, two_function_gate
 from .errors import TRIAL_ERRORS, NumericError
 from .linalg import (
     LoewnerVerdict,
+    _first,
     _loewner,
     _only,
+    _Pairs,
     _pd_eig,
-    _relative_spectrum,
     _symmetric_stack,
-    congruence_sandwich,
     eig_apply,
     matrix_to_obj,
 )
@@ -72,62 +73,9 @@ def _require(ok: bool, message: str):
     return None if ok else ValueError(message)
 
 
-def _first(*errors) -> list:
-    """Per pair, the first refusal in the per-pair lists ``errors``, or None."""
-    return [next((e for e in found if e is not None), None) for found in zip(*errors)]
-
-
 def _column(values) -> np.ndarray:
     """Per-pair parameters as a (k, 1) column, to broadcast over eigenvalues."""
     return np.array(values, dtype=float)[:, None]
-
-
-class _Pairs:
-    """The relative spectra of a stack of k (A, B) pairs of one shape.
-
-    ``lam`` holds the ascending eigenvalues of each X = A**(-1/2) B A**(-1/2),
-    and ``m`` and ``M`` their extremes. ``errors[i]`` is the exception
-    refusing pair i, or None; the first one found for a pair is kept. A
-    refused pair stays in the stack, with zeros standing in for a refused
-    matrix and ones for the eigenvalues of a refused factorization, so that
-    stacked work stays finite; its verdict is dropped at the end.
-    """
-
-    def __init__(self, A, B, errors=None):
-        self.A, errors_a = _symmetric_stack(A)
-        self.B, errors_b = _symmetric_stack(B)
-        if self.A.shape != self.B.shape:
-            raise ValueError(f"dimension mismatch: {self.A.shape[1:]} vs {self.B.shape[1:]}")
-        eig_a, errors_pd = _pd_eig(self.A, "A")
-        self.lam, errors_x = _relative_spectrum(eig_a, self.B)
-        self.errors = _first(errors or [None] * len(self.A), errors_a, errors_b, errors_pd, errors_x)
-        self.m = self.lam[:, 0].tolist()
-        self.M = self.lam[:, -1].tolist()
-
-    def live(self) -> list:
-        """Indices of the pairs not refused."""
-        return [i for i, e in enumerate(self.errors) if e is None]
-
-    def decide(self, chain_id, links, layouts, regimes, tol) -> list:
-        """``_decide`` of a chain whose link functions ``links`` map the (k, n)
-        eigenvalues of X elementwise, with per-pair parameters as (k, 1)
-        columns; pair i's link matrix lifts row i of its function."""
-        shape = self.lam.shape
-
-        def lift(i, name):
-            fn = links[name]
-            return congruence_sandwich(self.A[i], self.B[i], lambda lam: np.broadcast_to(fn(lam), shape)[i])
-
-        values = {name: fn(self.lam) for name, fn in links.items()}
-        return _decide(chain_id, values, layouts, regimes, self.errors, tol, lift)
-
-
-def _single(outcomes: list):
-    """The verdict of a one-pair stack; raises the pair's refusal."""
-    (outcome,) = outcomes
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
 
 
 @dataclass
@@ -219,6 +167,20 @@ def _decide(chain_id, links, layouts, regimes, errors, tol, lift) -> list:
     return outcomes
 
 
+def _decide_spectrum(chain_id, pairs, links, layouts, regimes, tol) -> list:
+    """``_decide`` of a pair chain whose link functions ``links`` map the
+    (k, n) eigenvalues of X elementwise, with per-pair parameters as (k, 1)
+    columns; pair i's link matrix lifts row i of its function."""
+    shape = pairs.lam.shape
+
+    def lift(i, name):
+        fn = links[name]
+        return pairs.lift(i, lambda lam: np.broadcast_to(fn(lam), shape)[i])
+
+    values = {name: fn(pairs.lam) for name, fn in links.items()}
+    return _decide(chain_id, values, layouts, regimes, pairs.errors, tol, lift)
+
+
 def _not_applicable(chain_id, tol, regime) -> OperatorChainVerdict:
     return OperatorChainVerdict(chain_id, list, [], STATUS_NOT_APPLICABLE, tol, regime)
 
@@ -229,7 +191,7 @@ def _entropy(A, B, fn) -> np.ndarray:
     """A**(1/2) fn(X) A**(1/2) for one pair, refused as the chains refuse it."""
     pairs = _Pairs([A], [B])
     _only(pairs.errors)
-    return congruence_sandwich(pairs.A[0], pairs.B[0], fn)
+    return pairs.lift(0, fn)
 
 
 def relative_entropy(A, B) -> np.ndarray:
@@ -263,12 +225,12 @@ def zou_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
     }
     layout = tuple(links)
     regimes = [{"t": ti, "m": m, "M": M} for ti, m, M in zip(t, pairs.m, pairs.M)]
-    return pairs.decide("zou", links, [layout] * len(regimes), regimes, tol)
+    return _decide_spectrum("zou", pairs, links, [layout] * len(regimes), regimes, tol)
 
 
 def check_zou_chain(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
     """Five-link entropy ordering between A - A B**(-1) A and B - A."""
-    return _single(zou_stack([A], [B], [t], tol))
+    return _only(zou_stack([A], [B], [t], tol))
 
 
 def refined_st_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
@@ -289,13 +251,13 @@ def refined_st_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
         regimes[i] = {"t": t[i], "m": m, "M": M, "case": case, "additive_term": add_i}
     add, tc = add[:, None], _column(t)
     links = {"S+": lambda lam: np.log(lam) + add, "Tt": lambda lam: scalar.deformed_log(tc, lam)}
-    return pairs.decide("thm-3.3", links, [tuple(links)] * len(t), regimes, tol)
+    return _decide_spectrum("thm-3.3", pairs, links, [tuple(links)] * len(t), regimes, tol)
 
 
 def check_refined_ST(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
     """Entropy ordering sharpened by an additive term at the spectral
     endpoint; the case depends on where [m, M] sits relative to 1."""
-    return _single(refined_st_stack([A], [B], [t], tol))
+    return _only(refined_st_stack([A], [B], [t], tol))
 
 
 def tsallis_relation_stack(A, B, s, t, tol: float = DEFAULT_TOL) -> list:
@@ -329,19 +291,19 @@ def tsallis_relation_stack(A, B, s, t, tol: float = DEFAULT_TOL) -> list:
         "Tt": lambda lam: scalar.deformed_log(tc, lam),
         "hi*Ts": lambda lam: hi * scalar.deformed_log(sc, lam),
     }
-    return pairs.decide("thm-3.5", links, layouts, regimes, tol)
+    return _decide_spectrum("thm-3.5", pairs, links, layouts, regimes, tol)
 
 
 def check_tsallis_relation(A, B, s: float, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
     """Relates two deformed entropies through exponential factors; requires
     the relative spectrum to sit at or above 1."""
-    return _single(tsallis_relation_stack([A], [B], [s], [t], tol))
+    return _only(tsallis_relation_stack([A], [B], [s], [t], tol))
 
 
 def roe_bounds_stack(A, B, tol: float = DEFAULT_TOL) -> list:
     """``check_roe_bounds`` over a stack of pairs: one outcome per pair."""
     pairs = _Pairs(A, B)
-    k = len(pairs.A)
+    k = len(pairs.errors)
     e = float(np.e)
     lo, hi = np.zeros(k), np.zeros(k)
     layouts, regimes = [None] * k, [None] * k
@@ -368,13 +330,13 @@ def roe_bounds_stack(A, B, tol: float = DEFAULT_TOL) -> list:
         "hi*A": lambda lam: hi * np.ones_like(lam),
         "0": np.zeros_like,
     }
-    return pairs.decide("thm-3.6", links, layouts, regimes, tol)
+    return _decide_spectrum("thm-3.6", pairs, links, layouts, regimes, tol)
 
 
 def check_roe_bounds(A, B, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
     """Two-sided exponential estimates of the relative entropy in multiples
     of A, for a relative spectrum inside (0, 1/e] or [1, e]."""
-    return _single(roe_bounds_stack([A], [B], tol))
+    return _only(roe_bounds_stack([A], [B], tol))
 
 
 def troe_linear_bound_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
@@ -409,7 +371,7 @@ def troe_linear_bound_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
         "Tt": lambda lam: scalar.deformed_log(tc, lam),
         "B-A": lambda lam: lam - 1.0,
     }
-    return pairs.decide("thm-3.11", links, layouts, regimes, tol)
+    return _decide_spectrum("thm-3.11", pairs, links, layouts, regimes, tol)
 
 
 def check_troe_linear_bound(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -420,7 +382,7 @@ def check_troe_linear_bound(A, B, t: float, tol: float = DEFAULT_TOL) -> Operato
     the inequality reverses. When the spectrum reaches down to 1 the chain
     extends with B - A on the loose side.
     """
-    return _single(troe_linear_bound_stack([A], [B], [t], tol))
+    return _only(troe_linear_bound_stack([A], [B], [t], tol))
 
 
 def ordering_stack(A, B, p, tol: float = DEFAULT_TOL) -> list:
@@ -434,13 +396,13 @@ def ordering_stack(A, B, p, tol: float = DEFAULT_TOL) -> list:
     }
     layouts = [("S", "Tp", "Sp") if pi > 0 else ("Sp", "Tp", "S") for pi in p]
     regimes = [{"p": pi, "m": m, "M": M} for pi, m, M in zip(p, pairs.m, pairs.M)]
-    return pairs.decide("prop-3.10", links, layouts, regimes, tol)
+    return _decide_spectrum("prop-3.10", pairs, links, layouts, regimes, tol)
 
 
 def check_ordering_S_Tp_Sp(A, B, p: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
     """Ordering of the plain, deformed, and generalized entropies; the
     direction flips with the sign of p."""
-    return _single(ordering_stack([A], [B], [p], tol))
+    return _only(ordering_stack([A], [B], [p], tol))
 
 
 # --- two-function operator comparison (thm-2.12) -------------------------------
@@ -586,7 +548,7 @@ def _congruence(f, g, a, b, A, B, tol) -> list:
     like the pair chains."""
     pairs = _Pairs(A, B)
     regimes, steps = _gated("congruence", f, g, a, b, _hulls(pairs.lam), pairs.errors, tol)
-    rows, layouts = list(steps), [None] * len(pairs.A)
+    rows, layouts = list(steps), [None] * len(pairs.errors)
     links = {"f(X)": np.zeros(pairs.lam.shape), "ratio*g(X)": np.zeros(pairs.lam.shape)}
     if rows:
         lam = pairs.lam[rows]
@@ -597,7 +559,7 @@ def _congruence(f, g, a, b, A, B, tol) -> list:
 
     def lift(i, name):
         fn = f[i].eval if name == "f(X)" else lambda lam: regimes[i]["ratio"] * g[i].eval(lam)
-        return congruence_sandwich(pairs.A[i], pairs.B[i], fn)
+        return pairs.lift(i, fn)
 
     return _decide("thm-2.12", links, layouts, regimes, pairs.errors, tol, lift)
 
@@ -695,4 +657,4 @@ def check_two_function_operator(
     that a negative ``tol`` makes failures instead of not-applicable trials.
     """
     a, b = interval
-    return _single(two_function_stack([f], [g], [a], [b], [mode], [A], [B], tol))
+    return _only(two_function_stack([f], [g], [a], [b], [mode], [A], [B], tol))

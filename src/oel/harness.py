@@ -50,7 +50,7 @@ from . import chains, entropy, funcs
 from .chains import DEFAULT_TOL
 from .errors import TRIAL_ERRORS
 from .funcs import REGISTRY, FunctionSpec
-from .linalg import EigenDecomposition, eig_apply, load_matrix, matrix_to_obj, symmetrize
+from .linalg import EigenDecomposition, _only, eig_apply, load_matrix, matrix_to_obj, symmetrize
 
 _U64 = (1 << 64) - 1
 
@@ -113,7 +113,7 @@ class GeneratorConfig:
         if not (1 <= lo <= hi):
             raise ValueError(f"bad dim_range {self.dim_range!r}")
         slo, shi = self.scalar_range
-        if not (0.0 < slo <= shi):
+        if not (0.0 < slo <= shi < math.inf):  # an infinite end makes every matrix draw non-finite
             raise ValueError(f"bad scalar_range {self.scalar_range!r}")
         for key, val in (self.regime or {}).items():
             if val not in _REGIME_CHOICES.get(key, ()):
@@ -560,7 +560,7 @@ def _operator_chain(cid, description, draw, check_stack: str, params):
         return getattr(entropy, check_stack)(*columns, tol=tol)
 
     def run(p: dict, tol: float):
-        return entropy._single(stack([p], tol))
+        return _only(stack([p], tol))
 
     CHAINS[cid] = ChainEntry(cid, "operator", description, params, generate, run, stack, draw)
 

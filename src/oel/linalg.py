@@ -15,9 +15,9 @@ The helpers work on stacks of shape ``(k, n, n)``, so that one LAPACK or
 BLAS call serves k matrices; numpy runs the same routine on every matrix of
 a stack, so a stacked result is bitwise equal to the one-matrix result.
 Helpers that can refuse a matrix (``_symmetric_stack``, ``_pd_eig``,
-``_relative_spectrum``) return one ``ValueError`` or ``None`` per matrix
-instead of raising, so that a refused matrix does not affect the others;
-the public functions are their k = 1 case and raise the refusal.
+``_Pairs``) keep one ``ValueError`` or ``None`` per matrix instead of
+raising, so that a refused matrix does not affect the others; the public
+functions are their k = 1 case and raise the refusal.
 
 Matrices are plain float64 numpy arrays. The JSON file format shared with
 the CLI is ``{"n": <int>, "data": [[row], ...]}``; symmetry is validated on
@@ -59,11 +59,17 @@ def _symmetric_stack(M) -> tuple[np.ndarray, list]:
     return symmetrize(M), errors
 
 
-def _only(errors: list) -> None:
-    """Raise the refusal of a one-matrix stack, if it has one."""
-    (error,) = errors
-    if error is not None:
-        raise error
+def _first(*errors) -> list:
+    """Per row, the first refusal in the per-row lists ``errors``, or None."""
+    return [next((e for e in found if e is not None), None) for found in zip(*errors)]
+
+
+def _only(outcomes: list):
+    """The outcome of a one-row stack; raises it if it is a refusal."""
+    (outcome,) = outcomes
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def as_symmetric(A) -> np.ndarray:
@@ -158,15 +164,10 @@ def _normalized(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.ndarray, n
     return X, finite
 
 
-def _relative_spectrum(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.ndarray, list]:
-    """The ascending eigenvalues of X = A**(-1/2) B A**(-1/2) for a stack of
-    pairs, values only (one ``eigvalsh`` call), from the decompositions of
-    the A; and the refusal of each pair whose X is not positive-definite.
-    An X that overflows is refused with NaN eigenvalues, not decomposed."""
-    X, finite = _normalized(eig_a, B)
-    values = np.linalg.eigvalsh(X)
-    values[~finite] = np.nan
-    return values, _pd_refusals(values, "B relative to A")
+def _sandwich(root: np.ndarray, eig_x: EigenDecomposition, fn) -> np.ndarray:
+    """A**(1/2) fn(X) A**(1/2) for a stack, from the roots of the A and the
+    decompositions of the X."""
+    return symmetrize(root @ eig_apply(eig_x, fn) @ root)
 
 
 def congruence_sandwich(A, B, fn) -> np.ndarray:
@@ -179,8 +180,48 @@ def congruence_sandwich(A, B, fn) -> np.ndarray:
     X, finite = _normalized(eig_a, B)
     if not finite[0]:
         raise _not_pd("B relative to A", np.nan, np.nan)
-    root = eig_apply(eig_a, np.sqrt)
-    return symmetrize(root @ eig_apply(_eig(X), fn) @ root)[0]
+    return _sandwich(eig_apply(eig_a, np.sqrt), _eig(X), fn)[0]
+
+
+class _Pairs:
+    """A stack of k (A, B) pairs of one shape, validated and factored once.
+
+    ``eig_a`` holds the decompositions of the A, ``X`` each X = A**(-1/2) B
+    A**(-1/2), ``lam`` its ascending eigenvalues (values only), and ``m``
+    and ``M`` their extremes. ``errors[i]`` is the exception refusing pair
+    i, or None; the first one found is kept, ``errors`` before the pair's
+    own. An X that overflows is refused, not decomposed. A refused pair
+    stays in the stack, with zeros standing in for a refused matrix and ones
+    for the eigenvalues of a refused factorization, so that stacked work
+    stays finite.
+    """
+
+    def __init__(self, A, B, errors=None):
+        A, errors_a = _symmetric_stack(A)
+        B, errors_b = _symmetric_stack(B)
+        if A.shape != B.shape:
+            raise ValueError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")
+        self.eig_a, errors_pd = _pd_eig(A, "A")
+        self.X, finite = _normalized(self.eig_a, B)
+        self.lam = np.linalg.eigvalsh(self.X)
+        self.lam[~finite] = np.nan
+        self.errors = _first(errors or [None] * len(A), errors_a, errors_b, errors_pd, _pd_refusals(self.lam, "B relative to A"))
+        self.m = self.lam[:, 0].tolist()
+        self.M = self.lam[:, -1].tolist()
+        self._factors = {}  # pair -> (A**(1/2), decomposition of X), made by the first lift
+
+    def live(self) -> list:
+        """Indices of the pairs not refused."""
+        return [i for i, e in enumerate(self.errors) if e is None]
+
+    def lift(self, i: int, fn) -> np.ndarray:
+        """A**(1/2) fn(X) A**(1/2) of pair i, not refused; ``fn`` maps the
+        (1, n) eigenvalues of X. Every lift of a pair reads one ``eigh`` of
+        its X."""
+        factors = self._factors.get(i)
+        if factors is None:
+            factors = self._factors[i] = (eig_apply(self.eig_a.take([i]), np.sqrt), _eig(self.X[i:i + 1]))
+        return _sandwich(*factors, fn)[0]
 
 
 @dataclass
@@ -227,12 +268,9 @@ def loewner_compare(X, Y, tol: float = 1e-9) -> LoewnerVerdict:
 def relative_spectrum_bounds(A, B) -> tuple[float, float]:
     """Tightest constants (m, M) with m*A <= B <= M*A for positive-definite
     A, B: the extreme eigenvalues of A**(-1/2) B A**(-1/2)."""
-    A, B = as_symmetric(A)[None], as_symmetric(B)[None]
-    eig_a, errors = _pd_eig(A, "A")
-    _only(errors)
-    lam, errors = _relative_spectrum(eig_a, B)
-    _only(errors)
-    return float(lam[0, 0]), float(lam[0, -1])
+    pairs = _Pairs([A], [B])
+    _only(pairs.errors)
+    return pairs.m[0], pairs.M[0]
 
 
 # --- matrix file format ----------------------------------------------------

@@ -19,6 +19,7 @@ from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, _emit_json, trial_rng
 from oel.linalg import dump_matrix
 from test_harness import _fingerprint
+from test_linalg import count_eig_calls
 
 
 @pytest.fixture()
@@ -233,13 +234,23 @@ def test_pretty_output(matrices, capsys):
     assert "failures=0" in err
 
 
-def test_env_var_tolerance(monkeypatch, capsys):
-    monkeypatch.setenv("OEL_DEFAULT_TOL", "-1")
-    # with the env-forced negative tolerance an equality chain now fails
-    assert main(["verify", "cor-3.8", "--a", "2", "--b", "2", "--t", "0.5"]) == 1
-    capsys.readouterr()
-    monkeypatch.setenv("OEL_DEFAULT_TOL", "not-a-float")
-    assert main(["verify", "cor-3.8", "--a", "2", "--b", "2", "--t", "0.5"]) == 2
+@pytest.mark.parametrize("argv", [
+    ["compute", "S", "--B", "b.json"],
+    ["compute", "T", "--t", "0.5", "--B", "b.json"],
+    ["compute", "St", "--t", "0.5", "--B", "b.json"],
+    ["verify", "zou", "--t", "0.5", "--B", "b.json"],
+    ["verify", "thm-2.12", "--mode", "congruence", "--B", "c.json"],  # relative spectrum [2, 2.571]
+])
+def test_one_factorization_per_pair(argv, tmp_path, monkeypatch):
+    # one eigh of A and one eigvalsh of X refuse or accept the pair, and one
+    # eigh of X serves the entropy or every link matrix that is printed
+    monkeypatch.chdir(tmp_path)
+    dump_matrix(np.array([[2.0, 0.5], [0.5, 1.0]]), "a.json")
+    dump_matrix(np.array([[1.0, -0.3], [-0.3, 3.0]]), "b.json")
+    dump_matrix(np.array([[4.0, 1.0], [1.0, 2.5]]), "c.json")
+    calls = count_eig_calls(monkeypatch)
+    assert main([*argv, "--A", "a.json"]) == 0
+    assert calls == {"eigh": 2, "eigvalsh": 1}
 
 
 NON_FINITE = ["nan", "inf", "-inf"]
@@ -258,13 +269,6 @@ def test_fuzz_refuses_non_finite_tol(tol, capsys):
     assert main(["fuzz", "zou", "--trials", "2", "--tol", tol]) == 2
     out = capsys.readouterr()
     assert out.out == "" and "must be finite" in out.err
-
-
-@pytest.mark.parametrize("tol", NON_FINITE)
-def test_env_var_refuses_non_finite_tol(tol, monkeypatch, capsys):
-    monkeypatch.setenv("OEL_DEFAULT_TOL", tol)
-    assert main(["verify", "cor-3.8", "--a", "4", "--b", "1", "--t", "0.25"]) == 2
-    assert "OEL_DEFAULT_TOL" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("values", [

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oel import entropy, scalar
+from oel import entropy, linalg, scalar
 from oel.errors import NumericError
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, fuzz_chain, trial_rng
@@ -542,7 +542,8 @@ def test_fuzzing_spectral_chains_lifts_no_matrix(monkeypatch):
         raise AssertionError("called on the fuzz path")
 
     monkeypatch.setattr(entropy, "_loewner", forbidden)
-    monkeypatch.setattr(entropy, "congruence_sandwich", forbidden)
+    monkeypatch.setattr(linalg._Pairs, "lift", forbidden)
+    monkeypatch.setattr(linalg, "congruence_sandwich", forbidden)
     for cid, regime in [*SPECTRAL_CHAINS, ("thm-2.12", {"mode": "expectation"})]:
         rep = fuzz_chain(cid, GeneratorConfig(seed=5, trials=20, regime=regime))
         assert len(rep.slack_rows) == 20 and not rep.failures, cid

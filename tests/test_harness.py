@@ -29,6 +29,14 @@ def test_config_rejects_non_finite_tol(tol):
         GeneratorConfig(tol=tol)
 
 
+@pytest.mark.parametrize("scalar_range", [(1e-3, float("inf")), (float("inf"), float("inf"))])
+def test_config_rejects_infinite_scalar_range(scalar_range):
+    # an infinite end draws non-finite matrices, so that every draw of the
+    # chains built on the range is rejected and nothing is tested
+    with pytest.raises(ValueError, match="bad scalar_range"):
+        GeneratorConfig(scalar_range=scalar_range)
+
+
 @pytest.mark.parametrize("regime", [
     {"bogus": 1.0},
     {"mode": "bogus"},

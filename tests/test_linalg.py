@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import warnings
@@ -177,6 +178,8 @@ def test_relative_spectrum_bounds():
     assert (m, M) == (pytest.approx(2.0), pytest.approx(5.0))
     with pytest.raises(ValueError):  # A positive but under the floor
         linalg.relative_spectrum_bounds(np.diag([1.0, 1e-14]), np.eye(2))
+    with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 2\) vs \(3, 3\)"):
+        linalg.relative_spectrum_bounds(np.eye(2), np.eye(3))
     rng = np.random.default_rng(89)
     for _ in range(30):
         n = int(rng.integers(2, 6))
@@ -185,6 +188,25 @@ def test_relative_spectrum_bounds():
         m, M = linalg.relative_spectrum_bounds(A, B)
         assert linalg.loewner_compare(m * A, B, 1e-9).holds
         assert linalg.loewner_compare(B, M * A, 1e-9).holds
+
+
+def count_eig_calls(monkeypatch) -> collections.Counter:
+    """Counts of the calls of numpy.linalg.eigh and eigvalsh from now on."""
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh"):
+
+        def counted(*args, _name=name, _solver=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solver(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_relative_spectrum_bounds_factors_the_pair_once(monkeypatch):
+    calls = count_eig_calls(monkeypatch)
+    linalg.relative_spectrum_bounds(np.diag([2.0, 3.0]), np.array([[1.0, -0.3], [-0.3, 3.0]]))
+    assert calls == {"eigh": 1, "eigvalsh": 1}
 
 
 def test_matrix_io_roundtrip(tmp_path):
