@@ -38,9 +38,6 @@ from .harness import CHAINS, FuzzReport, GeneratorConfig, fuzz_all, fuzz_chain, 
 from .linalg import (
     EigenDecomposition,
     LoewnerVerdict,
-    apply_matrix_function,
-    congruence_sandwich,
-    eigendecomposition,
     load_matrix,
     loewner_compare,
     relative_spectrum_bounds,

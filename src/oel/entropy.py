@@ -202,11 +202,15 @@ def relative_entropy(A, B) -> np.ndarray:
 def tsallis_entropy(A, B, t: float) -> np.ndarray:
     """Deformed-log analogue of the relative entropy; equals B - A at t = 1
     and converges to the relative entropy as t -> 0."""
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     return _entropy(A, B, lambda lam: scalar.deformed_log(t, lam))
 
 
 def generalized_entropy(A, B, t: float) -> np.ndarray:
     """Sandwich of x**t log(x); reduces to the relative entropy at t = 0."""
+    if not np.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     return _entropy(A, B, lambda lam: lam**t * np.log(lam))
 
 

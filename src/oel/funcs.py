@@ -2,8 +2,7 @@
 convexity-class flags.
 
 A FunctionSpec is the unit the chain checkers consume: the flags declare
-which chains a function is admissible for, and the validation helpers let
-the test suite confirm the declarations empirically.
+which chains a function is admissible for.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ class FunctionSpec:
         if unknown:
             raise ValueError(f"unknown flags for {self.id!r}: {sorted(unknown)}")
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def has(self, flag: str) -> bool:
         return flag in self.flags
 
@@ -66,65 +62,6 @@ class FunctionSpec:
     def require(self, x: float, what: str = "point"):
         if not self.contains(x):
             raise DomainError(f"{what} {x!r} outside domain {self.domain!r} of {self.id!r}")
-
-
-def check_derivative(f: FunctionSpec, rng, points: int = 100) -> float:
-    """Compare f.deriv against central differences at random interior points.
-
-    Returns the worst absolute excess over the allowance
-    max(1e-6, 1e-6 * |f'|); nonpositive means the declared derivative is consistent.
-    """
-    lo, hi = f.domain
-    worst = -np.inf
-    for _ in range(points):
-        x = lo + (hi - lo) * rng.uniform(0.05, 0.95)
-        h = max(1e-6, 1e-7 * abs(x)) * (hi - lo) / max(hi - lo, 1.0)
-        h = min(h, (hi - lo) * 0.02)
-        fd = (f.eval(x + h) - f.eval(x - h)) / (2.0 * h)
-        d = f.deriv(x)
-        worst = max(worst, abs(fd - d) - max(1e-6, 1e-6 * abs(d)))
-    return worst
-
-
-def check_flags(f: FunctionSpec, rng, trials: int = 200, tol: float = 1e-9) -> dict:
-    """Empirical midpoint tests for every declared flag.
-
-    Returns {flag: worst_violation}; values <= tol*scale mean the flag held
-    on all sampled pairs. This is a falsification gate, not a proof.
-    """
-    lo, hi = f.domain
-    results = {flag: 0.0 for flag in f.flags}
-    for _ in range(trials):
-        u, w = lo + (hi - lo) * rng.uniform(0.02, 0.98, size=2)
-        lam = rng.uniform()
-        mix = lam * u + (1.0 - lam) * w
-        fu, fw, fm = f.eval(u), f.eval(w), f.eval(mix)
-        scale = max(1.0, abs(fu), abs(fw))
-        if "convex" in f.flags:
-            results["convex"] = max(results["convex"], (fm - (lam * fu + (1.0 - lam) * fw)) / scale)
-        if "concave" in f.flags:
-            results["concave"] = max(results["concave"], ((lam * fu + (1.0 - lam) * fw) - fm) / scale)
-        if "log_convex" in f.flags:
-            gap = np.log(fm) - (lam * np.log(fu) + (1.0 - lam) * np.log(fw))
-            results["log_convex"] = max(results["log_convex"], gap)
-        if "log_concave" in f.flags:
-            gap = (lam * np.log(fu) + (1.0 - lam) * np.log(fw)) - np.log(fm)
-            results["log_concave"] = max(results["log_concave"], gap)
-        if "geometrically_convex" in f.flags:
-            gmix = u**lam * w ** (1.0 - lam)
-            gap = np.log(f.eval(gmix)) - (lam * np.log(fu) + (1.0 - lam) * np.log(fw))
-            results["geometrically_convex"] = max(results["geometrically_convex"], gap)
-        if "monotone_increasing" in f.flags and u != w:
-            s, t = min(u, w), max(u, w)
-            results["monotone_increasing"] = max(
-                results["monotone_increasing"], (f.eval(s) - f.eval(t)) / scale
-            )
-        if "monotone_decreasing" in f.flags and u != w:
-            s, t = min(u, w), max(u, w)
-            results["monotone_decreasing"] = max(
-                results["monotone_decreasing"], (f.eval(t) - f.eval(s)) / scale
-            )
-    return results
 
 
 # --- factories -----------------------------------------------------------

@@ -1,9 +1,9 @@
 """Dense real symmetric matrix kernel, on single matrices and on stacks.
 
 The eigensolver is LAPACK's divide-and-conquer ``syevd`` through
-``numpy.linalg.eigh``; Loewner comparisons and the relative spectrum of a
-pair (the eigenvalues of A**(-1/2) B A**(-1/2)) need only eigenvalues and
-call ``numpy.linalg.eigvalsh``.
+``numpy.linalg.eigh``, which ``_eig`` alone calls; Loewner comparisons and
+the relative spectrum of a pair (the eigenvalues of A**(-1/2) B A**(-1/2))
+need only eigenvalues and call ``numpy.linalg.eigvalsh``.
 
 Validation happens once, at the input boundary: public functions pass every
 matrix they receive through ``as_symmetric``, while the ``_``-prefixed
@@ -38,10 +38,13 @@ EIG_FLOOR = 1e-12  # reject inverse roots when min eigenvalue <= floor * max
 def _symmetric_stack(M) -> tuple[np.ndarray, list]:
     """Validate a stack of square matrices: the float64 stack, symmetrized,
     and one ValueError (entries not finite, or not symmetric) or None per
-    matrix. A non-square stack raises. Refused matrices come back as zeros."""
+    matrix. A non-square or empty stack raises. Refused matrices come back
+    as zeros."""
     M = np.array(M, dtype=float)
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise ValueError(f"expected a square matrix, got shape {M.shape[1:]}")
+    if M.shape[1] == 0:
+        raise ValueError(f"expected a non-empty matrix, got shape {M.shape[1:]}")
     errors = [None] * M.shape[0]
     finite = np.isfinite(M).all(axis=(1, 2))
     if not finite.all():
@@ -105,21 +108,11 @@ def _eig(M: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(vectors, values)
 
 
-def eigendecomposition(A) -> EigenDecomposition:
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-    return _eig(as_symmetric(A))
-
-
 def eig_apply(eig: EigenDecomposition, fn) -> np.ndarray:
     """Assemble Q fn(lambda) Q^T from a precomputed decomposition; ``fn``
     maps the eigenvalue array elementwise."""
     vals = np.asarray(fn(eig.values), dtype=float)
     return symmetrize((eig.vectors * vals[..., None, :]) @ eig.vectors.swapaxes(-1, -2))
-
-
-def apply_matrix_function(A, fn) -> np.ndarray:
-    """Matrix function through the spectral decomposition: f(A) = Q f(L) Q^T."""
-    return eig_apply(eigendecomposition(A), fn)
 
 
 def _not_pd(name: str, lo: float, hi: float) -> ValueError:
@@ -157,30 +150,11 @@ def _normalized(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.ndarray, n
     decompositions of the A, and which X are finite; an X that overflows is
     set to zeros, so that no eigensolver sees it."""
     inv_root = eig_apply(eig_a, lambda lam: 1.0 / np.sqrt(lam))
-    with np.errstate(over="ignore", invalid="ignore"):  # the callers refuse what overflows
+    with np.errstate(over="ignore", invalid="ignore"):  # _Pairs refuses what overflows
         X = symmetrize(inv_root @ B @ inv_root)
     finite = np.isfinite(X).all(axis=(1, 2))
     X[~finite] = 0.0
     return X, finite
-
-
-def _sandwich(root: np.ndarray, eig_x: EigenDecomposition, fn) -> np.ndarray:
-    """A**(1/2) fn(X) A**(1/2) for a stack, from the roots of the A and the
-    decompositions of the X."""
-    return symmetrize(root @ eig_apply(eig_x, fn) @ root)
-
-
-def congruence_sandwich(A, B, fn) -> np.ndarray:
-    """A**(1/2) fn(A**(-1/2) B A**(-1/2)) A**(1/2) for positive-definite A;
-    a pair whose A**(-1/2) B A**(-1/2) overflows is refused, as by
-    ``relative_spectrum_bounds``."""
-    A, B = as_symmetric(A)[None], as_symmetric(B)[None]
-    eig_a, errors = _pd_eig(A, "A")
-    _only(errors)
-    X, finite = _normalized(eig_a, B)
-    if not finite[0]:
-        raise _not_pd("B relative to A", np.nan, np.nan)
-    return _sandwich(eig_apply(eig_a, np.sqrt), _eig(X), fn)[0]
 
 
 class _Pairs:
@@ -221,7 +195,8 @@ class _Pairs:
         factors = self._factors.get(i)
         if factors is None:
             factors = self._factors[i] = (eig_apply(self.eig_a.take([i]), np.sqrt), _eig(self.X[i:i + 1]))
-        return _sandwich(*factors, fn)[0]
+        root, eig_x = factors
+        return symmetrize(root @ eig_apply(eig_x, fn) @ root)[0]
 
 
 @dataclass

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,19 @@ def test_compute_requires_t(matrices, capsys):
     a, b = matrices
     assert main(["compute", "T", "--A", a, "--B", b]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["T", "St"])
+@pytest.mark.parametrize("t", ["nan", "inf", "-inf"])
+def test_compute_refuses_non_finite_t(matrices, capsys, kind, t):
+    # a usage error naming t, not a complaint about the output matrix, and
+    # no numpy warning before it
+    a, b = matrices
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["compute", kind, "--A", a, "--B", b, "--t", t]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: t must be finite, got {t}\n"
 
 
 def test_compute_malformed_matrix(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from oel import entropy, linalg, scalar
 from oel.errors import NumericError
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, fuzz_chain, trial_rng
-from oel.linalg import eigendecomposition, loewner_compare, relative_spectrum_bounds
+from oel.linalg import loewner_compare, relative_spectrum_bounds
 
 
 def commuting_pair(rng, n, lo=-1.5, hi=1.5):
@@ -183,7 +184,7 @@ def test_troe_linear_bound_directions():
     v = entropy.check_troe_linear_bound(np.eye(3), np.diag([1.0, 2.0, 4.0]), 0.5)
     assert v.ok
     gap = v.links[1] - v.links[0]
-    assert eigendecomposition(gap).values[-1] > 0.1
+    assert linalg._eig(linalg.as_symmetric(gap)).values[-1] > 0.1
 
 
 def test_ordering_chain():
@@ -317,7 +318,7 @@ def test_stack_refusals_leave_other_pairs_unchanged():
 def test_overflowing_relative_spectrum_is_refused(n):
     # A and B are finite and positive-definite, but X = A^-1/2 B A^-1/2
     # overflows: to inf at n = 1, NaN at n = 2, and a matrix that LAPACK
-    # cannot decompose at n >= 3
+    # cannot decompose at n >= 3; refused before any numpy warning
     A, B = 1e-300 * np.eye(n), 1e300 * np.eye(n)
     calls = [
         lambda: relative_spectrum_bounds(A, B),
@@ -325,10 +326,44 @@ def test_overflowing_relative_spectrum_is_refused(n):
         lambda: entropy.check_zou_chain(A, B, 0.5),
         lambda: entropy.check_roe_bounds(A, B),
     ]
-    with np.errstate(over="ignore", invalid="ignore"):
+    message = "^B relative to A must be positive-definite: min eigenvalue nan, max nan$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         for call in calls:
-            with pytest.raises(ValueError, match="B relative to A must be positive-definite"):
+            with pytest.raises(ValueError, match=message):
                 call()
+
+
+EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: relative_spectrum_bounds(EMPTY, EMPTY),
+        lambda: entropy.relative_entropy(EMPTY, EMPTY),
+        lambda: loewner_compare(EMPTY, EMPTY),
+        lambda: entropy.check_zou_chain(EMPTY, EMPTY, 0.5),
+        lambda: entropy.check_two_function_operator(
+            REGISTRY["log-wide"], REGISTRY["lin-0.04-0.12"], EMPTY, mode="expectation", interval=(1.5, 4.0)
+        ),
+    ],
+    ids=["relative_spectrum_bounds", "relative_entropy", "loewner_compare", "check_zou_chain", "check_two_function_operator"],
+)
+def test_empty_matrix_is_refused(call):
+    # a 0x0 matrix is square and symmetric, but has no extreme eigenvalue
+    with pytest.raises(ValueError, match=r"^expected a non-empty matrix, got shape \(0, 0\)$"):
+        call()
+
+
+@pytest.mark.parametrize("kind", [entropy.tsallis_entropy, entropy.generalized_entropy])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_entropy_refuses_non_finite_index(kind, t):
+    # refused before any arithmetic: no NaN matrix and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
+            kind(np.eye(2), np.diag([2.0, 3.0]), t)
 
 
 def _rotated(rng, lam):
@@ -443,7 +478,7 @@ def _expectation_witness(n):
     rng = np.random.default_rng(n)
     A = _rotated(rng, rng.uniform(1.5, 4.0, n))
     verdict = entropy.check_two_function_operator(REGISTRY["log-wide"], QUAD_G, A, mode="expectation", interval=(1.5, 4.0))
-    eig = eigendecomposition(A)
+    eig = linalg._eig(linalg.as_symmetric(A))
     (i, j), w = verdict.regime["pair"], verdict.regime["weight"]
     h = math.sqrt(w) * eig.vectors[:, i] + math.sqrt(1.0 - w) * eig.vectors[:, j]
     return A, (eig.vectors * QUAD_G.eval(eig.values)) @ eig.vectors.T, verdict, h
@@ -494,7 +529,7 @@ def test_expectation_with_g_falling_within_the_gate_slack_is_decided_at_an_eigen
     v = entropy.check_two_function_operator(f, g, A, mode="expectation", interval=(a, b))
     dg, df = g.eval(b) - g.eval(a), f.eval(b) - f.eval(a)
     assert -1e-9 < dg < 0.0 and v.ok
-    (i, j), lam = v.regime["pair"], eigendecomposition(A).values
+    (i, j), lam = v.regime["pair"], linalg._eig(linalg.as_symmetric(A)).values
     assert i == j and v.regime["weight"] == 1.0 and v.regime["x"] == lam[i]
     assert v.verdicts[0].min_slack_eigenvalue == (df * g.eval(lam) - dg * f.eval(lam)).min()
 
@@ -543,7 +578,6 @@ def test_fuzzing_spectral_chains_lifts_no_matrix(monkeypatch):
 
     monkeypatch.setattr(entropy, "_loewner", forbidden)
     monkeypatch.setattr(linalg._Pairs, "lift", forbidden)
-    monkeypatch.setattr(linalg, "congruence_sandwich", forbidden)
     for cid, regime in [*SPECTRAL_CHAINS, ("thm-2.12", {"mode": "expectation"})]:
         rep = fuzz_chain(cid, GeneratorConfig(seed=5, trials=20, regime=regime))
         assert len(rep.slack_rows) == 20 and not rep.failures, cid
