@@ -4,12 +4,21 @@ Each checker evaluates one chain a_1 <= a_2 <= ... <= a_k at concrete
 parameters and returns a ChainVerdict holding the ordered values, per-link
 slacks, and a tolerance-based pass flag. Checkers raise on precondition
 violations; a returned verdict always means the chain was evaluable.
+
+A checker computes only what its verdict is decided on. Its witness (the
+parameters and the values that explain the verdict, such as direct bound
+values) is a zero-argument builder, run when ``ChainVerdict.witness`` is
+first read: by ``to_dict``, and so by ``oel verify``, never by fuzzing.
+Every refusal happens before the verdict is returned, so a builder cannot
+raise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -22,15 +31,22 @@ DEFAULT_TOL = 1e-9
 
 @dataclass
 class ChainVerdict:
+    """The outcome of one scalar chain; ``build_witness`` makes the witness
+    dict, which ``witness`` builds on first read."""
+
     chain_id: str
     values: list[float]
     slacks: list[float]
     ok: bool
     tol: float
     scale: float
-    witness: dict = field(default_factory=dict)
+    build_witness: Callable[[], dict] = field(default=dict, repr=False, compare=False)
 
     applicable = True  # a scalar chain has no hypothesis to fail; bad input raises
+
+    @cached_property
+    def witness(self) -> dict:
+        return self.build_witness()
 
     @property
     def min_rel_slack(self) -> float:
@@ -49,20 +65,28 @@ class ChainVerdict:
         }
 
 
-def verdict_from_values(chain_id, values, tol, witness=None) -> ChainVerdict:
-    """Build a verdict for an ordered chain of floats.
+def verdict_from_values(chain_id, values, tol, build_witness=dict) -> ChainVerdict:
+    """Build a verdict for an ordered chain of floats, whose witness dict
+    ``build_witness`` makes.
 
     Passing means every adjacent slack stays above -tol*scale where
     scale = max(1, max |value|); the relative form keeps chains that mix
     magnitudes across many orders comparable.
     """
     values = [float(v) for v in values]
-    if any(not math.isfinite(v) for v in values):
-        raise NumericError(f"{chain_id}: chain produced non-finite values {values!r}")
-    slacks = [values[i + 1] - values[i] for i in range(len(values) - 1)]
-    scale = max(1.0, max(abs(v) for v in values)) if values else 1.0
-    ok = all(s >= -tol * scale for s in slacks)
-    return ChainVerdict(chain_id, values, slacks, ok, tol, scale, witness or {})
+    slacks = []
+    scale = 1.0
+    prev = None
+    for v in values:
+        if not math.isfinite(v):
+            raise NumericError(f"{chain_id}: chain produced non-finite values {values!r}")
+        if abs(v) > scale:
+            scale = abs(v)
+        if prev is not None:
+            slacks.append(v - prev)
+        prev = v
+    ok = not slacks or min(slacks) >= -tol * scale
+    return ChainVerdict(chain_id, values, slacks, ok, tol, scale, build_witness)
 
 
 def young_ratio_chain(a, b, v, n, tol=DEFAULT_TOL) -> ChainVerdict:
@@ -73,14 +97,17 @@ def young_ratio_chain(a, b, v, n, tol=DEFAULT_TOL) -> ChainVerdict:
     direct bound values (which can round to inf for extreme ratios at
     small n) ride along in the witness.
     """
-    lower, ratio, upper = scalar.young_ratio_bounds(a, b, v, n)
+    if n < 1 or int(n) != n:  # refused before a, b and v, as young_ratio_bounds refuses it
+        raise DomainError(f"n must be a positive integer, got {n!r}")
+    arith, geom = scalar.weighted_means(a, b, v)
+    ratio = arith / geom
     a_n, b_n = scalar.ratio_sequences(ratio, n)
-    return verdict_from_values(
-        "prop-2.1",
-        [b_n, math.log(ratio), a_n],
-        tol,
-        {"a": a, "b": b, "v": v, "n": n, "lower": lower, "ratio": ratio, "upper": upper},
-    )
+
+    def witness():
+        lower, _, upper = scalar.young_ratio_bounds(a, b, v, n)
+        return {"a": a, "b": b, "v": v, "n": n, "lower": lower, "ratio": ratio, "upper": upper}
+
+    return verdict_from_values("prop-2.1", [b_n, math.log(ratio), a_n], tol, witness)
 
 
 def check_minmax_square(f: FunctionSpec, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
@@ -97,7 +124,7 @@ def check_minmax_square(f: FunctionSpec, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
         "thm-2.2",
         [min(quad, t - s), mid, max(quad, t - s)],
         tol,
-        {"fn": f.id, "s": s, "t": t, "monotone_form": f.has("monotone_increasing")},
+        lambda: {"fn": f.id, "s": s, "t": t, "monotone_form": f.has("monotone_increasing")},
     )
 
 
@@ -122,7 +149,7 @@ def check_minmax_power(f: FunctionSpec, s, t, p, q, tol=DEFAULT_TOL) -> ChainVer
         "rem-2.3",
         [min(lo_term, hi_term), diff, max(lo_term, hi_term)],
         tol,
-        {"fn": f.id, "s": s, "t": t, "p": p, "q": q},
+        lambda: {"fn": f.id, "s": s, "t": t, "p": p, "q": q},
     )
 
 
@@ -159,7 +186,7 @@ def jensen_refinement(f: FunctionSpec, w, x, t, tol=DEFAULT_TOL) -> ChainVerdict
         "cor-2.4",
         [f_mean + psi / t, rhs],
         tol,
-        {"fn": f.id, "w": w, "x": x, "t": t, "psi": psi, "mean": mean},
+        lambda: {"fn": f.id, "w": w, "x": x, "t": t, "psi": psi, "mean": mean},
     )
 
 
@@ -187,7 +214,7 @@ def am_gm_refinement(w, x, t, tol=DEFAULT_TOL) -> ChainVerdict:
         "cor-2.4-am-gm",
         values,
         tol,
-        {"w": w, "x": x, "t": t, "arith": arith, "geom": geom},
+        lambda: {"w": w, "x": x, "t": t, "arith": arith, "geom": geom},
     )
 
 
@@ -219,7 +246,7 @@ def logconvex_chain(f: FunctionSpec, s, t, mode, tol=DEFAULT_TOL) -> ChainVerdic
         f"thm-2.6-{mode}",
         values,
         tol,
-        {"fn": f.id, "s": s, "t": t, "mode": mode},
+        lambda: {"fn": f.id, "s": s, "t": t, "mode": mode},
     )
 
 
@@ -240,7 +267,7 @@ def geomconvex_chain(f: FunctionSpec, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
         "thm-2.7",
         [(t / s) ** es, ft / fs, (t / s) ** et],
         tol,
-        {"fn": f.id, "s": s, "t": t},
+        lambda: {"fn": f.id, "s": s, "t": t},
     )
 
 
@@ -269,7 +296,7 @@ def geom_interpolation_chain(g: FunctionSpec, a, b, t, tol=DEFAULT_TOL) -> Chain
         "cor-2.8",
         [math.exp(g0 * t), ratio, math.exp(gt * t)],
         tol,
-        {"fn": g.id, "a": a, "b": b, "t": t, "G0": g0, "Gt": gt},
+        lambda: {"fn": g.id, "a": a, "b": b, "t": t, "G0": g0, "Gt": gt},
     )
 
 
@@ -310,7 +337,7 @@ def jensen_exponential_bounds(f: FunctionSpec, weights, points, kind, tol=DEFAUL
         chain_id,
         [lo * fm, middle, hi * fm],
         tol,
-        {"fn": f.id, "w": w, "a": a, "kind": kind, "L": lo, "R": hi},
+        lambda: {"fn": f.id, "w": w, "a": a, "kind": kind, "L": lo, "R": hi},
     )
 
 
@@ -345,7 +372,7 @@ def derived_logconvexity_check(f: FunctionSpec, u, w, tol=DEFAULT_TOL) -> ChainV
         "lem-3.7",
         [max(g_gap, h_gap), 0.0],
         tol,
-        {"fn": f.id, "u": u, "w": w, "g_gap": g_gap, "h_gap": h_gap},
+        lambda: {"fn": f.id, "u": u, "w": w, "g_gap": g_gap, "h_gap": h_gap},
     )
 
 
@@ -367,26 +394,25 @@ def young_refinement_chain(a, b, t, tol=DEFAULT_TOL) -> ChainVerdict:
     log_geom = (1.0 - t) * math.log(a) + t * math.log(b)
     lb_exp = (math.log(b / a) + 1.0 - b / a) * t
     ub_exp = (math.log(b / a) - (b - a) / arith) * t
-    phi_val = scalar.phi(t, b / a)
-    refinement = a >= b and t <= 0.5
-    with np.errstate(over="ignore"):
-        endpoints = (float(np.exp(lb_exp)), float(np.exp(ub_exp)))
-    return verdict_from_values(
-        "cor-3.8",
-        [lb_exp, log_geom - math.log(arith), ub_exp],
-        tol,
-        {
+    scalar._as_positive(b / a, "x")  # phi's refusal, made here: the witness calls phi only when read
+
+    def witness():
+        phi_val = scalar.phi(t, b / a)
+        with np.errstate(over="ignore"):
+            endpoints = (float(np.exp(lb_exp)), float(np.exp(ub_exp)))
+        return {
             "a": a,
             "b": b,
             "t": t,
             "phi": phi_val,
-            "refinement_regime": refinement,
+            "refinement_regime": a >= b and t <= 0.5,
             "lower": endpoints[0],
             "ratio": math.exp(log_geom - math.log(arith)),
             "upper": endpoints[1],
             "reversed_lower": math.exp(phi_val * t),
-        },
-    )
+        }
+
+    return verdict_from_values("cor-3.8", [lb_exp, log_geom - math.log(arith), ub_exp], tol, witness)
 
 
 def tsallis_scalar_chain(x, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
@@ -404,7 +430,7 @@ def tsallis_scalar_chain(x, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
         "lem-3.4",
         [lo, lt, hi],
         tol,
-        {"x": x, "s": s, "t": t},
+        lambda: {"x": x, "s": s, "t": t},
     )
 
 

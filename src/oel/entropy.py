@@ -187,16 +187,23 @@ def _not_applicable(chain_id, tol, regime) -> OperatorChainVerdict:
 
 # --- entropies --------------------------------------------------------------
 
-def _entropy(A, B, fn) -> np.ndarray:
-    """A**(1/2) fn(X) A**(1/2) for one pair, refused as the chains refuse it."""
+def _entropy(A, B, fn, name: str) -> np.ndarray:
+    """A**(1/2) fn(X) A**(1/2) for one pair, refused as the chains refuse it.
+    A pair at which ``name`` leaves float range is refused with no numpy
+    warning: before the lift when fn overflows on the spectrum of X, else
+    when the lift does."""
     pairs = _Pairs([A], [B])
     _only(pairs.errors)
-    return pairs.lift(0, fn)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = pairs.lift(0, fn) if np.isfinite(fn(pairs.lam)).all() else None
+    if out is None or not np.isfinite(out).all():
+        raise ValueError(f"{name} overflows float range")
+    return out
 
 
 def relative_entropy(A, B) -> np.ndarray:
     """A**(1/2) log(A**(-1/2) B A**(-1/2)) A**(1/2) for positive-definite A, B."""
-    return _entropy(A, B, np.log)
+    return _entropy(A, B, np.log, "the relative entropy")
 
 
 def tsallis_entropy(A, B, t: float) -> np.ndarray:
@@ -204,14 +211,14 @@ def tsallis_entropy(A, B, t: float) -> np.ndarray:
     and converges to the relative entropy as t -> 0."""
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    return _entropy(A, B, lambda lam: scalar.deformed_log(t, lam))
+    return _entropy(A, B, lambda lam: scalar.deformed_log(t, lam), f"the Tsallis entropy at t = {t}")
 
 
 def generalized_entropy(A, B, t: float) -> np.ndarray:
     """Sandwich of x**t log(x); reduces to the relative entropy at t = 0."""
     if not np.isfinite(t):
         raise ValueError(f"t must be finite, got {t}")
-    return _entropy(A, B, lambda lam: lam**t * np.log(lam))
+    return _entropy(A, B, lambda lam: lam**t * np.log(lam), f"the generalized entropy at t = {t}")
 
 
 # --- chains -----------------------------------------------------------------

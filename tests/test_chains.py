@@ -43,7 +43,7 @@ def test_verdict_semantics():
     assert v.ok
     with pytest.raises(NumericError):
         chains.verdict_from_values("demo", [1.0, math.inf], 1e-9)
-    d = chains.verdict_from_values("demo", [0.0, 1.0], 1e-9, {"k": 1}).to_dict()
+    d = chains.verdict_from_values("demo", [0.0, 1.0], 1e-9, lambda: {"k": 1}).to_dict()
     assert d["pass"] is True and d["witness"] == {"k": 1}
 
 
@@ -245,6 +245,10 @@ def test_young_refinement_examples():
     # the log-space chain stays verifiable
     v = chains.young_refinement_chain(151.7582639263683, 0.004828583485025447, 0.999174176436832)
     assert v.ok and math.isinf(v.witness["upper"])
+    # b/a overflows: refused as the witness's phi refuses it, before any
+    # verdict, and not decided as a non-finite chain (a failure when fuzzed)
+    with pytest.raises(DomainError, match="^x must be positive and finite, got inf$"):
+        chains.young_refinement_chain(1e-200, 1e200, 0.5)
 
 
 def test_tsallis_scalar_examples():

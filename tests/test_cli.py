@@ -328,6 +328,25 @@ def test_overflowing_pair_prints_only_the_error_line(tmp_path):
         assert proc.stderr == "error: B relative to A must be positive-definite: min eigenvalue nan, max nan\n"
 
 
+def test_overflowing_entropy_index_prints_only_the_error_line(tmp_path):
+    # a large finite --t is refused with an error that names the entropy
+    # and t, alone on stderr: no numpy RuntimeWarning, no complaint about
+    # the output matrix
+    a, b = tmp_path / "A.json", tmp_path / "B.json"
+    a.write_text('{"n": 2, "data": [[2.0, 0.5], [0.5, 1.0]]}')
+    b.write_text('{"n": 2, "data": [[1.0, -0.3], [-0.3, 3.0]]}')
+    src = str(Path(oel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    for kind, name in (("T", "Tsallis"), ("St", "generalized")):
+        for t in ("800", "1e300", "-1e300"):
+            proc = subprocess.run(
+                [sys.executable, "-W", "default", "-m", "oel.cli", "compute", kind, "--t", t, "--A", str(a), "--B", str(b)],
+                capture_output=True, text=True, env=env, check=False,
+            )
+            assert proc.returncode == 2, (kind, t)
+            assert proc.stderr == f"error: the {name} entropy at t = {float(t)} overflows float range\n", (kind, t)
+
+
 def test_refusal_messages_print_plain_floats(tmp_path, capsys):
     # numpy scalars print as np.float64(...) under numpy 2 and bare under 1.x
     a, b, c = tmp_path / "A.json", tmp_path / "B.json", tmp_path / "C.json"

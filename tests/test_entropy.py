@@ -1,5 +1,6 @@
 import collections
 import math
+import re
 import warnings
 
 import numpy as np
@@ -364,6 +365,35 @@ def test_entropy_refuses_non_finite_index(kind, t):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=f"^t must be finite, got {t}$"):
             kind(np.eye(2), np.diag([2.0, 3.0]), t)
+
+
+_CI_A = np.array([[2.0, 0.5], [0.5, 1.0]])
+_CI_B = np.array([[1.0, -0.3], [-0.3, 3.0]])  # the spectrum of X is about [0.446, 3.725]
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [(entropy.tsallis_entropy, "Tsallis"), (entropy.generalized_entropy, "generalized")],
+)
+@pytest.mark.parametrize("t", [800.0, 1e300, -1e300])
+def test_entropy_refuses_an_index_it_overflows_at(kind, name, t):
+    # a finite t at which fn overflows on the spectrum of X is refused
+    # before the lift, naming the entropy and t, with no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^" + re.escape(f"the {name} entropy at t = {t} overflows float range") + "$"):
+            kind(_CI_A, _CI_B, t)
+
+
+def test_entropy_refuses_a_lift_that_overflows():
+    # x**t log x stays finite on the spectrum at t = 539.1, but the lift's
+    # products do not: refused the same way
+    m, M = relative_spectrum_bounds(_CI_A, _CI_B)
+    assert all(math.isfinite(x**539.1 * math.log(x)) for x in (m, M))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^the generalized entropy at t = 539.1 overflows float range$"):
+            entropy.generalized_entropy(_CI_A, _CI_B, 539.1)
 
 
 def _rotated(rng, lam):

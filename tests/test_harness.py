@@ -1,10 +1,11 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from oel import entropy, harness
+from oel import entropy, harness, scalar
 from oel.errors import NumericError
 from oel.funcs import FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, TrialStreams, fuzz_chain, trial_rng
@@ -107,6 +108,38 @@ def test_trial_streams_match_fresh_generators():
         assert fresh.uniform() == reused.uniform()
         assert fresh.integers(0, 100) == reused.integers(0, 100)
         assert np.array_equal(fresh.normal(size=4), reused.normal(size=4))
+
+
+def _philox_state(rng) -> dict:
+    state = rng.bit_generator.state
+    return {
+        "counter": [int(v) for v in state["state"]["counter"]], "key": [int(v) for v in state["state"]["key"]],
+        "buffer": [int(v) for v in state["buffer"]],
+        **{name: int(state[name]) for name in ("buffer_pos", "has_uint32", "uinteger")},
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_a_reused_stream_is_a_fresh_stream_field_for_field(seed):
+    streams = TrialStreams(seed)
+    # what the trial before leaves behind: a 32-bit half-word held (an odd
+    # number of 32-bit integer draws), a Philox output buffer stopped
+    # partway (random draws, one 64-bit word each), or both
+    leftovers = [
+        lambda g: g.integers(0, 10, dtype=np.int32),
+        lambda g: g.integers(0, 10, size=3, dtype=np.int32),
+        lambda g: g.random(3),
+        lambda g: (g.random(5), g.integers(0, 10, dtype=np.int32)),
+    ]
+    for leftover in leftovers:
+        for trial in (0, 1, 7, 10**9, 2**63):
+            leftover(streams.rng(trial + 1))
+            assert _philox_state(streams.rng(trial)) == _philox_state(trial_rng(seed, trial)), (seed, trial)
+    # the leftovers do leave state that a reset must clear
+    dirty = trial_rng(seed, 3)
+    leftovers[-1](dirty)
+    state = _philox_state(dirty)
+    assert state["has_uint32"] == 1 and state["buffer_pos"] not in (0, 4)
 
 
 # every (lo, hi) a generator draws uniformly from with literal ends, and the
@@ -560,3 +593,35 @@ def test_fingerprint_tells_equal_functions_from_different_ones():
     f1, *_ = harness.gen_two_function_family(rng)
     f2, *_ = harness.gen_two_function_family(rng)
     assert _fingerprint({"f": f1}) == _fingerprint({"f": f2})
+
+
+@pytest.mark.parametrize(
+    "cid, builder, min_slack",
+    [("prop-2.1", "young_ratio_bounds", 9.949262762734405e-14), ("cor-3.8", "phi", 4.390386428878978e-07)],
+)
+def test_fuzzing_builds_no_witness(monkeypatch, cid, builder, min_slack):
+    # the witness-only arithmetic runs when a verdict is printed, never while
+    # fuzzing; the outcome is what it was when every trial built its witness
+    def refuse(*args):
+        raise AssertionError(f"{builder} ran while fuzzing {cid}")
+
+    monkeypatch.setattr(scalar, builder, refuse)
+    rep = fuzz_chain(cid, GeneratorConfig(seed=1, trials=500))
+    assert (rep.trials_run, rep.failures, rep.not_applicable, rep.rejected) == (500, [], 0, 0)
+    assert rep.min_slack == min_slack
+
+
+@pytest.mark.parametrize("scalar_range", [(1e-3, 1e3), (1e-7, 1e7)])
+def test_witness_builders_neither_raise_nor_warn(scalar_range):
+    # every refusal happens before a verdict is returned: the witness of
+    # every decided scalar verdict builds without an error or a warning
+    cfg = GeneratorConfig(seed=1, trials=2000, scalar_range=scalar_range)
+    for cid, entry in CHAINS.items():
+        if entry.kind != "scalar":
+            continue
+        streams = TrialStreams(cfg.seed)
+        for trial in range(cfg.trials):  # at these ranges every draw is decided
+            verdict = entry.run(entry.generate(streams.rng(trial), cfg), cfg.tol)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert verdict.to_dict()["witness"], (cid, trial)
