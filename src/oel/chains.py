@@ -100,7 +100,7 @@ def young_ratio_chain(a, b, v, n, tol=DEFAULT_TOL) -> ChainVerdict:
     if n < 1 or int(n) != n:  # refused before a, b and v, as young_ratio_bounds refuses it
         raise DomainError(f"n must be a positive integer, got {n!r}")
     arith, geom = scalar.weighted_means(a, b, v)
-    ratio = arith / geom
+    ratio = scalar._as_positive(arith / geom, "prop-2.1's mean ratio")  # overflows for far-apart a, b
     a_n, b_n = scalar.ratio_sequences(ratio, n)
 
     def witness():
@@ -390,14 +390,16 @@ def young_refinement_chain(a, b, t, tol=DEFAULT_TOL) -> ChainVerdict:
     scalar._as_positive(b, "b")
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"need 0 <= t <= 1, got {t!r}")
+    # b/a underflows to 0 or overflows for far-apart a, b: refused by name
+    # before its log, and so before the witness's phi reads it
+    x = scalar._as_positive(b / a, "cor-3.8's b/a")
     arith = (1.0 - t) * a + t * b
     log_geom = (1.0 - t) * math.log(a) + t * math.log(b)
-    lb_exp = (math.log(b / a) + 1.0 - b / a) * t
-    ub_exp = (math.log(b / a) - (b - a) / arith) * t
-    scalar._as_positive(b / a, "x")  # phi's refusal, made here: the witness calls phi only when read
+    lb_exp = (math.log(x) + 1.0 - x) * t
+    ub_exp = (math.log(x) - (b - a) / arith) * t
 
     def witness():
-        phi_val = scalar.phi(t, b / a)
+        phi_val = scalar.phi(t, x)
         with np.errstate(over="ignore"):
             endpoints = (float(np.exp(lb_exp)), float(np.exp(ub_exp)))
         return {
@@ -438,52 +440,58 @@ def tsallis_scalar_chain(x, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
 class GateRecord:
     """Outcome of the two-function admissibility gate.
 
-    ``conditions_hold`` certifies, on a grid, that f is nonnegative
-    increasing concave, g nonnegative convex, f >= g, and the increment of f
-    dominates m_ratio times the increment of g. When it holds, the bilinear
-    form F(t) = (f(b)-f(a)) g(t) - (g(b)-g(a)) f(t) is nonnegative, which is
-    what ``f_min`` reports.
+    ``conditions_hold`` certifies that f is nonnegative increasing concave,
+    g nonnegative convex, f >= g, and the increment of f dominates m_ratio
+    times the increment of g on [a, b]. The three shape checks read the
+    declared flags; given them, the rest is decided exactly from f and g at
+    a and b and g at its minimum. When it holds, the bilinear form F(t) =
+    (f(b)-f(a)) g(t) - (g(b)-g(a)) f(t) is nonnegative on [a, b].
     """
 
     conditions_hold: bool
     m_ratio: float
-    f_min: float
     checks: dict = field(default_factory=dict)
 
 
-GATE_GRID = 257  # points of [a, b] at which the gate samples f and g
+def _bisect(d, lo: float, hi: float) -> float:
+    """Where the nondecreasing ``d`` changes sign in [lo, hi], given d(lo) < 0
+    < d(hi), to the resolution of floats."""
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if d(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def two_function_gate(f: FunctionSpec, g: FunctionSpec, a, b, tol=DEFAULT_TOL) -> GateRecord:
+    """The admissibility gate of (f, g) on [a, b]. With f monotone, its min
+    and max are at the endpoints; with f concave and g convex, f - g is
+    concave, so f >= g holds iff it holds at a and b; and min g is at an
+    endpoint, or at the root of the nondecreasing g' when g'(a) < 0 < g'(b)."""
     if not b > a:
         raise ValueError(f"need b > a, got a={a!r}, b={b!r}")
     for spec in (f, g):
         flo, fhi = spec.domain
         if not (flo < a and b < fhi):
             raise DomainError(f"[{a}, {b}] escapes domain {spec.domain!r} of {spec.id!r}")
-    xs = np.linspace(a, b, GATE_GRID)
-    fs = f.eval(xs)
-    gs = g.eval(xs)
-    scale = max(1.0, float(np.abs(fs).max()), float(np.abs(gs).max()))
-    slack = tol * scale
-    d2f = fs[2:] - 2.0 * fs[1:-1] + fs[:-2]
-    d2g = gs[2:] - 2.0 * gs[1:-1] + gs[:-2]
-    df, dg = float(fs[-1] - fs[0]), float(gs[-1] - gs[0])
-    min_g = float(gs.min())
-    m_ratio = float(fs.max() / min_g) if min_g > 0.0 else math.inf
+    fa, fb, ga, gb = f.eval(a), f.eval(b), g.eval(a), g.eval(b)
+    min_g = g.eval(_bisect(g.deriv, a, b)) if g.deriv(a) < 0.0 < g.deriv(b) else min(ga, gb)
+    slack = tol * max(1.0, abs(fa), abs(fb), abs(ga), abs(gb), abs(min_g))
+    df, dg = fb - fa, gb - ga
+    m_ratio = float(max(fa, fb) / min_g) if min_g > 0.0 else math.inf
     if math.isfinite(m_ratio):
         cond_iv = dg >= -slack and df >= m_ratio * dg - slack
     else:
         # unbounded ratio: only a flat g keeps the product meaningful
         cond_iv = abs(dg) <= slack and df >= -slack
     checks = {
-        "f_nonnegative": bool(fs.min() >= -slack),
-        "g_nonnegative": bool(gs.min() >= -slack),
-        "f_increasing": bool(np.diff(fs).min() >= -slack),
-        "f_concave": bool(d2f.max() <= slack),
-        "g_convex": bool(d2g.min() >= -slack),
-        "f_dominates_g": bool((fs - gs).min() >= -slack),
+        "f_nonnegative": bool(min(fa, fb) >= -slack),
+        "g_nonnegative": bool(min_g >= -slack),
+        "f_increasing": f.has("monotone_increasing"),
+        "f_concave": f.has("concave"),
+        "g_convex": g.has("convex"),
+        "f_dominates_g": bool(min(fa - ga, fb - gb) >= -slack),
         "increment_condition": bool(cond_iv),
     }
-    F = df * gs - dg * fs
-    return GateRecord(all(checks.values()), m_ratio, float(F.min()), checks)
+    return GateRecord(all(checks.values()), m_ratio, checks)

@@ -47,7 +47,7 @@ from typing import Callable
 import numpy as np
 
 from . import scalar
-from .chains import DEFAULT_TOL, two_function_gate
+from .chains import DEFAULT_TOL, _bisect, two_function_gate
 from .errors import TRIAL_ERRORS, NumericError
 from .linalg import (
     LoewnerVerdict,
@@ -479,17 +479,6 @@ def _gated(mode, f, g, a, b, spectra, errors, tol) -> tuple:
         if step is not None:
             steps[i] = step
     return regimes, steps
-
-
-def _bisect(d, lo: float, hi: float) -> float:
-    """Where the nondecreasing ``d`` changes sign in [lo, hi], given d(lo) < 0
-    < d(hi), to the resolution of floats."""
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        if d(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def _worst_unit_vector(f, g, a, b, df, dg, lam) -> tuple:

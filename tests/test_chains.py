@@ -58,6 +58,9 @@ def test_young_ratio_chain_cases():
     # log-space chain stays verifiable
     v = chains.young_ratio_chain(1e-3, 1e3, 0.0724, 1)
     assert v.ok and math.isinf(v.witness["upper"])
+    # the mean ratio itself overflows (1e99 / 1e-260): refused by name
+    with pytest.raises(DomainError, match="^prop-2.1's mean ratio must be positive and finite, got inf$"):
+        chains.young_ratio_chain(1e-300, 1e100, 0.1, 3)
 
 
 def test_minmax_square_examples():
@@ -245,10 +248,12 @@ def test_young_refinement_examples():
     # the log-space chain stays verifiable
     v = chains.young_refinement_chain(151.7582639263683, 0.004828583485025447, 0.999174176436832)
     assert v.ok and math.isinf(v.witness["upper"])
-    # b/a overflows: refused as the witness's phi refuses it, before any
-    # verdict, and not decided as a non-finite chain (a failure when fuzzed)
-    with pytest.raises(DomainError, match="^x must be positive and finite, got inf$"):
+    # b/a overflows or underflows: refused by name before any log, and not
+    # decided as a non-finite chain (a failure when fuzzed)
+    with pytest.raises(DomainError, match="^cor-3.8's b/a must be positive and finite, got inf$"):
         chains.young_refinement_chain(1e-200, 1e200, 0.5)
+    with pytest.raises(DomainError, match="^cor-3.8's b/a must be positive and finite, got 0.0$"):
+        chains.young_refinement_chain(1e300, 1e-300, 0.5)
 
 
 def test_tsallis_scalar_examples():
@@ -264,18 +269,27 @@ def test_tsallis_scalar_examples():
         chains.tsallis_scalar_chain(2.0, 0.0, 1.0)
 
 
+def _form_min(f, g, a, b, points=4097) -> float:
+    """Least value of the bilinear form F = (f(b)-f(a)) g - (g(b)-g(a)) f on
+    a dense grid of [a, b]: the test's oracle for the form the gate certifies."""
+    xs = np.linspace(a, b, points)
+    fs, gs = f.eval(xs), g.eval(xs)
+    return float(((fs[-1] - fs[0]) * gs - (gs[-1] - gs[0]) * fs).min())
+
+
 def test_two_function_gate_rejects_chord_pair():
     # log against its own chord on [1, e]: the admissibility conditions
     # cannot hold (the ratio term is unbounded because min g = 0) and the
-    # bilinear form dips negative, matching the direct grid minimum
+    # bilinear form dips negative
     f = REGISTRY["log-wide"]
     g = linear(1.0 / (math.e - 1.0), -1.0 / (math.e - 1.0))
     gate = chains.two_function_gate(f, g, 1.0001, math.e)
     assert not gate.conditions_hold
     assert not gate.checks["increment_condition"]
     assert gate.m_ratio > 1e3  # min g is nearly zero at the left endpoint
-    assert gate.f_min == pytest.approx(-0.1233015614822445, abs=1e-3)
-    assert gate.f_min < -0.12
+    form_min = _form_min(f, g, 1.0001, math.e)
+    assert form_min == pytest.approx(-0.1233015614822445, abs=1e-3)
+    assert form_min < -0.12
 
 
 def test_two_function_gate_rejects_equal_strictly_monotone():
@@ -292,12 +306,22 @@ def test_two_function_gate_accepts_constructed_family_and_implication():
         f, g, a, b = gen_two_function_family(rng)
         gate = chains.two_function_gate(f, g, a, b)
         assert gate.conditions_hold
-        assert gate.f_min >= -1e-9  # gate passing implies the form is nonnegative
+        assert _form_min(f, g, a, b) >= -1e-9  # gate passing implies the form is nonnegative
 
 
 def test_two_function_gate_registry_pair():
-    gate = chains.two_function_gate(REGISTRY["log-wide"], REGISTRY["lin-0.04-0.12"], 1.5, 4.0)
-    assert gate.conditions_hold and gate.f_min >= 0.0
+    f, g = REGISTRY["log-wide"], REGISTRY["lin-0.04-0.12"]
+    gate = chains.two_function_gate(f, g, 1.5, 4.0)
+    assert gate.conditions_hold and _form_min(f, g, 1.5, 4.0) >= 0.0
+
+
+def test_two_function_gate_reads_shape_from_the_declared_flags():
+    # sin increases on [0.1, 1.4], but its flags do not declare it, so the
+    # gate does not take it as increasing; every check is a plain bool
+    gate = chains.two_function_gate(REGISTRY["sin"], REGISTRY["lin-0.04-0.12"], 0.1, 1.4)
+    assert gate.checks["f_increasing"] is False and gate.checks["f_concave"] is True
+    assert not gate.conditions_hold
+    assert all(type(v) is bool for v in gate.checks.values())
 
 
 def test_jensen_proof_step_monotone():

@@ -347,6 +347,20 @@ def test_overflowing_entropy_index_prints_only_the_error_line(tmp_path):
             assert proc.stderr == f"error: the {name} entropy at t = {float(t)} overflows float range\n", (kind, t)
 
 
+def test_underflowing_young_ratio_prints_only_the_error_line():
+    # b/a underflows to 0: refused by name before any log, not as a bare
+    # "math domain error"
+    src = str(Path(oel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "oel.cli", "verify", "cor-3.8", "--a", "1e300", "--b", "1e-300", "--t", "0.5"],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: cor-3.8's b/a must be positive and finite, got 0.0\n"
+
+
 def test_refusal_messages_print_plain_floats(tmp_path, capsys):
     # numpy scalars print as np.float64(...) under numpy 2 and bare under 1.x
     a, b, c = tmp_path / "A.json", tmp_path / "B.json", tmp_path / "C.json"

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oel import entropy, linalg, scalar
+from oel import chains, entropy, linalg, scalar
 from oel.errors import NumericError
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, fuzz_chain, trial_rng
@@ -476,6 +476,39 @@ def test_two_function_stack_refusal_order_follows_the_single_trial():
 # and 0.02 <= f(a) / (9 + (b - a)**2) = 0.027 keeps g below f
 QUAD_G = FunctionSpec("quad-g", (0.0, 50.0), lambda x: 0.02 * (9.0 + (x - 1.5) ** 2),
                       lambda x: 0.04 * (x - 1.5), frozenset({"convex"}))
+
+
+def _interior_min_g(delta, c, x0=2.0011) -> FunctionSpec:
+    """g(x) = delta (c + (x - x0)**2): convex, least at x0 inside [1.5, 4],
+    which no grid of [1.5, 4] with 257 points hits."""
+    return FunctionSpec("interior-min-g", (0.0, 50.0), lambda x: delta * (c + (x - x0) ** 2),
+                        lambda x: 2.0 * delta * (x - x0), frozenset({"convex"}))
+
+
+def test_gate_ratio_at_an_interior_minimum_of_g_matches_mpmath():
+    # min g = 0.01 * 0.5 at x0, so m_ratio = log 4 / 0.005
+    mpmath = pytest.importorskip("mpmath")
+    gate = chains.two_function_gate(REGISTRY["log-wide"], _interior_min_g(0.01, 0.5), 1.5, 4.0)
+    with mpmath.workdps(50):
+        exact = mpmath.log(4) / (mpmath.mpf(0.01) * mpmath.mpf(0.5))
+    assert gate.m_ratio == pytest.approx(float(exact), rel=1e-13, abs=0.0)
+
+
+def test_gate_refuses_a_pair_whose_increment_condition_fails_only_at_the_minimum_of_g():
+    # c sits 4e-6 below K / df, the least c at which f(b) / min g = f(b) / (delta c)
+    # meets the increment condition df >= m_ratio dg; a grid misses x0 by more
+    # than 2e-3 and so overstates min g enough to admit the pair
+    f, a, b, x0 = REGISTRY["log-wide"], 1.5, 4.0, 2.0011
+    fa, fb = f.eval(a), f.eval(b)
+    c = fb * ((b - x0) ** 2 - (a - x0) ** 2) / (fb - fa) - 4e-6
+    g = _interior_min_g(fa / (2.0 * (c + (b - a) ** 2)), c, x0)
+    gate = chains.two_function_gate(f, g, a, b)
+    assert not gate.conditions_hold
+    assert [k for k, v in gate.checks.items() if not v] == ["increment_condition"]
+    A = _rotated(np.random.default_rng(5), [1.7, 2.4, 3.8])
+    verdict = entropy.check_two_function_operator(f, g, A, mode="expectation", interval=(a, b))
+    assert not verdict.applicable
+    assert verdict.regime["reason"] == "admissibility gate failed"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

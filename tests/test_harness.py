@@ -275,6 +275,9 @@ PINNED_COUNTS = [
     ("tol-zero", {"seed": 42, "trials": 60, "tol": 0.0}, ["thm-2.12"], {}),
     ("wide-scalar-range", {"seed": 0, "trials": 200, "scalar_range": (1e-7, 1e7)}, OPERATOR_CHAINS,
      {"zou": (42, 0, 0, 158), "prop-3.10": (51, 0, 0, 149)}),
+    # draws whose b/a leaves float range are refused by name before any log
+    ("extreme-scalar-range", {"seed": 3, "trials": 600, "scalar_range": (1e-300, 1e300)}, ["prop-2.1", "cor-3.8"],
+     {"prop-2.1": (567, 0, 0, 33), "cor-3.8": (468, 0, 0, 132)}),
 ]
 
 
