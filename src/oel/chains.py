@@ -444,13 +444,15 @@ class GateRecord:
     g nonnegative convex, f >= g, and the increment of f dominates m_ratio
     times the increment of g on [a, b]. The three shape checks read the
     declared flags; given them, the rest is decided exactly from f and g at
-    a and b and g at its minimum. When it holds, the bilinear form F(t) =
-    (f(b)-f(a)) g(t) - (g(b)-g(a)) f(t) is nonnegative on [a, b].
+    a and b and g at its minimum. ``ends`` holds (f(a), f(b), g(a), g(b)).
+    When the conditions hold, the bilinear form F(t) = (f(b)-f(a)) g(t) -
+    (g(b)-g(a)) f(t) is nonnegative on [a, b].
     """
 
     conditions_hold: bool
     m_ratio: float
     checks: dict = field(default_factory=dict)
+    ends: tuple = ()
 
 
 def _bisect(d, lo: float, hi: float) -> float:
@@ -494,4 +496,4 @@ def two_function_gate(f: FunctionSpec, g: FunctionSpec, a, b, tol=DEFAULT_TOL) -
         "f_dominates_g": bool(min(fa - ga, fb - gb) >= -slack),
         "increment_condition": bool(cond_iv),
     }
-    return GateRecord(all(checks.values()), m_ratio, checks)
+    return GateRecord(all(checks.values()), m_ratio, checks, (fa, fb, ga, gb))

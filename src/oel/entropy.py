@@ -9,18 +9,20 @@ eigenvalue l of X, and the chains are decided on the spectrum of X alone.
 
 The matrix checkers work on a stack of k pairs of one shape, factored once
 by ``linalg._Pairs``: one ``eigh`` call factors every A and one values-only
-``eigvalsh`` call gives the spectrum of every X. A chain is a table of link
-functions evaluated on the (k, n) eigenvalues, and one vectorized pass
-decides every link of the stack; a link's slack is min over l of f_{j+1}(l) -
-f_j(l), the smallest eigenvalue of the lifted difference, and its scale is
-max(1, max |f_j|, max |f_{j+1}|) over the spectrum. The link matrices, like
-the entropies, are lifted from the factors of ``_Pairs``, one ``eigh`` of a
-pair's X serving them all, and only when ``OperatorChainVerdict.links`` is
-read. ``<name>_stack(A, B, ..., tol)`` takes k matrices for A and for B and
-k values for each parameter, and returns one outcome per pair: the verdict,
-or the exception the pair's own evaluation raises, which does not touch the
-other pairs. The public ``check_*`` functions are the k = 1 case and raise
-that exception.
+``eigvalsh`` call gives the spectrum of every X. A pair chain is declared
+as a refusal of one pair's parameters, a case function that records the
+pair's case in its regime, sets its coefficients and names its links, and a
+table of link functions of the (k, n) eigenvalues, which ``_pair_stack``
+reads; one vectorized pass decides every link of the stack. A link's slack
+is min over l of f_{j+1}(l) - f_j(l), the smallest eigenvalue of the lifted
+difference, and its scale is max(1, max |f_j|, max |f_{j+1}|) over the
+spectrum. The link matrices, like the entropies, are lifted from the
+factors of ``_Pairs``, one ``eigh`` of a pair's X serving them all, and
+only when ``OperatorChainVerdict.links`` is read. ``<name>_stack(A, B, ...,
+tol)`` takes k matrices for A and for B and k values for each parameter,
+and returns one outcome per pair: the verdict, or the exception the pair's
+own evaluation raises, which does not touch the other pairs. The public
+``check_*`` functions are the k = 1 case and raise that exception.
 
 The two-function comparison of thm-2.12 (``two_function_stack``) takes
 trials whose function pair, interval and mode vary from trial to trial,
@@ -35,11 +37,13 @@ matrices. The admissibility gate of each function pair runs per trial.
 
 Hypothesis mismatches (a pair outside a theorem's spectral regime) yield a
 verdict with status "not-applicable"; only genuine link violations count as
-failures. Bad inputs (non-PD, dimension mismatch, invalid parameters) raise.
+failures. Bad inputs (non-PD, dimension mismatch, invalid or non-finite
+parameters) raise.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -66,11 +70,6 @@ REGIME_CUSHION = 1e-12
 STATUS_PASS = "pass"
 STATUS_FAIL = "fail"
 STATUS_NOT_APPLICABLE = "not-applicable"
-
-
-def _require(ok: bool, message: str):
-    """None when a parameter check holds, else the ValueError refusing it."""
-    return None if ok else ValueError(message)
 
 
 def _column(values) -> np.ndarray:
@@ -167,17 +166,39 @@ def _decide(chain_id, links, layouts, regimes, errors, tol, lift) -> list:
     return outcomes
 
 
-def _decide_spectrum(chain_id, pairs, links, layouts, regimes, tol) -> list:
-    """``_decide`` of a pair chain whose link functions ``links`` map the
-    (k, n) eigenvalues of X elementwise, with per-pair parameters as (k, 1)
-    columns; pair i's link matrix lifts row i of its function."""
-    shape = pairs.lam.shape
+def _pair_stack(chain_id, A, B, params, links, tol, refuse=None, case=None) -> list:
+    """One outcome per (A, B) pair of a chain declared by its link table.
+
+    ``params`` maps each parameter's name to its k values, pair i's being
+    ``p``. A pair is refused by a non-finite parameter, by the message
+    ``refuse(**p)`` unless None, or by ``_Pairs``. For each other pair,
+    ``case(p, regime)`` records its case (or the not-applicable "reason") in
+    its regime {**p, "m", "M"}, sets its coefficients in p and returns its
+    link names in chain order, or None; with no ``case`` every link applies,
+    in table order. ``links[name](lam, c)`` maps the eigenvalues of X
+    elementwise, ``c[key]`` being the column of a parameter or coefficient,
+    0 where a pair has none: (k, n) and (k, 1) to decide, one row to lift.
+    """
+    rows = [{name: values[i] for name, values in params.items()} for i in range(len(A))]
+    errors = []
+    for p in rows:
+        bad = [f"{name} must be finite, got {v}" for name, v in p.items() if not math.isfinite(v)]
+        message = bad[0] if bad else refuse(**p) if refuse else None
+        errors.append(None if message is None else ValueError(message))
+    pairs = _Pairs(A, B, errors)
+    layouts, regimes, every_link = [None] * len(rows), [None] * len(rows), tuple(links)
+    with np.errstate(over="ignore", invalid="ignore"):  # _decide fails a link that leaves float range
+        for i in pairs.live():
+            regime = regimes[i] = {**rows[i], "m": pairs.m[i], "M": pairs.M[i]}
+            layouts[i] = case(rows[i], regime) if case else every_link
+        c = {key: _column([p.get(key, 0.0) for p in rows]) for key in set().union(*rows)}
+        used = set().union(*filter(None, layouts))
+        values = {name: fn(pairs.lam, c) for name, fn in links.items() if name in used}
 
     def lift(i, name):
-        fn = links[name]
-        return pairs.lift(i, lambda lam: np.broadcast_to(fn(lam), shape)[i])
+        row = {key: column[i:i + 1] for key, column in c.items()}
+        return pairs.lift(i, lambda lam: links[name](lam, row))
 
-    values = {name: fn(pairs.lam) for name, fn in links.items()}
     return _decide(chain_id, values, layouts, regimes, pairs.errors, tol, lift)
 
 
@@ -225,18 +246,15 @@ def generalized_entropy(A, B, t: float) -> np.ndarray:
 
 def zou_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
     """``check_zou_chain`` over a stack of pairs: one outcome per pair."""
-    pairs = _Pairs(A, B, [_require(0.0 < ti <= 1.0, f"need 0 < t <= 1, got {ti!r}") for ti in t])
-    tc = _column(t)
     links = {
-        "harmonic": lambda lam: 1.0 - 1.0 / lam,
-        "T-t": lambda lam: scalar.deformed_log(-tc, lam),
-        "S": np.log,
-        "Tt": lambda lam: scalar.deformed_log(tc, lam),
-        "B-A": lambda lam: lam - 1.0,
+        "harmonic": lambda lam, c: 1.0 - 1.0 / lam,
+        "T-t": lambda lam, c: scalar.deformed_log(-c["t"], lam),
+        "S": lambda lam, c: np.log(lam),
+        "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
+        "B-A": lambda lam, c: lam - 1.0,
     }
-    layout = tuple(links)
-    regimes = [{"t": ti, "m": m, "M": M} for ti, m, M in zip(t, pairs.m, pairs.M)]
-    return _decide_spectrum("zou", pairs, links, [layout] * len(regimes), regimes, tol)
+    refuse = lambda t: None if 0.0 < t <= 1.0 else f"need 0 < t <= 1, got {t!r}"
+    return _pair_stack("zou", A, B, {"t": t}, links, tol, refuse)
 
 
 def check_zou_chain(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -246,23 +264,24 @@ def check_zou_chain(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVe
 
 def refined_st_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
     """``check_refined_ST`` over a stack of pairs: one outcome per pair."""
-    pairs = _Pairs(A, B, [_require(0.0 < ti <= 1.0, f"need 0 < t <= 1, got {ti!r}") for ti in t])
-    add = np.zeros(len(t))
-    regimes = [None] * len(t)
-    for i in pairs.live():
-        m, M = pairs.m[i], pairs.M[i]
+
+    def case(p, regime):
+        m, M = regime["m"], regime["M"]
         if M < 1.0 - REGIME_CUSHION:
-            case, endpoint = "M-below-1", M
+            regime["case"], endpoint = "M-below-1", M
         elif m > 1.0 + REGIME_CUSHION:
-            case, endpoint = "m-above-1", m
+            regime["case"], endpoint = "m-above-1", m
         else:
-            case, endpoint = "straddles-1", None
-        add_i = 0.0 if endpoint is None else scalar.theta(t[i], endpoint) / t[i]
-        add[i] = add_i
-        regimes[i] = {"t": t[i], "m": m, "M": M, "case": case, "additive_term": add_i}
-    add, tc = add[:, None], _column(t)
-    links = {"S+": lambda lam: np.log(lam) + add, "Tt": lambda lam: scalar.deformed_log(tc, lam)}
-    return _decide_spectrum("thm-3.3", pairs, links, [tuple(links)] * len(t), regimes, tol)
+            regime["case"], endpoint = "straddles-1", None
+        p["add"] = regime["additive_term"] = 0.0 if endpoint is None else scalar.theta(p["t"], endpoint) / p["t"]
+        return ("S+", "Tt")
+
+    links = {
+        "S+": lambda lam, c: np.log(lam) + c["add"],
+        "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
+    }
+    refuse = lambda t: None if 0.0 < t <= 1.0 else f"need 0 < t <= 1, got {t!r}"
+    return _pair_stack("thm-3.3", A, B, {"t": t}, links, tol, refuse, case)
 
 
 def check_refined_ST(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -273,36 +292,25 @@ def check_refined_ST(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainV
 
 def tsallis_relation_stack(A, B, s, t, tol: float = DEFAULT_TOL) -> list:
     """``check_tsallis_relation`` over a stack of pairs: one outcome per pair."""
-    pairs = _Pairs(A, B, [
-        _require(not (si <= 0.0 or ti <= 0.0), f"need s, t > 0, got s={si!r}, t={ti!r}")
-        for si, ti in zip(s, t)
-    ])
-    lo, hi = np.zeros(len(t)), np.zeros(len(t))
-    layouts, regimes = [None] * len(t), [None] * len(t)
-    for i in pairs.live():
-        si, ti = s[i], t[i]
-        regime = regimes[i] = {"s": si, "t": ti, "m": pairs.m[i], "M": pairs.M[i]}
-        if pairs.m[i] < 1.0 - REGIME_CUSHION:
+
+    def case(p, regime):
+        if regime["m"] < 1.0 - REGIME_CUSHION:
             regime["reason"] = "requires m >= 1"
-            continue
-        m, M = max(pairs.m[i], 1.0), max(pairs.M[i], 1.0)
-        if ti >= si:
-            lo[i] = np.exp(scalar.eta(m, si) * (ti - si))
-            hi[i] = np.exp(scalar.eta(M, ti) * (ti - si))
-            regime["case"] = "t-above-s"
-        else:
-            lo[i] = np.exp(scalar.eta(M, si) * (ti - si))
-            hi[i] = np.exp(scalar.eta(m, ti) * (ti - si))
-            regime["case"] = "s-above-t"
-        layouts[i] = ("0", "lo*Ts", "Tt", "hi*Ts")
-    lo, hi, sc, tc = lo[:, None], hi[:, None], _column(s), _column(t)
+            return None
+        s, t, m, M = p["s"], p["t"], max(regime["m"], 1.0), max(regime["M"], 1.0)
+        x_s, x_t = (m, M) if t >= s else (M, m)
+        p["lo"], p["hi"] = np.exp(scalar.eta(x_s, s) * (t - s)), np.exp(scalar.eta(x_t, t) * (t - s))
+        regime["case"] = "t-above-s" if t >= s else "s-above-t"
+        return ("0", "lo*Ts", "Tt", "hi*Ts")
+
     links = {
-        "0": np.zeros_like,
-        "lo*Ts": lambda lam: lo * scalar.deformed_log(sc, lam),
-        "Tt": lambda lam: scalar.deformed_log(tc, lam),
-        "hi*Ts": lambda lam: hi * scalar.deformed_log(sc, lam),
+        "0": lambda lam, c: np.zeros_like(lam),
+        "lo*Ts": lambda lam, c: c["lo"] * scalar.deformed_log(c["s"], lam),
+        "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
+        "hi*Ts": lambda lam, c: c["hi"] * scalar.deformed_log(c["s"], lam),
     }
-    return _decide_spectrum("thm-3.5", pairs, links, layouts, regimes, tol)
+    refuse = lambda s, t: None if s > 0.0 and t > 0.0 else f"need s, t > 0, got s={s!r}, t={t!r}"
+    return _pair_stack("thm-3.5", A, B, {"s": s, "t": t}, links, tol, refuse, case)
 
 
 def check_tsallis_relation(A, B, s: float, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -313,35 +321,31 @@ def check_tsallis_relation(A, B, s: float, t: float, tol: float = DEFAULT_TOL) -
 
 def roe_bounds_stack(A, B, tol: float = DEFAULT_TOL) -> list:
     """``check_roe_bounds`` over a stack of pairs: one outcome per pair."""
-    pairs = _Pairs(A, B)
-    k = len(pairs.errors)
-    e = float(np.e)
-    lo, hi = np.zeros(k), np.zeros(k)
-    layouts, regimes = [None] * k, [None] * k
-    for i in pairs.live():
-        m, M = pairs.m[i], pairs.M[i]
-        regime = regimes[i] = {"m": m, "M": M}
+
+    def case(p, regime):
+        m, M, e = regime["m"], regime["M"], np.e
         if M <= 1.0 / e + REGIME_CUSHION:
-            lo[i] = lo_i = -np.exp((e * m - 1.0) / (e * m * np.log(m)))
-            hi[i] = hi_i = -np.exp(1.0 - e * M)
-            layouts[i] = ("lo*A", "S", "hi*A", "0")
-            regime.update({"case": "below-1-over-e", "lower_coef": lo_i, "upper_coef": hi_i})
+            p["lo"] = -np.exp((e * m - 1.0) / (e * m * np.log(m)))
+            p["hi"] = -np.exp(1.0 - e * M)
+            regime["case"], layout = "below-1-over-e", ("lo*A", "S", "hi*A", "0")
         elif m >= 1.0 - REGIME_CUSHION and M <= e + REGIME_CUSHION:
             # coefficient continuously vanishes as m -> 1
-            lo[i] = lo_i = 0.0 if m <= 1.0 + 1e-9 else np.exp((m - e) / (m * np.log(m)))
-            hi[i] = hi_i = np.exp((min(M, e) - e) / e)
-            layouts[i] = ("0", "lo*A", "S", "hi*A")
-            regime.update({"case": "unit-to-e", "lower_coef": lo_i, "upper_coef": hi_i})
+            p["lo"] = 0.0 if m <= 1.0 + 1e-9 else np.exp((m - e) / (m * np.log(m)))
+            p["hi"] = np.exp((min(M, e) - e) / e)
+            regime["case"], layout = "unit-to-e", ("0", "lo*A", "S", "hi*A")
         else:
             regime["reason"] = "relative spectrum outside both regimes"
-    lo, hi = lo[:, None], hi[:, None]
+            return None
+        regime.update(lower_coef=p["lo"], upper_coef=p["hi"])
+        return layout
+
     links = {
-        "lo*A": lambda lam: lo * np.ones_like(lam),
-        "S": np.log,
-        "hi*A": lambda lam: hi * np.ones_like(lam),
-        "0": np.zeros_like,
+        "lo*A": lambda lam, c: c["lo"] * np.ones_like(lam),
+        "S": lambda lam, c: np.log(lam),
+        "hi*A": lambda lam, c: c["hi"] * np.ones_like(lam),
+        "0": lambda lam, c: np.zeros_like(lam),
     }
-    return _decide_spectrum("thm-3.6", pairs, links, layouts, regimes, tol)
+    return _pair_stack("thm-3.6", A, B, {}, links, tol, case=case)
 
 
 def check_roe_bounds(A, B, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -352,37 +356,30 @@ def check_roe_bounds(A, B, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
 
 def troe_linear_bound_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
     """``check_troe_linear_bound`` over a stack of pairs: one outcome per pair."""
-    pairs = _Pairs(A, B, [_require(ti != 0.0, "t must be nonzero") for ti in t])
-    slope, intercept = np.zeros(len(t)), np.zeros(len(t))
-    layouts, regimes = [None] * len(t), [None] * len(t)
-    for i in pairs.live():
-        ti, m, M = t[i], pairs.m[i], pairs.M[i]
-        regime = regimes[i] = {"t": ti, "m": m, "M": M}
+
+    def case(p, regime):
+        t, m, M = p["t"], regime["m"], regime["M"]
         if m < 1.0 - 1e-9:
             regime["reason"] = "requires m >= 1"
-            continue
+            return None
         if M - m < 1e-8:
             regime["reason"] = "secant undefined for m == M"
-            continue
-        lt_m = scalar.deformed_log(ti, m)
-        lt_M = scalar.deformed_log(ti, M)
-        slope[i] = slope_i = (lt_M - lt_m) / (M - m)
-        intercept[i] = intercept_i = (M * lt_m - m * lt_M) / (M - m)
+            return None
+        lt_m, lt_M = scalar.deformed_log(t, m), scalar.deformed_log(t, M)
+        p["slope"] = (lt_M - lt_m) / (M - m)
+        p["intercept"] = (M * lt_m - m * lt_M) / (M - m)
         unit = ("B-A",) if m <= 1.0 + 1e-9 else ()
-        if ti <= 1.0:
-            layouts[i] = ("secant", "Tt") + unit
-            regime["direction"] = "secant-below"
-        else:
-            layouts[i] = unit + ("Tt", "secant")
-            regime["direction"] = "secant-above"
-        regime.update({"slope": slope_i, "intercept": intercept_i, "unit_endpoint": bool(unit)})
-    slope, intercept, tc = slope[:, None], intercept[:, None], _column(t)
+        regime["direction"] = "secant-below" if t <= 1.0 else "secant-above"
+        regime.update(slope=p["slope"], intercept=p["intercept"], unit_endpoint=bool(unit))
+        return ("secant", "Tt") + unit if t <= 1.0 else unit + ("Tt", "secant")
+
     links = {
-        "secant": lambda lam: slope * lam + intercept,
-        "Tt": lambda lam: scalar.deformed_log(tc, lam),
-        "B-A": lambda lam: lam - 1.0,
+        "secant": lambda lam, c: c["slope"] * lam + c["intercept"],
+        "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
+        "B-A": lambda lam, c: lam - 1.0,
     }
-    return _decide_spectrum("thm-3.11", pairs, links, layouts, regimes, tol)
+    refuse = lambda t: None if t != 0.0 else "t must be nonzero"
+    return _pair_stack("thm-3.11", A, B, {"t": t}, links, tol, refuse, case)
 
 
 def check_troe_linear_bound(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -398,16 +395,14 @@ def check_troe_linear_bound(A, B, t: float, tol: float = DEFAULT_TOL) -> Operato
 
 def ordering_stack(A, B, p, tol: float = DEFAULT_TOL) -> list:
     """``check_ordering_S_Tp_Sp`` over a stack of pairs: one outcome per pair."""
-    pairs = _Pairs(A, B, [_require(pi != 0.0, "p must be nonzero") for pi in p])
-    pc = _column(p)
     links = {
-        "S": np.log,
-        "Tp": lambda lam: scalar.deformed_log(pc, lam),
-        "Sp": lambda lam: lam**pc * np.log(lam),
+        "S": lambda lam, c: np.log(lam),
+        "Tp": lambda lam, c: scalar.deformed_log(c["p"], lam),
+        "Sp": lambda lam, c: lam ** c["p"] * np.log(lam),
     }
-    layouts = [("S", "Tp", "Sp") if pi > 0 else ("Sp", "Tp", "S") for pi in p]
-    regimes = [{"p": pi, "m": m, "M": M} for pi, m, M in zip(p, pairs.m, pairs.M)]
-    return _decide_spectrum("prop-3.10", pairs, links, layouts, regimes, tol)
+    refuse = lambda p: None if p != 0.0 else "p must be nonzero"
+    case = lambda p, regime: ("S", "Tp", "Sp") if p["p"] > 0 else ("Sp", "Tp", "S")
+    return _pair_stack("prop-3.10", A, B, {"p": p}, links, tol, refuse, case)
 
 
 def check_ordering_S_Tp_Sp(A, B, p: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -452,10 +447,10 @@ def _increments(f, g, mode, a, b, spectrum, tol, regime):
     if not gate.conditions_hold:
         regime["reason"] = "admissibility gate failed"
         return None
-    df = f.eval(b) - f.eval(a)
-    dg = g.eval(b) - g.eval(a)
+    fa, fb, ga, gb = gate.ends
+    df, dg = fb - fa, gb - ga
     if mode != "expectation":
-        if dg <= tol * max(1.0, abs(g.eval(a)), abs(g.eval(b))):
+        if dg <= tol * max(1.0, abs(ga), abs(gb)):
             regime["reason"] = "increment of g too small for the ratio form"
             return None
         regime["ratio"] = df / dg

@@ -430,3 +430,25 @@ def test_verify_round_trips_drawn_params_of_every_chain(tmp_path, capsys):
         assert capsys.readouterr().out == out, argv
         seen.add(code)
     assert seen == {0, 1, 2, 3}, seen
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["thm-3.11", "--B", "c", "--t", "-inf"], "t must be finite, got -inf"),
+    (["thm-3.5", "--B", "c", "--s", "nan", "--t", "0.5"], "s must be finite, got nan"),
+    (["thm-3.3", "--B", "b", "--t", "inf"], "t must be finite, got inf"),
+    (["thm-3.5", "--B", "c", "--s", "1e300", "--t", "0.5"], "thm-3.5: chain link has non-finite entries"),
+    (["prop-3.10", "--B", "b", "--p", "1e300"], "prop-3.10: chain link has non-finite entries"),
+])
+def test_pair_chain_parameter_errors_print_only_the_error_line(tmp_path, argv, error):
+    # the whole stderr of an `oel` process: a non-finite parameter is
+    # refused by name before any arithmetic, and a finite one at which a
+    # link leaves float range fails with no numpy RuntimeWarning before it
+    for name, data in {"a": [[2.0, 0.5], [0.5, 1.0]], "b": [[1.0, -0.3], [-0.3, 3.0]], "c": [[4.0, 1.0], [1.0, 2.5]]}.items():
+        dump_matrix(np.array(data), tmp_path / name)
+    src = str(Path(oel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "oel.cli", "verify", *argv, "--A", "a"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")

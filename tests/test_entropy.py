@@ -298,7 +298,12 @@ def test_stack_refusals_leave_other_pairs_unchanged():
     A.append(1e-300 * np.eye(3))  # finite and positive-definite, but X = A^-1/2 B A^-1/2 overflows
     B.append(1e300 * np.eye(3))
     p.append(0.5)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 in the overflowing lift and X
+    for pi in (math.nan, math.inf, -math.inf):  # refused by name before any arithmetic
+        A.append(A[0])
+        B.append(B[0])
+        p.append(pi)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # neither the refusals nor the overflow warn
         stacked = entropy.ordering_stack(A, B, p)
         refusals = {
             1: (ValueError, "A must be positive-definite"),
@@ -306,6 +311,9 @@ def test_stack_refusals_leave_other_pairs_unchanged():
             3: (ValueError, "p must be nonzero"),
             4: (NumericError, "prop-3.10: chain link has non-finite entries"),
             6: (ValueError, "B relative to A must be positive-definite: min eigenvalue nan"),
+            7: (ValueError, "p must be finite, got nan"),
+            8: (ValueError, "p must be finite, got inf"),
+            9: (ValueError, "p must be finite, got -inf"),
         }
         for i, (expected, message) in refusals.items():
             with pytest.raises(expected, match=message) as single:
@@ -313,6 +321,156 @@ def test_stack_refusals_leave_other_pairs_unchanged():
             assert type(stacked[i]) is type(single.value) and str(stacked[i]) == str(single.value)
     for i in (0, 5):
         _same_verdict(stacked[i], alone[i])
+
+
+def _spectral_pair(spectrum, seed):
+    """A pair whose X = A^-1/2 B A^-1/2 has ``spectrum``, A and X in random
+    eigenbases; with no spectrum, a pair whose A is not positive-definite."""
+    if spectrum is None:
+        return np.diag([1.0, -1.0, 2.0]), np.eye(3)
+    rng = np.random.default_rng(seed)
+    A = _rotated(rng, np.exp(rng.uniform(-1.0, 1.0, len(spectrum))))
+    eig = linalg._eig(A[None])
+    root = linalg.eig_apply(eig, np.sqrt)[0]
+    B = root @ _rotated(rng, spectrum) @ root
+    return A, (B + B.T) / 2.0
+
+
+INF, NAN = math.inf, math.nan
+NO_UNIT = [1.5, 2.0, 3.0]  # m > 1
+STRADDLES = [0.5, 1.0, 2.0]
+# chain -> (stack, checker, rows of (spectrum of X, or None for a pair whose
+# A is not positive-definite; params; the expected case, reason, direction
+# or status, or the start of the refusal))
+MIXED_STACKS = {
+    "zou": (entropy.zou_stack, entropy.check_zou_chain, [
+        (STRADDLES, {"t": 0.5}, "pass"),
+        ([0.2, 3.0, 9.0], {"t": 1.0}, "pass"),
+        (None, {"t": 0.5}, "A must be positive-definite"),
+        (STRADDLES, {"t": 0.0}, "need 0 < t <= 1, got 0.0"),
+        (STRADDLES, {"t": NAN}, "t must be finite, got nan"),
+        (STRADDLES, {"t": -INF}, "t must be finite, got -inf"),
+    ]),
+    "thm-3.3": (entropy.refined_st_stack, entropy.check_refined_ST, [
+        ([0.2, 0.5, 0.8], {"t": 0.5}, "M-below-1"),
+        (NO_UNIT, {"t": 0.5}, "m-above-1"),
+        (STRADDLES, {"t": 0.25}, "straddles-1"),
+        (None, {"t": 0.5}, "A must be positive-definite"),
+        (NO_UNIT, {"t": 1.5}, "need 0 < t <= 1, got 1.5"),
+        (NO_UNIT, {"t": INF}, "t must be finite, got inf"),
+    ]),
+    "thm-3.5": (entropy.tsallis_relation_stack, entropy.check_tsallis_relation, [
+        (STRADDLES, {"s": 0.5, "t": 1.5}, "requires m >= 1"),
+        (NO_UNIT, {"s": 0.5, "t": 1.5}, "t-above-s"),
+        ([1.0, 1.2, 4.0], {"s": 1.5, "t": 0.5}, "s-above-t"),
+        (None, {"s": 0.5, "t": 1.5}, "A must be positive-definite"),
+        (NO_UNIT, {"s": -0.5, "t": 1.5}, "need s, t > 0, got s=-0.5, t=1.5"),
+        (NO_UNIT, {"s": 0.5, "t": NAN}, "t must be finite, got nan"),
+        (NO_UNIT, {"s": 1e300, "t": 0.5}, "thm-3.5: chain link has non-finite entries"),
+    ]),
+    "thm-3.6": (entropy.roe_bounds_stack, entropy.check_roe_bounds, [
+        ([0.1, 0.2, 0.3], {}, "below-1-over-e"),
+        ([1.2, 2.0, 2.5], {}, "unit-to-e"),
+        ([1.0, 1.5, 2.0], {}, "unit-to-e"),  # lower coefficient 0
+        (STRADDLES, {}, "relative spectrum outside both regimes"),
+        (None, {}, "A must be positive-definite"),
+    ]),
+    "thm-3.11": (entropy.troe_linear_bound_stack, entropy.check_troe_linear_bound, [
+        (STRADDLES, {"t": 0.5}, "requires m >= 1"),
+        ([2.0, 2.0, 2.0], {"t": 0.5}, "secant undefined for m == M"),
+        (NO_UNIT, {"t": 0.5}, "secant-below"),
+        (NO_UNIT, {"t": 2.0}, "secant-above"),
+        ([1.0, 2.0, 4.0], {"t": 0.5}, "secant-below"),  # unit endpoint
+        ([1.0, 2.0, 4.0], {"t": -1.0}, "secant-below"),
+        ([1.0, 2.0, 4.0], {"t": 2.0}, "secant-above"),
+        (None, {"t": 0.5}, "A must be positive-definite"),
+        (NO_UNIT, {"t": 0.0}, "t must be nonzero"),
+        (NO_UNIT, {"t": -INF}, "t must be finite, got -inf"),
+    ]),
+    "prop-3.10": (entropy.ordering_stack, entropy.check_ordering_S_Tp_Sp, [
+        (STRADDLES, {"p": 0.5}, "pass"),
+        (STRADDLES, {"p": -0.7}, "pass"),
+        (None, {"p": 0.5}, "A must be positive-definite"),
+        (STRADDLES, {"p": 0.0}, "p must be nonzero"),
+        (STRADDLES, {"p": INF}, "p must be finite, got inf"),
+        ([1e3, 1e3, 1e3], {"p": 400.0}, "prop-3.10: chain link has non-finite entries"),
+    ]),
+}
+NONE_APPLICABLE = {
+    "thm-3.5": [(STRADDLES, {"s": 0.5, "t": 1.5}), ([0.3, 2.0, 3.0], {"s": 2.0, "t": 1.0})],
+    "thm-3.6": [(STRADDLES, {}), ([0.2, 0.3, 0.5], {})],
+    "thm-3.11": [(STRADDLES, {"t": 0.5}), ([2.0, 2.0, 2.0], {"t": 2.0})],
+}
+
+
+def _stack_and_alone(chain_id, rows):
+    """The outcomes of one stack of ``rows`` and of each row's own check."""
+    stack, check, _ = MIXED_STACKS[chain_id]
+    pairs = [_spectral_pair(spectrum, seed) for seed, (spectrum, *_) in enumerate(rows)]
+    A, B = (list(column) for column in zip(*pairs))
+    params = {name: [p[name] for _, p, *_ in rows] for name in rows[0][1]}
+    stacked, alone = stack(A, B, **params), []
+    for (a, b), (_, p, *_) in zip(pairs, rows):
+        try:
+            alone.append(check(a, b, **p))
+        except (ValueError, NumericError) as exc:
+            alone.append(exc)
+    return stacked, alone
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chain_id", MIXED_STACKS)
+def test_mixed_stacks_match_each_pair_alone(chain_id):
+    # one stack of each pair chain mixing every case, every not-applicable
+    # reason, refused parameters and a pair that is not positive-definite:
+    # each outcome is the pair's own check, and neither deciding nor
+    # lifting a pair warns, whatever the other pairs' parameters
+    rows = MIXED_STACKS[chain_id][2]
+    stacked, alone = _stack_and_alone(chain_id, rows)
+    for i, (outcome, single, (*_, expected)) in enumerate(zip(stacked, alone, rows)):
+        if isinstance(single, Exception):
+            assert type(outcome) is type(single) and str(outcome) == str(single), i
+            assert str(single).startswith(expected), i
+            continue
+        _same_verdict(outcome, single)
+        regime = single.regime
+        assert expected == regime.get("case", regime.get("reason", regime.get("direction", single.status))), i
+        assert single.applicable == ("reason" not in regime), i
+        assert single.status != entropy.STATUS_FAIL, i
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chain_id", NONE_APPLICABLE)
+def test_stack_with_no_applicable_pair(chain_id):
+    stacked, alone = _stack_and_alone(chain_id, NONE_APPLICABLE[chain_id])
+    for outcome, single in zip(stacked, alone):
+        assert outcome.status == entropy.STATUS_NOT_APPLICABLE and not outcome.links
+        _same_verdict(outcome, single)
+
+
+@pytest.mark.parametrize("mode, A, B", [
+    ("expectation", np.diag([1.5, 2.0, 4.0]), None),
+    ("congruence", np.diag([1.0, 2.0]), np.diag([1.5, 7.8])),
+    ("majorize", np.diag([2.0, 4.0]), np.diag([1.5, 3.0])),
+])
+def test_two_function_check_evaluates_f_and_g_once_at_each_endpoint(mode, A, B):
+    # the gate hands back f and g at a and b, and the increments and the
+    # scale of g's increment are formed from them
+    a, b = 1.5, 4.0
+    calls = collections.Counter()
+
+    def counted(spec):
+        def evaluate(x):
+            if np.ndim(x) == 0 and x in (a, b):
+                calls[spec.id, float(x)] += 1
+            return spec.eval(x)
+
+        return FunctionSpec(spec.id, spec.domain, evaluate, spec.deriv, spec.flags)
+
+    f, g = counted(REGISTRY["log-wide"]), counted(REGISTRY["lin-0.04-0.12"])
+    v = entropy.check_two_function_operator(f, g, A, B, mode=mode, interval=(a, b))
+    assert v.ok
+    assert calls == {(spec.id, x): 1 for spec in (f, g) for x in (a, b)}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
