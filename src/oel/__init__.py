@@ -20,6 +20,7 @@ from .chains import (
     young_refinement_chain,
 )
 from .entropy import (
+    LoewnerVerdict,
     OperatorChainVerdict,
     check_ordering_S_Tp_Sp,
     check_refined_ST,
@@ -35,13 +36,7 @@ from .entropy import (
 from .errors import DomainError, NumericError
 from .funcs import REGISTRY, FunctionSpec
 from .harness import CHAINS, FuzzReport, GeneratorConfig, fuzz_all, fuzz_chain, write_report
-from .linalg import (
-    EigenDecomposition,
-    LoewnerVerdict,
-    load_matrix,
-    loewner_compare,
-    relative_spectrum_bounds,
-)
+from .linalg import EigenDecomposition, load_matrix, relative_spectrum_bounds
 from .scalar import (
     deformed_exp,
     deformed_log,

@@ -13,12 +13,13 @@ by ``linalg._Pairs``: one ``eigh`` call factors every A and one values-only
 as a refusal of one pair's parameters, a case function that records the
 pair's case in its regime, sets its coefficients and names its links, and a
 table of link functions of the (k, n) eigenvalues, which ``_pair_stack``
-reads; one vectorized pass decides every link of the stack. A link's slack
-is min over l of f_{j+1}(l) - f_j(l), the smallest eigenvalue of the lifted
-difference, and its scale is max(1, max |f_j|, max |f_{j+1}|) over the
-spectrum. The link matrices, like the entropies, are lifted from the
-factors of ``_Pairs``, one ``eigh`` of a pair's X serving them all, and
-only when ``OperatorChainVerdict.links`` is read. ``<name>_stack(A, B, ...,
+reads; one vectorized pass decides every link of the stack. ``_compare``
+makes every comparison of the package: a link's slack is min over l of
+f_{j+1}(l) - f_j(l) on a spectrum, the smallest eigenvalue of the lifted
+difference, or that eigenvalue itself for matrices, and its scale is max(1,
+max |f_j|, max |f_{j+1}|). The link matrices, like the entropies, are
+lifted from the factors of ``_Pairs``, one ``eigh`` of a pair's X serving
+them all, and only when ``OperatorChainVerdict.links`` is read. ``<name>_stack(A, B, ...,
 tol)`` takes k matrices for A and for B and k values for each parameter,
 and returns one outcome per pair: the verdict, or the exception the pair's
 own evaluation raises, which does not touch the other pairs. The public
@@ -28,7 +29,9 @@ The two-function comparison of thm-2.12 (``two_function_stack``) takes
 trials whose function pair, interval and mode vary from trial to trial,
 and evaluates one stack per mode that meets each trial's refusals in the
 order its one-trial evaluation meets them. Congruence mode is factored by
-``_Pairs`` and decided on the spectrum of X. Expectation mode is decided
+``_Pairs`` and decided on the spectrum of X; the other modes validate A
+(and B) through ``linalg._pd_stack``, A's refusals first, and one pass,
+``_gated``, checks each trial's hypotheses. Expectation mode is decided
 on the spectrum of A, at each trial's worst unit vector h, which it finds
 exactly from the eigenvalues of A and the values of f, f' and g at them.
 Majorize mode compares f(B) with a multiple of g(A), which are not
@@ -53,17 +56,7 @@ import numpy as np
 from . import scalar
 from .chains import DEFAULT_TOL, _bisect, two_function_gate
 from .errors import TRIAL_ERRORS, NumericError
-from .linalg import (
-    LoewnerVerdict,
-    _first,
-    _loewner,
-    _only,
-    _Pairs,
-    _pd_eig,
-    _symmetric_stack,
-    eig_apply,
-    matrix_to_obj,
-)
+from .linalg import _first, _only, _Pairs, _pd_stack, eig_apply, matrix_to_obj
 
 REGIME_CUSHION = 1e-12
 
@@ -119,16 +112,35 @@ class OperatorChainVerdict:
         }
 
 
+@dataclass
+class LoewnerVerdict:
+    """Semidefinite-order comparison X <= Y up to a relative tolerance."""
+
+    holds: bool
+    min_slack_eigenvalue: float
+    tol: float
+    scale: float
+
+    def to_dict(self) -> dict:
+        return {
+            "holds": self.holds,
+            "min_slack_eigenvalue": self.min_slack_eigenvalue,
+            "tol": self.tol,
+            "scale": self.scale,
+        }
+
+
 def _compare(lower: np.ndarray, upper: np.ndarray, tol: float) -> list:
-    """One verdict lower[i] <= upper[i] per row: by ``_loewner`` for stacks
-    of matrices, and for rows of values (link values f(l) on a spectrum, or
-    the two sides of an expectation), pointwise, with slack
-    min(upper - lower) and scale max(1, max |lower|, max |upper|)."""
-    if lower.ndim == 3:
-        return _loewner(lower, upper, tol)
-    slack = (upper - lower).min(axis=1).tolist()
-    scale = np.maximum(1.0, np.maximum(np.abs(lower).max(axis=1), np.abs(upper).max(axis=1))).tolist()
-    return [LoewnerVerdict(s >= -tol * c, s, tol, c) for s, c in zip(slack, scale)]
+    """One verdict lower[i] <= upper[i] per row of two stacks. The slack of
+    (k, m, m) stacks of matrices is the least eigenvalue of upper - lower;
+    of rows of values (link values f(l) on a spectrum, or the two sides of
+    an expectation) it is min(upper - lower). The scale is max(1, max
+    |lower|, max |upper|), and the verdict holds when slack >= -tol * scale."""
+    axes = (1, 2) if lower.ndim == 3 else 1
+    # upper - lower of two exactly symmetric matrices is exactly symmetric
+    slack = np.linalg.eigvalsh(upper - lower)[:, 0] if lower.ndim == 3 else (upper - lower).min(axis=1)
+    scale = np.maximum(1.0, np.maximum(np.abs(lower).max(axis=axes), np.abs(upper).max(axis=axes)))
+    return [LoewnerVerdict(s >= -tol * c, s, tol, c) for s, c in zip(slack.tolist(), scale.tolist())]
 
 
 def _decide(chain_id, links, layouts, regimes, errors, tol, lift) -> list:
@@ -422,57 +434,50 @@ def _each(specs, rows):
     return lambda lam: np.array([specs[i].eval(row) for i, row in zip(rows, lam)])
 
 
-def _hulls(*values) -> list:
-    """The spectral hull (min, max) of each trial over its rows of the
-    stacks of ascending eigenvalues ``values``."""
-    lo = np.min([v[:, 0] for v in values], axis=0)
-    hi = np.max([v[:, -1] for v in values], axis=0)
-    return list(zip(lo.tolist(), hi.tolist()))
-
-
-def _increments(f, g, mode, a, b, spectrum, tol, regime):
-    """(f(b) - f(a), g(b) - g(a)) of a trial whose spectral hull ``spectrum``
-    fits its interval [a, b] and whose function pair passes the gate there,
-    else None (not applicable); records the reason in ``regime``."""
-    spec_lo, spec_hi = spectrum
-    a, b = float(a), float(b)
-    regime.update({"a": a, "b": b})
-    cushion = REGIME_CUSHION * max(1.0, abs(a), abs(b))
-    if spec_lo < a - cushion or spec_hi > b + cushion:
-        regime["reason"] = f"spectrum [{spec_lo}, {spec_hi}] escapes [{a}, {b}]"
-        return None
-    gate = two_function_gate(f, g, a, b, tol=tol)
-    regime["gate"] = gate.checks
-    regime["m_ratio"] = gate.m_ratio if np.isfinite(gate.m_ratio) else None
-    if not gate.conditions_hold:
-        regime["reason"] = "admissibility gate failed"
-        return None
-    fa, fb, ga, gb = gate.ends
-    df, dg = fb - fa, gb - ga
-    if mode != "expectation":
-        if dg <= tol * max(1.0, abs(ga), abs(gb)):
-            regime["reason"] = "increment of g too small for the ratio form"
-            return None
-        regime["ratio"] = df / dg
-    return df, dg
-
-
 def _gated(mode, f, g, a, b, spectra, errors, tol) -> tuple:
     """The regime of each trial of a stack of one mode that ``errors`` does
-    not refuse, and by trial the ``_increments`` of those that are
-    applicable, ``spectra[i]`` being trial i's spectral hull; an exception
-    of the gate becomes the trial's entry in ``errors``. The gate runs at
-    ``max(tol, DEFAULT_TOL)``, so a negative ``tol`` loosens only links."""
+    not refuse, and by trial the increments (f(b) - f(a), g(b) - g(a)) of
+    those that are applicable. Trial i is refused unless b > a, and is not
+    applicable, with the reason in its regime, when its spectral hull over
+    its rows of the stacks of ascending eigenvalues ``spectra`` escapes [a,
+    b], when its function pair fails the gate there, or, outside
+    expectation mode, when the increment of g is too small for the ratio
+    form. A refusal or an exception of the gate becomes the trial's entry in
+    ``errors``. The gate runs at ``max(tol, DEFAULT_TOL)``, so a negative
+    ``tol`` loosens only links."""
+    lo = np.min([v[:, 0] for v in spectra], axis=0).tolist()
+    hi = np.max([v[:, -1] for v in spectra], axis=0).tolist()
+    tol = max(tol, DEFAULT_TOL)
     regimes, steps = [None] * len(errors), {}
     for i in [i for i, error in enumerate(errors) if error is None]:
         regime = regimes[i] = {"mode": mode, "fn_f": f[i].id, "fn_g": g[i].id}
         try:
-            step = _increments(f[i], g[i], mode, a[i], b[i], spectra[i], max(tol, DEFAULT_TOL), regime)
+            a_i, b_i = float(a[i]), float(b[i])
+            regime.update({"a": a_i, "b": b_i})
+            if not b_i > a_i:  # the gate's own refusal, before the hull check
+                errors[i] = ValueError(f"need b > a, got a={a_i!r}, b={b_i!r}")
+                continue
+            cushion = REGIME_CUSHION * max(1.0, abs(a_i), abs(b_i))
+            if lo[i] < a_i - cushion or hi[i] > b_i + cushion:
+                regime["reason"] = f"spectrum [{lo[i]}, {hi[i]}] escapes [{a_i}, {b_i}]"
+                continue
+            gate = two_function_gate(f[i], g[i], a_i, b_i, tol=tol)
         except TRIAL_ERRORS as exc:
             errors[i] = exc
             continue
-        if step is not None:
-            steps[i] = step
+        regime["gate"] = gate.checks
+        regime["m_ratio"] = gate.m_ratio if np.isfinite(gate.m_ratio) else None
+        if not gate.conditions_hold:
+            regime["reason"] = "admissibility gate failed"
+            continue
+        fa, fb, ga, gb = gate.ends
+        df, dg = fb - fa, gb - ga
+        if mode != "expectation":
+            if dg <= tol * max(1.0, abs(ga), abs(gb)):
+                regime["reason"] = "increment of g too small for the ratio form"
+                continue
+            regime["ratio"] = df / dg
+        steps[i] = df, dg
     return regimes, steps
 
 
@@ -521,10 +526,8 @@ def _expectation(f, g, a, b, A, B, tol) -> list:
     its witness h = sqrt(w) v_i + sqrt(1 - w) v_j, and "worst_rel_slack";
     the two sides at h are decided as (k, 1) rows.
     """
-    A, errors_a = _symmetric_stack(A)
-    eig_a, errors_pd = _pd_eig(A, "A")
-    errors = _first(errors_a, errors_pd)
-    regimes, steps = _gated("expectation", f, g, a, b, _hulls(eig_a.values), errors, tol)
+    _, eig_a, errors = _pd_stack(A, "A")
+    regimes, steps = _gated("expectation", f, g, a, b, [eig_a.values], errors, tol)
     k = len(errors)
     layouts = [None] * k
     links = {"lhs(h)": np.zeros((k, 1)), "rhs(h)": np.zeros((k, 1))}
@@ -542,7 +545,7 @@ def _congruence(f, g, a, b, A, B, tol) -> list:
     """Congruence mode: f(X) <= ratio g(X), decided on the spectrum of X
     like the pair chains."""
     pairs = _Pairs(A, B)
-    regimes, steps = _gated("congruence", f, g, a, b, _hulls(pairs.lam), pairs.errors, tol)
+    regimes, steps = _gated("congruence", f, g, a, b, [pairs.lam], pairs.errors, tol)
     rows, layouts = list(steps), [None] * len(pairs.errors)
     links = {"f(X)": np.zeros(pairs.lam.shape), "ratio*g(X)": np.zeros(pairs.lam.shape)}
     if rows:
@@ -562,23 +565,19 @@ def _congruence(f, g, a, b, A, B, tol) -> list:
 def _majorize(f, g, a, b, A, B, tol) -> list:
     """Majorize mode: f(B) <= ratio g(A) where B <= A, by Loewner checks on
     the matrices. A's refusals come before B's, also when the B are not
-    square."""
-    A, errors_a = _symmetric_stack(A)
-    eig_a, errors_pd_a = _pd_eig(A, "A")
-    errors = _first(errors_a, errors_pd_a)
+    square or not of A's shape."""
+    A, eig_a, errors = _pd_stack(A, "A")
     try:
-        B, errors_b = _symmetric_stack(B)
+        B, eig_b, errors_b = _pd_stack(B, "B")
+        if B.shape != A.shape:
+            raise ValueError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")
     except ValueError as exc:
         return _first(errors, [exc] * len(errors))
     errors = _first(errors, errors_b)
-    if B.shape != A.shape:
-        return _first(errors, [ValueError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")] * len(errors))
-    eig_b, errors_pd_b = _pd_eig(B, "B")
-    errors = _first(errors, errors_pd_b)
-    regimes, steps = _gated("majorize", f, g, a, b, _hulls(eig_a.values, eig_b.values), errors, tol)
+    regimes, steps = _gated("majorize", f, g, a, b, [eig_a.values, eig_b.values], errors, tol)
     rows, layouts = list(steps), [None] * len(errors)
     if rows:
-        below = _loewner(B[rows], A[rows], max(tol, DEFAULT_TOL))
+        below = _compare(B[rows], A[rows], max(tol, DEFAULT_TOL))
         for i, verdict in zip(rows, below):
             if not verdict.holds:
                 regimes[i]["reason"] = "hypothesis B <= A fails"
@@ -636,8 +635,9 @@ def check_two_function_operator(
 ) -> OperatorChainVerdict:
     """Operator comparison of a gated function pair.
 
-    ``interval`` is the [a, b] window on which the admissibility gate runs;
-    a trial whose relevant spectrum escapes it is not applicable. Modes:
+    ``interval`` is the [a, b] window, b > a, on which the admissibility
+    gate runs; a trial whose relevant spectrum escapes it is not
+    applicable. Modes:
 
     - expectation: (g(b)-g(a)) f(<Ah,h>) <= (f(b)-f(a)) <g(A)h,h> for
       every unit vector h, decided exactly at the worst h, which lies in

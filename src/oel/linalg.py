@@ -1,9 +1,11 @@
 """Dense real symmetric matrix kernel, on single matrices and on stacks.
 
-The eigensolver is LAPACK's divide-and-conquer ``syevd`` through
-``numpy.linalg.eigh``, which ``_eig`` alone calls; Loewner comparisons and
-the relative spectrum of a pair (the eigenvalues of A**(-1/2) B A**(-1/2))
-need only eigenvalues and call ``numpy.linalg.eigvalsh``.
+It validates, factors and lifts matrices and reads and writes their file
+format; it compares none (``entropy._compare`` decides every Loewner
+order). The eigensolver is LAPACK's divide-and-conquer ``syevd`` through
+``numpy.linalg.eigh``, which ``_eig`` alone calls; the relative spectrum of
+a pair (the eigenvalues of A**(-1/2) B A**(-1/2)) needs only eigenvalues
+and calls ``numpy.linalg.eigvalsh``.
 
 Validation happens once, at the input boundary: public functions pass every
 matrix they receive through ``as_symmetric``, while the ``_``-prefixed
@@ -14,10 +16,12 @@ symmetric. Internal arrays keep that promise by being built through
 The helpers work on stacks of shape ``(k, n, n)``, so that one LAPACK or
 BLAS call serves k matrices; numpy runs the same routine on every matrix of
 a stack, so a stacked result is bitwise equal to the one-matrix result.
-Helpers that can refuse a matrix (``_symmetric_stack``, ``_pd_eig``,
+Helpers that can refuse a matrix (``_symmetric_stack``, ``_pd_stack``,
 ``_Pairs``) keep one ``ValueError`` or ``None`` per matrix instead of
 raising, so that a refused matrix does not affect the others; the public
-functions are their k = 1 case and raise the refusal.
+functions are their k = 1 case and raise the refusal. A matrix's entries
+are refused before its definiteness, and a pair's A is refused for both
+before its B is.
 
 Matrices are plain float64 numpy arrays. The JSON file format shared with
 the CLI is ``{"n": <int>, "data": [[row], ...]}``; symmetry is validated on
@@ -64,7 +68,7 @@ def _symmetric_stack(M) -> tuple[np.ndarray, list]:
 
 def _first(*errors) -> list:
     """Per row, the first refusal in the per-row lists ``errors``, or None."""
-    return [next((e for e in found if e is not None), None) for found in zip(*errors)]
+    return [next(filter(None, found), None) for found in zip(*errors)]
 
 
 def _only(outcomes: list):
@@ -133,16 +137,19 @@ def _pd_refusals(values: np.ndarray, name: str) -> list:
     return errors
 
 
-def _pd_eig(M: np.ndarray, name: str) -> tuple[EigenDecomposition, list]:
-    """Decomposition of a stack, and one ValueError or None per matrix as it
-    is positive-definite or not. A refused matrix gets the identity's
+def _pd_stack(M, name: str) -> tuple[np.ndarray, EigenDecomposition, list]:
+    """Validate and decompose a stack of matrices: the float64 stack,
+    symmetrized, its decomposition, and one ValueError or None per matrix,
+    its entries' refusal coming before its definiteness refusal. A
+    non-square or empty stack raises. A refused matrix gets the identity's
     decomposition, so that stacked work downstream stays finite."""
+    M, errors = _symmetric_stack(M)
     eig = _eig(M)
-    errors = _pd_refusals(eig.values, name)
-    for i, error in enumerate(errors):
+    errors_pd = _pd_refusals(eig.values, name)
+    for i, error in enumerate(errors_pd):
         if error is not None:
             eig.vectors[i] = np.eye(eig.n)
-    return eig, errors
+    return M, eig, _first(errors, errors_pd)
 
 
 def _normalized(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -163,23 +170,23 @@ class _Pairs:
     ``eig_a`` holds the decompositions of the A, ``X`` each X = A**(-1/2) B
     A**(-1/2), ``lam`` its ascending eigenvalues (values only), and ``m``
     and ``M`` their extremes. ``errors[i]`` is the exception refusing pair
-    i, or None; the first one found is kept, ``errors`` before the pair's
-    own. An X that overflows is refused, not decomposed. A refused pair
-    stays in the stack, with zeros standing in for a refused matrix and ones
-    for the eigenvalues of a refused factorization, so that stacked work
-    stays finite.
+    i, or None; the first one found is kept: ``errors``, then A's own
+    refusals (entries, then definiteness), then B's entries, then X's
+    definiteness. An X that overflows is refused, not decomposed. A refused
+    pair stays in the stack, with zeros standing in for a refused matrix and
+    ones for the eigenvalues of a refused factorization, so that stacked
+    work stays finite.
     """
 
     def __init__(self, A, B, errors=None):
-        A, errors_a = _symmetric_stack(A)
+        A, self.eig_a, errors_a = _pd_stack(A, "A")
         B, errors_b = _symmetric_stack(B)
         if A.shape != B.shape:
             raise ValueError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")
-        self.eig_a, errors_pd = _pd_eig(A, "A")
         self.X, finite = _normalized(self.eig_a, B)
         self.lam = np.linalg.eigvalsh(self.X)
         self.lam[~finite] = np.nan
-        self.errors = _first(errors or [None] * len(A), errors_a, errors_b, errors_pd, _pd_refusals(self.lam, "B relative to A"))
+        self.errors = _first(errors or [None] * len(A), errors_a, errors_b, _pd_refusals(self.lam, "B relative to A"))
         self.m = self.lam[:, 0].tolist()
         self.M = self.lam[:, -1].tolist()
         self._factors = {}  # pair -> (A**(1/2), decomposition of X), made by the first lift
@@ -197,47 +204,6 @@ class _Pairs:
             factors = self._factors[i] = (eig_apply(self.eig_a.take([i]), np.sqrt), _eig(self.X[i:i + 1]))
         root, eig_x = factors
         return symmetrize(root @ eig_apply(eig_x, fn) @ root)[0]
-
-
-@dataclass
-class LoewnerVerdict:
-    """Semidefinite-order comparison X <= Y up to a relative tolerance."""
-
-    holds: bool
-    min_slack_eigenvalue: float
-    tol: float
-    scale: float
-
-    def to_dict(self) -> dict:
-        return {
-            "holds": self.holds,
-            "min_slack_eigenvalue": self.min_slack_eigenvalue,
-            "tol": self.tol,
-            "scale": self.scale,
-        }
-
-
-def _loewner(X: np.ndarray, Y: np.ndarray, tol: float) -> list:
-    """One verdict X[i] <= Y[i] per pair of two stacks; one eigvalsh call."""
-    # Y - X of two exactly symmetric matrices is exactly symmetric
-    min_eig = np.linalg.eigvalsh(Y - X)[:, 0].tolist()
-    max_x = np.abs(X).max(axis=(1, 2)).tolist()
-    max_y = np.abs(Y).max(axis=(1, 2)).tolist()
-    verdicts = []
-    for lam, x, y in zip(min_eig, max_x, max_y):
-        scale = max(1.0, x, y)
-        verdicts.append(LoewnerVerdict(lam >= -tol * scale, lam, tol, scale))
-    return verdicts
-
-
-def loewner_compare(X, Y, tol: float = 1e-9) -> LoewnerVerdict:
-    """Check X <= Y: the difference Y - X must have no eigenvalue below
-    -tol * scale with scale = max(1, max|X|, max|Y|)."""
-    Xs = as_symmetric(X)
-    Ys = as_symmetric(Y)
-    if Xs.shape != Ys.shape:
-        raise ValueError(f"dimension mismatch: {Xs.shape} vs {Ys.shape}")
-    return _loewner(Xs[None], Ys[None], tol)[0]
 
 
 def relative_spectrum_bounds(A, B) -> tuple[float, float]:

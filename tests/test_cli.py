@@ -438,6 +438,7 @@ def test_verify_round_trips_drawn_params_of_every_chain(tmp_path, capsys):
     (["thm-3.3", "--B", "b", "--t", "inf"], "t must be finite, got inf"),
     (["thm-3.5", "--B", "c", "--s", "1e300", "--t", "0.5"], "thm-3.5: chain link has non-finite entries"),
     (["prop-3.10", "--B", "b", "--p", "1e300"], "prop-3.10: chain link has non-finite entries"),
+    (["thm-2.12", "--B", "c", "--mode", "congruence", "--a", "4", "--b", "3"], "need b > a, got a=4.0, b=3.0"),
 ])
 def test_pair_chain_parameter_errors_print_only_the_error_line(tmp_path, argv, error):
     # the whole stderr of an `oel` process: a non-finite parameter is

@@ -6,11 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from oel import chains, entropy, linalg, scalar
-from oel.errors import NumericError
+from oel import chains, entropy, funcs, linalg, scalar
+from oel.errors import DomainError, NumericError
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, fuzz_chain, trial_rng
-from oel.linalg import loewner_compare, relative_spectrum_bounds
+from oel.linalg import relative_spectrum_bounds
+from test_linalg import loewner_compare
 
 
 def commuting_pair(rng, n, lo=-1.5, hi=1.5):
@@ -604,7 +605,8 @@ def test_two_function_stack_outcomes_match_single_trials():
 def test_two_function_stack_refusal_order_follows_the_single_trial():
     # with several faults in one trial the first the one-trial evaluation
     # meets is the one reported: congruence checks shapes before validity,
-    # majorize checks A before B
+    # and every mode reports A's own refusals (entries, then definiteness)
+    # before B's; majorize checks B's shape before B's entries
     f, g = REGISTRY["log-wide"], REGISTRY["lin-0.04-0.12"]
     bad_a = np.array([[2.0, 1.0], [0.0, 2.0]])
     cases = [
@@ -612,8 +614,11 @@ def test_two_function_stack_refusal_order_follows_the_single_trial():
         ("majorize", bad_a, np.eye(3), "matrix is not symmetric"),
         ("majorize", -np.eye(2), np.eye(3), "A must be positive-definite"),
         ("majorize", 2.0 * np.eye(2), np.eye(3), "dimension mismatch"),
+        ("majorize", 2.0 * np.eye(2), np.pad(bad_a, ((0, 1), (0, 1))), "dimension mismatch"),
         ("majorize", 2.0 * np.eye(2), -np.eye(2), "B must be positive-definite"),
         ("congruence", -np.eye(2), 2.0 * np.eye(2), "A must be positive-definite"),
+        ("congruence", -np.eye(2), bad_a, "A must be positive-definite"),
+        ("congruence", -np.eye(2), np.full((2, 2), np.nan), "A must be positive-definite"),
         ("congruence", np.eye(2), np.full((2, 2), np.nan), "matrix entries must be finite"),
         ("expectation", np.ones((2, 3)), None, "expected a square matrix"),
         # a B that is not square comes after A's own refusals in majorize
@@ -626,6 +631,88 @@ def test_two_function_stack_refusal_order_follows_the_single_trial():
     for mode, a, b, message in cases:
         with pytest.raises(ValueError, match=message):
             entropy.check_two_function_operator(f, g, a, b, mode=mode, interval=(1.5, 4.0))
+
+
+def test_a_pair_is_refused_for_its_A_before_its_B():
+    # A's own refusals come before any of B's, so a pair whose A is not
+    # positive-definite is refused for that whatever is wrong with B
+    f, g = REGISTRY["log-wide"], REGISTRY["lin-0.04-0.12"]
+    calls = [
+        relative_spectrum_bounds,
+        entropy.relative_entropy,
+        lambda A, B: entropy.check_zou_chain(A, B, 0.5),
+        entropy.check_roe_bounds,
+        lambda A, B: entropy.check_two_function_operator(f, g, A, B, mode="congruence", interval=(1.5, 4.0)),
+    ]
+    for B in (np.array([[2.0, 1.0], [0.0, 2.0]]), np.full((2, 2), np.nan)):
+        for call in calls:
+            with pytest.raises(ValueError, match="^A must be positive-definite: min eigenvalue -1.0, max -1.0$"):
+                call(-np.eye(2), B)
+
+
+FLAT_G = funcs.linear(0.0, 0.1)  # passes the gate with log-wide, but g has no increment
+
+
+def _two_function_trials(mode) -> list:
+    """Trials (f, g, a, b, A, B, expected) of one thm-2.12 mode: one that
+    passes, one per not-applicable reason and one per refusal of the mode,
+    each with its status, reason or the start of its refusal."""
+    rng = np.random.default_rng(43)
+    log, lin = REGISTRY["log-wide"], REGISTRY["lin-0.04-0.12"]
+    v = rng.normal(size=3)
+    v /= np.linalg.norm(v)
+    bump = 0.1 * np.outer(v, v)
+    non_finite, asymmetric = np.full((3, 3), np.nan), np.diag([2.0, 3.0, 3.5])
+    asymmetric[0, 1] += 1e-3
+    if mode == "congruence":
+        A, B = _spectral_pair([1.6, 2.5, 3.9], 1)
+        escapes = _spectral_pair([0.5, 2.0, 3.0], 2)
+    else:  # B <= A, both spectra in [1.5, 4]
+        A = _rotated(rng, [2.0, 2.5, 3.5])
+        B = A - bump
+        escapes = (A - np.eye(3), B) if mode == "expectation" else (A, A - np.eye(3))  # majorize: B escapes
+    trials = [
+        (log, lin, 1.5, 4.0, A, B, "pass"),
+        (log, lin, 1.5, 4.0, *escapes, "spectrum ["),
+        (log, log, 1.5, 4.0, A, B, "admissibility gate failed"),
+        (log, FLAT_G, 1.5, 4.0, A, B, "pass" if mode == "expectation" else "increment of g too small"),
+        (log, lin, 0.5, 4.0, A, B, "[0.5, 4.0] escapes domain"),
+        (log, lin, 4.0, 1.5, A, B, "need b > a, got a=4.0, b=1.5"),
+        (log, lin, 1.5, 4.0, -A, B, "A must be positive-definite"),
+        (log, lin, 1.5, 4.0, non_finite, B, "matrix entries must be finite"),
+        (log, lin, 1.5, 4.0, asymmetric, B, "matrix is not symmetric"),
+    ]
+    if mode == "congruence":
+        trials.append((log, lin, 1.5, 4.0, A, -B, "B relative to A must be positive-definite"))
+    if mode == "majorize":
+        trials.append((log, lin, 1.5, 4.0, A, A + bump, "hypothesis B <= A fails"))
+        trials.append((log, lin, 1.5, 4.0, A, -B, "B must be positive-definite"))
+    if mode != "expectation":  # expectation mode does not read B
+        trials.append((log, lin, 1.5, 4.0, A, non_finite, "matrix entries must be finite"))
+        trials.append((log, lin, 1.5, 4.0, A, asymmetric, "matrix is not symmetric"))
+    return trials
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", entropy.TWO_FUNCTION_MODES)
+def test_two_function_stacks_of_one_mode_match_single_trials(mode):
+    # one stack of each mode mixing every not-applicable reason and every
+    # refusal: each outcome is the trial's own evaluation, regime keys in
+    # the same order; an inverted interval is refused, not not-applicable
+    trials = _two_function_trials(mode)
+    f, g, a, b, A, B, _ = (list(column) for column in zip(*trials))
+    stacked = entropy.two_function_stack(f, g, a, b, [mode] * len(trials), A, B)
+    for i, (f_i, g_i, a_i, b_i, A_i, B_i, expected) in enumerate(trials):
+        try:
+            single = entropy.check_two_function_operator(f_i, g_i, A_i, B_i, mode=mode, interval=(a_i, b_i))
+        except ValueError as exc:
+            assert type(stacked[i]) is type(exc) and str(stacked[i]) == str(exc), i
+            assert str(exc).startswith(expected), i
+            assert isinstance(exc, DomainError) == (a_i == 0.5), i
+            continue
+        _same_verdict(stacked[i], single)
+        assert list(stacked[i].regime.items()) == list(single.regime.items()), i
+        assert single.regime.get("reason", single.status).startswith(expected), i
 
 
 # a convex g that is not affine, so that <g(A)h, h> differs from g(<Ah, h>):
@@ -793,11 +880,16 @@ def test_spectral_verdicts_match_loewner_checks_of_the_lifts(chain_id, regime):
 def test_fuzzing_spectral_chains_lifts_no_matrix(monkeypatch):
     # the pair chains and thm-2.12's congruence mode are decided on the
     # spectrum of X alone, and expectation mode on its two sides as numbers:
-    # no link matrix is lifted and no Loewner check runs
+    # no link matrix is lifted and no Loewner check of matrices runs
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the fuzz path")
 
-    monkeypatch.setattr(entropy, "_loewner", forbidden)
+    def values_only(lower, upper, tol, _compare=entropy._compare):
+        if lower.ndim == 3:
+            forbidden()
+        return _compare(lower, upper, tol)
+
+    monkeypatch.setattr(entropy, "_compare", values_only)
     monkeypatch.setattr(linalg._Pairs, "lift", forbidden)
     for cid, regime in [*SPECTRAL_CHAINS, ("thm-2.12", {"mode": "expectation"})]:
         rep = fuzz_chain(cid, GeneratorConfig(seed=5, trials=20, regime=regime))

@@ -175,7 +175,7 @@ def test_uniform_is_generator_uniform_bitwise():
 
 def test_gen_pd_matrix_contract():
     # zou draws A and B with log-uniform spectra from scalar_range
-    from oel.linalg import loewner_compare
+    from test_linalg import loewner_compare
 
     generate = CHAINS["zou"].generate
     p = generate(trial_rng(5, 3), GeneratorConfig(seed=5, dim_range=(1, 1)))

@@ -18,6 +18,18 @@ def decompose(M) -> linalg.EigenDecomposition:
     return linalg._eig(linalg.as_symmetric(M))
 
 
+def loewner_compare(X, Y, tol: float = 1e-9) -> entropy.LoewnerVerdict:
+    """Reference check of X <= Y, independent of ``entropy._compare``: Y - X
+    must have no eigenvalue below -tol * scale, with scale = max(1, max |X|,
+    max |Y|)."""
+    X, Y = linalg.as_symmetric(X), linalg.as_symmetric(Y)
+    if X.shape != Y.shape:
+        raise ValueError(f"dimension mismatch: {X.shape} vs {Y.shape}")
+    lam = float(np.linalg.eigvalsh(Y - X)[0])
+    scale = max(1.0, float(np.abs(X).max()), float(np.abs(Y).max()))
+    return entropy.LoewnerVerdict(lam >= -tol * scale, lam, tol, scale)
+
+
 def matrix_function(A, fn) -> np.ndarray:
     """f(A) = Q f(L) Q^T through the spectral decomposition."""
     return linalg.eig_apply(decompose(A), fn)
@@ -136,14 +148,26 @@ def test_congruence_sandwich_examples():
 
 def test_loewner_compare():
     X = np.diag([1.0, 2.0])
-    v = linalg.loewner_compare(X, X)
+    v = loewner_compare(X, X)
     assert v.holds and v.min_slack_eigenvalue == pytest.approx(0.0, abs=1e-15)
-    v = linalg.loewner_compare(np.diag([1.0, 2.0]), np.diag([2.0, 3.0]))
+    v = loewner_compare(np.diag([1.0, 2.0]), np.diag([2.0, 3.0]))
     assert v.holds and v.min_slack_eigenvalue == pytest.approx(1.0)
-    v = linalg.loewner_compare(np.diag([0.0, 2.0]), np.diag([1.0, 1.0]))
+    v = loewner_compare(np.diag([0.0, 2.0]), np.diag([1.0, 1.0]))
     assert not v.holds and v.min_slack_eigenvalue == pytest.approx(-1.0)
     with pytest.raises(ValueError):
-        linalg.loewner_compare(np.eye(2), np.eye(3))
+        loewner_compare(np.eye(2), np.eye(3))
+
+
+def test_pd_stack_refuses_a_matrix_for_its_entries_before_its_definiteness():
+    # a refused matrix gets the identity's decomposition
+    bad = np.array([[1.0, 2.0], [0.0, 1.0]])
+    M, eig, errors = linalg._pd_stack([np.full((2, 2), np.nan), bad, -np.eye(2), np.diag([2.0, 3.0])], "A")
+    assert [str(e).split(":")[0] for e in errors[:3]] == [
+        "matrix entries must be finite", "matrix is not symmetric at (1, 0)", "A must be positive-definite",
+    ]
+    assert errors[3] is None and np.array_equal(M[3], np.diag([2.0, 3.0]))
+    assert np.array_equal(eig.vectors[:3], np.broadcast_to(np.eye(2), (3, 2, 2)))
+    assert np.array_equal(eig.values, [[1.0, 1.0]] * 3 + [[2.0, 3.0]])
 
 
 def test_relative_spectrum_bounds():
@@ -162,8 +186,8 @@ def test_relative_spectrum_bounds():
         A = random_symmetric(rng, n) + np.eye(n) * 4.0
         B = random_symmetric(rng, n) + np.eye(n) * 4.0
         m, M = linalg.relative_spectrum_bounds(A, B)
-        assert linalg.loewner_compare(m * A, B, 1e-9).holds
-        assert linalg.loewner_compare(B, M * A, 1e-9).holds
+        assert loewner_compare(m * A, B, 1e-9).holds
+        assert loewner_compare(B, M * A, 1e-9).holds
 
 
 def count_eig_calls(monkeypatch) -> collections.Counter:
