@@ -3,7 +3,9 @@
 Each checker evaluates one chain a_1 <= a_2 <= ... <= a_k at concrete
 parameters and returns a ChainVerdict holding the ordered values, per-link
 slacks, and a tolerance-based pass flag. Checkers raise on precondition
-violations; a returned verdict always means the chain was evaluable.
+violations; a returned verdict always means the chain was evaluable. They
+read f through ``FunctionSpec.at``, which refuses a point outside its domain,
+and share three refusals: ``_flagged``, ``_positive`` and ``_weighted``.
 
 A checker computes only what its verdict is decided on. Its witness (the
 parameters and the values that explain the verdict, such as direct bound
@@ -89,6 +91,32 @@ def verdict_from_values(chain_id, values, tol, build_witness=dict) -> ChainVerdi
     return ChainVerdict(chain_id, values, slacks, ok, tol, scale, build_witness)
 
 
+def _flagged(f: FunctionSpec, flag: str):
+    if flag not in f.flags:
+        raise ValueError(f"{f.id!r} is not flagged {flag}")
+
+
+def _positive(f: FunctionSpec, lowest: float, why: str = ""):
+    """Refuses an f whose ``lowest`` value, among those a chain divides by or
+    takes the log of, is not positive."""
+    if lowest <= 0.0:
+        raise DomainError(f"{f.id!r} must be positive{why}")
+
+
+def _weighted(w, x) -> tuple[list, list]:
+    """The weights ``w``, positive and summing to 1, and their points ``x``,
+    one each, as float lists."""
+    w = [float(v) for v in w]
+    if any(v <= 0.0 for v in w):
+        raise ValueError("weights must be positive")
+    if abs(sum(w) - 1.0) > 1e-12:
+        raise ValueError(f"weights must sum to 1 within 1e-12, got {sum(w)!r}")
+    x = [float(v) for v in x]
+    if len(w) != len(x):
+        raise ValueError("weights and points must have equal length")
+    return w, x
+
+
 def young_ratio_chain(a, b, v, n, tol=DEFAULT_TOL) -> ChainVerdict:
     """Exponential bounds squeezing the arithmetic-to-geometric mean ratio.
 
@@ -115,9 +143,8 @@ def check_minmax_square(f: FunctionSpec, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
     and the plain increment."""
     if not t > s:
         raise ValueError(f"need t > s, got s={s!r}, t={t!r}")
-    f.require(s, "s")
-    f.require(t, "t")
-    diff = f.eval(t) - f.eval(s)
+    fs = f.at(s, "s")
+    diff = f.at(t, "t") - fs
     quad = diff * diff / (t - s)
     mid = diff if f.has("monotone_increasing") else abs(diff)
     return verdict_from_values(
@@ -136,11 +163,9 @@ def check_minmax_power(f: FunctionSpec, s, t, p, q, tol=DEFAULT_TOL) -> ChainVer
         raise ValueError(f"need t > s, got s={s!r}, t={t!r}")
     if p < 1.0 or q > 1.0:
         raise ValueError(f"need p >= 1 and q <= 1, got p={p!r}, q={q!r}")
-    if not f.has("monotone_increasing"):
-        raise ValueError(f"{f.id!r} is not flagged monotone_increasing")
-    f.require(s, "s")
-    f.require(t, "t")
-    diff = f.eval(t) - f.eval(s)
+    _flagged(f, "monotone_increasing")
+    fs = f.at(s, "s")
+    diff = f.at(t, "t") - fs
     if diff <= 0.0 and (p, q) != (2.0, 0.0):
         raise ValueError("increment must be positive unless (p, q) == (2, 0)")
     lo_term = diff**p / (t - s) ** (p - 1.0)
@@ -153,35 +178,19 @@ def check_minmax_power(f: FunctionSpec, s, t, p, q, tol=DEFAULT_TOL) -> ChainVer
     )
 
 
-def _validate_weights(w):
-    w = [float(x) for x in w]
-    if any(x <= 0.0 for x in w):
-        raise ValueError("weights must be positive")
-    if abs(sum(w) - 1.0) > 1e-12:
-        raise ValueError(f"weights must sum to 1 within 1e-12, got {sum(w)!r}")
-    return w
-
-
 def jensen_refinement(f: FunctionSpec, w, x, t, tol=DEFAULT_TOL) -> ChainVerdict:
     """Jensen bound sharpened by a min-of-squares correction term built from
     values along the segment from the weighted mean to the sample points."""
-    if not f.has("convex"):
-        raise ValueError(f"{f.id!r} is not flagged convex")
+    _flagged(f, "convex")
     if not 0.0 < t <= 1.0:
         raise ValueError(f"need 0 < t <= 1, got {t!r}")
-    w = _validate_weights(w)
-    x = [float(v) for v in x]
-    if len(w) != len(x):
-        raise ValueError("weights and points must have equal length")
+    w, x = _weighted(w, x)
     mean = sum(wi * xi for wi, xi in zip(w, x))
-    for xi in x:
-        f.require(xi, "sample point")
-        f.require(t * xi + (1.0 - t) * mean, "mixed point")
-    f.require(mean, "mean")
-    g_t = sum(wi * f.eval(t * xi + (1.0 - t) * mean) for wi, xi in zip(w, x))
-    f_mean = f.eval(mean)
+    at_x = [(f.at(xi, "sample point"), f.at(t * xi + (1.0 - t) * mean, "mixed point")) for xi in x]
+    f_mean = f.at(mean, "mean")
+    g_t = sum(wi * f_mix for wi, (_, f_mix) in zip(w, at_x))
     psi = min((g_t - f_mean) ** 2, t * t)
-    rhs = sum(wi * f.eval(xi) for wi, xi in zip(w, x))
+    rhs = sum(wi * f_xi for wi, (f_xi, _) in zip(w, at_x))
     return verdict_from_values(
         "cor-2.4",
         [f_mean + psi / t, rhs],
@@ -198,8 +207,7 @@ def am_gm_refinement(w, x, t, tol=DEFAULT_TOL) -> ChainVerdict:
     """
     if not 0.0 < t <= 1.0:
         raise ValueError(f"need 0 < t <= 1, got {t!r}")
-    w = _validate_weights(w)
-    x = [float(v) for v in x]
+    w, x = _weighted(w, x)
     if any(v <= 0.0 for v in x):
         raise DomainError("sample points must be positive")
     arith = sum(wi * xi for wi, xi in zip(w, x))
@@ -227,14 +235,9 @@ def logconvex_chain(f: FunctionSpec, s, t, mode, tol=DEFAULT_TOL) -> ChainVerdic
     """
     if mode not in ("convex", "concave"):
         raise ValueError(f"mode must be 'convex' or 'concave', got {mode!r}")
-    flag = "log_convex" if mode == "convex" else "log_concave"
-    if not f.has(flag):
-        raise ValueError(f"{f.id!r} is not flagged {flag}")
-    f.require(s, "s")
-    f.require(t, "t")
-    fs, ft = f.eval(s), f.eval(t)
-    if fs <= 0.0 or ft <= 0.0:
-        raise DomainError(f"{f.id!r} must be positive for ratio bounds")
+    _flagged(f, "log_convex" if mode == "convex" else "log_concave")
+    fs, ft = f.at(s, "s"), f.at(t, "t")
+    _positive(f, min(fs, ft), " for ratio bounds")
     rs = f.deriv(s) / fs
     rt = f.deriv(t) / ft
     d = t - s
@@ -252,15 +255,11 @@ def logconvex_chain(f: FunctionSpec, s, t, mode, tol=DEFAULT_TOL) -> ChainVerdic
 
 def geomconvex_chain(f: FunctionSpec, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
     """Power-law bounds on f(t)/f(s) for a geometrically convex f."""
-    if not f.has("geometrically_convex"):
-        raise ValueError(f"{f.id!r} is not flagged geometrically_convex")
+    _flagged(f, "geometrically_convex")
     if s <= 0.0 or t <= 0.0:
         raise ValueError("geometric convexity bounds need positive s, t")
-    f.require(s, "s")
-    f.require(t, "t")
-    fs, ft = f.eval(s), f.eval(t)
-    if fs <= 0.0 or ft <= 0.0:
-        raise DomainError(f"{f.id!r} must be positive for ratio bounds")
+    fs, ft = f.at(s, "s"), f.at(t, "t")
+    _positive(f, min(fs, ft), " for ratio bounds")
     es = s * f.deriv(s) / fs
     et = t * f.deriv(t) / ft
     return verdict_from_values(
@@ -282,13 +281,9 @@ def geom_interpolation_chain(g: FunctionSpec, a, b, t, tol=DEFAULT_TOL) -> Chain
         )
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"need 0 <= t <= 1, got {t!r}")
-    g.require(a, "a")
-    g.require(b, "b")
-    mid = a ** (1.0 - t) * b**t
-    g.require(mid, "interpolant")
-    ga, gb, gm = g.eval(a), g.eval(b), g.eval(mid)
-    if min(ga, gb, gm) <= 0.0:
-        raise DomainError(f"{g.id!r} must be positive for ratio bounds")
+    ga, gb = g.at(a, "a"), g.at(b, "b")
+    gm = g.at(a ** (1.0 - t) * b**t, "interpolant")
+    _positive(g, min(ga, gb, gm), " for ratio bounds")
     ratio = gm / (ga ** (1.0 - t) * gb**t)
     g0 = scalar.geom_log_derivative(g, a, b, 0.0)
     gt = scalar.geom_log_derivative(g, a, b, t)
@@ -305,33 +300,22 @@ def jensen_exponential_bounds(f: FunctionSpec, weights, points, kind, tol=DEFAUL
     weighted mean squeeze the weighted sum of f values from both sides."""
     if kind not in ("log_convex", "geometrically_convex"):
         raise ValueError(f"kind must be 'log_convex' or 'geometrically_convex', got {kind!r}")
-    if not f.has(kind):
-        raise ValueError(f"{f.id!r} is not flagged {kind}")
-    w = _validate_weights(weights)
-    a = [float(v) for v in points]
-    if len(w) != len(a):
-        raise ValueError("weights and points must have equal length")
+    _flagged(f, kind)
+    w, a = _weighted(weights, points)
     mean = sum(wi * ai for wi, ai in zip(w, a))
-    for ai in a:
-        f.require(ai, "sample point")
-    f.require(mean, "mean")
+    fa = [f.at(ai, "sample point") for ai in a]
+    fm = f.at(mean, "mean")
     if kind == "geometrically_convex" and (min(a) <= 0.0 or mean <= 0.0):
         raise DomainError("geometrically convex bounds need positive points")
-    fm = f.eval(mean)
-    if fm <= 0.0:
-        raise DomainError(f"{f.id!r} must be positive")
+    _positive(f, fm)
     rm = f.deriv(mean) / fm
     if kind == "log_convex":
         lo = sum(wi * math.exp(rm * (ai - mean)) for wi, ai in zip(w, a))
-        hi = sum(
-            wi * math.exp(f.deriv(ai) / f.eval(ai) * (ai - mean)) for wi, ai in zip(w, a)
-        )
+        hi = sum(wi * math.exp(f.deriv(ai) / fai * (ai - mean)) for wi, ai, fai in zip(w, a, fa))
     else:
         lo = sum(wi * (ai / mean) ** (mean * rm) for wi, ai in zip(w, a))
-        hi = sum(
-            wi * (ai / mean) ** (ai * f.deriv(ai) / f.eval(ai)) for wi, ai in zip(w, a)
-        )
-    middle = sum(wi * f.eval(ai) for wi, ai in zip(w, a))
+        hi = sum(wi * (ai / mean) ** (ai * f.deriv(ai) / fai) for wi, ai, fai in zip(w, a, fa))
+    middle = sum(wi * fai for wi, fai in zip(w, fa))
     chain_id = "cor-2.9-logconvex" if kind == "log_convex" else "cor-2.9-geomconvex"
     return verdict_from_values(
         chain_id,
@@ -348,16 +332,14 @@ def derived_logconvexity_check(f: FunctionSpec, u, w, tol=DEFAULT_TOL) -> ChainV
     inherit log-convexity from f; the verdict encodes the worst midpoint
     excess of either as a two-value chain [excess, 0].
     """
-    if not f.has("log_convex"):
-        raise ValueError(f"{f.id!r} is not flagged log_convex")
+    _flagged(f, "log_convex")
     lo, hi = f.domain
     if not (lo < 0.0 and hi > 1.0):
         raise ValueError(f"domain of {f.id!r} must contain [0, 1]")
     if not (0.0 <= u <= 1.0 and 0.0 <= w <= 1.0):
         raise ValueError("u, w must lie in [0, 1]")
     f0, f1 = f.eval(0.0), f.eval(1.0)
-    if f0 <= 0.0 or f1 <= 0.0:
-        raise DomainError(f"{f.id!r} must be positive")
+    _positive(f, min(f0, f1))
 
     def g(s):
         return f.eval(s) / ((1.0 - s) * f0 + s * f1)

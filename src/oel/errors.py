@@ -10,4 +10,4 @@ class NumericError(RuntimeError):
 
 
 # what evaluating one trial can raise: a fuzz run keeps it as the outcome
-TRIAL_ERRORS = (ValueError, NumericError, OverflowError)
+TRIAL_ERRORS = (ValueError, NumericError, ArithmeticError)

@@ -55,13 +55,13 @@ class FunctionSpec:
     def has(self, flag: str) -> bool:
         return flag in self.flags
 
-    def contains(self, x: float) -> bool:
+    def at(self, x: float, what: str) -> float:
+        """The value at ``x``, a point of the open domain. Any other point,
+        NaN and the endpoints included, is refused, named ``what``."""
         lo, hi = self.domain
-        return lo < x < hi
-
-    def require(self, x: float, what: str = "point"):
-        if not self.contains(x):
+        if not lo < x < hi:
             raise DomainError(f"{what} {x!r} outside domain {self.domain!r} of {self.id!r}")
+        return self.eval(x)
 
 
 # --- factories -----------------------------------------------------------

@@ -15,7 +15,7 @@ from oel import cli, entropy
 from oel.chains import DEFAULT_TOL
 from oel.cli import main
 from oel.entropy import OperatorChainVerdict
-from oel.errors import NumericError
+from oel.errors import TRIAL_ERRORS
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, _emit_json, trial_rng
 from oel.linalg import dump_matrix
@@ -418,7 +418,7 @@ def test_verify_round_trips_drawn_params_of_every_chain(tmp_path, capsys):
         assert _fingerprint(cli._build_params(entry.id, cli.build_parser().parse_args(argv))) == _fingerprint(params), argv
         try:
             verdict = entry.run(params, tol)
-        except (ValueError, NumericError, OverflowError):
+        except TRIAL_ERRORS:
             code, out = cli.EXIT_ERROR, ""
         else:
             out = _emit_json(verdict.to_dict()) + "\n"
@@ -453,3 +453,68 @@ def test_pair_chain_parameter_errors_print_only_the_error_line(tmp_path, argv, e
         capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
+
+
+# flagged against its values: a chain divides by f, or takes its log, only
+# where the flags claim f positive, and every registered function is positive
+# there, so only such a function reaches the positivity refusals
+_IDENTITY = FunctionSpec(
+    "identity", (-1.0, 2.0), float, lambda x: 1.0, frozenset({"log_convex", "monotone_increasing"})
+)
+_NEAR_5 = "4.999999999999999"  # the float below exp's right end
+
+
+@pytest.mark.parametrize("argv, error", [
+    # each flag message (cor-2.4's and thm-2.6's are among the two-fault rows)
+    ("rem-2.3 --fn sin --s 1 --t 2 --p 2 --q 0", "'sin' is not flagged monotone_increasing"),
+    ("thm-2.7 --fn sin --s 1 --t 2", "'sin' is not flagged geometrically_convex"),
+    ("cor-2.8 --fn sin --a 1 --b 2 --t 0.5", "'sin' needs geometrically_convex, or log_convex + monotone_increasing"),
+    ("cor-2.9-logconvex --fn pow-2 --w 1 --x 2", "'pow-2' is not flagged log_convex"),
+    ("cor-2.9-geomconvex --fn sin --w 1 --x 1", "'sin' is not flagged geometrically_convex"),
+    ("lem-3.7 --fn pow-2 --u 0.2 --w 0.5", "'pow-2' is not flagged log_convex"),
+    # each name of a point outside the domain
+    ("thm-2.2 --fn exp --s 0 --t 1", "s 0.0 outside domain (0.01, 5.0) of 'exp'"),
+    ("thm-2.2 --fn exp --s 1 --t 6", "t 6.0 outside domain (0.01, 5.0) of 'exp'"),
+    ("cor-2.4 --fn neg-log-wide --w 1 --x 2000 --t 0.5", "sample point 2000.0 outside domain (1e-06, 1000.0) of 'neg-log-wide'"),
+    # the weights sum to 1 + 9e-13, so the mean rounds out of the domain
+    (f"cor-2.4 --fn exp --w 0.5,0.5000000000009 --x {_NEAR_5},{_NEAR_5} --t 0.5",
+     "mixed point 5.000000000002249 outside domain (0.01, 5.0) of 'exp'"),
+    (f"cor-2.4 --fn exp --w 0.5,0.5000000000009 --x {_NEAR_5},{_NEAR_5} --t 1",
+     "mean 5.000000000004499 outside domain (0.01, 5.0) of 'exp'"),
+    ("cor-2.8 --fn exp --a 0 --b 1 --t 0.5", "a 0.0 outside domain (0.01, 5.0) of 'exp'"),
+    ("cor-2.8 --fn exp --a 1 --b 6 --t 0.5", "b 6.0 outside domain (0.01, 5.0) of 'exp'"),
+    (f"cor-2.8 --fn exp --a {_NEAR_5} --b {_NEAR_5} --t 0.2", "interpolant 5.0 outside domain (0.01, 5.0) of 'exp'"),
+    # both positivity wordings
+    ("thm-2.6-convex --fn identity --s -0.5 --t 0.5", "'identity' must be positive for ratio bounds"),
+    ("cor-2.9-logconvex --fn identity --w 0.5,0.5 --x -0.5,0.25", "'identity' must be positive"),
+    ("lem-3.7 --fn identity --u 0.2 --w 0.5", "'identity' must be positive"),
+    # the weights messages (the sum's is among the two-fault rows)
+    ("cor-2.4 --fn neg-log-wide --w -0.5,1.5 --x 1,2 --t 0.5", "weights must be positive"),
+    ("cor-2.9-logconvex --fn inv-pow-1 --w 0.5,0.5 --x 1", "weights and points must have equal length"),
+    # once an unmatched weight was dropped and the call reported a failure
+    ("cor-2.4-am-gm --w 0.5,0.5 --x 2 --t 1", "weights and points must have equal length"),
+    # once a ZeroDivisionError traceback with exit 1: (t - s)**(p - 1) underflows
+    ("rem-2.3 --fn exp --s 0.5 --t 1 --p 2000 --q 0", "float division by zero"),
+    # two faults: the first refusal of each chain wins
+    ("prop-2.1 --a -1 --b 4 --v 0.5 --n 0", "n must be a positive integer, got 0"),
+    ("thm-2.2 --fn exp --s 6 --t 1", "need t > s, got s=6.0, t=1.0"),
+    ("rem-2.3 --fn sin --s 2 --t 1 --p 2 --q 0", "need t > s, got s=2.0, t=1.0"),
+    ("rem-2.3 --fn sin --s 1 --t 2 --p 0.5 --q 0", "need p >= 1 and q <= 1, got p=0.5, q=0.0"),
+    ("cor-2.4 --fn log --w 1 --x 2 --t 2", "'log' is not flagged convex"),
+    ("cor-2.4 --fn exp --w 0.5,0.5 --x 4,100 --t 0.5", "mixed point 28.0 outside domain (0.01, 5.0) of 'exp'"),
+    ("cor-2.4-am-gm --w 0.5,0.5 --x 2 --t 2", "need 0 < t <= 1, got 2.0"),
+    ("cor-2.4-am-gm --w 0.5,0.6 --x -1,2 --t 1", "weights must sum to 1 within 1e-12, got 1.1"),
+    ("thm-2.6-convex --fn pow-2 --s 0 --t 1", "'pow-2' is not flagged log_convex"),
+    ("thm-2.6-concave --fn exp-pow-2 --s 0 --t 1", "'exp-pow-2' is not flagged log_concave"),
+    ("thm-2.7 --fn exp --s -1 --t 10", "geometric convexity bounds need positive s, t"),
+    ("cor-2.8 --fn exp --a 0 --b 1 --t 2", "need 0 <= t <= 1, got 2.0"),
+    ("cor-2.9-logconvex --fn inv-pow-1 --w 0.5,0.6 --x 1", "weights must sum to 1 within 1e-12, got 1.1"),
+    ("cor-2.9-geomconvex --fn exp --w 0.5,0.5 --x 0,10", "sample point 0.0 outside domain (0.01, 5.0) of 'exp'"),
+    ("lem-3.4 --x 0.5 --s -1 --t 1", "need x >= 1, got 0.5"),
+    ("lem-3.7 --fn exp-pow-2 --u 2 --w 0.5", "domain of 'exp-pow-2' must contain [0, 1]"),
+    ("cor-3.8 --a -1 --b 1 --t 2", "a must be positive and finite, got -1.0"),
+])
+def test_scalar_refusals(argv, error, monkeypatch, capsys):
+    monkeypatch.setitem(REGISTRY, _IDENTITY.id, _IDENTITY)
+    assert main(["verify", *argv.split()]) == 2
+    assert capsys.readouterr() == ("", f"error: {error}\n")

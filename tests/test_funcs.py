@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oel.errors import DomainError
 from oel.funcs import (
     REGISTRY,
     FunctionSpec,
@@ -123,13 +124,19 @@ def test_bad_constructions_rejected():
         FunctionSpec(id="bad", domain=(0.0, 1.0), eval=float, deriv=float, flags=frozenset({"wiggly"}))
 
 
-def test_domain_membership_helpers():
-    spec = REGISTRY["log"]
-    assert spec.contains(2.0)
-    assert not spec.contains(0.5)
-    with pytest.raises(Exception):
-        spec.require(0.5)
-    assert spec.eval(2.0) == pytest.approx(np.log(2.0))
+def test_at_reads_points_of_the_open_domain():
+    # inside the domain, at is eval bit for bit; the endpoints, NaN and a
+    # point outside are refused, naming the point as the caller calls it
+    rng = np.random.default_rng(5)
+    for spec in REGISTRY.values():
+        lo, hi = spec.domain
+        inside = [np.nextafter(lo, hi), np.nextafter(hi, lo), *rng.uniform(lo, hi, 8)]
+        for x in map(float, inside):
+            assert np.float64(spec.at(x, "x")).tobytes() == np.float64(spec.eval(x)).tobytes()
+        for x in (lo, hi, float("nan"), hi + 1.0):
+            with pytest.raises(DomainError) as exc:
+                spec.at(x, "sample point")
+            assert str(exc.value) == f"sample point {x!r} outside domain {spec.domain!r} of {spec.id!r}"
 
 
 def test_evaluators_accept_arrays():

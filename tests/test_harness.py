@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import warnings
 
@@ -7,7 +8,7 @@ import pytest
 
 from oel import entropy, harness, scalar
 from oel.errors import NumericError
-from oel.funcs import FunctionSpec
+from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, TrialStreams, fuzz_chain, trial_rng
 from oel.linalg import relative_spectrum_bounds
 
@@ -364,6 +365,19 @@ def test_failures_recorded_with_serialized_params():
     rep_op = fuzz_chain("zou", GeneratorConfig(seed=13, trials=2, tol=-1.0))
     assert rep_op.failures
     assert rep_op.failures[0]["params"]["A"]["n"] >= 2
+
+
+def test_arithmetic_errors_are_recorded_as_failures(monkeypatch):
+    # at p = 2000, rem-2.3's (t - s)**(p - 1) underflows to 0 and its
+    # quotient raises ZeroDivisionError: recorded, and the run goes on
+    def generate(rng, cfg):
+        return {"fn": REGISTRY["exp"], "s": 0.5, "t": 1.0, "p": 2000.0 if rng.random() < 0.5 else 2.0, "q": 0.0}
+
+    monkeypatch.setitem(CHAINS, "rem-2.3", dataclasses.replace(CHAINS["rem-2.3"], generate=generate))
+    rep = fuzz_chain("rem-2.3", GeneratorConfig(seed=3, trials=8))
+    errors = [f for f in rep.failures if "error" in f]
+    assert errors and all(f["error"] == "float division by zero" and f["params"]["p"] == 2000.0 for f in errors)
+    assert len(errors) + len(rep.slack_rows) == 8
 
 
 # how a failure record writes a value of each declared parameter type
