@@ -107,7 +107,7 @@ def _weighted(w, x) -> tuple[list, list]:
     """The weights ``w``, positive and summing to 1, and their points ``x``,
     one each, as float lists."""
     w = [float(v) for v in w]
-    if any(v <= 0.0 for v in w):
+    if not all(v > 0.0 for v in w):  # so that NaN is refused
         raise ValueError("weights must be positive")
     if abs(sum(w) - 1.0) > 1e-12:
         raise ValueError(f"weights must sum to 1 within 1e-12, got {sum(w)!r}")
@@ -282,6 +282,8 @@ def geom_interpolation_chain(g: FunctionSpec, a, b, t, tol=DEFAULT_TOL) -> Chain
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"need 0 <= t <= 1, got {t!r}")
     ga, gb = g.at(a, "a"), g.at(b, "b")
+    scalar._as_positive(a, "a")  # a negative a or b makes the interpolant complex
+    scalar._as_positive(b, "b")
     gm = g.at(a ** (1.0 - t) * b**t, "interpolant")
     _positive(g, min(ga, gb, gm), " for ratio bounds")
     ratio = gm / (ga ** (1.0 - t) * gb**t)
@@ -402,6 +404,9 @@ def young_refinement_chain(a, b, t, tol=DEFAULT_TOL) -> ChainVerdict:
 def tsallis_scalar_chain(x, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
     """Relates two deformed logarithms of the same x >= 1 through
     exponential factors built from the growth-rate functional."""
+    for name, v in (("x", x), ("s", s), ("t", t)):
+        if not math.isfinite(v):
+            raise ValueError(f"{name} must be finite, got {v}")
     if x < 1.0:
         raise DomainError(f"need x >= 1, got {x!r}")
     if s <= 0.0 or t <= 0.0:

@@ -7,7 +7,8 @@ isolation. A uniform draw on [lo, hi) is formed as ``lo + (hi - lo) *
 random()`` (``uniform``), which is how numpy forms ``Generator.uniform``, so
 it is bit for bit that draw; ``random()`` skips the argument checks and
 broadcasting that make a scalar ``Generator.uniform`` call cost three times
-as much.
+as much. One ``TrialStreams`` generator serves a whole ``fuzz_all`` run: each
+trial of every chain resets it to its own stream.
 
 Generation model: ``fuzz_chain`` takes trials in consecutive blocks of
 FUZZ_BLOCK. Every matrix chain has a ``ChainEntry.draw``, which draws each
@@ -42,6 +43,7 @@ import operator
 import os
 import time
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Callable
 
 import numpy as np
@@ -747,6 +749,17 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
     positive-definiteness floor) is counted as rejected; it is neither a
     failure nor not-applicable, and it does not abort the run.
     """
+    return _fuzz(chain_id, cfg, TrialStreams(cfg.seed))
+
+
+def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
+    """``fuzz_chain`` of each chain in ``ids`` (default: every chain), all
+    reading one ``TrialStreams``: each trial resets it to its own stream."""
+    streams = TrialStreams(cfg.seed)
+    return [_fuzz(cid, cfg, streams) for cid in (ids or list(CHAINS))]
+
+
+def _fuzz(chain_id: str, cfg: GeneratorConfig, streams: TrialStreams) -> FuzzReport:
     if chain_id not in CHAINS:
         raise KeyError(f"unknown chain {chain_id!r}")
     entry = CHAINS[chain_id]
@@ -755,7 +768,6 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
     slack_rows = []
     n_na = 0
     n_rejected = 0
-    streams = TrialStreams(cfg.seed)
     for first in range(0, cfg.trials, FUZZ_BLOCK):
         trials = range(first, min(first + FUZZ_BLOCK, cfg.trials))
         if entry.draw is None:
@@ -789,10 +801,6 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
     )
 
 
-def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
-    return [fuzz_chain(cid, cfg) for cid in (ids or list(CHAINS))]
-
-
 # --- report emission --------------------------------------------------------------
 
 def _fmt_float(x: float) -> str:
@@ -802,7 +810,9 @@ def _fmt_float(x: float) -> str:
 def _emit_json(obj) -> str:
     """Minimal JSON writer: floats carry 17 significant digits so every
     value round-trips exactly, and byte output is deterministic."""
-    if obj is None or isinstance(obj, (bool, str)):
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)  # json.dumps(obj), bit for bit
+    if obj is None or isinstance(obj, bool):
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
@@ -811,7 +821,7 @@ def _emit_json(obj) -> str:
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
     if isinstance(obj, dict):
-        return "{" + ", ".join(f"{json.dumps(str(k))}: {_emit_json(v)}" for k, v in obj.items()) + "}"
+        return "{" + ", ".join(f"{encode_basestring_ascii(str(k))}: {_emit_json(v)}" for k, v in obj.items()) + "}"
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 

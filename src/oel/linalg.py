@@ -12,6 +12,10 @@ matrix they receive through ``as_symmetric``, while the ``_``-prefixed
 helpers they share trust their arguments to be finite, square and exactly
 symmetric. Internal arrays keep that promise by being built through
 ``symmetrize`` or as sums and scalar multiples of exactly symmetric matrices.
+``_symmetric_stack`` first checks whether a stack is exactly symmetric with
+every |entry| below 8e307, as generated stacks are; such a stack is returned
+as it is, with no refusal, and only other stacks take the tolerance pass and
+the averaging.
 
 The helpers work on stacks of shape ``(k, n, n)``, so that one LAPACK or
 BLAS call serves k matrices; numpy runs the same routine on every matrix of
@@ -50,6 +54,11 @@ def _symmetric_stack(M) -> tuple[np.ndarray, list]:
     if M.shape[1] == 0:
         raise ValueError(f"expected a non-empty matrix, got shape {M.shape[1:]}")
     errors = [None] * M.shape[0]
+    # bitwise, so that a -0.0 facing a 0.0 is averaged to 0.0; below 8e307,
+    # x + x does not overflow, so (x + x) / 2 == x and averaging is the identity
+    bits = M.view(np.uint64)
+    if (bits == bits.swapaxes(1, 2)).all() and (np.abs(M) < 8e307).all():
+        return M, errors
     finite = np.isfinite(M).all(axis=(1, 2))
     if not finite.all():
         for i in np.flatnonzero(~finite):

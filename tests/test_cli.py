@@ -495,6 +495,13 @@ _NEAR_5 = "4.999999999999999"  # the float below exp's right end
     ("cor-2.4-am-gm --w 0.5,0.5 --x 2 --t 1", "weights and points must have equal length"),
     # once a ZeroDivisionError traceback with exit 1: (t - s)**(p - 1) underflows
     ("rem-2.3 --fn exp --s 0.5 --t 1 --p 2000 --q 0", "float division by zero"),
+    # once a TypeError traceback with exit 1: a negative b made the interpolant complex
+    ("cor-2.8 --fn geo-interp-1-4 --a 1 --b -0.3 --t 0.2", "b must be positive and finite, got -0.3"),
+    # once "mixed point nan outside domain" and "chain produced non-finite values"
+    ("cor-2.4 --w nan,0.5 --x 1,2 --t 0.9", "weights must be positive"),
+    ("cor-2.4-am-gm --w nan,0.5 --x 1,2 --t 0.9", "weights must be positive"),
+    # once two numpy RuntimeWarnings, then "chain produced non-finite values"
+    ("lem-3.4 --x 2.5 --s inf --t 1.5", "s must be finite, got inf"),
     # two faults: the first refusal of each chain wins
     ("prop-2.1 --a -1 --b 4 --v 0.5 --n 0", "n must be a positive integer, got 0"),
     ("thm-2.2 --fn exp --s 6 --t 1", "need t > s, got s=6.0, t=1.0"),
@@ -518,3 +525,22 @@ def test_scalar_refusals(argv, error, monkeypatch, capsys):
     monkeypatch.setitem(REGISTRY, _IDENTITY.id, _IDENTITY)
     assert main(["verify", *argv.split()]) == 2
     assert capsys.readouterr() == ("", f"error: {error}\n")
+
+
+@pytest.mark.parametrize("argv, error", [
+    ("cor-2.8 --fn geo-interp-1-4 --a 1 --b -0.3 --t 0.2", "b must be positive and finite, got -0.3"),
+    ("cor-2.4 --w nan,0.5 --x 1,2 --t 0.9", "weights must be positive"),
+    ("lem-3.4 --x 2.5 --s inf --t 1.5", "s must be finite, got inf"),
+    ("lem-3.4 --x nan --s 1 --t 1.5", "x must be finite, got nan"),
+    ("lem-3.4 --x 2 --s 1 --t -inf", "t must be finite, got -inf"),
+])
+def test_scalar_refusals_print_only_the_error_line(argv, error):
+    # the whole stderr of an `oel` process, with numpy's RuntimeWarnings
+    # raised as errors: each call is refused by name before any arithmetic
+    src = str(Path(oel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "oel.cli", "verify", *argv.split()],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")

@@ -314,6 +314,30 @@ def test_write_report_roundtrip(tmp_path):
     assert float(rows[1][2]) == reports[0].slack_rows[0][1]
 
 
+@pytest.mark.parametrize("seed", [1, 42])
+@pytest.mark.parametrize("tol", [1e-9, -1.0])
+def test_fuzz_all_equals_chain_by_chain_runs(seed, tol, tmp_path, monkeypatch):
+    # fuzz_all builds one stream generator for the whole run, and every
+    # trial of every chain resets it to its own stream: its reports and CSV
+    # rows are those of one fuzz_chain call per chain
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return trial_rng(*args)
+
+    cfg = GeneratorConfig(seed=seed, trials=8, tol=tol)
+    by_chain = [fuzz_chain(cid, cfg) for cid in CHAINS]
+    monkeypatch.setattr(harness, "trial_rng", counted)
+    together = harness.fuzz_all(cfg)
+    assert len(calls) == 1
+    for name, reports in (("by_chain", by_chain), ("together", together)):
+        harness.write_report(reports, tmp_path / f"{name}.json")
+    assert harness.dumps_report(together) == harness.dumps_report(by_chain)
+    assert (tmp_path / "together.csv").read_bytes() == (tmp_path / "by_chain.csv").read_bytes()
+    assert [rep.chain_id for rep in together] == list(CHAINS)
+
+
 def test_csv_sidecar_is_csv_writer_output(tmp_path):
     # the sidecar is written as one string, byte for byte what csv.writer writes
     reports = harness.fuzz_all(GeneratorConfig(seed=4, trials=3, dim_range=(2, 2)))
@@ -353,6 +377,12 @@ def test_json_emitter_float_roundtrip():
     assert parsed == values
     assert harness._emit_json(float("nan")) == "null"
     assert harness._emit_json({"a": True, "b": None}) == '{"a": true, "b": null}'
+
+
+@pytest.mark.parametrize("text", ["", "zou", 'a "quoted" \\ path', "tab\tnew\nline\x00", "caf\u00e9 \u2264 \U0001d53c"])
+def test_json_emitter_writes_strings_as_json_dumps(text):
+    assert harness._emit_json(text) == json.dumps(text)
+    assert harness._emit_json({text: [text]}) == "{" + json.dumps(text) + ": [" + json.dumps(text) + "]}"
 
 
 def test_failures_recorded_with_serialized_params():

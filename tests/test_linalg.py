@@ -158,6 +158,50 @@ def test_loewner_compare():
         loewner_compare(np.eye(2), np.eye(3))
 
 
+def symmetric_stack(M) -> tuple[np.ndarray, list]:
+    """Reference ``linalg._symmetric_stack``: every stack takes the finite
+    check, the gap/bound refusal and the average (M + M^T) / 2."""
+    M = np.array(M, dtype=float)
+    errors = [None] * M.shape[0]
+    finite = np.isfinite(M).all(axis=(1, 2))
+    for i in np.flatnonzero(~finite):
+        errors[i] = ValueError("matrix entries must be finite")
+    M[~finite] = 0.0
+    gap = np.abs(M - M.swapaxes(1, 2))
+    bound = linalg.SYMMETRY_TOL * (1.0 + np.abs(M))
+    for i in np.flatnonzero((gap > bound).any(axis=(1, 2))):
+        r, c = np.unravel_index(np.argmax(gap[i] - bound[i]), M.shape[1:])
+        errors[i] = ValueError(f"matrix is not symmetric at ({r}, {c}): {float(M[i, r, c])!r} vs {float(M[i, c, r])!r}")
+        M[i] = 0.0
+    return (M + M.swapaxes(1, 2)) / 2.0, errors
+
+
+def test_symmetric_stack_equals_the_reference_bitwise():
+    # the exactly symmetric stacks skip the refusal pass and the average;
+    # every stack, and each matrix alone, comes back as the reference has it
+    sym = np.array([[2.0, -0.0, 1.5], [-0.0, -0.0, 3e-300], [1.5, 3e-300, 7e307]])
+    near = sym + np.array([[0.0, 1e-13, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])  # within SYMMETRY_TOL
+    far = sym + np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1e-3, 0.0, 0.0]])
+    stack = [sym, near, far]
+    for i, bad in enumerate([np.nan, np.inf, -np.inf, 9e307]):
+        M = sym.copy()
+        M[i % 3, i % 3] = bad
+        stack.append(M)
+    signed = sym.copy()
+    signed[0, 1] = 0.0  # facing -0.0: the average is 0.0 at both
+    stack.append(signed)
+    for M in [stack] + [[M] for M in stack]:
+        with np.errstate(over="ignore"):  # 9e307 + 9e307 overflows in both
+            got, errors = linalg._symmetric_stack(M)
+            want, expected = symmetric_stack(M)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert [None if e is None else str(e) for e in errors] == [None if e is None else str(e) for e in expected]
+    with np.errstate(over="ignore"):
+        _, errors = linalg._symmetric_stack(stack)
+    assert [e is None for e in errors] == [True, True, False, False, False, False, True, True]
+
+
 def test_pd_stack_refuses_a_matrix_for_its_entries_before_its_definiteness():
     # a refused matrix gets the identity's decomposition
     bad = np.array([[1.0, 2.0], [0.0, 1.0]])
