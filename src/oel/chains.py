@@ -287,8 +287,8 @@ def geom_interpolation_chain(g: FunctionSpec, a, b, t, tol=DEFAULT_TOL) -> Chain
     gm = g.at(a ** (1.0 - t) * b**t, "interpolant")
     _positive(g, min(ga, gb, gm), " for ratio bounds")
     ratio = gm / (ga ** (1.0 - t) * gb**t)
-    g0 = scalar.geom_log_derivative(g, a, b, 0.0)
-    gt = scalar.geom_log_derivative(g, a, b, t)
+    g0 = scalar._geom_log_derivative(g, a, b, 0.0, ga, gb, ga)  # at t = 0 the interpolant is a
+    gt = scalar._geom_log_derivative(g, a, b, t, ga, gb, gm)
     return verdict_from_values(
         "cor-2.8",
         [math.exp(g0 * t), ratio, math.exp(gt * t)],

@@ -10,19 +10,24 @@ eigenvalue l of X, and the chains are decided on the spectrum of X alone.
 The matrix checkers work on a stack of k pairs of one shape, factored once
 by ``linalg._Pairs``: one ``eigh`` call factors every A and one values-only
 ``eigvalsh`` call gives the spectrum of every X. A pair chain is declared
-as a refusal of one pair's parameters, a case function that records the
-pair's case in its regime, sets its coefficients and names its links, and a
-table of link functions of the (k, n) eigenvalues, which ``_pair_stack``
-reads; one vectorized pass decides every link of the stack. ``_compare``
-makes every comparison of the package: a link's slack is min over l of
-f_{j+1}(l) - f_j(l) on a spectrum, the smallest eigenvalue of the lifted
-difference, or that eigenvalue itself for matrices, and its scale is max(1,
-max |f_j|, max |f_{j+1}|). The link matrices, like the entropies, are
-lifted from the factors of ``_Pairs``, one ``eigh`` of a pair's X serving
-them all, and only when ``OperatorChainVerdict.links`` is read. ``<name>_stack(A, B, ...,
-tol)`` takes k matrices for A and for B and k values for each parameter,
-and returns one outcome per pair: the verdict, or the exception the pair's
-own evaluation raises, which does not touch the other pairs. The public
+once, as a ``PairChain`` in ``PAIR_CHAINS``: a refusal of one pair's
+parameters, a case function that records the pair's case in its regime,
+sets its coefficients and names its links, and a table of link functions of
+the (k, n) eigenvalues. ``_pair_stack`` reads a declaration and a factored
+``_Pairs``, and one vectorized pass decides every link of the stack.
+``<name>_stack`` factors its own pairs; ``pair_chain_stacks`` decides
+several pair chains at once, factoring the pairs of all of them that share
+a shape as one ``_Pairs``, of which each chain decides its own rows, a
+slice (``_Pairs.take``). ``_compare`` makes every comparison of the
+package: a link's slack is min over l of f_{j+1}(l) - f_j(l) on a spectrum,
+the smallest eigenvalue of the lifted difference, or that eigenvalue itself
+for matrices, and its scale is max(1, max |f_j|, max |f_{j+1}|). The link
+matrices, like the entropies, are lifted from the factors of ``_Pairs``,
+one ``eigh`` of a pair's X serving them all, and only when
+``OperatorChainVerdict.links`` is read. ``<name>_stack(A, B, ..., tol)``
+takes k matrices for A and for B and k values for each parameter, and
+returns one outcome per pair: the verdict, or the exception the pair's own
+evaluation raises, which does not touch the other pairs. The public
 ``check_*`` functions are the k = 1 case and raise that exception.
 
 The two-function comparison of thm-2.12 (``two_function_stack``) takes
@@ -178,31 +183,49 @@ def _decide(chain_id, links, layouts, regimes, errors, tol, lift) -> list:
     return outcomes
 
 
-def _pair_stack(chain_id, A, B, params, links, tol, refuse=None, case=None) -> list:
-    """One outcome per (A, B) pair of a chain declared by its link table.
+@dataclass(frozen=True)
+class PairChain:
+    """The declaration of a pair chain, which ``_pair_stack`` reads.
 
-    ``params`` maps each parameter's name to its k values, pair i's being
-    ``p``. A pair is refused by a non-finite parameter, by the message
-    ``refuse(**p)`` unless None, or by ``_Pairs``. For each other pair,
-    ``case(p, regime)`` records its case (or the not-applicable "reason") in
-    its regime {**p, "m", "M"}, sets its coefficients in p and returns its
-    link names in chain order, or None; with no ``case`` every link applies,
-    in table order. ``links[name](lam, c)`` maps the eigenvalues of X
-    elementwise, ``c[key]`` being the column of a parameter or coefficient,
-    0 where a pair has none: (k, n) and (k, 1) to decide, one row to lift.
+    ``refuse(**p)`` is a message refusing pair i's parameters ``p``, or None.
+    ``case(p, regime)`` records pair i's case (or the not-applicable
+    "reason") in its regime {**p, "m", "M"}, sets its coefficients in p and
+    returns its link names in chain order, or None; with no ``case`` every
+    link applies, in table order. ``links[name](lam, c)`` maps the
+    eigenvalues of X elementwise, ``c[key]`` being the column of a parameter
+    or coefficient, 0 where a pair has none: (k, n) and (k, 1) to decide,
+    one row to lift.
     """
-    rows = [{name: values[i] for name, values in params.items()} for i in range(len(A))]
-    errors = []
+
+    id: str
+    links: dict
+    refuse: Callable | None = None
+    case: Callable | None = None
+
+
+def _pair_stack(chain: PairChain, pairs, params: dict, tol) -> list:
+    """One outcome per pair of the factored stack ``pairs`` (a
+    ``linalg._Pairs``). ``params`` maps each parameter's name to its k
+    values, pair i's being ``p``. A pair is refused by a non-finite
+    parameter or by ``chain.refuse``, before any refusal of ``pairs``. An
+    error in TRIAL_ERRORS that ``chain.case`` raises for pair i is its
+    outcome and touches no other pair."""
+    rows = [{name: values[i] for name, values in params.items()} for i in range(len(pairs.errors))]
+    refusals = []
     for p in rows:
         bad = [f"{name} must be finite, got {v}" for name, v in p.items() if not math.isfinite(v)]
-        message = bad[0] if bad else refuse(**p) if refuse else None
-        errors.append(None if message is None else ValueError(message))
-    pairs = _Pairs(A, B, errors)
+        message = bad[0] if bad else chain.refuse(**p) if chain.refuse else None
+        refusals.append(None if message is None else ValueError(message))
+    errors = _first(refusals, pairs.errors)
+    links, case = chain.links, chain.case
     layouts, regimes, every_link = [None] * len(rows), [None] * len(rows), tuple(links)
     with np.errstate(over="ignore", invalid="ignore"):  # _decide fails a link that leaves float range
-        for i in pairs.live():
+        for i in [i for i, error in enumerate(errors) if error is None]:
             regime = regimes[i] = {**rows[i], "m": pairs.m[i], "M": pairs.M[i]}
-            layouts[i] = case(rows[i], regime) if case else every_link
+            try:
+                layouts[i] = case(rows[i], regime) if case else every_link
+            except TRIAL_ERRORS as exc:
+                errors[i] = exc
         c = {key: _column([p.get(key, 0.0) for p in rows]) for key in set().union(*rows)}
         used = set().union(*filter(None, layouts))
         values = {name: fn(pairs.lam, c) for name, fn in links.items() if name in used}
@@ -211,7 +234,32 @@ def _pair_stack(chain_id, A, B, params, links, tol, refuse=None, case=None) -> l
         row = {key: column[i:i + 1] for key, column in c.items()}
         return pairs.lift(i, lambda lam: links[name](lam, row))
 
-    return _decide(chain_id, values, layouts, regimes, pairs.errors, tol, lift)
+    return _decide(chain.id, values, layouts, regimes, errors, tol, lift)
+
+
+def pair_chain_stacks(stacks: list, tol) -> list:
+    """``<name>_stack`` of several pair chains at once, bitwise: ``stacks``
+    holds each chain's (id, columns), ``columns`` mapping "A", "B" and each
+    parameter's name to one value per pair. The pairs of every chain that
+    share their shapes are factored as one ``linalg._Pairs``, of which each
+    chain decides its own rows, a slice. One outcome list per chain."""
+    groups, outcomes = {}, []
+    for c, (_, columns) in enumerate(stacks):
+        outcomes.append([None] * len(columns["A"]))
+        for i, (a, b) in enumerate(zip(columns["A"], columns["B"])):
+            groups.setdefault((np.shape(a), np.shape(b)), {}).setdefault(c, []).append(i)
+    for group in groups.values():
+        picks = [(stacks[c][1], i) for c, rows in group.items() for i in rows]
+        pairs, lo = _Pairs([m["A"][i] for m, i in picks], [m["B"][i] for m, i in picks]), 0
+        for c, rows in group.items():
+            chain_id, columns = stacks[c]
+            params = {name: [values[i] for i in rows] for name, values in columns.items() if name not in ("A", "B")}
+            view = pairs if len(group) == 1 else pairs.take(slice(lo, lo + len(rows)))
+            decided = _pair_stack(PAIR_CHAINS[chain_id], view, params, tol)
+            for i, outcome in zip(rows, decided):
+                outcomes[c][i] = outcome
+            lo += len(rows)
+    return outcomes
 
 
 def _not_applicable(chain_id, tol, regime) -> OperatorChainVerdict:
@@ -256,17 +304,30 @@ def generalized_entropy(A, B, t: float) -> np.ndarray:
 
 # --- chains -----------------------------------------------------------------
 
+PAIR_CHAINS: dict[str, PairChain] = {}  # by id: ``<name>_stack`` and the fuzz harness read them
+
+
+def _declare(chain_id, links, refuse=None, case=None) -> PairChain:
+    chain = PAIR_CHAINS[chain_id] = PairChain(chain_id, links, refuse, case)
+    return chain
+
+
+def _unit_t(t):
+    return None if 0.0 < t <= 1.0 else f"need 0 < t <= 1, got {t!r}"
+
+
+_ZOU = _declare("zou", {
+    "harmonic": lambda lam, c: 1.0 - 1.0 / lam,
+    "T-t": lambda lam, c: scalar.deformed_log(-c["t"], lam),
+    "S": lambda lam, c: np.log(lam),
+    "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
+    "B-A": lambda lam, c: lam - 1.0,
+}, _unit_t)
+
+
 def zou_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
     """``check_zou_chain`` over a stack of pairs: one outcome per pair."""
-    links = {
-        "harmonic": lambda lam, c: 1.0 - 1.0 / lam,
-        "T-t": lambda lam, c: scalar.deformed_log(-c["t"], lam),
-        "S": lambda lam, c: np.log(lam),
-        "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
-        "B-A": lambda lam, c: lam - 1.0,
-    }
-    refuse = lambda t: None if 0.0 < t <= 1.0 else f"need 0 < t <= 1, got {t!r}"
-    return _pair_stack("zou", A, B, {"t": t}, links, tol, refuse)
+    return _pair_stack(_ZOU, _Pairs(A, B), {"t": t}, tol)
 
 
 def check_zou_chain(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -274,26 +335,27 @@ def check_zou_chain(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVe
     return _only(zou_stack([A], [B], [t], tol))
 
 
+def _refined_st_case(p, regime):
+    m, M = regime["m"], regime["M"]
+    if M < 1.0 - REGIME_CUSHION:
+        regime["case"], endpoint = "M-below-1", M
+    elif m > 1.0 + REGIME_CUSHION:
+        regime["case"], endpoint = "m-above-1", m
+    else:
+        regime["case"], endpoint = "straddles-1", None
+    p["add"] = regime["additive_term"] = 0.0 if endpoint is None else scalar.theta(p["t"], endpoint) / p["t"]
+    return ("S+", "Tt")
+
+
+_REFINED_ST = _declare("thm-3.3", {
+    "S+": lambda lam, c: np.log(lam) + c["add"],
+    "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
+}, _unit_t, _refined_st_case)
+
+
 def refined_st_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
     """``check_refined_ST`` over a stack of pairs: one outcome per pair."""
-
-    def case(p, regime):
-        m, M = regime["m"], regime["M"]
-        if M < 1.0 - REGIME_CUSHION:
-            regime["case"], endpoint = "M-below-1", M
-        elif m > 1.0 + REGIME_CUSHION:
-            regime["case"], endpoint = "m-above-1", m
-        else:
-            regime["case"], endpoint = "straddles-1", None
-        p["add"] = regime["additive_term"] = 0.0 if endpoint is None else scalar.theta(p["t"], endpoint) / p["t"]
-        return ("S+", "Tt")
-
-    links = {
-        "S+": lambda lam, c: np.log(lam) + c["add"],
-        "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
-    }
-    refuse = lambda t: None if 0.0 < t <= 1.0 else f"need 0 < t <= 1, got {t!r}"
-    return _pair_stack("thm-3.3", A, B, {"t": t}, links, tol, refuse, case)
+    return _pair_stack(_REFINED_ST, _Pairs(A, B), {"t": t}, tol)
 
 
 def check_refined_ST(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -302,27 +364,28 @@ def check_refined_ST(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainV
     return _only(refined_st_stack([A], [B], [t], tol))
 
 
+def _tsallis_relation_case(p, regime):
+    if regime["m"] < 1.0 - REGIME_CUSHION:
+        regime["reason"] = "requires m >= 1"
+        return None
+    s, t, m, M = p["s"], p["t"], max(regime["m"], 1.0), max(regime["M"], 1.0)
+    x_s, x_t = (m, M) if t >= s else (M, m)
+    p["lo"], p["hi"] = np.exp(scalar.eta(x_s, s) * (t - s)), np.exp(scalar.eta(x_t, t) * (t - s))
+    regime["case"] = "t-above-s" if t >= s else "s-above-t"
+    return ("0", "lo*Ts", "Tt", "hi*Ts")
+
+
+_TSALLIS_RELATION = _declare("thm-3.5", {
+    "0": lambda lam, c: np.zeros_like(lam),
+    "lo*Ts": lambda lam, c: c["lo"] * scalar.deformed_log(c["s"], lam),
+    "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
+    "hi*Ts": lambda lam, c: c["hi"] * scalar.deformed_log(c["s"], lam),
+}, lambda s, t: None if s > 0.0 and t > 0.0 else f"need s, t > 0, got s={s!r}, t={t!r}", _tsallis_relation_case)
+
+
 def tsallis_relation_stack(A, B, s, t, tol: float = DEFAULT_TOL) -> list:
     """``check_tsallis_relation`` over a stack of pairs: one outcome per pair."""
-
-    def case(p, regime):
-        if regime["m"] < 1.0 - REGIME_CUSHION:
-            regime["reason"] = "requires m >= 1"
-            return None
-        s, t, m, M = p["s"], p["t"], max(regime["m"], 1.0), max(regime["M"], 1.0)
-        x_s, x_t = (m, M) if t >= s else (M, m)
-        p["lo"], p["hi"] = np.exp(scalar.eta(x_s, s) * (t - s)), np.exp(scalar.eta(x_t, t) * (t - s))
-        regime["case"] = "t-above-s" if t >= s else "s-above-t"
-        return ("0", "lo*Ts", "Tt", "hi*Ts")
-
-    links = {
-        "0": lambda lam, c: np.zeros_like(lam),
-        "lo*Ts": lambda lam, c: c["lo"] * scalar.deformed_log(c["s"], lam),
-        "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
-        "hi*Ts": lambda lam, c: c["hi"] * scalar.deformed_log(c["s"], lam),
-    }
-    refuse = lambda s, t: None if s > 0.0 and t > 0.0 else f"need s, t > 0, got s={s!r}, t={t!r}"
-    return _pair_stack("thm-3.5", A, B, {"s": s, "t": t}, links, tol, refuse, case)
+    return _pair_stack(_TSALLIS_RELATION, _Pairs(A, B), {"s": s, "t": t}, tol)
 
 
 def check_tsallis_relation(A, B, s: float, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -331,33 +394,35 @@ def check_tsallis_relation(A, B, s: float, t: float, tol: float = DEFAULT_TOL) -
     return _only(tsallis_relation_stack([A], [B], [s], [t], tol))
 
 
+def _roe_case(p, regime):
+    m, M, e = regime["m"], regime["M"], np.e
+    if M <= 1.0 / e + REGIME_CUSHION:
+        p["lo"] = -np.exp((e * m - 1.0) / (e * m * np.log(m)))
+        p["hi"] = -np.exp(1.0 - e * M)
+        regime["case"], layout = "below-1-over-e", ("lo*A", "S", "hi*A", "0")
+    elif m >= 1.0 - REGIME_CUSHION and M <= e + REGIME_CUSHION:
+        # coefficient continuously vanishes as m -> 1
+        p["lo"] = 0.0 if m <= 1.0 + 1e-9 else np.exp((m - e) / (m * np.log(m)))
+        p["hi"] = np.exp((min(M, e) - e) / e)
+        regime["case"], layout = "unit-to-e", ("0", "lo*A", "S", "hi*A")
+    else:
+        regime["reason"] = "relative spectrum outside both regimes"
+        return None
+    regime.update(lower_coef=p["lo"], upper_coef=p["hi"])
+    return layout
+
+
+_ROE = _declare("thm-3.6", {
+    "lo*A": lambda lam, c: c["lo"] * np.ones_like(lam),
+    "S": lambda lam, c: np.log(lam),
+    "hi*A": lambda lam, c: c["hi"] * np.ones_like(lam),
+    "0": lambda lam, c: np.zeros_like(lam),
+}, case=_roe_case)
+
+
 def roe_bounds_stack(A, B, tol: float = DEFAULT_TOL) -> list:
     """``check_roe_bounds`` over a stack of pairs: one outcome per pair."""
-
-    def case(p, regime):
-        m, M, e = regime["m"], regime["M"], np.e
-        if M <= 1.0 / e + REGIME_CUSHION:
-            p["lo"] = -np.exp((e * m - 1.0) / (e * m * np.log(m)))
-            p["hi"] = -np.exp(1.0 - e * M)
-            regime["case"], layout = "below-1-over-e", ("lo*A", "S", "hi*A", "0")
-        elif m >= 1.0 - REGIME_CUSHION and M <= e + REGIME_CUSHION:
-            # coefficient continuously vanishes as m -> 1
-            p["lo"] = 0.0 if m <= 1.0 + 1e-9 else np.exp((m - e) / (m * np.log(m)))
-            p["hi"] = np.exp((min(M, e) - e) / e)
-            regime["case"], layout = "unit-to-e", ("0", "lo*A", "S", "hi*A")
-        else:
-            regime["reason"] = "relative spectrum outside both regimes"
-            return None
-        regime.update(lower_coef=p["lo"], upper_coef=p["hi"])
-        return layout
-
-    links = {
-        "lo*A": lambda lam, c: c["lo"] * np.ones_like(lam),
-        "S": lambda lam, c: np.log(lam),
-        "hi*A": lambda lam, c: c["hi"] * np.ones_like(lam),
-        "0": lambda lam, c: np.zeros_like(lam),
-    }
-    return _pair_stack("thm-3.6", A, B, {}, links, tol, case=case)
+    return _pair_stack(_ROE, _Pairs(A, B), {}, tol)
 
 
 def check_roe_bounds(A, B, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -366,32 +431,33 @@ def check_roe_bounds(A, B, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
     return _only(roe_bounds_stack([A], [B], tol))
 
 
+def _troe_case(p, regime):
+    t, m, M = p["t"], regime["m"], regime["M"]
+    if m < 1.0 - 1e-9:
+        regime["reason"] = "requires m >= 1"
+        return None
+    if M - m < 1e-8:
+        regime["reason"] = "secant undefined for m == M"
+        return None
+    lt_m, lt_M = scalar.deformed_log(t, m), scalar.deformed_log(t, M)
+    p["slope"] = (lt_M - lt_m) / (M - m)
+    p["intercept"] = (M * lt_m - m * lt_M) / (M - m)
+    unit = ("B-A",) if m <= 1.0 + 1e-9 else ()
+    regime["direction"] = "secant-below" if t <= 1.0 else "secant-above"
+    regime.update(slope=p["slope"], intercept=p["intercept"], unit_endpoint=bool(unit))
+    return ("secant", "Tt") + unit if t <= 1.0 else unit + ("Tt", "secant")
+
+
+_TROE = _declare("thm-3.11", {
+    "secant": lambda lam, c: c["slope"] * lam + c["intercept"],
+    "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
+    "B-A": lambda lam, c: lam - 1.0,
+}, lambda t: None if t != 0.0 else "t must be nonzero", _troe_case)
+
+
 def troe_linear_bound_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
     """``check_troe_linear_bound`` over a stack of pairs: one outcome per pair."""
-
-    def case(p, regime):
-        t, m, M = p["t"], regime["m"], regime["M"]
-        if m < 1.0 - 1e-9:
-            regime["reason"] = "requires m >= 1"
-            return None
-        if M - m < 1e-8:
-            regime["reason"] = "secant undefined for m == M"
-            return None
-        lt_m, lt_M = scalar.deformed_log(t, m), scalar.deformed_log(t, M)
-        p["slope"] = (lt_M - lt_m) / (M - m)
-        p["intercept"] = (M * lt_m - m * lt_M) / (M - m)
-        unit = ("B-A",) if m <= 1.0 + 1e-9 else ()
-        regime["direction"] = "secant-below" if t <= 1.0 else "secant-above"
-        regime.update(slope=p["slope"], intercept=p["intercept"], unit_endpoint=bool(unit))
-        return ("secant", "Tt") + unit if t <= 1.0 else unit + ("Tt", "secant")
-
-    links = {
-        "secant": lambda lam, c: c["slope"] * lam + c["intercept"],
-        "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
-        "B-A": lambda lam, c: lam - 1.0,
-    }
-    refuse = lambda t: None if t != 0.0 else "t must be nonzero"
-    return _pair_stack("thm-3.11", A, B, {"t": t}, links, tol, refuse, case)
+    return _pair_stack(_TROE, _Pairs(A, B), {"t": t}, tol)
 
 
 def check_troe_linear_bound(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -405,16 +471,17 @@ def check_troe_linear_bound(A, B, t: float, tol: float = DEFAULT_TOL) -> Operato
     return _only(troe_linear_bound_stack([A], [B], [t], tol))
 
 
+_ORDERING = _declare("prop-3.10", {
+    "S": lambda lam, c: np.log(lam),
+    "Tp": lambda lam, c: scalar.deformed_log(c["p"], lam),
+    "Sp": lambda lam, c: lam ** c["p"] * np.log(lam),
+}, lambda p: None if p != 0.0 else "p must be nonzero",
+    lambda p, regime: ("S", "Tp", "Sp") if p["p"] > 0 else ("Sp", "Tp", "S"))
+
+
 def ordering_stack(A, B, p, tol: float = DEFAULT_TOL) -> list:
     """``check_ordering_S_Tp_Sp`` over a stack of pairs: one outcome per pair."""
-    links = {
-        "S": lambda lam, c: np.log(lam),
-        "Tp": lambda lam, c: scalar.deformed_log(c["p"], lam),
-        "Sp": lambda lam, c: lam ** c["p"] * np.log(lam),
-    }
-    refuse = lambda p: None if p != 0.0 else "p must be nonzero"
-    case = lambda p, regime: ("S", "Tp", "Sp") if p["p"] > 0 else ("Sp", "Tp", "S")
-    return _pair_stack("prop-3.10", A, B, {"p": p}, links, tol, refuse, case)
+    return _pair_stack(_ORDERING, _Pairs(A, B), {"p": p}, tol)
 
 
 def check_ordering_S_Tp_Sp(A, B, p: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:

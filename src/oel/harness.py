@@ -10,25 +10,28 @@ broadcasting that make a scalar ``Generator.uniform`` call cost three times
 as much. One ``TrialStreams`` generator serves a whole ``fuzz_all`` run: each
 trial of every chain resets it to its own stream.
 
-Generation model: ``fuzz_chain`` takes trials in consecutive blocks of
-FUZZ_BLOCK. Every matrix chain has a ``ChainEntry.draw``, which draws each
-trial from its own stream but leaves its matrices pending: a spectrum and a
-Gaussian matrix per matrix, not yet factored (a pair (A, B), or thm-2.12's
-single A, with the rank-one shift that makes its B in majorize mode).
-``_realize`` then factors the pending matrices of a block that share a
-dimension as one stack (one QR call for every Gaussian, one batched
-``Q diag(l) Q^T``, and for pairs with a prescribed relative spectrum each
-such A's root from its drawn factors; generation never refuses). Stacked
-LAPACK and BLAS calls are bitwise equal to per-matrix calls, and
-``ChainEntry.generate`` of such a chain is the one-trial block, so a trial
-is bit for bit the same whether it is drawn alone or in a block. Only
-scalar chains generate trial by trial.
+Generation model: ``fuzz_all`` is the one fuzz loop (``fuzz_chain`` is its
+one-chain run). It takes trials in consecutive blocks of FUZZ_BLOCK and
+draws each block for every chain of the run. A matrix chain's
+``ChainEntry.draw`` draws each trial from its own stream but leaves its
+matrices pending: a spectrum and a Gaussian matrix per matrix (a pair (A,
+B), or thm-2.12's single A, with the rank-one shift that makes its B in
+majorize mode). One ``_realize`` call then factors the pending matrices of
+every matrix chain of the block, those of one dimension as one stack;
+generation never refuses. Stacked LAPACK and BLAS calls are bitwise equal
+to per-matrix calls, and ``ChainEntry.generate`` of such a chain is the
+one-trial block, so a trial is bit for bit the same whether it is drawn
+alone or in a block. Only scalar chains generate trial by trial.
 
-Evaluation model: a matrix chain evaluates the trials of a block that share
-their shapes as one stack (``ChainEntry.stack``), bitwise as each trial
-alone (``ChainEntry.run``); pair chains are decided on the eigenvalues of
-A^-1/2 B A^-1/2, with no link matrix built. Scalar chains run trial by
-trial. Outcomes are merged back in trial order.
+Evaluation model: ``entropy.pair_chain_stacks`` decides a block's pair
+chains together: their trials that share their shapes are factored as one
+``linalg._Pairs``, whatever their chain, and each chain decides its own
+rows, a slice of it, on the eigenvalues of A^-1/2 B A^-1/2, with no link
+matrix built. thm-2.12 evaluates its trials that share their shapes as one
+stack (``ChainEntry.stack``), and runs each alone (``ChainEntry.run``)
+when the stack raises an error it cannot pin on one trial. Either way a
+trial's outcome is bit for bit the one it has alone. Scalar chains run
+trial by trial. Outcomes are merged back in trial order.
 
 Declaration model: a chain is registered once, with its draw, its checker
 and ``ChainEntry.params``; every reader of a chain's params (``run``,
@@ -706,7 +709,10 @@ def serialize_params(entry: ChainEntry, params: dict) -> dict:
     return {prm.name: prm.write(params[prm.name]) for prm in entry.params if prm.name in params}
 
 
-FUZZ_BLOCK = 64  # trials drawn and evaluated together; bounds the stacks' memory
+# trials drawn and evaluated together. A block holds them for every chain
+# of the run: 64 trials * 7 matrix chains * 2 matrices * 8 n**2 bytes
+# drawn, 7 MB at n = 32, where tracemalloc reads a peak of 35 MB per block
+FUZZ_BLOCK = 64
 
 
 def _attempt(run, params: dict, tol: float):
@@ -739,66 +745,78 @@ def _evaluate(entry: ChainEntry, params: list, tol: float) -> list:
     return outcomes
 
 
+def _charge(reports: list, since: float) -> float:
+    """Share the time since ``since`` out equally to the ``elapsed_s`` of
+    ``reports``; the time now."""
+    now = time.perf_counter()
+    for rep in reports:
+        rep.elapsed_s += (now - since) / len(reports)
+    return now
+
+
 def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
-    """Run cfg.trials seeded trials of one chain and aggregate the outcome.
+    """``fuzz_all`` of the one chain ``chain_id``."""
+    (report,) = fuzz_all(cfg, [chain_id])
+    return report
+
+
+def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
+    """Run cfg.trials seeded trials of each chain in ``ids`` (default: every
+    chain) and aggregate the outcome of each.
 
     A non-finite chain evaluation counts as a failure: the generators are
     expected to keep instances inside float range, so an overflow is a bug
     worth surfacing, not an out-of-regime draw. A draw the chain refuses
     with ValueError (for instance a pair too ill-conditioned for the kernel's
     positive-definiteness floor) is counted as rejected; it is neither a
-    failure nor not-applicable, and it does not abort the run.
+    failure nor not-applicable, and it does not abort the run. A chain's
+    ``elapsed_s`` is the time of its own work and an equal share of the
+    work it shares with other chains.
     """
-    return _fuzz(chain_id, cfg, TrialStreams(cfg.seed))
-
-
-def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
-    """``fuzz_chain`` of each chain in ``ids`` (default: every chain), all
-    reading one ``TrialStreams``: each trial resets it to its own stream."""
-    streams = TrialStreams(cfg.seed)
-    return [_fuzz(cid, cfg, streams) for cid in (ids or list(CHAINS))]
-
-
-def _fuzz(chain_id: str, cfg: GeneratorConfig, streams: TrialStreams) -> FuzzReport:
-    if chain_id not in CHAINS:
-        raise KeyError(f"unknown chain {chain_id!r}")
-    entry = CHAINS[chain_id]
-    start = time.perf_counter()
-    failures = []
-    slack_rows = []
-    n_na = 0
-    n_rejected = 0
+    for cid in ids or ():
+        if cid not in CHAINS:
+            raise KeyError(f"unknown chain {cid!r}")
+    entries = [CHAINS[cid] for cid in ids or CHAINS]
+    reports = [FuzzReport(entry.id, cfg.trials, 0, 0, [], None, cfg.seed, 0.0) for entry in entries]
+    drawn = [j for j, entry in enumerate(entries) if entry.draw]
+    pair = [j for j, entry in enumerate(entries) if entry.id in entropy.PAIR_CHAINS]
+    streams, clock = TrialStreams(cfg.seed), time.perf_counter()
     for first in range(0, cfg.trials, FUZZ_BLOCK):
         trials = range(first, min(first + FUZZ_BLOCK, cfg.trials))
-        if entry.draw is None:
-            block = [entry.generate(streams.rng(trial), cfg) for trial in trials]
-        else:
-            block = _realize([entry.draw(streams.rng(trial), cfg) for trial in trials])
-        for trial, params, verdict in zip(trials, block, _evaluate(entry, block, cfg.tol)):
-            if isinstance(verdict, ValueError):
-                n_rejected += 1
-                continue
-            if isinstance(verdict, Exception):
-                failures.append({"trial": trial, "error": str(verdict), "params": serialize_params(entry, params)})
-                continue
-            if not verdict.applicable:
-                n_na += 1
-                continue
-            rel_slack = verdict.min_rel_slack  # an applicable verdict decided at least one link
-            slack_rows.append((trial, rel_slack))
-            if not verdict.ok:
-                failures.append({"trial": trial, "min_rel_slack": rel_slack, "params": serialize_params(entry, params)})
-    return FuzzReport(
-        chain_id=chain_id,
-        trials_run=cfg.trials,
-        not_applicable=n_na,
-        rejected=n_rejected,
-        failures=failures,
-        min_slack=min((slack for _, slack in slack_rows), default=None),
-        seed=cfg.seed,
-        elapsed_s=time.perf_counter() - start,
-        slack_rows=slack_rows,
-    )
+        blocks = []
+        for rep, entry in zip(reports, entries):
+            draw = entry.draw or entry.generate
+            blocks.append([draw(streams.rng(trial), cfg) for trial in trials])
+            clock = _charge([rep], clock)
+        if drawn:
+            realized = iter(_realize([p for j in drawn for p in blocks[j]]))
+            for j in drawn:
+                blocks[j] = [next(realized) for _ in trials]
+            clock = _charge([reports[j] for j in drawn], clock)
+        decided = {}
+        if pair:  # their trials of one shape are factored together
+            columns = [(entries[j].id, {prm.name: [p[prm.name] for p in blocks[j]] for prm in entries[j].params}) for j in pair]
+            decided = dict(zip(pair, entropy.pair_chain_stacks(columns, cfg.tol)))
+            clock = _charge([reports[j] for j in pair], clock)
+        for j, (rep, entry, block) in enumerate(zip(reports, entries, blocks)):
+            outcomes, slack_rows = decided[j] if j in decided else _evaluate(entry, block, cfg.tol), rep.slack_rows
+            for trial, params, verdict in zip(trials, block, outcomes):
+                if isinstance(verdict, ValueError):
+                    rep.rejected += 1
+                elif isinstance(verdict, Exception):
+                    rep.failures.append({"trial": trial, "error": str(verdict), "params": serialize_params(entry, params)})
+                elif not verdict.applicable:
+                    rep.not_applicable += 1
+                else:
+                    rel_slack = verdict.min_rel_slack  # an applicable verdict decided at least one link
+                    slack_rows.append((trial, rel_slack))
+                    if not verdict.ok:
+                        failure = {"trial": trial, "min_rel_slack": rel_slack, "params": serialize_params(entry, params)}
+                        rep.failures.append(failure)
+            clock = _charge([rep], clock)
+    for rep in reports:
+        rep.min_slack = min((slack for _, slack in rep.slack_rows), default=None)
+    return reports
 
 
 # --- report emission --------------------------------------------------------------

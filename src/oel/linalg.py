@@ -13,9 +13,10 @@ helpers they share trust their arguments to be finite, square and exactly
 symmetric. Internal arrays keep that promise by being built through
 ``symmetrize`` or as sums and scalar multiples of exactly symmetric matrices.
 ``_symmetric_stack`` first checks whether a stack is exactly symmetric with
-every |entry| below 8e307, as generated stacks are; such a stack is returned
-as it is, with no refusal, and only other stacks take the tolerance pass and
-the averaging.
+every |entry| below ENTRY_BOUND (8e307), as generated stacks are; such a
+stack is returned as it is, with no refusal. Of the other stacks, a matrix
+with an entry not below the bound is refused before any arithmetic, and
+the rest take the tolerance pass and the averaging.
 
 The helpers work on stacks of shape ``(k, n, n)``, so that one LAPACK or
 BLAS call serves k matrices; numpy runs the same routine on every matrix of
@@ -40,30 +41,32 @@ from dataclasses import dataclass
 import numpy as np
 
 SYMMETRY_TOL = 1e-12
+ENTRY_BOUND = 8e307  # a larger entry is refused: averaging two of them could overflow
 EIG_FLOOR = 1e-12  # reject inverse roots when min eigenvalue <= floor * max
 
 
 def _symmetric_stack(M) -> tuple[np.ndarray, list]:
     """Validate a stack of square matrices: the float64 stack, symmetrized,
-    and one ValueError (entries not finite, or not symmetric) or None per
-    matrix. A non-square or empty stack raises. Refused matrices come back
-    as zeros."""
+    and one ValueError (an entry not finite or not below ENTRY_BOUND in
+    magnitude, or not symmetric) or None per matrix. A non-square or empty
+    stack raises. Refused matrices come back as zeros."""
     M = np.array(M, dtype=float)
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise ValueError(f"expected a square matrix, got shape {M.shape[1:]}")
     if M.shape[1] == 0:
         raise ValueError(f"expected a non-empty matrix, got shape {M.shape[1:]}")
     errors = [None] * M.shape[0]
-    # bitwise, so that a -0.0 facing a 0.0 is averaged to 0.0; below 8e307,
-    # x + x does not overflow, so (x + x) / 2 == x and averaging is the identity
+    # bitwise, so that a -0.0 facing a 0.0 is averaged to 0.0; below
+    # ENTRY_BOUND, x + y does not overflow, and (x + x) / 2 == x
     bits = M.view(np.uint64)
-    if (bits == bits.swapaxes(1, 2)).all() and (np.abs(M) < 8e307).all():
+    if (bits == bits.swapaxes(1, 2)).all() and (np.abs(M) < ENTRY_BOUND).all():
         return M, errors
-    finite = np.isfinite(M).all(axis=(1, 2))
-    if not finite.all():
-        for i in np.flatnonzero(~finite):
-            errors[i] = ValueError("matrix entries must be finite")
-        M[~finite] = 0.0
+    bounded = (np.abs(M) < ENTRY_BOUND).all(axis=(1, 2))  # NaN is not below the bound either
+    for i in np.flatnonzero(~bounded):
+        peak = float(np.abs(M[i]).max())
+        errors[i] = ValueError("matrix entries must be finite" if not np.isfinite(M[i]).all() else
+                               f"matrix entries must be below {ENTRY_BOUND!r} in magnitude, got {peak!r}")
+    M[~bounded] = 0.0
     gap = np.abs(M - M.swapaxes(1, 2))
     bound = SYMMETRY_TOL * (1.0 + np.abs(M))
     asymmetric = (gap > bound).any(axis=(1, 2))
@@ -179,30 +182,34 @@ class _Pairs:
     ``eig_a`` holds the decompositions of the A, ``X`` each X = A**(-1/2) B
     A**(-1/2), ``lam`` its ascending eigenvalues (values only), and ``m``
     and ``M`` their extremes. ``errors[i]`` is the exception refusing pair
-    i, or None; the first one found is kept: ``errors``, then A's own
-    refusals (entries, then definiteness), then B's entries, then X's
-    definiteness. An X that overflows is refused, not decomposed. A refused
-    pair stays in the stack, with zeros standing in for a refused matrix and
-    ones for the eigenvalues of a refused factorization, so that stacked
-    work stays finite.
+    i, or None; the first one found is kept: A's own refusals (entries,
+    then definiteness), then B's entries, then X's definiteness. An X that
+    overflows is refused, not decomposed. A refused pair stays in the
+    stack, with zeros standing in for a refused matrix and ones for the
+    eigenvalues of a refused factorization, so that stacked work stays
+    finite. ``take`` gives a slice of the stack as a stack of its own.
     """
 
-    def __init__(self, A, B, errors=None):
-        A, self.eig_a, errors_a = _pd_stack(A, "A")
+    def __init__(self, A, B):
+        A, eig_a, errors_a = _pd_stack(A, "A")
         B, errors_b = _symmetric_stack(B)
         if A.shape != B.shape:
             raise ValueError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")
-        self.X, finite = _normalized(self.eig_a, B)
-        self.lam = np.linalg.eigvalsh(self.X)
-        self.lam[~finite] = np.nan
-        self.errors = _first(errors or [None] * len(A), errors_a, errors_b, _pd_refusals(self.lam, "B relative to A"))
-        self.m = self.lam[:, 0].tolist()
-        self.M = self.lam[:, -1].tolist()
-        self._factors = {}  # pair -> (A**(1/2), decomposition of X), made by the first lift
+        X, finite = _normalized(eig_a, B)
+        lam = np.linalg.eigvalsh(X)
+        lam[~finite] = np.nan
+        self._hold(eig_a, X, lam, _first(errors_a, errors_b, _pd_refusals(lam, "B relative to A")))
 
-    def live(self) -> list:
-        """Indices of the pairs not refused."""
-        return [i for i, e in enumerate(self.errors) if e is None]
+    def _hold(self, eig_a, X, lam, errors) -> _Pairs:
+        self.eig_a, self.X, self.lam, self.errors = eig_a, X, lam, errors
+        self.m = lam[:, 0].tolist()
+        self.M = lam[:, -1].tolist()
+        self._factors = {}  # pair -> (A**(1/2), decomposition of X), made by the first lift
+        return self
+
+    def take(self, rows: slice) -> _Pairs:
+        """The pairs at ``rows``, factored as they are here."""
+        return object.__new__(_Pairs)._hold(self.eig_a.take(rows), self.X[rows], self.lam[rows], self.errors[rows])
 
     def lift(self, i: int, fn) -> np.ndarray:
         """A**(1/2) fn(X) A**(1/2) of pair i, not refused; ``fn`` maps the

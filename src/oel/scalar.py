@@ -201,10 +201,16 @@ def geom_log_derivative(g, a: float, b: float, t: float) -> float:
     """
     _as_positive(a, "a")
     _as_positive(b, "b")
-    mid = a ** (1.0 - t) * b**t
-    ga, gb, gm = g.eval(a), g.eval(b), g.eval(mid)
+    ga, gb, gm = g.eval(a), g.eval(b), g.eval(a ** (1.0 - t) * b**t)
     if ga <= 0.0 or gb <= 0.0 or gm <= 0.0:
         raise DomainError(f"{getattr(g, 'id', 'g')} must be positive on its domain")
+    return _geom_log_derivative(g, a, b, t, ga, gb, gm)
+
+
+def _geom_log_derivative(g, a, b, t, ga, gb, gm) -> float:
+    """``geom_log_derivative`` from the positive values ga, gb and gm of g
+    at a, b and the interpolant a**(1-t) b**t; reads g' once."""
+    mid = a ** (1.0 - t) * b**t
     return float(np.log(ga / gb) - mid * np.log(a / b) * g.deriv(mid) / gm)
 
 

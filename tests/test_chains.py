@@ -1,9 +1,11 @@
+import collections
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from oel import chains
+from oel import chains, scalar
 from oel.errors import DomainError, NumericError
 from oel.funcs import REGISTRY, FunctionSpec, linear, power, quad_exponential, geometric_interpolant
 
@@ -200,6 +202,21 @@ def test_geom_interpolation_examples():
         lo, hi = g.domain
         a, b = lo + (hi - lo) * rng.uniform(0.05, 0.95, 2)
         assert chains.geom_interpolation_chain(g, float(a), float(b), float(rng.uniform())).ok
+
+
+def test_geom_interpolation_reads_g_three_times_and_g_prime_twice():
+    # g at a, b and the interpolant serve the ratio and both log-derivatives
+    calls = collections.Counter()
+    g = REGISTRY["exp"]
+
+    def counted(name):
+        return lambda x: calls.update([name]) or getattr(g, name)(x)
+
+    v = chains.geom_interpolation_chain(dataclasses.replace(g, eval=counted("eval"), deriv=counted("deriv")), 1.0, 2.0, 0.3)
+    assert calls == {"eval": 3, "deriv": 2}
+    witness = v.to_dict()["witness"]
+    assert witness["G0"] == scalar.geom_log_derivative(g, 1.0, 2.0, 0.0)
+    assert witness["Gt"] == scalar.geom_log_derivative(g, 1.0, 2.0, 0.3)
 
 
 def test_jensen_exponential_bounds_examples():

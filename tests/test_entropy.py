@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import math
 import re
 import warnings
@@ -322,6 +323,25 @@ def test_stack_refusals_leave_other_pairs_unchanged():
             assert type(stacked[i]) is type(single.value) and str(stacked[i]) == str(single.value)
     for i in (0, 5):
         _same_verdict(stacked[i], alone[i])
+
+
+def test_pair_stack_pins_a_case_error_on_its_pair():
+    # an error that a chain's case raises for one pair is that pair's
+    # outcome, and the other pairs of the stack are decided as they are alone
+    chain = entropy.PAIR_CHAINS["thm-3.3"]
+
+    def case(p, regime):
+        if p["t"] == 0.25:
+            raise DomainError("no case at t = 0.25")
+        return chain.case(p, regime)
+
+    A = [np.diag([1.0, 2.0]), np.diag([2.0, 3.0]), np.eye(2)]
+    B = [np.diag([1.5, 3.0]), np.diag([5.0, 4.0]), np.diag([0.5, 2.0])]
+    t = [0.5, 0.25, 0.75]
+    stacked = entropy._pair_stack(dataclasses.replace(chain, case=case), linalg._Pairs(A, B), {"t": t}, 1e-9)
+    assert isinstance(stacked[1], DomainError) and str(stacked[1]) == "no case at t = 0.25"
+    for i in (0, 2):
+        _same_verdict(stacked[i], entropy.check_refined_ST(A[i], B[i], t[i]))
 
 
 def _spectral_pair(spectrum, seed):

@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oel import entropy, harness, scalar
+from oel import entropy, harness, linalg, scalar
 from oel.errors import NumericError
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, TrialStreams, fuzz_chain, trial_rng
@@ -211,8 +211,10 @@ def test_gen_constrained_pair_recovers_targets():
 
 
 def test_fuzz_unknown_chain():
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown chain 'no-such-chain'"):
         fuzz_chain("no-such-chain", GeneratorConfig(trials=1))
+    with pytest.raises(KeyError, match="unknown chain 'no-such-chain'"):
+        harness.fuzz_all(GeneratorConfig(trials=1), ["zou", "no-such-chain"])
 
 
 def test_fuzz_determinism_bitwise():
@@ -318,15 +320,16 @@ def test_write_report_roundtrip(tmp_path):
 @pytest.mark.parametrize("tol", [1e-9, -1.0])
 def test_fuzz_all_equals_chain_by_chain_runs(seed, tol, tmp_path, monkeypatch):
     # fuzz_all builds one stream generator for the whole run, and every
-    # trial of every chain resets it to its own stream: its reports and CSV
-    # rows are those of one fuzz_chain call per chain
+    # trial of every chain resets it to its own stream; it realizes and
+    # factors the matrices of all chains together. Its reports and CSV rows
+    # are those of one fuzz_chain call per chain, over two blocks of mixed n
     calls = []
 
     def counted(*args):
         calls.append(args)
         return trial_rng(*args)
 
-    cfg = GeneratorConfig(seed=seed, trials=8, tol=tol)
+    cfg = GeneratorConfig(seed=seed, trials=70, tol=tol, dim_range=(2, 8))
     by_chain = [fuzz_chain(cid, cfg) for cid in CHAINS]
     monkeypatch.setattr(harness, "trial_rng", counted)
     together = harness.fuzz_all(cfg)
@@ -336,6 +339,35 @@ def test_fuzz_all_equals_chain_by_chain_runs(seed, tol, tmp_path, monkeypatch):
     assert harness.dumps_report(together) == harness.dumps_report(by_chain)
     assert (tmp_path / "together.csv").read_bytes() == (tmp_path / "by_chain.csv").read_bytes()
     assert [rep.chain_id for rep in together] == list(CHAINS)
+
+
+def test_fuzz_all_realizes_a_block_once_and_factors_the_pair_chains_together(monkeypatch):
+    # at a fixed n, one block makes one _realize call for every matrix
+    # chain, and one _Pairs for the six pair chains, which each decide
+    # their own rows of it; thm-2.12's expectation mode builds no _Pairs
+    calls = {"_realize": 0, "_Pairs": 0, "_pair_stack": []}
+    realize, pairs_init, pair_stack = harness._realize, linalg._Pairs.__init__, entropy._pair_stack
+
+    def counted_realize(block):
+        calls["_realize"] += 1
+        return realize(block)
+
+    def counted_pairs(self, A, B):
+        calls["_Pairs"] += 1
+        pairs_init(self, A, B)
+
+    def counted_pair_stack(chain, pairs, params, tol):
+        calls["_pair_stack"].append((chain.id, len(pairs.errors)))
+        return pair_stack(chain, pairs, params, tol)
+
+    cfg = GeneratorConfig(seed=3, trials=harness.FUZZ_BLOCK, dim_range=(4, 4), regime={"mode": "expectation"})
+    expected = harness.dumps_report([fuzz_chain(cid, cfg) for cid in CHAINS])
+    monkeypatch.setattr(harness, "_realize", counted_realize)
+    monkeypatch.setattr(linalg._Pairs, "__init__", counted_pairs)
+    monkeypatch.setattr(entropy, "_pair_stack", counted_pair_stack)
+    assert harness.dumps_report(harness.fuzz_all(cfg)) == expected
+    assert calls["_realize"] == 1 and calls["_Pairs"] == 1
+    assert calls["_pair_stack"] == [(cid, cfg.trials) for cid in entropy.PAIR_CHAINS]
 
 
 def test_csv_sidecar_is_csv_writer_output(tmp_path):

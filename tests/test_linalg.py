@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -159,14 +160,20 @@ def test_loewner_compare():
 
 
 def symmetric_stack(M) -> tuple[np.ndarray, list]:
-    """Reference ``linalg._symmetric_stack``: every stack takes the finite
-    check, the gap/bound refusal and the average (M + M^T) / 2."""
+    """Reference ``linalg._symmetric_stack``: every stack takes the entry
+    check (finite, then below 8e307 in magnitude), the gap/bound refusal
+    and the average (M + M^T) / 2."""
     M = np.array(M, dtype=float)
     errors = [None] * M.shape[0]
-    finite = np.isfinite(M).all(axis=(1, 2))
-    for i in np.flatnonzero(~finite):
-        errors[i] = ValueError("matrix entries must be finite")
-    M[~finite] = 0.0
+    for i, row in enumerate(M):
+        peak = float(np.abs(row).max())
+        if not np.isfinite(row).all():
+            errors[i] = ValueError("matrix entries must be finite")
+        elif peak >= 8e307:
+            errors[i] = ValueError(f"matrix entries must be below 8e+307 in magnitude, got {peak!r}")
+        else:
+            continue
+        M[i] = 0.0
     gap = np.abs(M - M.swapaxes(1, 2))
     bound = linalg.SYMMETRY_TOL * (1.0 + np.abs(M))
     for i in np.flatnonzero((gap > bound).any(axis=(1, 2))):
@@ -191,15 +198,16 @@ def test_symmetric_stack_equals_the_reference_bitwise():
     signed[0, 1] = 0.0  # facing -0.0: the average is 0.0 at both
     stack.append(signed)
     for M in [stack] + [[M] for M in stack]:
-        with np.errstate(over="ignore"):  # 9e307 + 9e307 overflows in both
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a 9e307 entry is refused, not averaged to inf
             got, errors = linalg._symmetric_stack(M)
             want, expected = symmetric_stack(M)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert [None if e is None else str(e) for e in errors] == [None if e is None else str(e) for e in expected]
-    with np.errstate(over="ignore"):
-        _, errors = linalg._symmetric_stack(stack)
-    assert [e is None for e in errors] == [True, True, False, False, False, False, True, True]
+    _, errors = linalg._symmetric_stack(stack)
+    assert [e is None for e in errors] == [True, True, False, False, False, False, False, True]
+    assert str(errors[6]) == "matrix entries must be below 8e+307 in magnitude, got 9e+307"
 
 
 def test_pd_stack_refuses_a_matrix_for_its_entries_before_its_definiteness():
