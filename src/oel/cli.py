@@ -44,6 +44,14 @@ def _tolerance(tol: float | None) -> float:
     return tol
 
 
+def _parsed(option: str, parse, text):
+    """``parse(text)``, the value of ``--{option}``, which a refusal names."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"--{option}: {exc}") from exc
+
+
 def _build_params(chain_id: str, args) -> dict:
     """The params of a chain from the verify flags, read through the chain's
     ``params`` declaration."""
@@ -57,10 +65,7 @@ def _build_params(chain_id: str, args) -> dict:
         if text is None:
             missing.append(f"--{prm.option}")
             continue
-        try:
-            params[prm.name] = prm.parse(text)
-        except ValueError as exc:
-            raise ValueError(f"--{prm.option}: {exc}") from exc
+        params[prm.name] = _parsed(prm.option, prm.parse, text)
     if missing:
         raise ValueError(f"missing required option(s): {', '.join(missing)}")
     return params
@@ -85,8 +90,7 @@ def _print_verdict(verdict, pretty: bool):
 
 
 def cmd_compute(args) -> int:
-    A = load_matrix(args.A)
-    B = load_matrix(args.B)
+    A, B = (_parsed(option, load_matrix, getattr(args, option)) for option in ("A", "B"))
     if args.kind in ("T", "St") and args.t is None:
         raise ValueError(f"--t is required for kind {args.kind}")
     if args.kind == "S":

@@ -7,46 +7,43 @@ some scalar f. Congruence by A**(1/2) preserves the Loewner order and the
 lifts of one X commute, so a link holds iff f_j(l) <= f_{j+1}(l) at every
 eigenvalue l of X, and the chains are decided on the spectrum of X alone.
 
-The matrix checkers work on a stack of k pairs of one shape, factored once
-by ``linalg._Pairs``: one ``eigh`` call factors every A and one values-only
-``eigvalsh`` call gives the spectrum of every X. A pair chain is declared
-once, as a ``PairChain`` in ``PAIR_CHAINS``: a refusal of one pair's
-parameters, a case function that records the pair's case in its regime,
-sets its coefficients and names its links, and a table of link functions of
-the (k, n) eigenvalues. ``_pair_stack`` reads a declaration and a factored
-``_Pairs``, and one vectorized pass decides every link of the stack.
-``<name>_stack`` factors its own pairs; ``pair_chain_stacks`` decides
-several pair chains at once, factoring the pairs of all of them that share
-a shape as one ``_Pairs``, of which each chain decides its own rows, a
-slice (``_Pairs.take``). ``_compare`` makes every comparison of the
-package: a link's slack is min over l of f_{j+1}(l) - f_j(l) on a spectrum,
-the smallest eigenvalue of the lifted difference, or that eigenvalue itself
-for matrices, and its scale is max(1, max |f_j|, max |f_{j+1}|). The link
-matrices, like the entropies, are lifted from the factors of ``_Pairs``,
-one ``eigh`` of a pair's X serving them all, and only when
-``OperatorChainVerdict.links`` is read. ``<name>_stack(A, B, ..., tol)``
-takes k matrices for A and for B and k values for each parameter, and
-returns one outcome per pair: the verdict, or the exception the pair's own
-evaluation raises, which does not touch the other pairs. The public
-``check_*`` functions are the k = 1 case and raise that exception.
+``chain_stacks`` is the one entry point of the matrix chains. It decides
+trials of any of them at once, with one outcome per trial: its verdict, or
+the error that refuses it, which touches no other trial. The public
+``check_*`` functions are its one-trial case and raise that error. The
+trials whose A and B share their shapes are a group. A pair chain is
+declared once, as a ``PairChain`` in ``PAIR_CHAINS``: a refusal of one
+pair's parameters, a case function that records the pair's case in its
+regime, sets its coefficients and names its links, and a table of link
+functions of the (k, n) eigenvalues. A group's pairs, whatever their chain,
+are factored as one ``linalg._Pairs`` (one ``eigh`` call for every A, one
+values-only ``eigvalsh`` call for the spectrum of every X), and
+``_pair_stack`` decides each chain's rows of it, a slice, in one vectorized
+pass. ``_compare`` makes every comparison of the package: a link's slack is
+min over l of f_{j+1}(l) - f_j(l) on a spectrum, or the least eigenvalue of
+the difference of two matrices, and its scale is max(1, max |f_j|, max
+|f_{j+1}|). The link matrices, like the entropies, are lifted from the
+factors of ``_Pairs``, one ``eigh`` of a pair's X serving them all, and
+only when ``OperatorChainVerdict.links`` is read.
 
-The two-function comparison of thm-2.12 (``two_function_stack``) takes
-trials whose function pair, interval and mode vary from trial to trial,
-and evaluates one stack per mode that meets each trial's refusals in the
-order its one-trial evaluation meets them. Congruence mode is factored by
-``_Pairs`` and decided on the spectrum of X; the other modes validate A
-(and B) through ``linalg._pd_stack``, A's refusals first, and one pass,
-``_gated``, checks each trial's hypotheses. Expectation mode is decided
-on the spectrum of A, at each trial's worst unit vector h, which it finds
-exactly from the eigenvalues of A and the values of f, f' and g at them.
-Majorize mode compares f(B) with a multiple of g(A), which are not
-functions of one X, and is the one mode that makes Loewner checks on
-matrices. The admissibility gate of each function pair runs per trial.
+A group's trials of the two-function comparison of thm-2.12, whose function
+pair, interval and mode vary from trial to trial, are one
+``two_function_stack``, which evaluates one stack per mode that meets each
+trial's refusals in the order its one-trial evaluation meets them.
+Congruence mode is factored by ``_Pairs`` and decided on the spectrum of X;
+the other modes validate A (and B) through ``linalg._pd_stack``, A's
+refusals first, and one pass, ``_gated``, checks each trial's hypotheses.
+Expectation mode is decided on the spectrum of A, at each trial's worst
+unit vector h, which it finds exactly from the eigenvalues of A and the
+values of f, f' and g at them. Majorize mode compares f(B) with a multiple
+of g(A), which are not functions of one X, and is the one mode that makes
+Loewner checks on matrices. The admissibility gate of each function pair
+runs per trial.
 
 Hypothesis mismatches (a pair outside a theorem's spectral regime) yield a
 verdict with status "not-applicable"; only genuine link violations count as
 failures. Bad inputs (non-PD, dimension mismatch, invalid or non-finite
-parameters) raise.
+parameters) are refused.
 """
 
 from __future__ import annotations
@@ -168,7 +165,7 @@ def _decide(chain_id, links, layouts, regimes, errors, tol, lift) -> list:
         if outcomes[i] is not None:
             continue
         if layout is None:
-            outcomes[i] = _not_applicable(chain_id, tol, regimes[i])
+            outcomes[i] = OperatorChainVerdict(chain_id, list, [], STATUS_NOT_APPLICABLE, tol, regimes[i])
         elif not all(finite[name][i] for name in layout):
             outcomes[i] = NumericError(f"{chain_id}: chain link has non-finite entries")
         else:
@@ -237,35 +234,6 @@ def _pair_stack(chain: PairChain, pairs, params: dict, tol) -> list:
     return _decide(chain.id, values, layouts, regimes, errors, tol, lift)
 
 
-def pair_chain_stacks(stacks: list, tol) -> list:
-    """``<name>_stack`` of several pair chains at once, bitwise: ``stacks``
-    holds each chain's (id, columns), ``columns`` mapping "A", "B" and each
-    parameter's name to one value per pair. The pairs of every chain that
-    share their shapes are factored as one ``linalg._Pairs``, of which each
-    chain decides its own rows, a slice. One outcome list per chain."""
-    groups, outcomes = {}, []
-    for c, (_, columns) in enumerate(stacks):
-        outcomes.append([None] * len(columns["A"]))
-        for i, (a, b) in enumerate(zip(columns["A"], columns["B"])):
-            groups.setdefault((np.shape(a), np.shape(b)), {}).setdefault(c, []).append(i)
-    for group in groups.values():
-        picks = [(stacks[c][1], i) for c, rows in group.items() for i in rows]
-        pairs, lo = _Pairs([m["A"][i] for m, i in picks], [m["B"][i] for m, i in picks]), 0
-        for c, rows in group.items():
-            chain_id, columns = stacks[c]
-            params = {name: [values[i] for i in rows] for name, values in columns.items() if name not in ("A", "B")}
-            view = pairs if len(group) == 1 else pairs.take(slice(lo, lo + len(rows)))
-            decided = _pair_stack(PAIR_CHAINS[chain_id], view, params, tol)
-            for i, outcome in zip(rows, decided):
-                outcomes[c][i] = outcome
-            lo += len(rows)
-    return outcomes
-
-
-def _not_applicable(chain_id, tol, regime) -> OperatorChainVerdict:
-    return OperatorChainVerdict(chain_id, list, [], STATUS_NOT_APPLICABLE, tol, regime)
-
-
 # --- entropies --------------------------------------------------------------
 
 def _entropy(A, B, fn, name: str) -> np.ndarray:
@@ -304,19 +272,25 @@ def generalized_entropy(A, B, t: float) -> np.ndarray:
 
 # --- chains -----------------------------------------------------------------
 
-PAIR_CHAINS: dict[str, PairChain] = {}  # by id: ``<name>_stack`` and the fuzz harness read them
+PAIR_CHAINS: dict[str, PairChain] = {}  # by id, which ``chain_stacks`` reads
 
 
-def _declare(chain_id, links, refuse=None, case=None) -> PairChain:
-    chain = PAIR_CHAINS[chain_id] = PairChain(chain_id, links, refuse, case)
-    return chain
+def _declare(chain_id, links, refuse=None, case=None) -> None:
+    PAIR_CHAINS[chain_id] = PairChain(chain_id, links, refuse, case)
+
+
+def _check(chain_id, tol, **params):
+    """The verdict of one trial of ``chain_stacks``, its ``params`` mapping
+    each name to one value; raises the error that refuses it."""
+    (outcomes,) = chain_stacks([(chain_id, {name: [value] for name, value in params.items()})], tol)
+    return _only(outcomes)
 
 
 def _unit_t(t):
     return None if 0.0 < t <= 1.0 else f"need 0 < t <= 1, got {t!r}"
 
 
-_ZOU = _declare("zou", {
+_declare("zou", {
     "harmonic": lambda lam, c: 1.0 - 1.0 / lam,
     "T-t": lambda lam, c: scalar.deformed_log(-c["t"], lam),
     "S": lambda lam, c: np.log(lam),
@@ -325,14 +299,9 @@ _ZOU = _declare("zou", {
 }, _unit_t)
 
 
-def zou_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
-    """``check_zou_chain`` over a stack of pairs: one outcome per pair."""
-    return _pair_stack(_ZOU, _Pairs(A, B), {"t": t}, tol)
-
-
 def check_zou_chain(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
     """Five-link entropy ordering between A - A B**(-1) A and B - A."""
-    return _only(zou_stack([A], [B], [t], tol))
+    return _check("zou", tol, A=A, B=B, t=t)
 
 
 def _refined_st_case(p, regime):
@@ -347,21 +316,16 @@ def _refined_st_case(p, regime):
     return ("S+", "Tt")
 
 
-_REFINED_ST = _declare("thm-3.3", {
+_declare("thm-3.3", {
     "S+": lambda lam, c: np.log(lam) + c["add"],
     "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
 }, _unit_t, _refined_st_case)
 
 
-def refined_st_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
-    """``check_refined_ST`` over a stack of pairs: one outcome per pair."""
-    return _pair_stack(_REFINED_ST, _Pairs(A, B), {"t": t}, tol)
-
-
 def check_refined_ST(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
     """Entropy ordering sharpened by an additive term at the spectral
     endpoint; the case depends on where [m, M] sits relative to 1."""
-    return _only(refined_st_stack([A], [B], [t], tol))
+    return _check("thm-3.3", tol, A=A, B=B, t=t)
 
 
 def _tsallis_relation_case(p, regime):
@@ -375,7 +339,7 @@ def _tsallis_relation_case(p, regime):
     return ("0", "lo*Ts", "Tt", "hi*Ts")
 
 
-_TSALLIS_RELATION = _declare("thm-3.5", {
+_declare("thm-3.5", {
     "0": lambda lam, c: np.zeros_like(lam),
     "lo*Ts": lambda lam, c: c["lo"] * scalar.deformed_log(c["s"], lam),
     "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
@@ -383,15 +347,10 @@ _TSALLIS_RELATION = _declare("thm-3.5", {
 }, lambda s, t: None if s > 0.0 and t > 0.0 else f"need s, t > 0, got s={s!r}, t={t!r}", _tsallis_relation_case)
 
 
-def tsallis_relation_stack(A, B, s, t, tol: float = DEFAULT_TOL) -> list:
-    """``check_tsallis_relation`` over a stack of pairs: one outcome per pair."""
-    return _pair_stack(_TSALLIS_RELATION, _Pairs(A, B), {"s": s, "t": t}, tol)
-
-
 def check_tsallis_relation(A, B, s: float, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
     """Relates two deformed entropies through exponential factors; requires
     the relative spectrum to sit at or above 1."""
-    return _only(tsallis_relation_stack([A], [B], [s], [t], tol))
+    return _check("thm-3.5", tol, A=A, B=B, s=s, t=t)
 
 
 def _roe_case(p, regime):
@@ -412,7 +371,7 @@ def _roe_case(p, regime):
     return layout
 
 
-_ROE = _declare("thm-3.6", {
+_declare("thm-3.6", {
     "lo*A": lambda lam, c: c["lo"] * np.ones_like(lam),
     "S": lambda lam, c: np.log(lam),
     "hi*A": lambda lam, c: c["hi"] * np.ones_like(lam),
@@ -420,15 +379,10 @@ _ROE = _declare("thm-3.6", {
 }, case=_roe_case)
 
 
-def roe_bounds_stack(A, B, tol: float = DEFAULT_TOL) -> list:
-    """``check_roe_bounds`` over a stack of pairs: one outcome per pair."""
-    return _pair_stack(_ROE, _Pairs(A, B), {}, tol)
-
-
 def check_roe_bounds(A, B, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
     """Two-sided exponential estimates of the relative entropy in multiples
     of A, for a relative spectrum inside (0, 1/e] or [1, e]."""
-    return _only(roe_bounds_stack([A], [B], tol))
+    return _check("thm-3.6", tol, A=A, B=B)
 
 
 def _troe_case(p, regime):
@@ -448,16 +402,11 @@ def _troe_case(p, regime):
     return ("secant", "Tt") + unit if t <= 1.0 else unit + ("Tt", "secant")
 
 
-_TROE = _declare("thm-3.11", {
+_declare("thm-3.11", {
     "secant": lambda lam, c: c["slope"] * lam + c["intercept"],
     "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
     "B-A": lambda lam, c: lam - 1.0,
 }, lambda t: None if t != 0.0 else "t must be nonzero", _troe_case)
-
-
-def troe_linear_bound_stack(A, B, t, tol: float = DEFAULT_TOL) -> list:
-    """``check_troe_linear_bound`` over a stack of pairs: one outcome per pair."""
-    return _pair_stack(_TROE, _Pairs(A, B), {"t": t}, tol)
 
 
 def check_troe_linear_bound(A, B, t: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
@@ -468,10 +417,10 @@ def check_troe_linear_bound(A, B, t: float, tol: float = DEFAULT_TOL) -> Operato
     the inequality reverses. When the spectrum reaches down to 1 the chain
     extends with B - A on the loose side.
     """
-    return _only(troe_linear_bound_stack([A], [B], [t], tol))
+    return _check("thm-3.11", tol, A=A, B=B, t=t)
 
 
-_ORDERING = _declare("prop-3.10", {
+_declare("prop-3.10", {
     "S": lambda lam, c: np.log(lam),
     "Tp": lambda lam, c: scalar.deformed_log(c["p"], lam),
     "Sp": lambda lam, c: lam ** c["p"] * np.log(lam),
@@ -479,15 +428,10 @@ _ORDERING = _declare("prop-3.10", {
     lambda p, regime: ("S", "Tp", "Sp") if p["p"] > 0 else ("Sp", "Tp", "S"))
 
 
-def ordering_stack(A, B, p, tol: float = DEFAULT_TOL) -> list:
-    """``check_ordering_S_Tp_Sp`` over a stack of pairs: one outcome per pair."""
-    return _pair_stack(_ORDERING, _Pairs(A, B), {"p": p}, tol)
-
-
 def check_ordering_S_Tp_Sp(A, B, p: float, tol: float = DEFAULT_TOL) -> OperatorChainVerdict:
     """Ordering of the plain, deformed, and generalized entropies; the
     direction flips with the sign of p."""
-    return _only(ordering_stack([A], [B], [p], tol))
+    return _check("prop-3.10", tol, A=A, B=B, p=p)
 
 
 # --- two-function operator comparison (thm-2.12) -------------------------------
@@ -495,10 +439,22 @@ def check_ordering_S_Tp_Sp(A, B, p: float, tol: float = DEFAULT_TOL) -> Operator
 TWO_FUNCTION_MODES = ("expectation", "congruence", "majorize")
 
 
-def _each(specs, rows):
+def _each(specs, rows, errors):
     """``eig_apply`` map sending row j of the eigenvalues through the
-    evaluator of ``specs[rows[j]]``."""
-    return lambda lam: np.array([specs[i].eval(row) for i, row in zip(rows, lam)])
+    evaluator of ``specs[rows[j]]``, or to zeros for a trial refused in
+    ``errors``, where an error in TRIAL_ERRORS that it raises goes."""
+
+    def apply(lam):
+        out = np.zeros_like(lam)
+        for j, i in enumerate(rows):
+            if errors[i] is None:
+                try:
+                    out[j] = specs[i].eval(lam[j])
+                except TRIAL_ERRORS as exc:
+                    errors[i] = exc
+        return out
+
+    return apply
 
 
 def _gated(mode, f, g, a, b, spectra, errors, tol) -> tuple:
@@ -600,7 +556,11 @@ def _expectation(f, g, a, b, A, B, tol) -> list:
     links = {"lhs(h)": np.zeros((k, 1)), "rhs(h)": np.zeros((k, 1))}
     for i, (df, dg) in steps.items():
         regime = regimes[i]
-        x, pair, w, lhs, rhs = _worst_unit_vector(f[i], g[i], regime["a"], regime["b"], df, dg, eig_a.values[i])
+        try:
+            x, pair, w, lhs, rhs = _worst_unit_vector(f[i], g[i], regime["a"], regime["b"], df, dg, eig_a.values[i])
+        except TRIAL_ERRORS as exc:
+            errors[i] = exc
+            continue
         rel = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
         regime.update({"x": float(x), "pair": pair, "weight": float(w), "worst_rel_slack": float(rel)})
         links["lhs(h)"][i], links["rhs(h)"][i] = lhs, rhs
@@ -617,8 +577,8 @@ def _congruence(f, g, a, b, A, B, tol) -> list:
     links = {"f(X)": np.zeros(pairs.lam.shape), "ratio*g(X)": np.zeros(pairs.lam.shape)}
     if rows:
         lam = pairs.lam[rows]
-        links["f(X)"][rows] = _each(f, rows)(lam)
-        links["ratio*g(X)"][rows] = _column([regimes[i]["ratio"] for i in rows]) * _each(g, rows)(lam)
+        links["f(X)"][rows] = _each(f, rows, pairs.errors)(lam)
+        links["ratio*g(X)"][rows] = _column([regimes[i]["ratio"] for i in rows]) * _each(g, rows, pairs.errors)(lam)
         for i in rows:
             layouts[i] = ("f(X)", "ratio*g(X)")
 
@@ -652,8 +612,8 @@ def _majorize(f, g, a, b, A, B, tol) -> list:
     links = {"f(B)": np.zeros_like(A), "ratio*g(A)": np.zeros_like(A)}
     if rows:
         ratio = _column([regimes[i]["ratio"] for i in rows])[:, :, None]
-        links["f(B)"][rows] = eig_apply(eig_b.take(rows), _each(f, rows))
-        links["ratio*g(A)"][rows] = ratio * eig_apply(eig_a.take(rows), _each(g, rows))
+        links["f(B)"][rows] = eig_apply(eig_b.take(rows), _each(f, rows, errors))
+        links["ratio*g(A)"][rows] = ratio * eig_apply(eig_a.take(rows), _each(g, rows, errors))
         for i in rows:
             layouts[i] = ("f(B)", "ratio*g(A)")
     return _decide("thm-2.12", links, layouts, regimes, errors, tol, lambda i, name: links[name][i])
@@ -662,18 +622,19 @@ def _majorize(f, g, a, b, A, B, tol) -> list:
 _MODE_STACKS = {"expectation": _expectation, "congruence": _congruence, "majorize": _majorize}
 
 
-def two_function_stack(f, g, a, b, mode, A, B, tol: float = DEFAULT_TOL) -> list:
+def two_function_stack(fn_f, fn_g, a, b, mode, A, B, tol: float = DEFAULT_TOL) -> list:
     """``check_two_function_operator`` over a stack of k trials: one outcome
     per trial.
 
-    ``f``, ``g``, ``a``, ``b``, ``mode``, ``A`` and ``B`` hold one value
-    per trial, [a, b] being the trial's interval, on which the gate runs.
-    B is read outside expectation mode alone, and may be None there. A
-    trial with an unknown mode or a missing B is refused; the others go to
+    ``fn_f``, ``fn_g``, ``a``, ``b``, ``mode``, ``A`` and ``B`` hold one
+    value per trial, [a, b] being the trial's interval, on which the gate
+    runs. B is read outside expectation mode alone, and may be None there.
+    A trial with an unknown mode or a missing B is refused; the others go to
     one stack per mode, which meets a trial's refusals in the order its
-    one-trial evaluation meets them. Matrices of a mode that are not one
-    stack of square matrices raise, as in the pair chains, except majorize
-    mode's B, which refuses each trial after A's own refusals.
+    one-trial evaluation meets them. An error that a mode's stack raises
+    for all its trials, such as for matrices that are not square, is the
+    outcome of each; majorize mode refuses a B of another shape per trial,
+    after A's own refusals.
     """
     outcomes, rows = [None] * len(mode), {}
     for i, (m, b_i) in enumerate(zip(mode, B)):
@@ -684,8 +645,12 @@ def two_function_stack(f, g, a, b, mode, A, B, tol: float = DEFAULT_TOL) -> list
         else:
             rows.setdefault(m, []).append(i)
     for m, trials in rows.items():
-        columns = ([column[i] for i in trials] for column in (f, g, a, b, A, B))
-        for i, outcome in zip(trials, _MODE_STACKS[m](*columns, tol)):
+        columns = ([column[i] for i in trials] for column in (fn_f, fn_g, a, b, A, B))
+        try:
+            decided = _MODE_STACKS[m](*columns, tol)
+        except TRIAL_ERRORS as exc:  # raised for the whole stack, as for each of its trials
+            decided = [exc] * len(trials)
+        for i, outcome in zip(trials, decided):
             outcomes[i] = outcome
     return outcomes
 
@@ -719,4 +684,42 @@ def check_two_function_operator(
     that a negative ``tol`` makes failures instead of not-applicable trials.
     """
     a, b = interval
-    return _only(two_function_stack([f], [g], [a], [b], [mode], [A], [B], tol))
+    return _check("thm-2.12", tol, fn_f=f, fn_g=g, a=a, b=b, mode=mode, A=A, B=B)
+
+
+# --- the one entry point of the matrix chains ----------------------------------
+
+def chain_stacks(stacks: list, tol) -> list:
+    """Decide trials of several matrix chains at once (see the module
+    docstring): ``stacks`` holds each chain's (id, columns), ``columns``
+    mapping the name of each of its params to one value per trial. One
+    outcome list per chain: each trial's verdict, or the error in
+    TRIAL_ERRORS that refuses it, bit for bit as it is alone. An error
+    raised for a whole group, such as a dimension mismatch, is the outcome
+    of each of its trials."""
+    groups, outcomes = {}, []
+    for c, (_, columns) in enumerate(stacks):
+        outcomes.append([None] * len(columns["A"]))
+        for i, (a, b) in enumerate(zip(columns["A"], columns["B"])):
+            groups.setdefault((np.shape(a), np.shape(b)), {}).setdefault(c, []).append(i)
+    for group in groups.values():
+        picks = [(stacks[c][1], i) for c, rows in group.items() if stacks[c][0] != "thm-2.12" for i in rows]
+        pairs, lo = None, 0
+        for c, rows in group.items():
+            chain_id, columns = stacks[c]
+            picked = {name: [values[i] for i in rows] for name, values in columns.items()}
+            try:
+                if chain_id == "thm-2.12":
+                    decided = two_function_stack(**picked, tol=tol)
+                else:
+                    chain, lo = PAIR_CHAINS[chain_id], lo + len(rows)
+                    # a _Pairs that raises for the group raises alike for each of its chains
+                    pairs = pairs or _Pairs([m["A"][i] for m, i in picks], [m["B"][i] for m, i in picks])
+                    view = pairs if len(rows) == len(picks) else pairs.take(slice(lo - len(rows), lo))
+                    params = {name: values for name, values in picked.items() if name not in ("A", "B")}
+                    decided = _pair_stack(chain, view, params, tol)
+            except TRIAL_ERRORS as exc:  # raised for the whole group
+                decided = [exc] * len(rows)
+            for i, outcome in zip(rows, decided):
+                outcomes[c][i] = outcome
+    return outcomes

@@ -23,19 +23,15 @@ to per-matrix calls, and ``ChainEntry.generate`` of such a chain is the
 one-trial block, so a trial is bit for bit the same whether it is drawn
 alone or in a block. Only scalar chains generate trial by trial.
 
-Evaluation model: ``entropy.pair_chain_stacks`` decides a block's pair
-chains together: their trials that share their shapes are factored as one
-``linalg._Pairs``, whatever their chain, and each chain decides its own
-rows, a slice of it, on the eigenvalues of A^-1/2 B A^-1/2, with no link
-matrix built. thm-2.12 evaluates its trials that share their shapes as one
-stack (``ChainEntry.stack``), and runs each alone (``ChainEntry.run``)
-when the stack raises an error it cannot pin on one trial. Either way a
-trial's outcome is bit for bit the one it has alone. Scalar chains run
-trial by trial. Outcomes are merged back in trial order.
+Evaluation model: one ``entropy.chain_stacks`` call decides the trials of
+every matrix chain of a block, which pins each error on its own trial; a
+matrix chain's ``ChainEntry.run``, which ``oel verify`` calls, is its
+one-trial call, so a trial's outcome is bit for bit the one it has alone.
+Scalar chains run trial by trial.
 
 Declaration model: a chain is registered once, with its draw, its checker
 and ``ChainEntry.params``; every reader of a chain's params (``run``,
-``stack``, ``oel verify``, serialization) reads their types there.
+``oel verify``, serialization) reads their types there.
 """
 
 from __future__ import annotations
@@ -55,7 +51,7 @@ from . import chains, entropy, funcs
 from .chains import DEFAULT_TOL
 from .errors import TRIAL_ERRORS
 from .funcs import REGISTRY, FunctionSpec
-from .linalg import EigenDecomposition, _only, eig_apply, load_matrix, matrix_to_obj, symmetrize
+from .linalg import EigenDecomposition, eig_apply, load_matrix, matrix_to_obj, symmetrize
 
 _U64 = (1 << 64) - 1
 
@@ -353,13 +349,10 @@ class ChainEntry:
     argument order of its checker, the order its trials draw them in.
 
     ``generate(rng, cfg)`` draws the params of one trial and ``run(params,
-    tol)`` evaluates them. ``stack(params_list, tol)``, for matrix chains,
-    evaluates trials whose matrices share their shapes, one column per
-    declared name, and returns one outcome per trial: its verdict, or the
-    exception that refuses it; ``run`` is the one-trial stack.
-    ``draw(rng, cfg)``, for matrix chains, draws the params of one trial
-    with its matrices left pending for ``_realize``; such a chain's
-    ``generate`` is ``_realize`` of the one-trial block."""
+    tol)`` evaluates them. ``draw(rng, cfg)``, for matrix chains, draws the
+    params of one trial with its matrices left pending for ``_realize``;
+    such a chain's ``generate`` is ``_realize`` of the one-trial block, and
+    its ``run`` the one-trial call of ``entropy.chain_stacks``."""
 
     id: str
     kind: str  # 'scalar' or 'operator'
@@ -367,7 +360,6 @@ class ChainEntry:
     params: tuple
     generate: Callable
     run: Callable
-    stack: Callable | None = None
     draw: Callable | None = None
 
 
@@ -555,22 +547,19 @@ def _scalar_chain(cid, description, generate, check: str, params):
     CHAINS[cid] = ChainEntry(cid, "scalar", description, params, generate, run)
 
 
-def _operator_chain(cid, description, draw, check_stack: str, params):
-    """Register a matrix chain whose stacked checker, ``entropy.<check_stack>``
-    looked up likewise, takes one column per declared parameter."""
+def _operator_chain(cid, description, draw, params):
+    """Register a matrix chain, whose ``run`` is the one-trial call of
+    ``entropy.chain_stacks``, looked up likewise; a name that a trial
+    leaves out, as thm-2.12's B in expectation mode, is None there."""
 
     def generate(rng, cfg):
         (p,) = _realize([draw(rng, cfg)])
         return p
 
-    def stack(ps: list, tol: float) -> list:
-        columns = [[p.get(prm.name) if prm.when else p[prm.name] for p in ps] for prm in params]
-        return getattr(entropy, check_stack)(*columns, tol=tol)
-
     def run(p: dict, tol: float):
-        return _only(stack([p], tol))
+        return entropy._check(cid, tol, **{prm.name: p.get(prm.name) for prm in params})
 
-    CHAINS[cid] = ChainEntry(cid, "operator", description, params, generate, run, stack, draw)
+    CHAINS[cid] = ChainEntry(cid, "operator", description, params, generate, run, draw)
 
 
 def _fn(default: str, name: str = "fn") -> Param:
@@ -643,32 +632,31 @@ _scalar_chain(
 )
 _operator_chain(
     "zou", "five-link entropy ordering between A - A B^-1 A and B - A",
-    _draw_zou, "zou_stack", (_A, _B, _T),
+    _draw_zou, (_A, _B, _T),
 )
 _operator_chain(
     "thm-3.3", "entropy ordering sharpened by a spectral-endpoint additive term",
-    _draw_refined_st, "refined_st_stack", (_A, _B, _T),
+    _draw_refined_st, (_A, _B, _T),
 )
 _operator_chain(
     "thm-3.5", "exponential-factor relation between two deformed entropies",
-    _draw_tsallis_relation, "tsallis_relation_stack", (_A, _B, _S, _T),
+    _draw_tsallis_relation, (_A, _B, _S, _T),
 )
 _operator_chain(
     "thm-3.6", "two-sided exponential estimates of the relative entropy in multiples of A",
-    _draw_roe, "roe_bounds_stack", (_A, _B),
+    _draw_roe, (_A, _B),
 )
 _operator_chain(
     "thm-3.11", "secant-line bound on the deformed entropy over the relative spectrum",
-    _draw_troe, "troe_linear_bound_stack", (_A, _B, _T),
+    _draw_troe, (_A, _B, _T),
 )
 _operator_chain(
     "prop-3.10", "sign-dependent ordering of plain, deformed, and generalized entropies",
-    _draw_ordering, "ordering_stack", (_A, _B, Param("p")),
+    _draw_ordering, (_A, _B, Param("p")),
 )
 _operator_chain(
     "thm-2.12", "operator comparison of a gated concave/convex function pair",
-    _draw_two_function, "two_function_stack",
-    (
+    _draw_two_function, (
         _fn("log-wide", "fn_f"), _fn("lin-0.04-0.12", "fn_g"),
         Param("a", default="1.5"), Param("b", default="4.0"), Param("mode", "str", "expectation"), _A,
         Param("B", "matrix", when=lambda p: p["mode"] != "expectation"),
@@ -723,28 +711,6 @@ def _attempt(run, params: dict, tol: float):
         return exc
 
 
-def _evaluate(entry: ChainEntry, params: list, tol: float) -> list:
-    """One outcome per trial of a block, in trial order: one stack per shape
-    of the declared matrices."""
-    if entry.stack is None:
-        return [_attempt(entry.run, p, tol) for p in params]
-    matrices = [prm.name for prm in entry.params if prm.parser == "matrix"]
-    groups: dict = {}
-    for i, p in enumerate(params):
-        groups.setdefault(tuple(np.shape(p.get(name)) for name in matrices), []).append(i)
-    outcomes = [None] * len(params)
-    for rows in groups.values():
-        stack = [params[i] for i in rows]
-        try:
-            results = entry.stack(stack, tol)
-        except TRIAL_ERRORS:
-            # an error the stack cannot pin on one trial: evaluate each alone
-            results = [_attempt(entry.run, p, tol) for p in stack]
-        for i, result in zip(rows, results):
-            outcomes[i] = result
-    return outcomes
-
-
 def _charge(reports: list, since: float) -> float:
     """Share the time since ``since`` out equally to the ``elapsed_s`` of
     ``reports``; the time now."""
@@ -779,7 +745,6 @@ def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
     entries = [CHAINS[cid] for cid in ids or CHAINS]
     reports = [FuzzReport(entry.id, cfg.trials, 0, 0, [], None, cfg.seed, 0.0) for entry in entries]
     drawn = [j for j, entry in enumerate(entries) if entry.draw]
-    pair = [j for j, entry in enumerate(entries) if entry.id in entropy.PAIR_CHAINS]
     streams, clock = TrialStreams(cfg.seed), time.perf_counter()
     for first in range(0, cfg.trials, FUZZ_BLOCK):
         trials = range(first, min(first + FUZZ_BLOCK, cfg.trials))
@@ -788,18 +753,16 @@ def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
             draw = entry.draw or entry.generate
             blocks.append([draw(streams.rng(trial), cfg) for trial in trials])
             clock = _charge([rep], clock)
-        if drawn:
+        decided = {}
+        if drawn:  # realized together, and decided together
             realized = iter(_realize([p for j in drawn for p in blocks[j]]))
             for j in drawn:
                 blocks[j] = [next(realized) for _ in trials]
+            columns = [(entries[j].id, {prm.name: [p.get(prm.name) for p in blocks[j]] for prm in entries[j].params}) for j in drawn]
+            decided = dict(zip(drawn, entropy.chain_stacks(columns, cfg.tol)))
             clock = _charge([reports[j] for j in drawn], clock)
-        decided = {}
-        if pair:  # their trials of one shape are factored together
-            columns = [(entries[j].id, {prm.name: [p[prm.name] for p in blocks[j]] for prm in entries[j].params}) for j in pair]
-            decided = dict(zip(pair, entropy.pair_chain_stacks(columns, cfg.tol)))
-            clock = _charge([reports[j] for j in pair], clock)
         for j, (rep, entry, block) in enumerate(zip(reports, entries, blocks)):
-            outcomes, slack_rows = decided[j] if j in decided else _evaluate(entry, block, cfg.tol), rep.slack_rows
+            outcomes = decided[j] if j in decided else [_attempt(entry.run, p, cfg.tol) for p in block]
             for trial, params, verdict in zip(trials, block, outcomes):
                 if isinstance(verdict, ValueError):
                     rep.rejected += 1
@@ -809,7 +772,7 @@ def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
                     rep.not_applicable += 1
                 else:
                     rel_slack = verdict.min_rel_slack  # an applicable verdict decided at least one link
-                    slack_rows.append((trial, rel_slack))
+                    rep.slack_rows.append((trial, rel_slack))
                     if not verdict.ok:
                         failure = {"trial": trial, "min_rel_slack": rel_slack, "params": serialize_params(entry, params)}
                         rep.failures.append(failure)

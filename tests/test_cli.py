@@ -76,6 +76,23 @@ def test_compute_malformed_matrix(tmp_path, capsys):
     assert main(["compute", "S", "--A", str(bad), "--B", str(ok)]) == 2
 
 
+@pytest.mark.parametrize("A, B, option", [("big", "ok", "A"), ("ok", "big", "B")])
+def test_compute_names_the_refused_operand(tmp_path, A, B, option):
+    # the whole stderr of an `oel` process, with numpy's RuntimeWarnings
+    # raised as errors: a refused matrix file is named by its option, as
+    # `oel verify` names it
+    (tmp_path / "big").write_text('{"n": 2, "data": [[9e307, 0.0], [0.0, 1.0]]}')
+    dump_matrix(np.diag([2.0, 1.0]), tmp_path / "ok")
+    src = str(Path(oel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "oel.cli", "compute", "S", "--A", A, "--B", B],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+    )
+    error = f"error: --{option}: matrix entries must be below 8e+307 in magnitude, got 9e+307\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+
+
 def test_verify_pass_fail_error_na(matrices, capsys):
     # pass
     assert main(["verify", "cor-3.8", "--a", "4", "--b", "1", "--t", "0.25"]) == 0

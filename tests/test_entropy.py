@@ -306,7 +306,7 @@ def test_stack_refusals_leave_other_pairs_unchanged():
         p.append(pi)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # neither the refusals nor the overflow warn
-        stacked = entropy.ordering_stack(A, B, p)
+        (stacked,) = entropy.chain_stacks([("prop-3.10", {"A": A, "B": B, "p": p})], chains.DEFAULT_TOL)
         refusals = {
             1: (ValueError, "A must be positive-definite"),
             2: (ValueError, "matrix entries must be finite"),
@@ -360,11 +360,11 @@ def _spectral_pair(spectrum, seed):
 INF, NAN = math.inf, math.nan
 NO_UNIT = [1.5, 2.0, 3.0]  # m > 1
 STRADDLES = [0.5, 1.0, 2.0]
-# chain -> (stack, checker, rows of (spectrum of X, or None for a pair whose
+# chain -> (checker, rows of (spectrum of X, or None for a pair whose
 # A is not positive-definite; params; the expected case, reason, direction
 # or status, or the start of the refusal))
 MIXED_STACKS = {
-    "zou": (entropy.zou_stack, entropy.check_zou_chain, [
+    "zou": (entropy.check_zou_chain, [
         (STRADDLES, {"t": 0.5}, "pass"),
         ([0.2, 3.0, 9.0], {"t": 1.0}, "pass"),
         (None, {"t": 0.5}, "A must be positive-definite"),
@@ -372,7 +372,7 @@ MIXED_STACKS = {
         (STRADDLES, {"t": NAN}, "t must be finite, got nan"),
         (STRADDLES, {"t": -INF}, "t must be finite, got -inf"),
     ]),
-    "thm-3.3": (entropy.refined_st_stack, entropy.check_refined_ST, [
+    "thm-3.3": (entropy.check_refined_ST, [
         ([0.2, 0.5, 0.8], {"t": 0.5}, "M-below-1"),
         (NO_UNIT, {"t": 0.5}, "m-above-1"),
         (STRADDLES, {"t": 0.25}, "straddles-1"),
@@ -380,7 +380,7 @@ MIXED_STACKS = {
         (NO_UNIT, {"t": 1.5}, "need 0 < t <= 1, got 1.5"),
         (NO_UNIT, {"t": INF}, "t must be finite, got inf"),
     ]),
-    "thm-3.5": (entropy.tsallis_relation_stack, entropy.check_tsallis_relation, [
+    "thm-3.5": (entropy.check_tsallis_relation, [
         (STRADDLES, {"s": 0.5, "t": 1.5}, "requires m >= 1"),
         (NO_UNIT, {"s": 0.5, "t": 1.5}, "t-above-s"),
         ([1.0, 1.2, 4.0], {"s": 1.5, "t": 0.5}, "s-above-t"),
@@ -389,14 +389,14 @@ MIXED_STACKS = {
         (NO_UNIT, {"s": 0.5, "t": NAN}, "t must be finite, got nan"),
         (NO_UNIT, {"s": 1e300, "t": 0.5}, "thm-3.5: chain link has non-finite entries"),
     ]),
-    "thm-3.6": (entropy.roe_bounds_stack, entropy.check_roe_bounds, [
+    "thm-3.6": (entropy.check_roe_bounds, [
         ([0.1, 0.2, 0.3], {}, "below-1-over-e"),
         ([1.2, 2.0, 2.5], {}, "unit-to-e"),
         ([1.0, 1.5, 2.0], {}, "unit-to-e"),  # lower coefficient 0
         (STRADDLES, {}, "relative spectrum outside both regimes"),
         (None, {}, "A must be positive-definite"),
     ]),
-    "thm-3.11": (entropy.troe_linear_bound_stack, entropy.check_troe_linear_bound, [
+    "thm-3.11": (entropy.check_troe_linear_bound, [
         (STRADDLES, {"t": 0.5}, "requires m >= 1"),
         ([2.0, 2.0, 2.0], {"t": 0.5}, "secant undefined for m == M"),
         (NO_UNIT, {"t": 0.5}, "secant-below"),
@@ -408,7 +408,7 @@ MIXED_STACKS = {
         (NO_UNIT, {"t": 0.0}, "t must be nonzero"),
         (NO_UNIT, {"t": -INF}, "t must be finite, got -inf"),
     ]),
-    "prop-3.10": (entropy.ordering_stack, entropy.check_ordering_S_Tp_Sp, [
+    "prop-3.10": (entropy.check_ordering_S_Tp_Sp, [
         (STRADDLES, {"p": 0.5}, "pass"),
         (STRADDLES, {"p": -0.7}, "pass"),
         (None, {"p": 0.5}, "A must be positive-definite"),
@@ -426,11 +426,11 @@ NONE_APPLICABLE = {
 
 def _stack_and_alone(chain_id, rows):
     """The outcomes of one stack of ``rows`` and of each row's own check."""
-    stack, check, _ = MIXED_STACKS[chain_id]
+    check, _ = MIXED_STACKS[chain_id]
     pairs = [_spectral_pair(spectrum, seed) for seed, (spectrum, *_) in enumerate(rows)]
     A, B = (list(column) for column in zip(*pairs))
     params = {name: [p[name] for _, p, *_ in rows] for name in rows[0][1]}
-    stacked, alone = stack(A, B, **params), []
+    (stacked,), alone = entropy.chain_stacks([(chain_id, {"A": A, "B": B, **params})], chains.DEFAULT_TOL), []
     for (a, b), (_, p, *_) in zip(pairs, rows):
         try:
             alone.append(check(a, b, **p))
@@ -446,7 +446,7 @@ def test_mixed_stacks_match_each_pair_alone(chain_id):
     # reason, refused parameters and a pair that is not positive-definite:
     # each outcome is the pair's own check, and neither deciding nor
     # lifting a pair warns, whatever the other pairs' parameters
-    rows = MIXED_STACKS[chain_id][2]
+    rows = MIXED_STACKS[chain_id][1]
     stacked, alone = _stack_and_alone(chain_id, rows)
     for i, (outcome, single, (*_, expected)) in enumerate(zip(stacked, alone, rows)):
         if isinstance(single, Exception):
@@ -733,6 +733,97 @@ def test_two_function_stacks_of_one_mode_match_single_trials(mode):
         _same_verdict(stacked[i], single)
         assert list(stacked[i].regime.items()) == list(single.regime.items()), i
         assert single.regime.get("reason", single.status).startswith(expected), i
+
+
+def _raises_on_arrays(spec: FunctionSpec) -> FunctionSpec:
+    """``spec`` with an evaluator that refuses every array: the gate, which
+    reads it at points, passes, and evaluating it on a spectrum raises."""
+
+    def evaluate(x):
+        if isinstance(x, np.ndarray) and x.ndim:
+            raise DomainError(f"{spec.id} refuses arrays")
+        return spec.eval(x)
+
+    return dataclasses.replace(spec, eval=evaluate)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", entropy.TWO_FUNCTION_MODES)
+def test_two_function_stack_pins_an_evaluator_error_on_its_trial(mode):
+    # an error that f raises on one trial's spectrum, after its gate passed,
+    # is that trial's outcome (expectation mode meets it finding the worst
+    # h, the others evaluating f on a spectrum); every other trial of the
+    # stack is decided bit for bit as it is alone
+    trials = _two_function_trials(mode)
+    log, *rest = trials[0]
+    trials.insert(1, (_raises_on_arrays(log), *rest))
+    f, g, a, b, A, B, _ = (list(column) for column in zip(*trials))
+    stacked = entropy.two_function_stack(f, g, a, b, [mode] * len(trials), A, B)
+    assert isinstance(stacked[1], DomainError) and str(stacked[1]) == "log-wide refuses arrays"
+    for i, (f_i, g_i, a_i, b_i, A_i, B_i, _) in enumerate(trials):
+        try:
+            single = entropy.check_two_function_operator(f_i, g_i, A_i, B_i, mode=mode, interval=(a_i, b_i))
+        except ValueError as exc:
+            assert type(stacked[i]) is type(exc) and str(stacked[i]) == str(exc), i
+            continue
+        _same_verdict(stacked[i], single)
+        assert list(stacked[i].regime.items()) == list(single.regime.items()), i
+
+
+def _check_alone(chain_id, trial: dict):
+    """The outcome of one trial's own check: its verdict, or its refusal."""
+    try:
+        if chain_id == "thm-2.12":
+            interval = (trial["a"], trial["b"])
+            return entropy.check_two_function_operator(
+                trial["fn_f"], trial["fn_g"], trial["A"], trial["B"], mode=trial["mode"], interval=interval,
+            )
+        return MIXED_STACKS[chain_id][0](**trial)
+    except (ValueError, NumericError) as exc:
+        return exc
+
+
+@pytest.mark.filterwarnings("error")
+def test_chain_stacks_of_every_matrix_chain_match_each_check_alone():
+    # one call deciding every matrix chain together: the pair chains' rows
+    # of MIXED_STACKS and thm-2.12's trials of every mode share the group
+    # of 3 x 3 pairs, some rows are 2 x 2, expectation mode leaves B out,
+    # and in one group A and B differ in shape, which refuses each of its
+    # trials, and in another A is not square. Every outcome is the trial's
+    # own check: the same verdict, or the same exception and message
+    mismatch = {"A": 2.0 * np.eye(2), "B": np.eye(3)}
+    stacks = []
+    for chain_id, (_, rows) in MIXED_STACKS.items():
+        trials = []
+        for seed, (spectrum, params, _) in enumerate(rows):
+            A, B = _spectral_pair(spectrum, seed)
+            trials.append({"A": A, "B": B, **params})
+        A, B = _spectral_pair([1.2, 2.5], 7)
+        trials += [{**trials[0], "A": A, "B": B}, {**trials[0], **mismatch}]
+        stacks.append((chain_id, trials))
+    stacks[0][1].append({**stacks[0][1][0], "A": np.ones((2, 3)), "B": np.eye(2)})
+    trials = []
+    for mode in entropy.TWO_FUNCTION_MODES:
+        for f, g, a, b, A, B, _ in _two_function_trials(mode):
+            trials.append({"fn_f": f, "fn_g": g, "a": a, "b": b, "mode": mode, "A": A, "B": B})
+        trials.append({**trials[0], "mode": mode, **mismatch})
+    trials.append({**trials[0], "B": None})
+    stacks.append(("thm-2.12", trials))
+    columns = [(chain_id, {name: [t[name] for t in trials] for name in trials[0]}) for chain_id, trials in stacks]
+    refusals = collections.Counter()
+    for (chain_id, trials), outcomes in zip(stacks, entropy.chain_stacks(columns, chains.DEFAULT_TOL)):
+        assert len(outcomes) == len(trials)
+        for i, (trial, outcome) in enumerate(zip(trials, outcomes)):
+            single = _check_alone(chain_id, trial)
+            if isinstance(single, Exception):
+                assert type(outcome) is type(single) and str(outcome) == str(single), (chain_id, i)
+                refusals[str(single).split(":")[0]] += 1
+                continue
+            _same_verdict(outcome, single)
+            assert list(outcome.regime.items()) == list(single.regime.items()), (chain_id, i)
+    # each pair chain's mismatched row, and thm-2.12's in congruence and majorize mode
+    assert refusals["dimension mismatch"] == len(MIXED_STACKS) + 2
+    assert refusals["expected a square matrix, got shape (2, 3)"] == 1
 
 
 # a convex g that is not affine, so that <g(A)h, h> differs from g(<Ah, h>):

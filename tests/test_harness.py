@@ -549,37 +549,6 @@ def test_stacked_fuzz_matches_per_trial_runs_bitwise():
     assert all(count > 0 for count in seen.values()), seen
 
 
-def test_stack_error_falls_back_to_per_trial_runs(monkeypatch):
-    # an error that a stack of several trials raises, and that it cannot pin
-    # on one trial, makes fuzzing evaluate each trial of that stack on its
-    # own; the harness looks ``entropy.zou_stack`` up at each call, so a
-    # stand-in that raises for k > 1 provokes it
-    entry = CHAINS["zou"]
-    params = [
-        {"A": np.diag([2.0, 3.0]), "B": np.diag([1.5, 5.0]), "t": 0.5},
-        {"A": 1e-300 * np.eye(2), "B": 1e300 * np.eye(2), "t": 0.5},  # X overflows
-        {"A": np.eye(2), "B": np.diag([0.5, 4.0]), "t": 0.25},
-    ]
-    zou_stack = entropy.zou_stack
-
-    def one_trial_only(A, B, t, tol):
-        if len(A) > 1:
-            raise ValueError("stack of several trials")
-        return zou_stack(A, B, t, tol)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        alone = [harness._attempt(entry.run, p, 1e-9) for p in params]
-        monkeypatch.setattr(entropy, "zou_stack", one_trial_only)
-        with pytest.raises(ValueError, match="stack of several trials"):
-            entry.stack(params, 1e-9)
-        outcomes = harness._evaluate(entry, params, 1e-9)
-    assert isinstance(outcomes[1], ValueError) and str(outcomes[1]) == str(alone[1])
-    assert "B relative to A" in str(outcomes[1])
-    for i in (0, 2):
-        assert outcomes[i].status == alone[i].status
-        assert outcomes[i].min_rel_slack == alone[i].min_rel_slack
-
-
 DRAWN_CHAINS = [cid for cid, entry in CHAINS.items() if entry.draw is not None]
 
 
