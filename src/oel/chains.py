@@ -403,7 +403,8 @@ def young_refinement_chain(a, b, t, tol=DEFAULT_TOL) -> ChainVerdict:
 
 def tsallis_scalar_chain(x, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
     """Relates two deformed logarithms of the same x >= 1 through
-    exponential factors built from the growth-rate functional."""
+    exponential factors built from the growth-rate functional; refuses, by
+    name, an (x, s, t) at which a value of the chain leaves float range."""
     for name, v in (("x", x), ("s", s), ("t", t)):
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v}")
@@ -411,13 +412,18 @@ def tsallis_scalar_chain(x, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
         raise DomainError(f"need x >= 1, got {x!r}")
     if s <= 0.0 or t <= 0.0:
         raise ValueError(f"need s, t > 0, got s={s!r}, t={t!r}")
-    ls = scalar.deformed_log(s, x)
-    lt = scalar.deformed_log(t, x)
-    lo = math.exp(scalar.eta(x, s) * (t - s)) * ls
-    hi = math.exp(scalar.eta(x, t) * (t - s)) * ls
+    with np.errstate(over="ignore", invalid="ignore"):  # what leaves float range is refused below
+        ls, lt = scalar.deformed_log(s, x), scalar.deformed_log(t, x)
+        rates = scalar.eta(x, s) * (t - s), scalar.eta(x, t) * (t - s)
+    try:
+        values = [math.exp(rates[0]) * ls, lt, math.exp(rates[1]) * ls]
+    except OverflowError:
+        values = [math.inf]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"lem-3.4's values must be within float range, got x={x!r}, s={s!r}, t={t!r}")
     return verdict_from_values(
         "lem-3.4",
-        [lo, lt, hi],
+        values,
         tol,
         lambda: {"x": x, "s": s, "t": t},
     )

@@ -11,34 +11,33 @@ eigenvalue l of X, and the chains are decided on the spectrum of X alone.
 trials of any of them at once, with one outcome per trial: its verdict, or
 the error that refuses it, which touches no other trial. The public
 ``check_*`` functions are its one-trial case and raise that error. The
-trials whose A and B share their shapes are a group. A pair chain is
-declared once, as a ``PairChain`` in ``PAIR_CHAINS``: a refusal of one
-pair's parameters, a case function that records the pair's case in its
-regime, sets its coefficients and names its links, and a table of link
-functions of the (k, n) eigenvalues. A group's pairs, whatever their chain,
-are factored as one ``linalg._Pairs`` (one ``eigh`` call for every A, one
-values-only ``eigvalsh`` call for the spectrum of every X), and
-``_pair_stack`` decides each chain's rows of it, a slice, in one vectorized
-pass. ``_compare`` makes every comparison of the package: a link's slack is
-min over l of f_{j+1}(l) - f_j(l) on a spectrum, or the least eigenvalue of
-the difference of two matrices, and its scale is max(1, max |f_j|, max
-|f_{j+1}|). The link matrices, like the entropies, are lifted from the
-factors of ``_Pairs``, one ``eigh`` of a pair's X serving them all, and
-only when ``OperatorChainVerdict.links`` is read.
+trials whose A and B share their shapes are a group, and a trial's route
+is its chain id, or for thm-2.12 its mode. A pair chain is declared once,
+as a ``PairChain`` in ``PAIR_CHAINS``: a refusal of one pair's parameters,
+a case function that records the pair's case in its regime, sets its
+coefficients and names its links, and a table of link functions of the (k,
+n) eigenvalues. A group's pairs on the routes that read X, the pair chains
+and congruence mode, are factored as one ``linalg._Pairs`` (one ``eigh``
+call for every A, one values-only ``eigvalsh`` call for the spectrum of
+every X), and each route decides its rows of it, a slice, in one
+vectorized pass: ``_pair_stack`` for a pair chain. ``_compare`` makes every
+comparison of the package: a link's slack is min over l of f_{j+1}(l) -
+f_j(l) on a spectrum, or the least eigenvalue of the difference of two
+matrices, and its scale is max(1, max |f_j|, max |f_{j+1}|). The link
+matrices, like the entropies, are lifted from the factors of ``_Pairs``,
+one ``eigh`` of a pair's X serving them all, and only when
+``OperatorChainVerdict.links`` is read.
 
-A group's trials of the two-function comparison of thm-2.12, whose function
-pair, interval and mode vary from trial to trial, are one
-``two_function_stack``, which evaluates one stack per mode that meets each
-trial's refusals in the order its one-trial evaluation meets them.
-Congruence mode is factored by ``_Pairs`` and decided on the spectrum of X;
-the other modes validate A (and B) through ``linalg._pd_stack``, A's
-refusals first, and one pass, ``_gated``, checks each trial's hypotheses.
-Expectation mode is decided on the spectrum of A, at each trial's worst
-unit vector h, which it finds exactly from the eigenvalues of A and the
-values of f, f' and g at them. Majorize mode compares f(B) with a multiple
-of g(A), which are not functions of one X, and is the one mode that makes
-Loewner checks on matrices. The admissibility gate of each function pair
-runs per trial.
+The two-function comparison of thm-2.12 varies its function pair,
+interval and mode from trial to trial. One pass, ``_gated``, checks each
+trial's hypotheses, its pair's admissibility gate among them. Congruence
+mode is decided on the spectrum of X. Expectation and majorize mode
+validate A (and B) through ``linalg._pd_stack``, A's refusals first.
+Expectation mode is decided at each trial's worst unit vector h, found
+exactly from the eigenvalues of A and the values of f, f' and g at them.
+Majorize mode compares f(B) with a multiple of g(A), which are not
+functions of one X, and is the one mode that makes Loewner checks on
+matrices.
 
 Hypothesis mismatches (a pair outside a theorem's spectral regime) yield a
 verdict with status "not-applicable"; only genuine link violations count as
@@ -532,9 +531,8 @@ def _worst_unit_vector(f, g, a, b, df, dg, lam) -> tuple:
     return best[1:]
 
 
-def _expectation(f, g, a, b, A, B, tol) -> list:
-    """Expectation mode, decided at each trial's worst unit vector h; B is
-    not read.
+def _expectation(f, g, a, b, A, tol) -> list:
+    """Expectation mode, decided at each trial's worst unit vector h.
 
     In A's eigenbasis (l_i, v_i), a unit vector h has weights w_i = <h,
     v_i>**2 of mean x = <Ah, h> = sum w_i l_i, and the link's slack is
@@ -568,10 +566,9 @@ def _expectation(f, g, a, b, A, B, tol) -> list:
     return _decide("thm-2.12", links, layouts, regimes, errors, tol, lambda i, name: links[name][i].reshape(1, 1))
 
 
-def _congruence(f, g, a, b, A, B, tol) -> list:
-    """Congruence mode: f(X) <= ratio g(X), decided on the spectrum of X
-    like the pair chains."""
-    pairs = _Pairs(A, B)
+def _congruence(f, g, a, b, pairs, tol) -> list:
+    """Congruence mode: f(X) <= ratio g(X), decided like the pair chains on
+    ``pairs``, its trials' slice of their group's one ``linalg._Pairs``."""
     regimes, steps = _gated("congruence", f, g, a, b, [pairs.lam], pairs.errors, tol)
     rows, layouts = list(steps), [None] * len(pairs.errors)
     links = {"f(X)": np.zeros(pairs.lam.shape), "ratio*g(X)": np.zeros(pairs.lam.shape)}
@@ -619,42 +616,6 @@ def _majorize(f, g, a, b, A, B, tol) -> list:
     return _decide("thm-2.12", links, layouts, regimes, errors, tol, lambda i, name: links[name][i])
 
 
-_MODE_STACKS = {"expectation": _expectation, "congruence": _congruence, "majorize": _majorize}
-
-
-def two_function_stack(fn_f, fn_g, a, b, mode, A, B, tol: float = DEFAULT_TOL) -> list:
-    """``check_two_function_operator`` over a stack of k trials: one outcome
-    per trial.
-
-    ``fn_f``, ``fn_g``, ``a``, ``b``, ``mode``, ``A`` and ``B`` hold one
-    value per trial, [a, b] being the trial's interval, on which the gate
-    runs. B is read outside expectation mode alone, and may be None there.
-    A trial with an unknown mode or a missing B is refused; the others go to
-    one stack per mode, which meets a trial's refusals in the order its
-    one-trial evaluation meets them. An error that a mode's stack raises
-    for all its trials, such as for matrices that are not square, is the
-    outcome of each; majorize mode refuses a B of another shape per trial,
-    after A's own refusals.
-    """
-    outcomes, rows = [None] * len(mode), {}
-    for i, (m, b_i) in enumerate(zip(mode, B)):
-        if m not in TWO_FUNCTION_MODES:
-            outcomes[i] = ValueError(f"unknown mode {m!r}")
-        elif m != "expectation" and b_i is None:
-            outcomes[i] = ValueError(f"mode {m!r} requires B")
-        else:
-            rows.setdefault(m, []).append(i)
-    for m, trials in rows.items():
-        columns = ([column[i] for i in trials] for column in (fn_f, fn_g, a, b, A, B))
-        try:
-            decided = _MODE_STACKS[m](*columns, tol)
-        except TRIAL_ERRORS as exc:  # raised for the whole stack, as for each of its trials
-            decided = [exc] * len(trials)
-        for i, outcome in zip(trials, decided):
-            outcomes[i] = outcome
-    return outcomes
-
-
 def check_two_function_operator(
     f,
     g,
@@ -695,30 +656,44 @@ def chain_stacks(stacks: list, tol) -> list:
     mapping the name of each of its params to one value per trial. One
     outcome list per chain: each trial's verdict, or the error in
     TRIAL_ERRORS that refuses it, bit for bit as it is alone. An error
-    raised for a whole group, such as a dimension mismatch, is the outcome
-    of each of its trials."""
+    raised for a route's whole stack, such as a dimension mismatch, is the
+    outcome of each of its trials."""
     groups, outcomes = {}, []
-    for c, (_, columns) in enumerate(stacks):
+    for c, (chain_id, columns) in enumerate(stacks):
         outcomes.append([None] * len(columns["A"]))
         for i, (a, b) in enumerate(zip(columns["A"], columns["B"])):
-            groups.setdefault((np.shape(a), np.shape(b)), {}).setdefault(c, []).append(i)
+            shapes, route = (np.shape(a), np.shape(b)), chain_id
+            if chain_id == "thm-2.12":  # its mode is its route, checked first, never read as a chain id
+                route = columns["mode"][i]
+                if route not in TWO_FUNCTION_MODES:
+                    outcomes[c][i] = ValueError(f"unknown mode {route!r}")
+                    continue
+                if route != "expectation" and b is None:
+                    outcomes[c][i] = ValueError(f"mode {route!r} requires B")
+                    continue
+            groups.setdefault(shapes, {}).setdefault((c, route), []).append(i)
     for group in groups.values():
-        picks = [(stacks[c][1], i) for c, rows in group.items() if stacks[c][0] != "thm-2.12" for i in rows]
+        picks = [(stacks[c][1], i) for (c, route), rows in group.items() if route not in ("expectation", "majorize") for i in rows]
         pairs, lo = None, 0
-        for c, rows in group.items():
-            chain_id, columns = stacks[c]
-            picked = {name: [values[i] for i in rows] for name, values in columns.items()}
+        for (c, route), rows in group.items():
+            columns = {name: [values[i] for i in rows] for name, values in stacks[c][1].items()}
+            gated = [columns.get(name) for name in ("fn_f", "fn_g", "a", "b")]
             try:
-                if chain_id == "thm-2.12":
-                    decided = two_function_stack(**picked, tol=tol)
+                if route == "expectation":
+                    decided = _expectation(*gated, columns["A"], tol)
+                elif route == "majorize":
+                    decided = _majorize(*gated, columns["A"], columns["B"], tol)
                 else:
-                    chain, lo = PAIR_CHAINS[chain_id], lo + len(rows)
-                    # a _Pairs that raises for the group raises alike for each of its chains
+                    lo += len(rows)
+                    # a _Pairs that raises for the group raises alike for each of its routes
                     pairs = pairs or _Pairs([m["A"][i] for m, i in picks], [m["B"][i] for m, i in picks])
                     view = pairs if len(rows) == len(picks) else pairs.take(slice(lo - len(rows), lo))
-                    params = {name: values for name, values in picked.items() if name not in ("A", "B")}
-                    decided = _pair_stack(chain, view, params, tol)
-            except TRIAL_ERRORS as exc:  # raised for the whole group
+                    if route == "congruence":
+                        decided = _congruence(*gated, view, tol)
+                    else:
+                        params = {name: values for name, values in columns.items() if name not in ("A", "B")}
+                        decided = _pair_stack(PAIR_CHAINS[route], view, params, tol)
+            except TRIAL_ERRORS as exc:  # raised for the route's whole stack
                 decided = [exc] * len(rows)
             for i, outcome in zip(rows, decided):
                 outcomes[c][i] = outcome

@@ -48,9 +48,12 @@ EIG_FLOOR = 1e-12  # reject inverse roots when min eigenvalue <= floor * max
 def _symmetric_stack(M) -> tuple[np.ndarray, list]:
     """Validate a stack of square matrices: the float64 stack, symmetrized,
     and one ValueError (an entry not finite or not below ENTRY_BOUND in
-    magnitude, or not symmetric) or None per matrix. A non-square or empty
-    stack raises. Refused matrices come back as zeros."""
-    M = np.array(M, dtype=float)
+    magnitude, or not symmetric) or None per matrix. A complex, non-square
+    or empty stack raises. Refused matrices come back as zeros."""
+    given = np.array(M)
+    if given.dtype.kind == "c":  # a cast to float would drop the imaginary parts
+        raise ValueError(f"matrix entries must be real, got {given.dtype}")
+    M = given if given.dtype == np.float64 else np.array(M, dtype=float)  # numpy refuses what does not cast
     if M.ndim != 3 or M.shape[1] != M.shape[2]:
         raise ValueError(f"expected a square matrix, got shape {M.shape[1:]}")
     if M.shape[1] == 0:

@@ -550,6 +550,8 @@ def test_scalar_refusals(argv, error, monkeypatch, capsys):
     ("lem-3.4 --x 2.5 --s inf --t 1.5", "s must be finite, got inf"),
     ("lem-3.4 --x nan --s 1 --t 1.5", "x must be finite, got nan"),
     ("lem-3.4 --x 2 --s 1 --t -inf", "t must be finite, got -inf"),
+    ("lem-3.4 --x 1e300 --s 3 --t 0.05", "lem-3.4's values must be within float range, got x=1e+300, s=3.0, t=0.05"),
+    ("lem-3.4 --x 1e300 --s 0.05 --t 3", "lem-3.4's values must be within float range, got x=1e+300, s=0.05, t=3.0"),
 ])
 def test_scalar_refusals_print_only_the_error_line(argv, error):
     # the whole stderr of an `oel` process, with numpy's RuntimeWarnings

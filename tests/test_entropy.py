@@ -581,6 +581,13 @@ def _rotated(rng, lam):
     return (M + M.T) / 2.0
 
 
+def _two_function_stack(fn_f, fn_g, a, b, mode, A, B) -> list:
+    """thm-2.12's outcomes from one ``chain_stacks`` call on its columns."""
+    columns = {"fn_f": fn_f, "fn_g": fn_g, "a": a, "b": b, "mode": mode, "A": A, "B": B}
+    (outcomes,) = entropy.chain_stacks([("thm-2.12", columns)], chains.DEFAULT_TOL)
+    return outcomes
+
+
 def test_two_function_stack_outcomes_match_single_trials():
     # one stack mixing the three modes, with refused and out-of-hypothesis
     # trials among valid ones: each outcome is the trial's own evaluation
@@ -604,7 +611,7 @@ def test_two_function_stack_outcomes_match_single_trials():
     ]
     modes, A, B = (list(column) for column in zip(*trials))
     k = len(trials)
-    stacked = entropy.two_function_stack([f] * k, [g] * k, [1.5] * k, [4.0] * k, modes, A, B)
+    stacked = _two_function_stack([f] * k, [g] * k, [1.5] * k, [4.0] * k, modes, A, B)
     statuses = []
     for i, (mode, a, b) in enumerate(trials):
         try:
@@ -647,6 +654,9 @@ def test_two_function_stack_refusal_order_follows_the_single_trial():
         ("majorize", bad_a, np.ones((2, 3)), "matrix is not symmetric"),
         ("congruence", bad_a, np.ones((2, 3)), "expected a square matrix"),
         ("expectation", -np.eye(2), np.ones((2, 3)), "A must be positive-definite"),
+        # a mode that names a pair chain, or is unhashable, is unknown
+        ("zou", np.eye(2), np.eye(2), "^unknown mode 'zou'$"),
+        (["x"], np.eye(2), np.eye(2), r"^unknown mode \['x'\]$"),
     ]
     for mode, a, b, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -721,7 +731,7 @@ def test_two_function_stacks_of_one_mode_match_single_trials(mode):
     # the same order; an inverted interval is refused, not not-applicable
     trials = _two_function_trials(mode)
     f, g, a, b, A, B, _ = (list(column) for column in zip(*trials))
-    stacked = entropy.two_function_stack(f, g, a, b, [mode] * len(trials), A, B)
+    stacked = _two_function_stack(f, g, a, b, [mode] * len(trials), A, B)
     for i, (f_i, g_i, a_i, b_i, A_i, B_i, expected) in enumerate(trials):
         try:
             single = entropy.check_two_function_operator(f_i, g_i, A_i, B_i, mode=mode, interval=(a_i, b_i))
@@ -758,7 +768,7 @@ def test_two_function_stack_pins_an_evaluator_error_on_its_trial(mode):
     log, *rest = trials[0]
     trials.insert(1, (_raises_on_arrays(log), *rest))
     f, g, a, b, A, B, _ = (list(column) for column in zip(*trials))
-    stacked = entropy.two_function_stack(f, g, a, b, [mode] * len(trials), A, B)
+    stacked = _two_function_stack(f, g, a, b, [mode] * len(trials), A, B)
     assert isinstance(stacked[1], DomainError) and str(stacked[1]) == "log-wide refuses arrays"
     for i, (f_i, g_i, a_i, b_i, A_i, B_i, _) in enumerate(trials):
         try:

@@ -341,10 +341,12 @@ def test_fuzz_all_equals_chain_by_chain_runs(seed, tol, tmp_path, monkeypatch):
     assert [rep.chain_id for rep in together] == list(CHAINS)
 
 
-def test_fuzz_all_realizes_a_block_once_and_factors_the_pair_chains_together(monkeypatch):
+@pytest.mark.parametrize("mode", [None, *entropy.TWO_FUNCTION_MODES])
+def test_fuzz_all_realizes_a_block_once_and_factors_the_pair_chains_together(monkeypatch, mode):
     # at a fixed n, one block makes one _realize call for every matrix
-    # chain, and one _Pairs for the six pair chains, which each decide
-    # their own rows of it; thm-2.12's expectation mode builds no _Pairs
+    # chain, and one _Pairs for the six pair chains and thm-2.12's
+    # congruence trials, which each decide their own rows of it, whatever
+    # thm-2.12's modes are
     calls = {"_realize": 0, "_Pairs": 0, "_pair_stack": []}
     realize, pairs_init, pair_stack = harness._realize, linalg._Pairs.__init__, entropy._pair_stack
 
@@ -360,7 +362,7 @@ def test_fuzz_all_realizes_a_block_once_and_factors_the_pair_chains_together(mon
         calls["_pair_stack"].append((chain.id, len(pairs.errors)))
         return pair_stack(chain, pairs, params, tol)
 
-    cfg = GeneratorConfig(seed=3, trials=harness.FUZZ_BLOCK, dim_range=(4, 4), regime={"mode": "expectation"})
+    cfg = GeneratorConfig(seed=3, trials=harness.FUZZ_BLOCK, dim_range=(4, 4), regime=None if mode is None else {"mode": mode})
     expected = harness.dumps_report([fuzz_chain(cid, cfg) for cid in CHAINS])
     monkeypatch.setattr(harness, "_realize", counted_realize)
     monkeypatch.setattr(linalg._Pairs, "__init__", counted_pairs)

@@ -41,6 +41,10 @@ def test_symmetry_validation():
         linalg.as_symmetric([[1.0, 2.0], [3.0, 4.0]])
     with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(1, 3\)$"):
         linalg.as_symmetric([[1.0, 2.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not cast to real with a ComplexWarning
+        with pytest.raises(ValueError, match="^matrix entries must be real, got complex128$"):
+            entropy.check_zou_chain(np.eye(2), np.eye(2, dtype=complex), 0.5)
     M = linalg.as_symmetric([[1.0, 2.0], [2.0 + 1e-13, 4.0]])
     assert M[0, 1] == M[1, 0]
 
