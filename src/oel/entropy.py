@@ -10,34 +10,34 @@ eigenvalue l of X, and the chains are decided on the spectrum of X alone.
 ``chain_stacks`` is the one entry point of the matrix chains. It decides
 trials of any of them at once, with one outcome per trial: its verdict, or
 the error that refuses it, which touches no other trial. The public
-``check_*`` functions are its one-trial case and raise that error. The
-trials whose A and B share their shapes are a group, and a trial's route
-is its chain id, or for thm-2.12 its mode. A pair chain is declared once,
-as a ``PairChain`` in ``PAIR_CHAINS``: a refusal of one pair's parameters,
-a case function that records the pair's case in its regime, sets its
-coefficients and names its links, and a table of link functions of the (k,
-n) eigenvalues. A group's pairs on the routes that read X, the pair chains
-and congruence mode, are factored as one ``linalg._Pairs`` (one ``eigh``
-call for every A, one values-only ``eigvalsh`` call for the spectrum of
-every X), and each route decides its rows of it, a slice, in one
-vectorized pass: ``_pair_stack`` for a pair chain. ``_compare`` makes every
-comparison of the package: a link's slack is min over l of f_{j+1}(l) -
-f_j(l) on a spectrum, or the least eigenvalue of the difference of two
-matrices, and its scale is max(1, max |f_j|, max |f_{j+1}|). The link
-matrices, like the entropies, are lifted from the factors of ``_Pairs``,
-one ``eigh`` of a pair's X serving them all, and only when
-``OperatorChainVerdict.links`` is read.
+``check_*`` functions are its one-trial case and raise that error. A
+trial's route is its chain id, or for thm-2.12 its mode. Its A, and its B
+where the route reads B, are cast and shape-checked on their own
+(``linalg._square``), and the trials whose A share a shape are a group.
+Every A of a group, and majorize mode's B, is validated and decomposed in
+one ``linalg._pd_stack`` call (one ``eigh``), and each route takes its
+rows. A pair chain is declared once, as a ``PairChain`` in
+``PAIR_CHAINS``: a refusal of one pair's parameters, a case function that
+records the pair's case in its regime, sets its coefficients and names its
+links, and a table of link functions of the (k, n) eigenvalues. The routes
+that read X, the pair chains and congruence mode, share one
+``linalg._Pairs`` per group (one ``eigvalsh`` call for every X), and each
+decides its rows of it, a slice, in one vectorized pass: ``_pair_stack``
+for a pair chain. ``_compare`` makes every comparison of the package: a
+link's slack is min over l of f_{j+1}(l) - f_j(l) on a spectrum, or the
+least eigenvalue of the difference of two matrices, and its scale is
+max(1, max |f_j|, max |f_{j+1}|). The link matrices, like the entropies,
+are lifted from the factors of ``_Pairs``, one ``eigh`` of a pair's X
+serving them all, and only when ``OperatorChainVerdict.links`` is read.
 
 The two-function comparison of thm-2.12 varies its function pair,
 interval and mode from trial to trial. One pass, ``_gated``, checks each
 trial's hypotheses, its pair's admissibility gate among them. Congruence
-mode is decided on the spectrum of X. Expectation and majorize mode
-validate A (and B) through ``linalg._pd_stack``, A's refusals first.
-Expectation mode is decided at each trial's worst unit vector h, found
-exactly from the eigenvalues of A and the values of f, f' and g at them.
-Majorize mode compares f(B) with a multiple of g(A), which are not
-functions of one X, and is the one mode that makes Loewner checks on
-matrices.
+mode is decided on the spectrum of X. Expectation mode is decided at each
+trial's worst unit vector h, found exactly from the eigenvalues of A and
+the values of f, f' and g at them; it does not read B. Majorize mode
+compares f(B) with a multiple of g(A), which are not functions of one X,
+and is the one mode that makes Loewner checks on matrices.
 
 Hypothesis mismatches (a pair outside a theorem's spectral regime) yield a
 verdict with status "not-applicable"; only genuine link violations count as
@@ -57,7 +57,7 @@ import numpy as np
 from . import scalar
 from .chains import DEFAULT_TOL, _bisect, two_function_gate
 from .errors import TRIAL_ERRORS, NumericError
-from .linalg import _first, _only, _Pairs, _pd_stack, eig_apply, matrix_to_obj
+from .linalg import _first, _only, _Pairs, _pd_stack, _square, eig_apply, matrix_to_obj
 
 REGIME_CUSHION = 1e-12
 
@@ -240,7 +240,7 @@ def _entropy(A, B, fn, name: str) -> np.ndarray:
     A pair at which ``name`` leaves float range is refused with no numpy
     warning: before the lift when fn overflows on the spectrum of X, else
     when the lift does."""
-    pairs = _Pairs([A], [B])
+    pairs = _Pairs(*_pd_stack([A], "A")[1:], [B])
     _only(pairs.errors)
     with np.errstate(over="ignore", invalid="ignore"):
         out = pairs.lift(0, fn) if np.isfinite(fn(pairs.lam)).all() else None
@@ -358,6 +358,8 @@ def _roe_case(p, regime):
         p["lo"] = -np.exp((e * m - 1.0) / (e * m * np.log(m)))
         p["hi"] = -np.exp(1.0 - e * M)
         regime["case"], layout = "below-1-over-e", ("lo*A", "S", "hi*A", "0")
+        if p["lo"] == -np.inf:  # below m = 5.26e-5: lo*A <= S holds, however far lo is below float range
+            layout = layout[1:]
     elif m >= 1.0 - REGIME_CUSHION and M <= e + REGIME_CUSHION:
         # coefficient continuously vanishes as m -> 1
         p["lo"] = 0.0 if m <= 1.0 + 1e-9 else np.exp((m - e) / (m * np.log(m)))
@@ -531,7 +533,7 @@ def _worst_unit_vector(f, g, a, b, df, dg, lam) -> tuple:
     return best[1:]
 
 
-def _expectation(f, g, a, b, A, tol) -> list:
+def _expectation(f, g, a, b, eig_a, errors, tol) -> list:
     """Expectation mode, decided at each trial's worst unit vector h.
 
     In A's eigenbasis (l_i, v_i), a unit vector h has weights w_i = <h,
@@ -545,9 +547,9 @@ def _expectation(f, g, a, b, A, tol) -> list:
     slack, phi is concave on each chord and the minimum is at an l_i. The
     regime records the worst mean "x", the "pair" [i, j] and "weight" w of
     its witness h = sqrt(w) v_i + sqrt(1 - w) v_j, and "worst_rel_slack";
-    the two sides at h are decided as (k, 1) rows.
+    the two sides at h are decided as (k, 1) rows. ``eig_a`` and ``errors``
+    are the trials' rows of their group's factorization.
     """
-    _, eig_a, errors = _pd_stack(A, "A")
     regimes, steps = _gated("expectation", f, g, a, b, [eig_a.values], errors, tol)
     k = len(errors)
     layouts = [None] * k
@@ -586,18 +588,10 @@ def _congruence(f, g, a, b, pairs, tol) -> list:
     return _decide("thm-2.12", links, layouts, regimes, pairs.errors, tol, lift)
 
 
-def _majorize(f, g, a, b, A, B, tol) -> list:
+def _majorize(f, g, a, b, A, eig_a, B, eig_b, errors, tol) -> list:
     """Majorize mode: f(B) <= ratio g(A) where B <= A, by Loewner checks on
-    the matrices. A's refusals come before B's, also when the B are not
-    square or not of A's shape."""
-    A, eig_a, errors = _pd_stack(A, "A")
-    try:
-        B, eig_b, errors_b = _pd_stack(B, "B")
-        if B.shape != A.shape:
-            raise ValueError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")
-    except ValueError as exc:
-        return _first(errors, [exc] * len(errors))
-    errors = _first(errors, errors_b)
+    ``A`` and ``B``, the trials' rows of their group's stack, as are
+    ``eig_a`` and ``eig_b``; ``errors`` refuses a trial for A before B."""
     regimes, steps = _gated("majorize", f, g, a, b, [eig_a.values, eig_b.values], errors, tol)
     rows, layouts = list(steps), [None] * len(errors)
     if rows:
@@ -655,14 +649,12 @@ def chain_stacks(stacks: list, tol) -> list:
     docstring): ``stacks`` holds each chain's (id, columns), ``columns``
     mapping the name of each of its params to one value per trial. One
     outcome list per chain: each trial's verdict, or the error in
-    TRIAL_ERRORS that refuses it, bit for bit as it is alone. An error
-    raised for a route's whole stack, such as a dimension mismatch, is the
-    outcome of each of its trials."""
+    TRIAL_ERRORS that refuses it, bit for bit as it is alone."""
     groups, outcomes = {}, []
     for c, (chain_id, columns) in enumerate(stacks):
         outcomes.append([None] * len(columns["A"]))
         for i, (a, b) in enumerate(zip(columns["A"], columns["B"])):
-            shapes, route = (np.shape(a), np.shape(b)), chain_id
+            route = chain_id
             if chain_id == "thm-2.12":  # its mode is its route, checked first, never read as a chain id
                 route = columns["mode"][i]
                 if route not in TWO_FUNCTION_MODES:
@@ -671,30 +663,47 @@ def chain_stacks(stacks: list, tol) -> list:
                 if route != "expectation" and b is None:
                     outcomes[c][i] = ValueError(f"mode {route!r} requires B")
                     continue
-            groups.setdefault(shapes, {}).setdefault((c, route), []).append(i)
-    for group in groups.values():
-        picks = [(stacks[c][1], i) for (c, route), rows in group.items() if route not in ("expectation", "majorize") for i in rows]
-        pairs, lo = None, 0
-        for (c, route), rows in group.items():
-            columns = {name: [values[i] for i in rows] for name, values in stacks[c][1].items()}
-            gated = [columns.get(name) for name in ("fn_f", "fn_g", "a", "b")]
             try:
-                if route == "expectation":
-                    decided = _expectation(*gated, columns["A"], tol)
-                elif route == "majorize":
-                    decided = _majorize(*gated, columns["A"], columns["B"], tol)
-                else:
-                    lo += len(rows)
-                    # a _Pairs that raises for the group raises alike for each of its routes
-                    pairs = pairs or _Pairs([m["A"][i] for m, i in picks], [m["B"][i] for m, i in picks])
-                    view = pairs if len(rows) == len(picks) else pairs.take(slice(lo - len(rows), lo))
-                    if route == "congruence":
-                        decided = _congruence(*gated, view, tol)
-                    else:
-                        params = {name: values for name, values in columns.items() if name not in ("A", "B")}
-                        decided = _pair_stack(PAIR_CHAINS[route], view, params, tol)
-            except TRIAL_ERRORS as exc:  # raised for the route's whole stack
-                decided = [exc] * len(rows)
-            for i, outcome in zip(rows, decided):
+                a = _square(a)
+            except ValueError as exc:
+                outcomes[c][i] = exc
+                continue
+            if route != "expectation":  # which never reads B
+                try:
+                    b = _square(b, a.shape)
+                except ValueError as exc:
+                    if route != "majorize":
+                        outcomes[c][i] = exc
+                        continue
+                    b = exc  # majorize mode refuses B after A's own refusals
+            groups.setdefault(a.shape, {}).setdefault((c, route), []).append((i, a, b))
+    for group in groups.values():
+        # X routes first; majorize mode last, its B after every A (A standing in for a refused B)
+        routes = sorted(group.items(), key=lambda item: {"expectation": 1, "majorize": 2}.get(item[0][1], 0))
+        trials = [trial for _, rows in routes for trial in rows]
+        xs = sum(len(rows) for (_, route), rows in routes if route not in ("expectation", "majorize"))
+        majorized = [a if isinstance(b, Exception) else b for (_, route), rows in routes if route == "majorize"
+                     for _, a, b in rows]
+        M, eig, errors = _pd_stack([a for _, a, _ in trials] + majorized, ["A"] * len(trials) + ["B"] * len(majorized))
+        pairs = _Pairs(eig.take(slice(0, xs)), errors[:xs], [b for _, _, b in trials[:xs]]) if xs else None
+        lo = 0
+        for (c, route), rows in routes:
+            here = slice(lo, lo + len(rows))
+            columns = {name: [values[i] for i, _, _ in rows] for name, values in stacks[c][1].items()}
+            gated = [columns.get(name) for name in ("fn_f", "fn_g", "a", "b")]
+            if route == "expectation":
+                decided = _expectation(*gated, eig.take(here), errors[here], tol)
+            elif route == "majorize":
+                b_rows = slice(here.start + len(majorized), here.stop + len(majorized))
+                refused = [b if isinstance(b, Exception) else None for _, _, b in rows]
+                errors_ab = _first(errors[here], refused, errors[b_rows])
+                decided = _majorize(*gated, M[here], eig.take(here), M[b_rows], eig.take(b_rows), errors_ab, tol)
+            elif route == "congruence":
+                decided = _congruence(*gated, pairs.take(here), tol)
+            else:
+                params = {name: values for name, values in columns.items() if name not in ("A", "B")}
+                decided = _pair_stack(PAIR_CHAINS[route], pairs.take(here), params, tol)
+            for (i, _, _), outcome in zip(rows, decided):
                 outcomes[c][i] = outcome
+            lo += len(rows)
     return outcomes

@@ -21,12 +21,15 @@ the rest take the tolerance pass and the averaging.
 The helpers work on stacks of shape ``(k, n, n)``, so that one LAPACK or
 BLAS call serves k matrices; numpy runs the same routine on every matrix of
 a stack, so a stacked result is bitwise equal to the one-matrix result.
-Helpers that can refuse a matrix (``_symmetric_stack``, ``_pd_stack``,
-``_Pairs``) keep one ``ValueError`` or ``None`` per matrix instead of
-raising, so that a refused matrix does not affect the others; the public
-functions are their k = 1 case and raise the refusal. A matrix's entries
-are refused before its definiteness, and a pair's A is refused for both
-before its B is.
+``_square`` casts one matrix, raising for one that is complex, does not
+cast to float, or is not square and non-empty; ``entropy.chain_stacks``
+calls it on each matrix of a trial, so that such a matrix refuses only its
+trial. The stacked helpers that can refuse a matrix (``_symmetric_stack``,
+``_pd_stack``, ``_Pairs``) keep one ``ValueError`` or ``None`` per matrix
+instead of raising, so that a refused matrix does not affect the others;
+the public functions are their k = 1 case and raise the refusal. A matrix's
+entries are refused before its definiteness, and a pair's A is refused for
+both before its B is.
 
 Matrices are plain float64 numpy arrays. The JSON file format shared with
 the CLI is ``{"n": <int>, "data": [[row], ...]}``; symmetry is validated on
@@ -45,19 +48,29 @@ ENTRY_BOUND = 8e307  # a larger entry is refused: averaging two of them could ov
 EIG_FLOOR = 1e-12  # reject inverse roots when min eigenvalue <= floor * max
 
 
-def _symmetric_stack(M) -> tuple[np.ndarray, list]:
-    """Validate a stack of square matrices: the float64 stack, symmetrized,
-    and one ValueError (an entry not finite or not below ENTRY_BOUND in
-    magnitude, or not symmetric) or None per matrix. A complex, non-square
-    or empty stack raises. Refused matrices come back as zeros."""
-    given = np.array(M)
+def _square(M, shape=None) -> np.ndarray:
+    """One matrix as a float64 array. Raises ValueError when it is complex,
+    does not cast to float, or is not square and non-empty, and, given
+    ``shape``, when its shape is another ("dimension mismatch")."""
+    given = np.asarray(M)
     if given.dtype.kind == "c":  # a cast to float would drop the imaginary parts
         raise ValueError(f"matrix entries must be real, got {given.dtype}")
     M = given if given.dtype == np.float64 else np.array(M, dtype=float)  # numpy refuses what does not cast
-    if M.ndim != 3 or M.shape[1] != M.shape[2]:
-        raise ValueError(f"expected a square matrix, got shape {M.shape[1:]}")
-    if M.shape[1] == 0:
-        raise ValueError(f"expected a non-empty matrix, got shape {M.shape[1:]}")
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {M.shape}")
+    if M.shape[0] == 0:
+        raise ValueError(f"expected a non-empty matrix, got shape {M.shape}")
+    if shape is not None and M.shape != shape:
+        raise ValueError(f"dimension mismatch: {shape} vs {M.shape}")
+    return M
+
+
+def _symmetric_stack(M, shape=None) -> tuple[np.ndarray, list]:
+    """Validate a stack of matrices of one shape, each cast by ``_square``:
+    the float64 stack, symmetrized, and one ValueError (an entry not finite
+    or not below ENTRY_BOUND in magnitude, or not symmetric) or None per
+    matrix. Refused matrices come back as zeros."""
+    M = np.array([_square(m, shape) for m in M])
     errors = [None] * M.shape[0]
     # bitwise, so that a -0.0 facing a 0.0 is averaged to 0.0; below
     # ENTRY_BOUND, x + y does not overflow, and (x + x) / 2 == x
@@ -138,25 +151,27 @@ def _not_pd(name: str, lo: float, hi: float) -> ValueError:
     return ValueError(f"{name} must be positive-definite: min eigenvalue {float(lo)!r}, max {float(hi)!r}")
 
 
-def _pd_refusals(values: np.ndarray, name: str) -> list:
+def _pd_refusals(values: np.ndarray, name) -> list:
     """One ValueError or None per row of a stack of ascending eigenvalues, as
-    its matrix is positive-definite or not. A refused row is set to ones, so
-    that stacked work downstream stays finite."""
+    its matrix is positive-definite or not; ``name`` names every matrix in a
+    refusal, or is a list of one name per row. A refused row is set to ones,
+    so that stacked work downstream stays finite."""
     lo, hi = values[:, 0], values[:, -1]
+    names = [name] * len(lo) if isinstance(name, str) else name
     # "not positive-definite" rather than "<= floor", so that NaN is refused
     refused = ~((lo > EIG_FLOOR * hi) & (lo > 0.0))
     errors = [None] * len(lo)
     for i in np.flatnonzero(refused):
-        errors[i] = _not_pd(name, lo[i], hi[i])
+        errors[i] = _not_pd(names[i], lo[i], hi[i])
         values[i] = 1.0
     return errors
 
 
-def _pd_stack(M, name: str) -> tuple[np.ndarray, EigenDecomposition, list]:
-    """Validate and decompose a stack of matrices: the float64 stack,
-    symmetrized, its decomposition, and one ValueError or None per matrix,
-    its entries' refusal coming before its definiteness refusal. A
-    non-square or empty stack raises. A refused matrix gets the identity's
+def _pd_stack(M, name) -> tuple[np.ndarray, EigenDecomposition, list]:
+    """Validate and decompose a stack of matrices in one ``eigh`` call: the
+    float64 stack, symmetrized, its decomposition, and one ValueError or
+    None per matrix, its entries' refusal before its definiteness refusal,
+    named as in ``_pd_refusals``. A refused matrix gets the identity's
     decomposition, so that stacked work downstream stays finite."""
     M, errors = _symmetric_stack(M)
     eig = _eig(M)
@@ -167,38 +182,29 @@ def _pd_stack(M, name: str) -> tuple[np.ndarray, EigenDecomposition, list]:
     return M, eig, _first(errors, errors_pd)
 
 
-def _normalized(eig_a: EigenDecomposition, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X = A**(-1/2) B A**(-1/2) for a stack of pairs, from the
-    decompositions of the A, and which X are finite; an X that overflows is
-    set to zeros, so that no eigensolver sees it."""
-    inv_root = eig_apply(eig_a, lambda lam: 1.0 / np.sqrt(lam))
-    with np.errstate(over="ignore", invalid="ignore"):  # _Pairs refuses what overflows
-        X = symmetrize(inv_root @ B @ inv_root)
-    finite = np.isfinite(X).all(axis=(1, 2))
-    X[~finite] = 0.0
-    return X, finite
-
-
 class _Pairs:
-    """A stack of k (A, B) pairs of one shape, validated and factored once.
+    """A stack of k (A, B) pairs of one shape, factored once.
 
-    ``eig_a`` holds the decompositions of the A, ``X`` each X = A**(-1/2) B
-    A**(-1/2), ``lam`` its ascending eigenvalues (values only), and ``m``
-    and ``M`` their extremes. ``errors[i]`` is the exception refusing pair
-    i, or None; the first one found is kept: A's own refusals (entries,
-    then definiteness), then B's entries, then X's definiteness. An X that
-    overflows is refused, not decomposed. A refused pair stays in the
-    stack, with zeros standing in for a refused matrix and ones for the
-    eigenvalues of a refused factorization, so that stacked work stays
-    finite. ``take`` gives a slice of the stack as a stack of its own.
+    ``eig_a`` and ``errors_a`` are the A's rows of a ``_pd_stack`` call, and
+    each B is validated here (``_square`` raises for one not of A's shape).
+    ``X`` holds each X = A**(-1/2) B A**(-1/2), ``lam`` its ascending
+    eigenvalues (values only), and ``m`` and ``M`` their extremes.
+    ``errors[i]`` is the exception refusing pair i, or None; the first one
+    found is kept: A's own refusals (entries, then definiteness), then B's
+    entries, then X's definiteness. An X that overflows is refused, not
+    decomposed. A refused pair stays in the stack, with zeros standing in
+    for a refused matrix and ones for the eigenvalues of a refused
+    factorization, so that stacked work stays finite. ``take`` gives a
+    slice of the stack as a stack of its own.
     """
 
-    def __init__(self, A, B):
-        A, eig_a, errors_a = _pd_stack(A, "A")
-        B, errors_b = _symmetric_stack(B)
-        if A.shape != B.shape:
-            raise ValueError(f"dimension mismatch: {A.shape[1:]} vs {B.shape[1:]}")
-        X, finite = _normalized(eig_a, B)
+    def __init__(self, eig_a, errors_a, B):
+        B, errors_b = _symmetric_stack(B, eig_a.vectors.shape[1:])
+        inv_root = eig_apply(eig_a, lambda lam: 1.0 / np.sqrt(lam))
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+            X = symmetrize(inv_root @ B @ inv_root)
+        finite = np.isfinite(X).all(axis=(1, 2))
+        X[~finite] = 0.0  # so that no eigensolver sees an X that overflowed
         lam = np.linalg.eigvalsh(X)
         lam[~finite] = np.nan
         self._hold(eig_a, X, lam, _first(errors_a, errors_b, _pd_refusals(lam, "B relative to A")))
@@ -228,7 +234,7 @@ class _Pairs:
 def relative_spectrum_bounds(A, B) -> tuple[float, float]:
     """Tightest constants (m, M) with m*A <= B <= M*A for positive-definite
     A, B: the extreme eigenvalues of A**(-1/2) B A**(-1/2)."""
-    pairs = _Pairs([A], [B])
+    pairs = _Pairs(*_pd_stack([A], "A")[1:], [B])
     _only(pairs.errors)
     return pairs.m[0], pairs.M[0]
 

@@ -129,6 +129,15 @@ def test_verify_operator_fixture(tmp_path, capsys):
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["regime"]["case"] == "below-1-over-e"
     assert verdict["links"][1]["data"][0][0] == pytest.approx(-2.0, abs=1e-10)
+    # below m = 5.26e-5 the lower coefficient leaves float range: its link
+    # holds, and the pair passes with no numpy warning and no finite coefficient
+    dump_matrix(np.diag([1e-5, 0.3]), b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify", "thm-3.6", "--A", str(a), "--B", str(b)]) == 0
+    verdict = json.loads(capsys.readouterr().out)
+    assert verdict["status"] == "pass" and verdict["regime"]["lower_coef"] is None
+    assert len(verdict["verdicts"]) == 2
 
 
 def test_verify_missing_required_flag(capsys):
@@ -282,6 +291,16 @@ def test_one_factorization_per_pair(argv, tmp_path, monkeypatch):
     calls = count_eig_calls(monkeypatch)
     assert main([*argv, "--A", "a.json"]) == 0
     assert calls == {"eigh": 2, "eigvalsh": 1}
+
+
+def test_majorize_mode_factors_A_and_B_in_one_eigh(tmp_path, monkeypatch):
+    # A and B share one eigh call; eigvalsh decides B <= A, then the link
+    monkeypatch.chdir(tmp_path)
+    dump_matrix(np.array([[2.5, 0.5], [0.5, 3.0]]), "a.json")
+    dump_matrix(np.array([[2.1, 0.5], [0.5, 2.6]]), "b.json")  # A - 0.4 I
+    calls = count_eig_calls(monkeypatch)
+    assert main(["verify", "thm-2.12", "--mode", "majorize", "--A", "a.json", "--B", "b.json"]) == 0
+    assert calls == {"eigh": 1, "eigvalsh": 2}
 
 
 NON_FINITE = ["nan", "inf", "-inf"]

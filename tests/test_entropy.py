@@ -338,7 +338,8 @@ def test_pair_stack_pins_a_case_error_on_its_pair():
     A = [np.diag([1.0, 2.0]), np.diag([2.0, 3.0]), np.eye(2)]
     B = [np.diag([1.5, 3.0]), np.diag([5.0, 4.0]), np.diag([0.5, 2.0])]
     t = [0.5, 0.25, 0.75]
-    stacked = entropy._pair_stack(dataclasses.replace(chain, case=case), linalg._Pairs(A, B), {"t": t}, 1e-9)
+    pairs = linalg._Pairs(*linalg._pd_stack(A, "A")[1:], B)
+    stacked = entropy._pair_stack(dataclasses.replace(chain, case=case), pairs, {"t": t}, 1e-9)
     assert isinstance(stacked[1], DomainError) and str(stacked[1]) == "no case at t = 0.25"
     for i in (0, 2):
         _same_verdict(stacked[i], entropy.check_refined_ST(A[i], B[i], t[i]))
@@ -793,14 +794,20 @@ def _check_alone(chain_id, trial: dict):
         return exc
 
 
+# a B that only its own trial is refused for: complex, a string entry,
+# ragged, and 2 x 2 where A is 3 x 3
+BAD_B = [np.eye(3) + 0j, [[1.0, 0.0, 0.0], [0.0, "x", 0.0], [0.0, 0.0, 1.0]], [[1.0, 0.0], [0.0]], np.eye(2)]
+
+
 @pytest.mark.filterwarnings("error")
 def test_chain_stacks_of_every_matrix_chain_match_each_check_alone():
     # one call deciding every matrix chain together: the pair chains' rows
     # of MIXED_STACKS and thm-2.12's trials of every mode share the group
     # of 3 x 3 pairs, some rows are 2 x 2, expectation mode leaves B out,
-    # and in one group A and B differ in shape, which refuses each of its
-    # trials, and in another A is not square. Every outcome is the trial's
-    # own check: the same verdict, or the same exception and message
+    # in one group A and B differ in shape, which refuses each of its
+    # trials, in another A is not square, and each chain and mode has a
+    # trial for each of BAD_B among the 3 x 3 pairs. Every outcome is the
+    # trial's own check: the same verdict, or the same exception and message
     mismatch = {"A": 2.0 * np.eye(2), "B": np.eye(3)}
     stacks = []
     for chain_id, (_, rows) in MIXED_STACKS.items():
@@ -809,14 +816,16 @@ def test_chain_stacks_of_every_matrix_chain_match_each_check_alone():
             A, B = _spectral_pair(spectrum, seed)
             trials.append({"A": A, "B": B, **params})
         A, B = _spectral_pair([1.2, 2.5], 7)
-        trials += [{**trials[0], "A": A, "B": B}, {**trials[0], **mismatch}]
+        trials += [{**trials[0], "A": A, "B": B}, {**trials[0], **mismatch}, *({**trials[0], "B": b} for b in BAD_B)]
         stacks.append((chain_id, trials))
     stacks[0][1].append({**stacks[0][1][0], "A": np.ones((2, 3)), "B": np.eye(2)})
     trials = []
     for mode in entropy.TWO_FUNCTION_MODES:
+        first = len(trials)
         for f, g, a, b, A, B, _ in _two_function_trials(mode):
             trials.append({"fn_f": f, "fn_g": g, "a": a, "b": b, "mode": mode, "A": A, "B": B})
         trials.append({**trials[0], "mode": mode, **mismatch})
+        trials += [{**trials[first], "B": b} for b in BAD_B]
     trials.append({**trials[0], "B": None})
     stacks.append(("thm-2.12", trials))
     columns = [(chain_id, {name: [t[name] for t in trials] for name in trials[0]}) for chain_id, trials in stacks]
@@ -831,9 +840,13 @@ def test_chain_stacks_of_every_matrix_chain_match_each_check_alone():
                 continue
             _same_verdict(outcome, single)
             assert list(outcome.regime.items()) == list(single.regime.items()), (chain_id, i)
-    # each pair chain's mismatched row, and thm-2.12's in congruence and majorize mode
-    assert refusals["dimension mismatch"] == len(MIXED_STACKS) + 2
+    # two mismatched rows of each pair chain and of congruence and majorize
+    # mode each; expectation mode does not read a bad B
+    assert refusals["dimension mismatch"] == 2 * (len(MIXED_STACKS) + 2)
     assert refusals["expected a square matrix, got shape (2, 3)"] == 1
+    for start in ("matrix entries must be real, got complex128", "could not convert string to float",
+                  "setting an array element with a sequence"):
+        assert sum(n for message, n in refusals.items() if message.startswith(start)) == len(MIXED_STACKS) + 2
 
 
 # a convex g that is not affine, so that <g(A)h, h> differs from g(<Ah, h>):

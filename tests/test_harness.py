@@ -11,6 +11,7 @@ from oel.errors import NumericError
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, TrialStreams, fuzz_chain, trial_rng
 from oel.linalg import relative_spectrum_bounds
+from test_linalg import count_eig_calls
 
 OPERATOR_CHAINS = [cid for cid, entry in CHAINS.items() if entry.kind == "operator"]
 
@@ -344,9 +345,9 @@ def test_fuzz_all_equals_chain_by_chain_runs(seed, tol, tmp_path, monkeypatch):
 @pytest.mark.parametrize("mode", [None, *entropy.TWO_FUNCTION_MODES])
 def test_fuzz_all_realizes_a_block_once_and_factors_the_pair_chains_together(monkeypatch, mode):
     # at a fixed n, one block makes one _realize call for every matrix
-    # chain, and one _Pairs for the six pair chains and thm-2.12's
-    # congruence trials, which each decide their own rows of it, whatever
-    # thm-2.12's modes are
+    # chain, one eigh of every A (and of majorize mode's B), and one _Pairs
+    # for the six pair chains and thm-2.12's congruence trials, which each
+    # decide their own rows of it, whatever thm-2.12's modes are
     calls = {"_realize": 0, "_Pairs": 0, "_pair_stack": []}
     realize, pairs_init, pair_stack = harness._realize, linalg._Pairs.__init__, entropy._pair_stack
 
@@ -354,9 +355,9 @@ def test_fuzz_all_realizes_a_block_once_and_factors_the_pair_chains_together(mon
         calls["_realize"] += 1
         return realize(block)
 
-    def counted_pairs(self, A, B):
+    def counted_pairs(self, *args):
         calls["_Pairs"] += 1
-        pairs_init(self, A, B)
+        pairs_init(self, *args)
 
     def counted_pair_stack(chain, pairs, params, tol):
         calls["_pair_stack"].append((chain.id, len(pairs.errors)))
@@ -367,8 +368,12 @@ def test_fuzz_all_realizes_a_block_once_and_factors_the_pair_chains_together(mon
     monkeypatch.setattr(harness, "_realize", counted_realize)
     monkeypatch.setattr(linalg._Pairs, "__init__", counted_pairs)
     monkeypatch.setattr(entropy, "_pair_stack", counted_pair_stack)
+    eig_calls = count_eig_calls(monkeypatch)
     assert harness.dumps_report(harness.fuzz_all(cfg)) == expected
     assert calls["_realize"] == 1 and calls["_Pairs"] == 1
+    assert eig_calls["eigh"] == 1
+    if mode is None:  # the modes mixed: X's spectra, majorize mode's B <= A, then its links
+        assert eig_calls["eigvalsh"] == 3
     assert calls["_pair_stack"] == [(cid, cfg.trials) for cid in entropy.PAIR_CHAINS]
 
 
