@@ -158,7 +158,8 @@ def check_minmax_square(f: FunctionSpec, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
 def check_minmax_power(f: FunctionSpec, s, t, p, q, tol=DEFAULT_TOL) -> ChainVerdict:
     """Power-exponent generalization of the min/max squeeze for an
     increasing function; needs p >= 1 >= q and a positive increment
-    except in the (p, q) = (2, 0) case."""
+    except in the (p, q) = (2, 0) case. Refuses, by name, an (s, t, p, q)
+    at which a power quotient of the chain leaves float range."""
     if not t > s:
         raise ValueError(f"need t > s, got s={s!r}, t={t!r}")
     if p < 1.0 or q > 1.0:
@@ -168,8 +169,13 @@ def check_minmax_power(f: FunctionSpec, s, t, p, q, tol=DEFAULT_TOL) -> ChainVer
     diff = f.at(t, "t") - fs
     if diff <= 0.0 and (p, q) != (2.0, 0.0):
         raise ValueError("increment must be positive unless (p, q) == (2, 0)")
-    lo_term = diff**p / (t - s) ** (p - 1.0)
-    hi_term = diff**q / (t - s) ** (q - 1.0)
+    try:
+        lo_term = diff**p / (t - s) ** (p - 1.0)
+        hi_term = diff**q / (t - s) ** (q - 1.0)
+    except ArithmeticError:  # a power overflows, or (t - s)**(p - 1) underflows to 0
+        lo_term = hi_term = math.inf
+    if not (math.isfinite(lo_term) and math.isfinite(hi_term)):  # a quotient overflows too, or p or q is NaN
+        raise ValueError(f"rem-2.3's values must be within float range, got s={s!r}, t={t!r}, p={p!r}, q={q!r}")
     return verdict_from_values(
         "rem-2.3",
         [min(lo_term, hi_term), diff, max(lo_term, hi_term)],

@@ -12,11 +12,11 @@ trials of any of them at once, with one outcome per trial: its verdict, or
 the error that refuses it, which touches no other trial. The public
 ``check_*`` functions are its one-trial case and raise that error. A
 trial's route is its chain id, or for thm-2.12 its mode. Its A, and its B
-where the route reads B, are cast and shape-checked on their own
-(``linalg._square``), and the trials whose A share a shape are a group.
-Every A of a group, and majorize mode's B, is validated and decomposed in
-one ``linalg._pd_stack`` call (one ``eigh``), and each route takes its
-rows. A pair chain is declared once, as a ``PairChain`` in
+where the route reads B, are read on their own by ``linalg._square``, the
+one cast, as the entropies read their pair; the trials whose A share a
+shape are a group. Every A of a group, and majorize mode's B, is validated
+and decomposed in one ``linalg._pd_stack`` call (one ``eigh``), and each
+route takes its rows. A pair chain is declared once, as a ``PairChain`` in
 ``PAIR_CHAINS``: a refusal of one pair's parameters, a case function that
 records the pair's case in its regime, sets its coefficients and names its
 links, and a table of link functions of the (k, n) eigenvalues. The routes
@@ -240,7 +240,8 @@ def _entropy(A, B, fn, name: str) -> np.ndarray:
     A pair at which ``name`` leaves float range is refused with no numpy
     warning: before the lift when fn overflows on the spectrum of X, else
     when the lift does."""
-    pairs = _Pairs(*_pd_stack([A], "A")[1:], [B])
+    A = _square(A)
+    pairs = _Pairs(*_pd_stack([A], ["A"])[1:], [_square(B, A.shape)])
     _only(pairs.errors)
     with np.errstate(over="ignore", invalid="ignore"):
         out = pairs.lift(0, fn) if np.isfinite(fn(pairs.lam)).all() else None

@@ -659,7 +659,7 @@ _operator_chain(
     _draw_two_function, (
         _fn("log-wide", "fn_f"), _fn("lin-0.04-0.12", "fn_g"),
         Param("a", default="1.5"), Param("b", default="4.0"), Param("mode", "str", "expectation"), _A,
-        Param("B", "matrix", when=lambda p: p["mode"] != "expectation"),
+        Param("B", "matrix", when=lambda p: p["mode"] in ("congruence", "majorize")),
     ),
 )
 

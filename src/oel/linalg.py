@@ -7,33 +7,32 @@ order). The eigensolver is LAPACK's divide-and-conquer ``syevd`` through
 a pair (the eigenvalues of A**(-1/2) B A**(-1/2)) needs only eigenvalues
 and calls ``numpy.linalg.eigvalsh``.
 
-Validation happens once, at the input boundary: public functions pass every
-matrix they receive through ``as_symmetric``, while the ``_``-prefixed
-helpers they share trust their arguments to be finite, square and exactly
-symmetric. Internal arrays keep that promise by being built through
-``symmetrize`` or as sums and scalar multiples of exactly symmetric matrices.
-``_symmetric_stack`` first checks whether a stack is exactly symmetric with
-every |entry| below ENTRY_BOUND (8e307), as generated stacks are; such a
-stack is returned as it is, with no refusal. Of the other stacks, a matrix
-with an entry not below the bound is refused before any arithmetic, and
-the rest take the tolerance pass and the averaging.
+Every matrix is read once, at the input boundary, and passes down three
+layers with one job each. ``_square`` reads: it is the package's only cast,
+and raises for a matrix that is complex, has an entry that does not cast to
+float, or is not square and non-empty; ``entropy.chain_stacks`` calls it on
+each matrix of a trial, so that such a matrix refuses only its trial.
+``_symmetric_stack`` validates a stack of matrices so read: one exactly
+symmetric with every |entry| below ENTRY_BOUND (8e307), as generated stacks
+are, is returned as it is; of the others, a matrix with an entry not below
+the bound is refused before any arithmetic, and the rest take the tolerance
+pass and the averaging. ``_pd_stack`` and ``_Pairs`` factor, trusting what
+they get to be finite and exactly symmetric. Internal arrays keep that
+promise by being built through ``symmetrize`` or as sums and scalar
+multiples of exactly symmetric matrices.
 
 The helpers work on stacks of shape ``(k, n, n)``, so that one LAPACK or
 BLAS call serves k matrices; numpy runs the same routine on every matrix of
 a stack, so a stacked result is bitwise equal to the one-matrix result.
-``_square`` casts one matrix, raising for one that is complex, does not
-cast to float, or is not square and non-empty; ``entropy.chain_stacks``
-calls it on each matrix of a trial, so that such a matrix refuses only its
-trial. The stacked helpers that can refuse a matrix (``_symmetric_stack``,
+The stacked helpers that can refuse a matrix (``_symmetric_stack``,
 ``_pd_stack``, ``_Pairs``) keep one ``ValueError`` or ``None`` per matrix
 instead of raising, so that a refused matrix does not affect the others;
 the public functions are their k = 1 case and raise the refusal. A matrix's
 entries are refused before its definiteness, and a pair's A is refused for
 both before its B is.
 
-Matrices are plain float64 numpy arrays. The JSON file format shared with
-the CLI is ``{"n": <int>, "data": [[row], ...]}``; symmetry is validated on
-load.
+The JSON matrix file format shared with the CLI is ``{"n": <int>, "data":
+[[row], ...]}``; ``matrix_from_obj`` reads its data through ``as_symmetric``.
 """
 
 from __future__ import annotations
@@ -50,12 +49,16 @@ EIG_FLOOR = 1e-12  # reject inverse roots when min eigenvalue <= floor * max
 
 def _square(M, shape=None) -> np.ndarray:
     """One matrix as a float64 array. Raises ValueError when it is complex,
-    does not cast to float, or is not square and non-empty, and, given
-    ``shape``, when its shape is another ("dimension mismatch")."""
+    has an entry that does not cast to float, or is not square and
+    non-empty, and, given ``shape``, when its shape is another ("dimension
+    mismatch")."""
     given = np.asarray(M)
     if given.dtype.kind == "c":  # a cast to float would drop the imaginary parts
         raise ValueError(f"matrix entries must be real, got {given.dtype}")
-    M = given if given.dtype == np.float64 else np.array(M, dtype=float)  # numpy refuses what does not cast
+    try:
+        M = given if given.dtype == np.float64 else np.array(M, dtype=float)  # numpy refuses what does not cast
+    except TypeError:  # an entry such as a dict; numpy's message varies with the Python version
+        raise ValueError("matrix entries must be real numbers") from None
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {M.shape}")
     if M.shape[0] == 0:
@@ -65,12 +68,12 @@ def _square(M, shape=None) -> np.ndarray:
     return M
 
 
-def _symmetric_stack(M, shape=None) -> tuple[np.ndarray, list]:
-    """Validate a stack of matrices of one shape, each cast by ``_square``:
-    the float64 stack, symmetrized, and one ValueError (an entry not finite
-    or not below ENTRY_BOUND in magnitude, or not symmetric) or None per
-    matrix. Refused matrices come back as zeros."""
-    M = np.array([_square(m, shape) for m in M])
+def _symmetric_stack(M) -> tuple[np.ndarray, list]:
+    """Validate a stack of float64 matrices of one shape, each read by
+    ``_square``: a copy of the stack, symmetrized, and one ValueError (an
+    entry not finite or not below ENTRY_BOUND in magnitude, or not
+    symmetric) or None per matrix. Refused matrices come back as zeros."""
+    M = np.array(M)
     errors = [None] * M.shape[0]
     # bitwise, so that a -0.0 facing a 0.0 is averaged to 0.0; below
     # ENTRY_BOUND, x + y does not overflow, and (x + x) / 2 == x
@@ -108,8 +111,8 @@ def _only(outcomes: list):
 
 
 def as_symmetric(A) -> np.ndarray:
-    """Validate and return a float64 copy of a symmetric matrix."""
-    M, errors = _symmetric_stack([A])
+    """Read, validate and return a float64 copy of a symmetric matrix."""
+    M, errors = _symmetric_stack([_square(A)])
     _only(errors)
     return M[0]
 
@@ -151,13 +154,12 @@ def _not_pd(name: str, lo: float, hi: float) -> ValueError:
     return ValueError(f"{name} must be positive-definite: min eigenvalue {float(lo)!r}, max {float(hi)!r}")
 
 
-def _pd_refusals(values: np.ndarray, name) -> list:
+def _pd_refusals(values: np.ndarray, names: list) -> list:
     """One ValueError or None per row of a stack of ascending eigenvalues, as
-    its matrix is positive-definite or not; ``name`` names every matrix in a
-    refusal, or is a list of one name per row. A refused row is set to ones,
-    so that stacked work downstream stays finite."""
+    its matrix is positive-definite or not; ``names`` holds the name of each
+    row's matrix in a refusal. A refused row is set to ones, so that stacked
+    work downstream stays finite."""
     lo, hi = values[:, 0], values[:, -1]
-    names = [name] * len(lo) if isinstance(name, str) else name
     # "not positive-definite" rather than "<= floor", so that NaN is refused
     refused = ~((lo > EIG_FLOOR * hi) & (lo > 0.0))
     errors = [None] * len(lo)
@@ -167,15 +169,15 @@ def _pd_refusals(values: np.ndarray, name) -> list:
     return errors
 
 
-def _pd_stack(M, name) -> tuple[np.ndarray, EigenDecomposition, list]:
-    """Validate and decompose a stack of matrices in one ``eigh`` call: the
-    float64 stack, symmetrized, its decomposition, and one ValueError or
-    None per matrix, its entries' refusal before its definiteness refusal,
-    named as in ``_pd_refusals``. A refused matrix gets the identity's
-    decomposition, so that stacked work downstream stays finite."""
+def _pd_stack(M, names: list) -> tuple[np.ndarray, EigenDecomposition, list]:
+    """Validate and decompose a stack of matrices read by ``_square`` in one
+    ``eigh`` call: the float64 stack, symmetrized, its decomposition, and
+    one ValueError or None per matrix, its entries' refusal before its
+    definiteness refusal, named as in ``_pd_refusals``. A refused matrix gets
+    the identity's decomposition, so that stacked work downstream stays finite."""
     M, errors = _symmetric_stack(M)
     eig = _eig(M)
-    errors_pd = _pd_refusals(eig.values, name)
+    errors_pd = _pd_refusals(eig.values, names)
     for i, error in enumerate(errors_pd):
         if error is not None:
             eig.vectors[i] = np.eye(eig.n)
@@ -186,7 +188,7 @@ class _Pairs:
     """A stack of k (A, B) pairs of one shape, factored once.
 
     ``eig_a`` and ``errors_a`` are the A's rows of a ``_pd_stack`` call, and
-    each B is validated here (``_square`` raises for one not of A's shape).
+    each B, which ``_square`` has read with its A's shape, is validated here.
     ``X`` holds each X = A**(-1/2) B A**(-1/2), ``lam`` its ascending
     eigenvalues (values only), and ``m`` and ``M`` their extremes.
     ``errors[i]`` is the exception refusing pair i, or None; the first one
@@ -199,7 +201,7 @@ class _Pairs:
     """
 
     def __init__(self, eig_a, errors_a, B):
-        B, errors_b = _symmetric_stack(B, eig_a.vectors.shape[1:])
+        B, errors_b = _symmetric_stack(B)
         inv_root = eig_apply(eig_a, lambda lam: 1.0 / np.sqrt(lam))
         with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
             X = symmetrize(inv_root @ B @ inv_root)
@@ -207,7 +209,7 @@ class _Pairs:
         X[~finite] = 0.0  # so that no eigensolver sees an X that overflowed
         lam = np.linalg.eigvalsh(X)
         lam[~finite] = np.nan
-        self._hold(eig_a, X, lam, _first(errors_a, errors_b, _pd_refusals(lam, "B relative to A")))
+        self._hold(eig_a, X, lam, _first(errors_a, errors_b, _pd_refusals(lam, ["B relative to A"] * len(lam))))
 
     def _hold(self, eig_a, X, lam, errors) -> _Pairs:
         self.eig_a, self.X, self.lam, self.errors = eig_a, X, lam, errors
@@ -234,7 +236,8 @@ class _Pairs:
 def relative_spectrum_bounds(A, B) -> tuple[float, float]:
     """Tightest constants (m, M) with m*A <= B <= M*A for positive-definite
     A, B: the extreme eigenvalues of A**(-1/2) B A**(-1/2)."""
-    pairs = _Pairs(*_pd_stack([A], "A")[1:], [B])
+    A = _square(A)
+    pairs = _Pairs(*_pd_stack([A], ["A"])[1:], [_square(B, A.shape)])
     _only(pairs.errors)
     return pairs.m[0], pairs.M[0]
 
@@ -250,13 +253,12 @@ def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "n" not in obj or "data" not in obj:
         raise ValueError('matrix object must have keys "n" and "data"')
     n = obj["n"]
-    data = obj["data"]
     if not isinstance(n, int) or n < 1:
         raise ValueError(f'"n" must be a positive integer, got {n!r}')
-    M = np.array(data, dtype=float)
+    M = as_symmetric(obj["data"])
     if M.shape != (n, n):
         raise ValueError(f'"data" must be {n}x{n}, got shape {M.shape}')
-    return as_symmetric(M)
+    return M
 
 
 def load_matrix(path) -> np.ndarray:

@@ -76,21 +76,28 @@ def test_compute_malformed_matrix(tmp_path, capsys):
     assert main(["compute", "S", "--A", str(bad), "--B", str(ok)]) == 2
 
 
-@pytest.mark.parametrize("A, B, option", [("big", "ok", "A"), ("ok", "big", "B")])
+@pytest.mark.parametrize("A, B, option", [("big", "ok", "A"), ("ok", "big", "B"), ("ok", "weird", "B")])
 def test_compute_names_the_refused_operand(tmp_path, A, B, option):
     # the whole stderr of an `oel` process, with numpy's RuntimeWarnings
     # raised as errors: a refused matrix file is named by its option, as
-    # `oel verify` names it
+    # `oel verify` names it. An entry that float() does not take once made
+    # both print a TypeError traceback and exit 1
     (tmp_path / "big").write_text('{"n": 2, "data": [[9e307, 0.0], [0.0, 1.0]]}')
+    (tmp_path / "weird").write_text('{"n": 2, "data": [[1.0, {}], [{}, 1.0]]}')
     dump_matrix(np.diag([2.0, 1.0]), tmp_path / "ok")
+    messages = {
+        "big": "matrix entries must be below 8e+307 in magnitude, got 9e+307",
+        "weird": "matrix entries must be real numbers",
+    }
     src = str(Path(oel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "oel.cli", "compute", "S", "--A", A, "--B", B],
-        capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
-    )
-    error = f"error: --{option}: matrix entries must be below 8e+307 in magnitude, got 9e+307\n"
-    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error)
+    for verb in (["compute", "S"], ["verify", "zou", "--t", "0.5"]):
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "oel.cli", *verb, "--A", A, "--B", B],
+            capture_output=True, text=True, env=env, cwd=tmp_path, check=False,
+        )
+        error = f"error: --{option}: {messages[A if option == 'A' else B]}\n"
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", error), verb
 
 
 def test_verify_pass_fail_error_na(matrices, capsys):
@@ -191,6 +198,10 @@ def test_verify_expectation_mode_needs_no_b(tmp_path, capsys):
         assert "malformed matrix file" in capsys.readouterr().err
     assert main(["verify", "zou", "--A", str(a), "--t", "0.5"]) == 2
     assert "--B" in capsys.readouterr().err
+    # an unknown mode reads no B either, and is refused as one (it once
+    # asked for --B)
+    assert main(argv + ["--mode", "bogus"]) == 2
+    assert capsys.readouterr().err == "error: unknown mode 'bogus'\n"
 
 
 def test_fuzz_exit_codes_and_determinism(tmp_path, capsys):
@@ -529,8 +540,10 @@ _NEAR_5 = "4.999999999999999"  # the float below exp's right end
     ("cor-2.9-logconvex --fn inv-pow-1 --w 0.5,0.5 --x 1", "weights and points must have equal length"),
     # once an unmatched weight was dropped and the call reported a failure
     ("cor-2.4-am-gm --w 0.5,0.5 --x 2 --t 1", "weights and points must have equal length"),
-    # once a ZeroDivisionError traceback with exit 1: (t - s)**(p - 1) underflows
-    ("rem-2.3 --fn exp --s 0.5 --t 1 --p 2000 --q 0", "float division by zero"),
+    # once a ZeroDivisionError traceback with exit 1, then "float division by
+    # zero": (t - s)**(p - 1) underflows
+    ("rem-2.3 --fn exp --s 0.5 --t 1 --p 2000 --q 0",
+     "rem-2.3's values must be within float range, got s=0.5, t=1.0, p=2000.0, q=0.0"),
     # once a TypeError traceback with exit 1: a negative b made the interpolant complex
     ("cor-2.8 --fn geo-interp-1-4 --a 1 --b -0.3 --t 0.2", "b must be positive and finite, got -0.3"),
     # once "mixed point nan outside domain" and "chain produced non-finite values"
@@ -571,6 +584,9 @@ def test_scalar_refusals(argv, error, monkeypatch, capsys):
     ("lem-3.4 --x 2 --s 1 --t -inf", "t must be finite, got -inf"),
     ("lem-3.4 --x 1e300 --s 3 --t 0.05", "lem-3.4's values must be within float range, got x=1e+300, s=3.0, t=0.05"),
     ("lem-3.4 --x 1e300 --s 0.05 --t 3", "lem-3.4's values must be within float range, got x=1e+300, s=0.05, t=3.0"),
+    # once "(34, 'Numerical result out of range')": diff**q overflows
+    ("rem-2.3 --fn exp --s 0.5 --t 0.6 --p 1 --q -400",
+     "rem-2.3's values must be within float range, got s=0.5, t=0.6, p=1.0, q=-400.0"),
 ])
 def test_scalar_refusals_print_only_the_error_line(argv, error):
     # the whole stderr of an `oel` process, with numpy's RuntimeWarnings

@@ -338,7 +338,7 @@ def test_pair_stack_pins_a_case_error_on_its_pair():
     A = [np.diag([1.0, 2.0]), np.diag([2.0, 3.0]), np.eye(2)]
     B = [np.diag([1.5, 3.0]), np.diag([5.0, 4.0]), np.diag([0.5, 2.0])]
     t = [0.5, 0.25, 0.75]
-    pairs = linalg._Pairs(*linalg._pd_stack(A, "A")[1:], B)
+    pairs = linalg._Pairs(*linalg._pd_stack(A, ["A"] * 3)[1:], B)
     stacked = entropy._pair_stack(dataclasses.replace(chain, case=case), pairs, {"t": t}, 1e-9)
     assert isinstance(stacked[1], DomainError) and str(stacked[1]) == "no case at t = 0.25"
     for i in (0, 2):
@@ -794,9 +794,10 @@ def _check_alone(chain_id, trial: dict):
         return exc
 
 
-# a B that only its own trial is refused for: complex, a string entry,
-# ragged, and 2 x 2 where A is 3 x 3
-BAD_B = [np.eye(3) + 0j, [[1.0, 0.0, 0.0], [0.0, "x", 0.0], [0.0, 0.0, 1.0]], [[1.0, 0.0], [0.0]], np.eye(2)]
+# a B that only its own trial is refused for: complex, a string entry, an
+# entry that float() does not take, ragged, and 2 x 2 where A is 3 x 3
+BAD_B = [np.eye(3) + 0j, [[1.0, 0.0, 0.0], [0.0, "x", 0.0], [0.0, 0.0, 1.0]],
+         [[1.0, 0.0, 0.0], [0.0, {}, 0.0], [0.0, 0.0, 1.0]], [[1.0, 0.0], [0.0]], np.eye(2)]
 
 
 @pytest.mark.filterwarnings("error")
@@ -845,6 +846,7 @@ def test_chain_stacks_of_every_matrix_chain_match_each_check_alone():
     assert refusals["dimension mismatch"] == 2 * (len(MIXED_STACKS) + 2)
     assert refusals["expected a square matrix, got shape (2, 3)"] == 1
     for start in ("matrix entries must be real, got complex128", "could not convert string to float",
+                  "matrix entries must be real numbers",
                   "setting an array element with a sequence"):
         assert sum(n for message, n in refusals.items() if message.startswith(start)) == len(MIXED_STACKS) + 2
 

@@ -347,9 +347,12 @@ def test_fuzz_all_realizes_a_block_once_and_factors_the_pair_chains_together(mon
     # at a fixed n, one block makes one _realize call for every matrix
     # chain, one eigh of every A (and of majorize mode's B), and one _Pairs
     # for the six pair chains and thm-2.12's congruence trials, which each
-    # decide their own rows of it, whatever thm-2.12's modes are
-    calls = {"_realize": 0, "_Pairs": 0, "_pair_stack": []}
+    # decide their own rows of it, whatever thm-2.12's modes are; each
+    # matrix that a route reads is cast once (_square): an A per trial, and
+    # a B per trial but in expectation mode
+    calls = {"_realize": 0, "_Pairs": 0, "_pair_stack": [], "_square": 0}
     realize, pairs_init, pair_stack = harness._realize, linalg._Pairs.__init__, entropy._pair_stack
+    square = linalg._square
 
     def counted_realize(block):
         calls["_realize"] += 1
@@ -363,14 +366,22 @@ def test_fuzz_all_realizes_a_block_once_and_factors_the_pair_chains_together(mon
         calls["_pair_stack"].append((chain.id, len(pairs.errors)))
         return pair_stack(chain, pairs, params, tol)
 
+    def counted_square(*args):
+        calls["_square"] += 1
+        return square(*args)
+
     cfg = GeneratorConfig(seed=3, trials=harness.FUZZ_BLOCK, dim_range=(4, 4), regime=None if mode is None else {"mode": mode})
     expected = harness.dumps_report([fuzz_chain(cid, cfg) for cid in CHAINS])
     monkeypatch.setattr(harness, "_realize", counted_realize)
     monkeypatch.setattr(linalg._Pairs, "__init__", counted_pairs)
     monkeypatch.setattr(entropy, "_pair_stack", counted_pair_stack)
+    for module in (linalg, entropy):
+        monkeypatch.setattr(module, "_square", counted_square)
     eig_calls = count_eig_calls(monkeypatch)
     assert harness.dumps_report(harness.fuzz_all(cfg)) == expected
     assert calls["_realize"] == 1 and calls["_Pairs"] == 1
+    # 2 x 64 for each pair chain, 64 A of thm-2.12 and its B outside expectation mode
+    assert calls["_square"] == {None: 878, "expectation": 832, "congruence": 896, "majorize": 896}[mode]
     assert eig_calls["eigh"] == 1
     if mode is None:  # the modes mixed: X's spectra, majorize mode's B <= A, then its links
         assert eig_calls["eigvalsh"] == 3
@@ -437,12 +448,19 @@ def test_failures_recorded_with_serialized_params():
 
 
 def test_arithmetic_errors_are_recorded_as_failures(monkeypatch):
-    # at p = 2000, rem-2.3's (t - s)**(p - 1) underflows to 0 and its
-    # quotient raises ZeroDivisionError: recorded, and the run goes on
+    # a check that raises an ArithmeticError, here a quotient by
+    # (t - s)**(p - 1), which underflows to 0 at p = 2000: recorded with its
+    # error, and the run goes on
     def generate(rng, cfg):
         return {"fn": REGISTRY["exp"], "s": 0.5, "t": 1.0, "p": 2000.0 if rng.random() < 0.5 else 2.0, "q": 0.0}
 
-    monkeypatch.setitem(CHAINS, "rem-2.3", dataclasses.replace(CHAINS["rem-2.3"], generate=generate))
+    def run(p, tol):
+        if p["p"] == 2000.0:
+            return 1.0 / (p["t"] - p["s"]) ** (p["p"] - 1.0)
+        return checked(p, tol)
+
+    checked = CHAINS["rem-2.3"].run
+    monkeypatch.setitem(CHAINS, "rem-2.3", dataclasses.replace(CHAINS["rem-2.3"], generate=generate, run=run))
     rep = fuzz_chain("rem-2.3", GeneratorConfig(seed=3, trials=8))
     errors = [f for f in rep.failures if "error" in f]
     assert errors and all(f["error"] == "float division by zero" and f["params"]["p"] == 2000.0 for f in errors)

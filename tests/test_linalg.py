@@ -217,7 +217,7 @@ def test_symmetric_stack_equals_the_reference_bitwise():
 def test_pd_stack_refuses_a_matrix_for_its_entries_before_its_definiteness():
     # a refused matrix gets the identity's decomposition
     bad = np.array([[1.0, 2.0], [0.0, 1.0]])
-    M, eig, errors = linalg._pd_stack([np.full((2, 2), np.nan), bad, -np.eye(2), np.diag([2.0, 3.0])], "A")
+    M, eig, errors = linalg._pd_stack([np.full((2, 2), np.nan), bad, -np.eye(2), np.diag([2.0, 3.0])], ["A"] * 4)
     assert [str(e).split(":")[0] for e in errors[:3]] == [
         "matrix entries must be finite", "matrix is not symmetric at (1, 0)", "A must be positive-definite",
     ]

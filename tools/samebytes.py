@@ -101,6 +101,7 @@ MATRICES = {
     "t3.json": _matrix([[2.5, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 2.0]]),
     "i.json": _matrix([[1.0, 0.0], [0.0, 1.0]]),
     "small.json": _matrix([[1e-5, 0.0], [0.0, 0.3]]),
+    "weird.json": '{"n": 2, "data": [[1.0, {}], [{}, 1.0]]}',
 }
 
 CLI_CALLS = [
@@ -115,6 +116,7 @@ CLI_CALLS = [
     "verify lem-3.4 --x 2.5 --s inf --t 1.5",
     "verify lem-3.4 --x 1e300 --s 3 --t 0.05",
     "verify lem-3.4 --x 1e300 --s 0.05 --t 3",
+    "verify rem-2.3 --fn exp --s 0.5 --t 0.6 --p 1 --q -400",
     # operator verify smoke test
     "verify zou --A a.json --B b.json --t 0.5",
     "verify thm-3.3 --A a.json --B b.json --t 0.5",
@@ -130,6 +132,8 @@ CLI_CALLS = [
     "verify prop-3.10 --A a.json --B b.json --p 1e300",
     "verify thm-3.6 --A big.json --B a.json",
     "compute S --A big.json --B a.json",
+    "verify zou --A a.json --B weird.json --t 0.5",
+    "compute S --A a.json --B weird.json",
     "compute S --A a.json --B b.json",
     "compute T --t 0.5 --A a.json --B b.json",
     "compute St --t 0.5 --A a.json --B b.json",
@@ -148,6 +152,7 @@ CLI_CALLS = [
     "verify thm-2.12 --A ta.json --a 0.5",
     "verify thm-2.12 --A ta.json --a 4 --b 3",
     "verify thm-2.12 --A t3.json --B a.json --mode majorize",
+    "verify thm-2.12 --A ta.json --mode bogus",
     "verify cor-2.4 --fn quad-exp-1-0 --w 0.5,0.5 --x -0.3,0.5 --t 0.5",
     "verify cor-2.4 --fn quad-exp-1-0 --w 0.5,0.5 --x=-0.3,0.5 --t 0.5",
 ]
