@@ -9,8 +9,11 @@ eigenvalue l of X, and the chains are decided on the spectrum of X alone.
 
 ``chain_stacks`` is the one entry point of the matrix chains. It decides
 trials of any of them at once, with one outcome per trial: its verdict, or
-the error that refuses it, which touches no other trial. The public
-``check_*`` functions are its one-trial case and raise that error. A
+the error that refuses it, which touches no other trial. The outcomes are
+the columns of a ``Decided`` record per chain, each trial's error, or its
+status and least relative slack, which a fuzz run reads; a verdict object
+is built by index, only where one is read. The public ``check_*``
+functions are its one-trial case and raise that error. A
 trial's route is its chain id, or for thm-2.12 its mode. Its A, and its B
 where the route reads B, are read on their own by ``linalg._square``, the
 one cast, as the entropies read their pair; the trials whose A share a
@@ -22,13 +25,17 @@ records the pair's case in its regime, sets its coefficients and names its
 links, and a table of link functions of the (k, n) eigenvalues. The routes
 that read X, the pair chains and congruence mode, share one
 ``linalg._Pairs`` per group (one ``eigvalsh`` call for every X), and each
-decides its rows of it, a slice, in one vectorized pass: ``_pair_stack``
-for a pair chain. ``_compare`` makes every comparison of the package: a
-link's slack is min over l of f_{j+1}(l) - f_j(l) on a spectrum, or the
-least eigenvalue of the difference of two matrices, and its scale is
-max(1, max |f_j|, max |f_{j+1}|). The link matrices, like the entropies,
-are lifted from the factors of ``_Pairs``, one ``eigh`` of a pair's X
-serving them all, and only when ``OperatorChainVerdict.links`` is read.
+evaluates the links of its rows of it, a slice, in one vectorized pass:
+``_pair_stack`` for a pair chain. ``_decide`` sorts a route's trials into
+refusals, not-applicable trials and layouts of links, and ``_settle``
+decides the links of every route of a group together, in one array pass
+per length of layout and shape of link. ``_compare`` makes every
+comparison of the package: a link's slack is min over l of f_{j+1}(l) -
+f_j(l) on a spectrum, or the least eigenvalue of the difference of two
+matrices, and its scale is max(1, max |f_j|, max |f_{j+1}|). The link
+matrices, like the entropies, are lifted from the factors of ``_Pairs``,
+one ``eigh`` of a pair's X serving them all, and only when
+``OperatorChainVerdict.links`` is read.
 
 The two-function comparison of thm-2.12 varies its function pair,
 interval and mode from trial to trial. One pass, ``_gated``, checks each
@@ -47,7 +54,7 @@ parameters) are refused.
 
 from __future__ import annotations
 
-import math
+import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -131,52 +138,119 @@ class LoewnerVerdict:
         }
 
 
-def _compare(lower: np.ndarray, upper: np.ndarray, tol: float) -> list:
-    """One verdict lower[i] <= upper[i] per row of two stacks. The slack of
-    (k, m, m) stacks of matrices is the least eigenvalue of upper - lower;
-    of rows of values (link values f(l) on a spectrum, or the two sides of
-    an expectation) it is min(upper - lower). The scale is max(1, max
-    |lower|, max |upper|), and the verdict holds when slack >= -tol * scale."""
-    axes = (1, 2) if lower.ndim == 3 else 1
-    # upper - lower of two exactly symmetric matrices is exactly symmetric
-    slack = np.linalg.eigvalsh(upper - lower)[:, 0] if lower.ndim == 3 else (upper - lower).min(axis=1)
-    scale = np.maximum(1.0, np.maximum(np.abs(lower).max(axis=axes), np.abs(upper).max(axis=axes)))
-    return [LoewnerVerdict(s >= -tol * c, s, tol, c) for s, c in zip(slack.tolist(), scale.tolist())]
+class Decided:
+    """The outcomes of a stack of trials of one chain, as columns, which
+    ``_decide`` makes and ``chain_stacks`` gathers by chain. Trial i's
+    outcome is ``errors[i]``, the error that refuses it, or else a verdict
+    of status ``status[i]`` whose least relative link slack is ``rel[i]``
+    (None when it decides no link); ``self[i]`` is that error, or the
+    verdict, built here from the arrays of the pass that decided it. The
+    rows of a record that ``_decide`` makes are pending until ``_settle``
+    has run. ``elapsed_s`` is the time ``chain_stacks`` spent in the
+    chain's own routes."""
+
+    def __init__(self, chain_id: str, tol: float, k: int):
+        self.chain_id, self.tol, self.elapsed_s = chain_id, tol, 0.0
+        self.errors, self.status, self.rel = [None] * k, [None] * k, [None] * k
+        # per trial: its regime if it is not applicable, else (its layout,
+        # its row of the stack, its regime, the stack's lift, the arrays of
+        # its pass, its column there)
+        self._at = [None] * k
+        self._pending = []  # (layout, rows, links, regimes, lift) of each layout, for _settle
+
+    def __len__(self) -> int:
+        return len(self.errors)
+
+    def __getitem__(self, i: int):
+        if self.errors[i] is not None:
+            return self.errors[i]
+        if self.status[i] == STATUS_NOT_APPLICABLE:
+            return OperatorChainVerdict(self.chain_id, list, [], STATUS_NOT_APPLICABLE, self.tol, self._at[i])
+        layout, s, regime, lift, (slack, scale, holds), j = self._at[i]
+        columns = zip(holds[:, j].tolist(), slack[:, j].tolist(), scale[:, j].tolist())
+        verdicts = [LoewnerVerdict(h, x, self.tol, c) for h, x, c in columns]
+        build = lambda: [lift(s, name) for name in layout]
+        return OperatorChainVerdict(self.chain_id, build, verdicts, self.status[i], self.tol, regime)
+
+    def _put(self, at: list, other: Decided) -> None:
+        """Take the outcomes of ``other`` as those of trials ``at``."""
+        for j, i in enumerate(at):
+            self.errors[i], self.status[i], self.rel[i], self._at[i] = other.errors[j], other.status[j], other.rel[j], other._at[j]
 
 
-def _decide(chain_id, links, layouts, regimes, errors, tol, lift) -> list:
-    """One outcome per pair of a stack.
+def _peak(V: np.ndarray) -> np.ndarray:
+    """max |V[j, i]| of each link j and row i of a stack of link values
+    ``V``, of shape (L, r, ...): not finite where V[j, i] is not."""
+    return np.abs(V).max(axis=(2, 3) if V.ndim == 4 else 2)
+
+
+def _compare(V: np.ndarray, tol: float, peak: np.ndarray) -> tuple:
+    """Link j of row i of a stack of finite link values ``V``, of shape (L,
+    r, ...), is V[j, i] <= V[j + 1, i]: (slack, scale, holds), each of shape
+    (L - 1, r). The slack of (m, m) matrices is the least eigenvalue of
+    their difference; of rows of values (link values f(l) on a spectrum, or
+    the two sides of an expectation) it is the least difference. The scale
+    is max(1, peak[j, i], peak[j + 1, i]), ``peak`` being ``_peak(V)``, and
+    a link holds when slack >= -tol * scale."""
+    # the difference of two exactly symmetric matrices is exactly symmetric
+    slack = np.linalg.eigvalsh(V[1:] - V[:-1])[..., 0] if V.ndim == 4 else (V[1:] - V[:-1]).min(axis=2)
+    scale = np.maximum(1.0, np.maximum(peak[:-1], peak[1:]))
+    return slack, scale, slack >= -tol * scale
+
+
+def _decide(chain_id, links, layouts, regimes, errors, tol, lift) -> Decided:
+    """The outcomes of the pairs of a stack, their links pending for
+    ``_settle``.
 
     ``links`` maps names to the links of every pair: (k, n) rows of values
     f(l) at the ascending eigenvalues l of each pair's X, (k, 1) rows of one
     value, or (k, m, m) stacks of matrices. Pair i's chain is
     ``links[name][i]`` for the names in ``layouts[i]``, or not applicable
-    when that layout is None; a refused pair's outcome is its error. A
-    link with a non-finite entry fails the pair with NumericError. Each
-    link of the pairs sharing a layout is decided by one ``_compare`` call.
-    ``lift(i, name)`` builds a link matrix of pair i, when its verdict's
-    ``links`` is first read.
+    when that layout is None; a refused pair's outcome is its error. The
+    links of the pairs sharing a layout are stacked as one (L, r, ...)
+    array. ``lift(i, name)`` builds a link matrix of pair i, when the
+    ``links`` of its verdict are first read.
     """
-    finite = {name: np.isfinite(v).all(axis=tuple(range(1, v.ndim))).tolist() for name, v in links.items()}
-    outcomes = list(errors)
-    groups: dict = {}
+    k = len(layouts)
+    out, groups = Decided(chain_id, tol, k), {}
     for i, layout in enumerate(layouts):
-        if outcomes[i] is not None:
-            continue
-        if layout is None:
-            outcomes[i] = OperatorChainVerdict(chain_id, list, [], STATUS_NOT_APPLICABLE, tol, regimes[i])
-        elif not all(finite[name][i] for name in layout):
-            outcomes[i] = NumericError(f"{chain_id}: chain link has non-finite entries")
+        if errors[i] is not None:
+            out.errors[i] = errors[i]
+        elif layout is None:
+            out.status[i], out._at[i] = STATUS_NOT_APPLICABLE, regimes[i]
         else:
             groups.setdefault(layout, []).append(i)
     for layout, rows in groups.items():
-        by_link = [_compare(links[x][rows], links[y][rows], tol) for x, y in zip(layout, layout[1:])]
-        for j, i in enumerate(rows):
-            pair_verdicts = [link_verdicts[j] for link_verdicts in by_link]
-            status = STATUS_PASS if all(v.holds for v in pair_verdicts) else STATUS_FAIL
-            build = lambda i=i, layout=layout: [lift(i, name) for name in layout]
-            outcomes[i] = OperatorChainVerdict(chain_id, build, pair_verdicts, status, tol, regimes[i])
-    return outcomes
+        V = np.array([links[name] for name in layout])
+        out._pending.append((layout, rows, V if len(rows) == k else V[:, rows], regimes, lift))
+    return out
+
+
+def _settle(records: list) -> None:
+    """Decide the pending rows of ``records``, which share a tol. The links
+    of every pending layout of one length and one shape of link, whatever
+    its record, are decided in one pass: one ``_peak`` call, whose
+    finiteness fails a row with a non-finite entry in a link with
+    NumericError, and one ``_compare`` call."""
+    passes = {}
+    for out in records:
+        for layout, rows, V, regimes, lift in out._pending:
+            passes.setdefault(V.shape[:1] + V.shape[2:], []).append((out, layout, rows, V, regimes, lift))
+        out._pending = []
+    for group in passes.values():
+        V = np.concatenate([V for _, _, _, V, _, _ in group], axis=1) if len(group) > 1 else group[0][3]
+        rows = [(out, layout, i, regimes[i], lift) for out, layout, rows, _, regimes, lift in group for i in rows]
+        peak = _peak(V)
+        finite = np.isfinite(peak).all(axis=0)
+        if not finite.all():
+            for out, _, i, _, _ in [row for row, ok in zip(rows, finite.tolist()) if not ok]:
+                out.errors[i] = NumericError(f"{out.chain_id}: chain link has non-finite entries")
+            rows, V, peak = [row for row, ok in zip(rows, finite.tolist()) if ok], V[:, finite], peak[:, finite]
+        arrays = slack, scale, holds = _compare(V, records[0].tol, peak)
+        # min in link order, as Python's min takes it: the first of a tie of 0.0 and -0.0
+        rel = map(min, zip(*(slack / scale).tolist()))
+        for j, ((out, layout, i, regime, lift), ok, r) in enumerate(zip(rows, holds.all(axis=0).tolist(), rel)):
+            out.status[i], out.rel[i], out._at[i] = STATUS_PASS if ok else STATUS_FAIL, r, (layout, i, regime, lift, arrays, j)
 
 
 @dataclass(frozen=True)
@@ -187,10 +261,10 @@ class PairChain:
     ``case(p, regime)`` records pair i's case (or the not-applicable
     "reason") in its regime {**p, "m", "M"}, sets its coefficients in p and
     returns its link names in chain order, or None; with no ``case`` every
-    link applies, in table order. ``links[name](lam, c)`` maps the
-    eigenvalues of X elementwise, ``c[key]`` being the column of a parameter
-    or coefficient, 0 where a pair has none: (k, n) and (k, 1) to decide,
-    one row to lift.
+    link applies, in table order. ``links[name](lam, L, c)`` maps the
+    eigenvalues of X elementwise, L being log(lam) and ``c[key]`` the column
+    of a parameter or coefficient, 0 where a pair has none: (k, n) and (k,
+    1) to decide, one row to lift.
     """
 
     id: str
@@ -199,36 +273,44 @@ class PairChain:
     case: Callable | None = None
 
 
-def _pair_stack(chain: PairChain, pairs, params: dict, tol) -> list:
-    """One outcome per pair of the factored stack ``pairs`` (a
-    ``linalg._Pairs``). ``params`` maps each parameter's name to its k
-    values, pair i's being ``p``. A pair is refused by a non-finite
-    parameter or by ``chain.refuse``, before any refusal of ``pairs``. An
-    error in TRIAL_ERRORS that ``chain.case`` raises for pair i is its
-    outcome and touches no other pair."""
-    rows = [{name: values[i] for name, values in params.items()} for i in range(len(pairs.errors))]
-    refusals = []
-    for p in rows:
-        bad = [f"{name} must be finite, got {v}" for name, v in p.items() if not math.isfinite(v)]
-        message = bad[0] if bad else chain.refuse(**p) if chain.refuse else None
-        refusals.append(None if message is None else ValueError(message))
+def _pair_stack(chain: PairChain, pairs, params: dict, tol) -> Decided:
+    """The outcomes of the pairs of the factored stack ``pairs`` (a
+    ``linalg._Pairs``), by ``_decide``. ``params`` maps each parameter's
+    name to its k values, pair i's being ``p``. A pair is refused by a
+    non-finite parameter, the first in ``params``, or by ``chain.refuse``,
+    before any refusal of ``pairs``. An error in TRIAL_ERRORS that
+    ``chain.case`` raises for pair i is its outcome and touches no other
+    pair."""
+    k = len(pairs.errors)
+    refusals = [None] * k
+    for name, values in params.items():
+        finite = np.isfinite(values)
+        if not finite.all():
+            for i in np.flatnonzero(~finite).tolist():
+                refusals[i] = refusals[i] or ValueError(f"{name} must be finite, got {values[i]}")
+    rows = [{name: values[i] for name, values in params.items()} for i in range(k)]
+    if chain.refuse:
+        for i in [i for i, refusal in enumerate(refusals) if refusal is None]:
+            message = chain.refuse(**rows[i])
+            refusals[i] = None if message is None else ValueError(message)
     errors = _first(refusals, pairs.errors)
     links, case = chain.links, chain.case
-    layouts, regimes, every_link = [None] * len(rows), [None] * len(rows), tuple(links)
-    with np.errstate(over="ignore", invalid="ignore"):  # _decide fails a link that leaves float range
+    layouts, regimes, every_link = [None] * k, [None] * k, tuple(links)
+    with np.errstate(over="ignore", invalid="ignore"):  # _settle fails a link that leaves float range
         for i in [i for i, error in enumerate(errors) if error is None]:
             regime = regimes[i] = {**rows[i], "m": pairs.m[i], "M": pairs.M[i]}
             try:
                 layouts[i] = case(rows[i], regime) if case else every_link
             except TRIAL_ERRORS as exc:
                 errors[i] = exc
-        c = {key: _column([p.get(key, 0.0) for p in rows]) for key in set().union(*rows)}
-        used = set().union(*filter(None, layouts))
-        values = {name: fn(pairs.lam, c) for name, fn in links.items() if name in used}
+        c = {key: _column(values) for key, values in params.items()}
+        c.update({key: _column([p.get(key, 0.0) for p in rows]) for key in set().union(*rows) - c.keys()})
+        used, log_lam = set().union(*filter(None, layouts)), np.log(pairs.lam)
+        values = {name: fn(pairs.lam, log_lam, c) for name, fn in links.items() if name in used}
 
     def lift(i, name):
         row = {key: column[i:i + 1] for key, column in c.items()}
-        return pairs.lift(i, lambda lam: links[name](lam, row))
+        return pairs.lift(i, lambda lam: links[name](lam, np.log(lam), row))
 
     return _decide(chain.id, values, layouts, regimes, errors, tol, lift)
 
@@ -291,11 +373,11 @@ def _unit_t(t):
 
 
 _declare("zou", {
-    "harmonic": lambda lam, c: 1.0 - 1.0 / lam,
-    "T-t": lambda lam, c: scalar.deformed_log(-c["t"], lam),
-    "S": lambda lam, c: np.log(lam),
-    "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
-    "B-A": lambda lam, c: lam - 1.0,
+    "harmonic": lambda lam, L, c: 1.0 - 1.0 / lam,
+    "T-t": lambda lam, L, c: scalar._deformed_log(-c["t"], L),
+    "S": lambda lam, L, c: L,
+    "Tt": lambda lam, L, c: scalar._deformed_log(c["t"], L),
+    "B-A": lambda lam, L, c: lam - 1.0,
 }, _unit_t)
 
 
@@ -317,8 +399,8 @@ def _refined_st_case(p, regime):
 
 
 _declare("thm-3.3", {
-    "S+": lambda lam, c: np.log(lam) + c["add"],
-    "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
+    "S+": lambda lam, L, c: L + c["add"],
+    "Tt": lambda lam, L, c: scalar._deformed_log(c["t"], L),
 }, _unit_t, _refined_st_case)
 
 
@@ -340,10 +422,10 @@ def _tsallis_relation_case(p, regime):
 
 
 _declare("thm-3.5", {
-    "0": lambda lam, c: np.zeros_like(lam),
-    "lo*Ts": lambda lam, c: c["lo"] * scalar.deformed_log(c["s"], lam),
-    "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
-    "hi*Ts": lambda lam, c: c["hi"] * scalar.deformed_log(c["s"], lam),
+    "0": lambda lam, L, c: np.zeros_like(lam),
+    "lo*Ts": lambda lam, L, c: c["lo"] * scalar._deformed_log(c["s"], L),
+    "Tt": lambda lam, L, c: scalar._deformed_log(c["t"], L),
+    "hi*Ts": lambda lam, L, c: c["hi"] * scalar._deformed_log(c["s"], L),
 }, lambda s, t: None if s > 0.0 and t > 0.0 else f"need s, t > 0, got s={s!r}, t={t!r}", _tsallis_relation_case)
 
 
@@ -374,10 +456,10 @@ def _roe_case(p, regime):
 
 
 _declare("thm-3.6", {
-    "lo*A": lambda lam, c: c["lo"] * np.ones_like(lam),
-    "S": lambda lam, c: np.log(lam),
-    "hi*A": lambda lam, c: c["hi"] * np.ones_like(lam),
-    "0": lambda lam, c: np.zeros_like(lam),
+    "lo*A": lambda lam, L, c: c["lo"] * np.ones_like(lam),
+    "S": lambda lam, L, c: L,
+    "hi*A": lambda lam, L, c: c["hi"] * np.ones_like(lam),
+    "0": lambda lam, L, c: np.zeros_like(lam),
 }, case=_roe_case)
 
 
@@ -405,9 +487,9 @@ def _troe_case(p, regime):
 
 
 _declare("thm-3.11", {
-    "secant": lambda lam, c: c["slope"] * lam + c["intercept"],
-    "Tt": lambda lam, c: scalar.deformed_log(c["t"], lam),
-    "B-A": lambda lam, c: lam - 1.0,
+    "secant": lambda lam, L, c: c["slope"] * lam + c["intercept"],
+    "Tt": lambda lam, L, c: scalar._deformed_log(c["t"], L),
+    "B-A": lambda lam, L, c: lam - 1.0,
 }, lambda t: None if t != 0.0 else "t must be nonzero", _troe_case)
 
 
@@ -423,9 +505,9 @@ def check_troe_linear_bound(A, B, t: float, tol: float = DEFAULT_TOL) -> Operato
 
 
 _declare("prop-3.10", {
-    "S": lambda lam, c: np.log(lam),
-    "Tp": lambda lam, c: scalar.deformed_log(c["p"], lam),
-    "Sp": lambda lam, c: lam ** c["p"] * np.log(lam),
+    "S": lambda lam, L, c: L,
+    "Tp": lambda lam, L, c: scalar._deformed_log(c["p"], L),
+    "Sp": lambda lam, L, c: lam ** c["p"] * L,
 }, lambda p: None if p != 0.0 else "p must be nonzero",
     lambda p, regime: ("S", "Tp", "Sp") if p["p"] > 0 else ("Sp", "Tp", "S"))
 
@@ -534,7 +616,7 @@ def _worst_unit_vector(f, g, a, b, df, dg, lam) -> tuple:
     return best[1:]
 
 
-def _expectation(f, g, a, b, eig_a, errors, tol) -> list:
+def _expectation(f, g, a, b, eig_a, errors, tol) -> Decided:
     """Expectation mode, decided at each trial's worst unit vector h.
 
     In A's eigenbasis (l_i, v_i), a unit vector h has weights w_i = <h,
@@ -569,7 +651,7 @@ def _expectation(f, g, a, b, eig_a, errors, tol) -> list:
     return _decide("thm-2.12", links, layouts, regimes, errors, tol, lambda i, name: links[name][i].reshape(1, 1))
 
 
-def _congruence(f, g, a, b, pairs, tol) -> list:
+def _congruence(f, g, a, b, pairs, tol) -> Decided:
     """Congruence mode: f(X) <= ratio g(X), decided like the pair chains on
     ``pairs``, its trials' slice of their group's one ``linalg._Pairs``."""
     regimes, steps = _gated("congruence", f, g, a, b, [pairs.lam], pairs.errors, tol)
@@ -589,18 +671,19 @@ def _congruence(f, g, a, b, pairs, tol) -> list:
     return _decide("thm-2.12", links, layouts, regimes, pairs.errors, tol, lift)
 
 
-def _majorize(f, g, a, b, A, eig_a, B, eig_b, errors, tol) -> list:
+def _majorize(f, g, a, b, A, eig_a, B, eig_b, errors, tol) -> Decided:
     """Majorize mode: f(B) <= ratio g(A) where B <= A, by Loewner checks on
     ``A`` and ``B``, the trials' rows of their group's stack, as are
     ``eig_a`` and ``eig_b``; ``errors`` refuses a trial for A before B."""
     regimes, steps = _gated("majorize", f, g, a, b, [eig_a.values, eig_b.values], errors, tol)
     rows, layouts = list(steps), [None] * len(errors)
     if rows:
-        below = _compare(B[rows], A[rows], max(tol, DEFAULT_TOL))
-        for i, verdict in zip(rows, below):
-            if not verdict.holds:
+        V = np.array([B[rows], A[rows]])
+        below = _compare(V, max(tol, DEFAULT_TOL), _peak(V))[2][0].tolist()
+        for i, holds in zip(rows, below):
+            if not holds:
                 regimes[i]["reason"] = "hypothesis B <= A fails"
-        rows = [i for i, verdict in zip(rows, below) if verdict.holds]
+        rows = [i for i, holds in zip(rows, below) if holds]
     links = {"f(B)": np.zeros_like(A), "ratio*g(A)": np.zeros_like(A)}
     if rows:
         ratio = _column([regimes[i]["ratio"] for i in rows])[:, :, None]
@@ -649,32 +732,36 @@ def chain_stacks(stacks: list, tol) -> list:
     """Decide trials of several matrix chains at once (see the module
     docstring): ``stacks`` holds each chain's (id, columns), ``columns``
     mapping the name of each of its params to one value per trial. One
-    outcome list per chain: each trial's verdict, or the error in
-    TRIAL_ERRORS that refuses it, bit for bit as it is alone."""
+    ``Decided`` per chain: each trial's verdict, or the error in
+    TRIAL_ERRORS that refuses it, bit for bit as it is alone. Its
+    ``elapsed_s`` is the time of the chain's own routes, none of what its
+    group shares: the casts, ``_pd_stack``, ``_Pairs`` and ``_settle``,
+    which decides the links of every route of the group together."""
     groups, outcomes = {}, []
     for c, (chain_id, columns) in enumerate(stacks):
-        outcomes.append([None] * len(columns["A"]))
+        outcomes.append(Decided(chain_id, tol, len(columns["A"])))
+        errors = outcomes[c].errors
         for i, (a, b) in enumerate(zip(columns["A"], columns["B"])):
             route = chain_id
             if chain_id == "thm-2.12":  # its mode is its route, checked first, never read as a chain id
                 route = columns["mode"][i]
                 if route not in TWO_FUNCTION_MODES:
-                    outcomes[c][i] = ValueError(f"unknown mode {route!r}")
+                    errors[i] = ValueError(f"unknown mode {route!r}")
                     continue
                 if route != "expectation" and b is None:
-                    outcomes[c][i] = ValueError(f"mode {route!r} requires B")
+                    errors[i] = ValueError(f"mode {route!r} requires B")
                     continue
             try:
                 a = _square(a)
             except ValueError as exc:
-                outcomes[c][i] = exc
+                errors[i] = exc
                 continue
             if route != "expectation":  # which never reads B
                 try:
                     b = _square(b, a.shape)
                 except ValueError as exc:
                     if route != "majorize":
-                        outcomes[c][i] = exc
+                        errors[i] = exc
                         continue
                     b = exc  # majorize mode refuses B after A's own refusals
             groups.setdefault(a.shape, {}).setdefault((c, route), []).append((i, a, b))
@@ -687,24 +774,27 @@ def chain_stacks(stacks: list, tol) -> list:
                      for _, a, b in rows]
         M, eig, errors = _pd_stack([a for _, a, _ in trials] + majorized, ["A"] * len(trials) + ["B"] * len(majorized))
         pairs = _Pairs(eig.take(slice(0, xs)), errors[:xs], [b for _, _, b in trials[:xs]]) if xs else None
-        lo = 0
+        lo, decided = 0, []
         for (c, route), rows in routes:
-            here = slice(lo, lo + len(rows))
+            here, started = slice(lo, lo + len(rows)), time.perf_counter()
             columns = {name: [values[i] for i, _, _ in rows] for name, values in stacks[c][1].items()}
             gated = [columns.get(name) for name in ("fn_f", "fn_g", "a", "b")]
             if route == "expectation":
-                decided = _expectation(*gated, eig.take(here), errors[here], tol)
+                out = _expectation(*gated, eig.take(here), errors[here], tol)
             elif route == "majorize":
                 b_rows = slice(here.start + len(majorized), here.stop + len(majorized))
                 refused = [b if isinstance(b, Exception) else None for _, _, b in rows]
                 errors_ab = _first(errors[here], refused, errors[b_rows])
-                decided = _majorize(*gated, M[here], eig.take(here), M[b_rows], eig.take(b_rows), errors_ab, tol)
+                out = _majorize(*gated, M[here], eig.take(here), M[b_rows], eig.take(b_rows), errors_ab, tol)
             elif route == "congruence":
-                decided = _congruence(*gated, pairs.take(here), tol)
+                out = _congruence(*gated, pairs.take(here), tol)
             else:
                 params = {name: values for name, values in columns.items() if name not in ("A", "B")}
-                decided = _pair_stack(PAIR_CHAINS[route], pairs.take(here), params, tol)
-            for (i, _, _), outcome in zip(rows, decided):
-                outcomes[c][i] = outcome
+                out = _pair_stack(PAIR_CHAINS[route], pairs.take(here), params, tol)
+            decided.append((c, [i for i, _, _ in rows], out))
+            outcomes[c].elapsed_s += time.perf_counter() - started
             lo += len(rows)
+        _settle([out for _, _, out in decided])
+        for c, at, out in decided:
+            outcomes[c]._put(at, out)
     return outcomes

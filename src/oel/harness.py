@@ -703,12 +703,15 @@ def serialize_params(entry: ChainEntry, params: dict) -> dict:
 FUZZ_BLOCK = 64
 
 
-def _attempt(run, params: dict, tol: float):
-    """The verdict of one trial, or the exception that refuses or fails it."""
+def _attempt(run, params: dict, tol: float) -> tuple:
+    """(error, status, least relative slack) of one scalar trial, as a
+    column of ``entropy.Decided`` holds them: the exception that refuses or
+    fails it, or its status and slack."""
     try:
-        return run(params, tol)
+        verdict = run(params, tol)
     except TRIAL_ERRORS as exc:
-        return exc
+        return exc, None, None
+    return None, entropy.STATUS_PASS if verdict.ok else entropy.STATUS_FAIL, verdict.min_rel_slack
 
 
 def _charge(reports: list, since: float) -> float:
@@ -736,8 +739,9 @@ def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
     with ValueError (for instance a pair too ill-conditioned for the kernel's
     positive-definiteness floor) is counted as rejected; it is neither a
     failure nor not-applicable, and it does not abort the run. A chain's
-    ``elapsed_s`` is the time of its own work and an equal share of the
-    work it shares with other chains.
+    ``elapsed_s`` is the time of its own work, its routes in
+    ``entropy.chain_stacks`` among it, and an equal share of the work it
+    shares with other chains, such as ``_realize``.
     """
     for cid in ids or ():
         if cid not in CHAINS:
@@ -760,20 +764,24 @@ def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
                 blocks[j] = [next(realized) for _ in trials]
             columns = [(entries[j].id, {prm.name: [p.get(prm.name) for p in blocks[j]] for prm in entries[j].params}) for j in drawn]
             decided = dict(zip(drawn, entropy.chain_stacks(columns, cfg.tol)))
-            clock = _charge([reports[j] for j in drawn], clock)
+            clock = _charge([reports[j] for j in drawn], clock + sum(decided[j].elapsed_s for j in drawn))
+            for j in drawn:
+                reports[j].elapsed_s += decided[j].elapsed_s
         for j, (rep, entry, block) in enumerate(zip(reports, entries, blocks)):
-            outcomes = decided[j] if j in decided else [_attempt(entry.run, p, cfg.tol) for p in block]
-            for trial, params, verdict in zip(trials, block, outcomes):
-                if isinstance(verdict, ValueError):
+            if j in decided:
+                outcomes = zip(decided[j].errors, decided[j].status, decided[j].rel)
+            else:
+                outcomes = [_attempt(entry.run, p, cfg.tol) for p in block]
+            for trial, params, (error, status, rel_slack) in zip(trials, block, outcomes):
+                if isinstance(error, ValueError):
                     rep.rejected += 1
-                elif isinstance(verdict, Exception):
-                    rep.failures.append({"trial": trial, "error": str(verdict), "params": serialize_params(entry, params)})
-                elif not verdict.applicable:
+                elif error is not None:
+                    rep.failures.append({"trial": trial, "error": str(error), "params": serialize_params(entry, params)})
+                elif status == entropy.STATUS_NOT_APPLICABLE:
                     rep.not_applicable += 1
-                else:
-                    rel_slack = verdict.min_rel_slack  # an applicable verdict decided at least one link
+                else:  # an applicable trial decided at least one link
                     rep.slack_rows.append((trial, rel_slack))
-                    if not verdict.ok:
+                    if status != entropy.STATUS_PASS:
                         failure = {"trial": trial, "min_rel_slack": rel_slack, "params": serialize_params(entry, params)}
                         rep.failures.append(failure)
             clock = _charge([rep], clock)

@@ -151,14 +151,20 @@ def eig_apply(eig: EigenDecomposition, fn) -> np.ndarray:
 
 
 def _not_pd(name: str, lo: float, hi: float) -> ValueError:
-    return ValueError(f"{name} must be positive-definite: min eigenvalue {float(lo)!r}, max {float(hi)!r}")
+    lo, hi = float(lo), float(hi)
+    if lo > 0.0:  # positive-definite, but too ill-conditioned for the floor
+        return ValueError(f"{name} is too ill-conditioned: min eigenvalue {lo!r} is not above "
+                          f"EIG_FLOOR = {EIG_FLOOR!r} times max {hi!r}")
+    return ValueError(f"{name} must be positive-definite: min eigenvalue {lo!r}, max {hi!r}")
 
 
 def _pd_refusals(values: np.ndarray, names: list) -> list:
     """One ValueError or None per row of a stack of ascending eigenvalues, as
-    its matrix is positive-definite or not; ``names`` holds the name of each
-    row's matrix in a refusal. A refused row is set to ones, so that stacked
-    work downstream stays finite."""
+    its min eigenvalue is above EIG_FLOOR times its max or not (the refusal
+    tells a matrix that is not positive-definite from one that is only too
+    ill-conditioned); ``names`` holds the name of each row's matrix in a
+    refusal. A refused row is set to ones, so that stacked work downstream
+    stays finite."""
     lo, hi = values[:, 0], values[:, -1]
     # "not positive-definite" rather than "<= floor", so that NaN is refused
     refused = ~((lo > EIG_FLOOR * hi) & (lo > 0.0))
@@ -252,10 +258,14 @@ def matrix_to_obj(A) -> dict:
 def matrix_from_obj(obj) -> np.ndarray:
     if not isinstance(obj, dict) or "n" not in obj or "data" not in obj:
         raise ValueError('matrix object must have keys "n" and "data"')
-    n = obj["n"]
-    if not isinstance(n, int) or n < 1:
+    n, data = obj["n"], obj["data"]
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise ValueError(f'"n" must be a positive integer, got {n!r}')
-    M = as_symmetric(obj["data"])
+    # numpy casts "1e0" and true to floats; a matrix file holds numbers
+    if any(isinstance(v, (str, bool)) for row in (data if isinstance(data, list) else [data])
+           for v in (row if isinstance(row, list) else [row])):
+        raise ValueError("matrix entries must be real numbers")
+    M = as_symmetric(data)
     if M.shape != (n, n):
         raise ValueError(f'"data" must be {n}x{n}, got shape {M.shape}')
     return M

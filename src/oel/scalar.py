@@ -40,13 +40,18 @@ def deformed_log(t: float, x):
     Monotone increasing in t for fixed x > 0, which is what makes the
     entropy-ordering chains work.
     """
-    L = np.log(_as_positive(x))
-    out = _series_or_quotient(
+    out = _deformed_log(t, np.log(_as_positive(x)))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _deformed_log(t, L):
+    """``deformed_log`` from L = log(x), with no check of x: the kernel that
+    the matrix chains apply to the log-spectrum of an X already validated."""
+    return _series_or_quotient(
         abs(t) <= T_SWITCH,
         lambda: L + (t / 2.0) * L**2 + (t * t / 6.0) * L**3,
         lambda: np.expm1(t * L) / t,
     )
-    return float(out) if np.ndim(out) == 0 else out
 
 
 def _series_or_quotient(small, series, quotient):

@@ -76,7 +76,7 @@ def test_compute_malformed_matrix(tmp_path, capsys):
     assert main(["compute", "S", "--A", str(bad), "--B", str(ok)]) == 2
 
 
-@pytest.mark.parametrize("A, B, option", [("big", "ok", "A"), ("ok", "big", "B"), ("ok", "weird", "B")])
+@pytest.mark.parametrize("A, B, option", [("big", "ok", "A"), ("ok", "big", "B"), ("ok", "weird", "B"), ("ok", "strings", "B")])
 def test_compute_names_the_refused_operand(tmp_path, A, B, option):
     # the whole stderr of an `oel` process, with numpy's RuntimeWarnings
     # raised as errors: a refused matrix file is named by its option, as
@@ -84,10 +84,12 @@ def test_compute_names_the_refused_operand(tmp_path, A, B, option):
     # both print a TypeError traceback and exit 1
     (tmp_path / "big").write_text('{"n": 2, "data": [[9e307, 0.0], [0.0, 1.0]]}')
     (tmp_path / "weird").write_text('{"n": 2, "data": [[1.0, {}], [{}, 1.0]]}')
+    (tmp_path / "strings").write_text('{"n": 2, "data": [["2", "0.5"], ["0.5", "1e0"]]}')  # numpy casts these
     dump_matrix(np.diag([2.0, 1.0]), tmp_path / "ok")
     messages = {
         "big": "matrix entries must be below 8e+307 in magnitude, got 9e+307",
         "weird": "matrix entries must be real numbers",
+        "strings": "matrix entries must be real numbers",
     }
     src = str(Path(oel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

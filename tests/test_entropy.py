@@ -340,9 +340,42 @@ def test_pair_stack_pins_a_case_error_on_its_pair():
     t = [0.5, 0.25, 0.75]
     pairs = linalg._Pairs(*linalg._pd_stack(A, ["A"] * 3)[1:], B)
     stacked = entropy._pair_stack(dataclasses.replace(chain, case=case), pairs, {"t": t}, 1e-9)
-    assert isinstance(stacked[1], DomainError) and str(stacked[1]) == "no case at t = 0.25"
+    entropy._settle([stacked])
+    error = stacked.errors[1]
+    assert isinstance(error, DomainError) and str(error) == "no case at t = 0.25" and stacked[1] is error
+    assert stacked.status[1] is None and stacked.rel[1] is None
     for i in (0, 2):
-        _same_verdict(stacked[i], entropy.check_refined_ST(A[i], B[i], t[i]))
+        single = entropy.check_refined_ST(A[i], B[i], t[i])
+        assert stacked.errors[i] is None and stacked.status[i] == single.status
+        assert repr(stacked.rel[i]) == repr(single.min_rel_slack)
+        _same_verdict(stacked[i], single)
+
+
+def test_settle_takes_the_least_relative_slack_in_link_order():
+    # a tie of 0.0 and -0.0, which "%.17g" prints differently, goes to the
+    # earlier link, as Python's min over the verdicts' ratios takes it: row
+    # 0's slacks are (0.0, -0.0), row 1's (-0.0, 0.0)
+    zero = np.zeros((2, 1))
+    links = {"a": zero, "b": zero, "c": -zero}
+    layouts = [("a", "b", "c"), ("a", "c", "b")]
+    decided = entropy._decide("ties", links, layouts, [{}, {}], [None, None], 1e-9, None)
+    entropy._settle([decided])
+    assert [repr(rel) for rel in decided.rel] == ["0.0", "-0.0"]
+    assert [repr(decided[i].min_rel_slack) for i in range(2)] == ["0.0", "-0.0"]
+    assert decided.status == [entropy.STATUS_PASS] * 2
+
+
+def test_compare_decides_a_stack_of_matrix_links_as_each_link_alone():
+    # one eigvalsh of every link of a (L, r, m, m) stack is bitwise the
+    # eigvalsh of each link's (r, m, m) differences
+    V = linalg.symmetrize(np.random.default_rng(5).normal(size=(4, 3, 5, 5)))
+    slack, scale, holds = entropy._compare(V, 1e-9, entropy._peak(V))
+    for j in range(3):
+        alone = np.linalg.eigvalsh(V[j + 1] - V[j])[:, 0]
+        peak = np.maximum(np.abs(V[j]).max(axis=(1, 2)), np.abs(V[j + 1]).max(axis=(1, 2)))
+        assert slack[j].tobytes() == alone.tobytes()
+        assert scale[j].tobytes() == np.maximum(1.0, peak).tobytes()
+        assert holds[j].tolist() == [s >= -1e-9 * c for s, c in zip(alone.tolist(), scale[j].tolist())]
 
 
 def _spectral_pair(spectrum, seed):
@@ -830,17 +863,25 @@ def test_chain_stacks_of_every_matrix_chain_match_each_check_alone():
     trials.append({**trials[0], "B": None})
     stacks.append(("thm-2.12", trials))
     columns = [(chain_id, {name: [t[name] for t in trials] for name in trials[0]}) for chain_id, trials in stacks]
-    refusals = collections.Counter()
+    refusals, statuses = collections.Counter(), collections.Counter()
     for (chain_id, trials), outcomes in zip(stacks, entropy.chain_stacks(columns, chains.DEFAULT_TOL)):
         assert len(outcomes) == len(trials)
+        # outcomes[i] is built by index from the columns; they hold what it does
         for i, (trial, outcome) in enumerate(zip(trials, outcomes)):
             single = _check_alone(chain_id, trial)
             if isinstance(single, Exception):
                 assert type(outcome) is type(single) and str(outcome) == str(single), (chain_id, i)
+                assert outcomes.errors[i] is outcome and outcomes.status[i] is None, (chain_id, i)
                 refusals[str(single).split(":")[0]] += 1
                 continue
             _same_verdict(outcome, single)
             assert list(outcome.regime.items()) == list(single.regime.items()), (chain_id, i)
+            assert outcomes.errors[i] is None and outcomes.status[i] == single.status, (chain_id, i)
+            rel = single.min_rel_slack if single.applicable else None
+            assert repr(outcomes.rel[i]) == repr(rel), (chain_id, i)
+            statuses[single.status] += 1
+    assert statuses[entropy.STATUS_PASS] and statuses[entropy.STATUS_NOT_APPLICABLE], statuses
+    assert refusals["prop-3.10"] == refusals["thm-3.5"] == 1  # a link left float range
     # two mismatched rows of each pair chain and of congruence and majorize
     # mode each; expectation mode does not read a bad B
     assert refusals["dimension mismatch"] == 2 * (len(MIXED_STACKS) + 2)
@@ -1016,17 +1057,21 @@ def test_spectral_verdicts_match_loewner_checks_of_the_lifts(chain_id, regime):
 def test_fuzzing_spectral_chains_lifts_no_matrix(monkeypatch):
     # the pair chains and thm-2.12's congruence mode are decided on the
     # spectrum of X alone, and expectation mode on its two sides as numbers:
-    # no link matrix is lifted and no Loewner check of matrices runs
+    # no link matrix is lifted and no Loewner check of matrices runs; each
+    # decided trial is a row of one layout's pass of values
     def forbidden(*args, **kwargs):
         raise AssertionError("called on the fuzz path")
 
-    def values_only(lower, upper, tol, _compare=entropy._compare):
-        if lower.ndim == 3:
+    def values_only(links, *args, _compare=entropy._compare):
+        if links.ndim == 4:  # a stack of link matrices
             forbidden()
-        return _compare(lower, upper, tol)
+        rows.append(links.shape[1])
+        return _compare(links, *args)
 
     monkeypatch.setattr(entropy, "_compare", values_only)
     monkeypatch.setattr(linalg._Pairs, "lift", forbidden)
     for cid, regime in [*SPECTRAL_CHAINS, ("thm-2.12", {"mode": "expectation"})]:
+        rows = []
         rep = fuzz_chain(cid, GeneratorConfig(seed=5, trials=20, regime=regime))
         assert len(rep.slack_rows) == 20 and not rep.failures, cid
+        assert sum(rows) == 20, cid

@@ -1,6 +1,8 @@
+import collections
 import csv
 import dataclasses
 import json
+import time
 import warnings
 
 import numpy as np
@@ -364,7 +366,9 @@ def test_fuzz_all_realizes_a_block_once_and_factors_the_pair_chains_together(mon
 
     def counted_pair_stack(chain, pairs, params, tol):
         calls["_pair_stack"].append((chain.id, len(pairs.errors)))
-        return pair_stack(chain, pairs, params, tol)
+        decided = pair_stack(chain, pairs, params, tol)
+        assert len(decided) == len(pairs.errors)  # one outcome per pair
+        return decided
 
     def counted_square(*args):
         calls["_square"] += 1
@@ -418,6 +422,46 @@ def test_report_timing_flag(tmp_path):
     obj = rep.to_obj(include_timing=True)
     assert obj["elapsed_s"] == rep.elapsed_s
     assert rep.to_obj()["elapsed_s"] == 0.0
+
+
+def test_fuzz_all_charges_each_matrix_chain_its_own_route(monkeypatch):
+    # a slow zou route is charged to zou alone; an equal split of
+    # chain_stacks would charge each of the 7 matrix chains a seventh of it
+    delay, pair_stack = 0.7, entropy._pair_stack
+
+    def slow_zou(chain, *args):
+        if chain.id == "zou":
+            time.sleep(delay)
+        return pair_stack(chain, *args)
+
+    monkeypatch.setattr(entropy, "_pair_stack", slow_zou)
+    reports = harness.fuzz_all(GeneratorConfig(seed=1, trials=8, dim_range=(3, 3)))
+    elapsed = {rep.chain_id: rep.elapsed_s for rep in reports}
+    assert elapsed["zou"] >= delay
+    assert all(elapsed[cid] < delay / 14 for cid in OPERATOR_CHAINS if cid != "zou"), elapsed
+    assert all(chain["elapsed_s"] == 0.0 for chain in harness.report_document(reports)["chains"])
+
+
+def test_passing_fuzz_all_builds_no_verdict_object(monkeypatch):
+    # the matrix chains' outcomes are read from the columns of their records:
+    # no OperatorChainVerdict or LoewnerVerdict is built on a passing run
+    built = collections.Counter()
+    for cls in (entropy.OperatorChainVerdict, entropy.LoewnerVerdict):
+        def counted(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built[_name] += 1
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    cfg = GeneratorConfig(seed=3, trials=70)
+    reports = harness.fuzz_all(cfg)
+    assert not any(rep.failures for rep in reports)
+    for cid in OPERATOR_CHAINS:
+        (rep,) = [rep for rep in reports if rep.chain_id == cid]
+        assert rep.slack_rows and len(rep.slack_rows) + rep.not_applicable + rep.rejected == cfg.trials, cid
+    assert not built
+    # the counts see a verdict built by index, with its links' verdicts
+    CHAINS["zou"].run(CHAINS["zou"].generate(trial_rng(cfg.seed, 0), cfg), cfg.tol)
+    assert built == {"OperatorChainVerdict": 1, "LoewnerVerdict": 4}
 
 
 def test_json_emitter_float_roundtrip():

@@ -1,6 +1,7 @@
 import collections
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -287,3 +288,31 @@ def test_matrix_io_rejects_bad_files(tmp_path):
     p.write_text(json.dumps({"n": 3, "data": [[1.0]]}))
     with pytest.raises(ValueError):
         linalg.load_matrix(p)
+
+
+@pytest.mark.parametrize("obj, message", [
+    ({"n": 2, "data": [["2", "0.5"], ["0.5", "1e0"]]}, "matrix entries must be real numbers"),
+    ({"n": 2, "data": [[2, True], [True, 1]]}, "matrix entries must be real numbers"),
+    ({"n": True, "data": [[1.0]]}, '"n" must be a positive integer, got True'),
+])
+def test_matrix_file_holds_numbers(obj, message):
+    # numpy casts a numeric string or a boolean to a float, and True == 1
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        linalg.matrix_from_obj(obj)
+
+
+def test_pd_refusal_names_the_floor_for_an_ill_conditioned_matrix():
+    # positive-definite, but min <= EIG_FLOOR * max: refused by the floor;
+    # a min eigenvalue <= 0 or NaN keeps the positive-definite wording
+    with pytest.raises(ValueError) as refused:
+        entropy.check_zou_chain(np.eye(2), np.diag([1e-6, 1e6]), 0.5)
+    floor = "is too ill-conditioned: min eigenvalue {} is not above EIG_FLOOR = 1e-12 times max {}"
+    assert str(refused.value) == "B relative to A " + floor.format("1e-06", "1000000.0")
+    values = np.array([[1e-13, 1.0], [-1.0, 1.0], [0.0, 1.0], [np.nan, np.nan], [1e-11, 1.0]])
+    assert [str(e) if e else None for e in linalg._pd_refusals(values, ["A"] * 5)] == [
+        "A " + floor.format("1e-13", "1.0"),
+        "A must be positive-definite: min eigenvalue -1.0, max 1.0",
+        "A must be positive-definite: min eigenvalue 0.0, max 1.0",
+        "A must be positive-definite: min eigenvalue nan, max nan",
+        None,
+    ]

@@ -102,6 +102,8 @@ MATRICES = {
     "i.json": _matrix([[1.0, 0.0], [0.0, 1.0]]),
     "small.json": _matrix([[1e-5, 0.0], [0.0, 0.3]]),
     "weird.json": '{"n": 2, "data": [[1.0, {}], [{}, 1.0]]}',
+    "strings.json": '{"n": 2, "data": [["2", "0.5"], ["0.5", "1e0"]]}',
+    "illcond.json": _matrix([[1e-6, 0.0], [0.0, 1e6]]),
 }
 
 CLI_CALLS = [
@@ -133,6 +135,8 @@ CLI_CALLS = [
     "verify thm-3.6 --A big.json --B a.json",
     "compute S --A big.json --B a.json",
     "verify zou --A a.json --B weird.json --t 0.5",
+    "verify zou --A a.json --B strings.json --t 0.5",
+    "verify zou --A i.json --B illcond.json --t 0.5",
     "compute S --A a.json --B weird.json",
     "compute S --A a.json --B b.json",
     "compute T --t 0.5 --A a.json --B b.json",
