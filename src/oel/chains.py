@@ -465,6 +465,50 @@ def _bisect(d, lo: float, hi: float) -> float:
     return lo
 
 
+def _root(d, lo: float, hi: float) -> float:
+    """``_bisect(d, lo, hi)`` in about ten evaluations of d, given d(lo) < 0
+    < d(hi). Illinois steps (regula falsi that halves d at an end kept twice
+    in a row; Dowell and Jarratt, BIT 11, 1971) narrow the bracket until lo
+    and hi are adjacent floats, where ``_bisect`` returns at once; it takes
+    over whatever is left after 64 steps.
+
+    A step that rounds onto or past an end goes one ulp inside it instead.
+    A run of such steps goes 1, 1, 2, 4, ... ulps in, and halves the bracket
+    once that passes the other end: where d is 0 or not finite on a stretch
+    of floats near an end, the secant stays there, and one ulp a step would
+    crawl.
+
+    For a d that is nondecreasing on floats this is ``_bisect``'s float,
+    the largest x in [lo, hi) with d(x) < 0. For any d it is an x with d(x)
+    < 0 where d at the next float up is not negative (NaN is not)."""
+    d_lo, d_hi = d(lo), d(hi)
+    moved, nudges = 0, 0  # the end the last step moved (-1 lo, 1 hi); the steps in a run onto an end
+    for _ in range(64):
+        if math.nextafter(lo, hi) == hi:
+            break
+        x = lo - d_lo * (hi - lo) / (d_hi - d_lo)
+        if lo < x < hi:
+            nudges = 0
+        else:
+            ulps = 2.0 ** max(nudges - 1, 0)
+            x = lo + ulps * math.ulp(lo) if not x > lo else hi - ulps * math.ulp(hi)  # NaN: from lo
+            if not lo < x < hi:
+                x = 0.5 * (lo + hi)
+            nudges += 1
+        d_x = d(x)
+        if d_x < 0.0:
+            lo, d_lo = x, d_x
+            if moved < 0:
+                d_hi *= 0.5
+            moved = -1
+        else:
+            hi, d_hi = x, d_x
+            if moved > 0:
+                d_lo *= 0.5
+            moved = 1
+    return _bisect(d, lo, hi)
+
+
 def two_function_gate(f: FunctionSpec, g: FunctionSpec, a, b, tol=DEFAULT_TOL) -> GateRecord:
     """The admissibility gate of (f, g) on [a, b]. With f monotone, its min
     and max are at the endpoints; with f concave and g convex, f - g is
@@ -477,7 +521,7 @@ def two_function_gate(f: FunctionSpec, g: FunctionSpec, a, b, tol=DEFAULT_TOL) -
         if not (flo < a and b < fhi):
             raise DomainError(f"[{a}, {b}] escapes domain {spec.domain!r} of {spec.id!r}")
     fa, fb, ga, gb = f.eval(a), f.eval(b), g.eval(a), g.eval(b)
-    min_g = g.eval(_bisect(g.deriv, a, b)) if g.deriv(a) < 0.0 < g.deriv(b) else min(ga, gb)
+    min_g = g.eval(_root(g.deriv, a, b)) if g.deriv(a) < 0.0 < g.deriv(b) else min(ga, gb)
     slack = tol * max(1.0, abs(fa), abs(fb), abs(ga), abs(gb), abs(min_g))
     df, dg = fb - fa, gb - ga
     m_ratio = float(max(fa, fb) / min_g) if min_g > 0.0 else math.inf

@@ -124,6 +124,11 @@ def cmd_fuzz(args) -> int:
     for cid in ids:
         if cid not in CHAINS:
             raise ValueError(f"unknown chain {cid!r}; run `oel list`")
+    if args.out:  # refused before any trial runs
+        try:
+            harness.csv_sidecar(args.out)
+        except ValueError as exc:
+            raise ValueError(f"--out {args.out}: {exc}") from None
     cfg = GeneratorConfig(seed=args.seed, trials=args.trials, tol=args.tol)
     reports = harness.fuzz_all(cfg, ids)
     if args.out:
@@ -187,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fuzz.add_argument("--trials", type=int, default=200)
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--tol", type=float, default=None)
-    p_fuzz.add_argument("--out", type=str, default=None, help="report path (.csv sidecar is derived)")
+    p_fuzz.add_argument("--out", type=str, default=None, help="report path, not ending in .csv (the .csv sidecar is derived)")
     p_fuzz.add_argument(
         "--timing", action="store_true",
         help="record wall-clock elapsed_s (off by default to keep reports byte-reproducible)",

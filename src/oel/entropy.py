@@ -62,7 +62,7 @@ from typing import Callable
 import numpy as np
 
 from . import scalar
-from .chains import DEFAULT_TOL, _bisect, two_function_gate
+from .chains import DEFAULT_TOL, _root, two_function_gate
 from .errors import TRIAL_ERRORS, NumericError
 from .linalg import _first, _only, _Pairs, _pd_stack, _square, eig_apply, matrix_to_obj
 
@@ -607,7 +607,7 @@ def _worst_unit_vector(f, g, a, b, df, dg, lam) -> tuple:
     turns = (width > 0.0) & (df * slope < dg * fp[:-1]) & (df * slope > dg * fp[1:])
     for j in np.flatnonzero(turns).tolist():
         lo, hi, s = lam[j], lam[j + 1], slope[j]
-        root = _bisect(lambda x: df * s - dg * f.deriv(min(max(x, a), b)), lo, hi)
+        root = _root(lambda x: df * s - dg * f.deriv(min(max(x, a), b)), lo, hi)
         w = (hi - root) / (hi - lo)
         x = w * lo + (1.0 - w) * hi
         lhs, rhs = dg * f.eval(min(max(x, a), b)), df * (w * g_lam[j] + (1.0 - w) * g_lam[j + 1])

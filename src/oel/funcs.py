@@ -169,11 +169,13 @@ def linear(slope: float, intercept: float) -> FunctionSpec:
         if slope < 0
         else set()
     )
+    s = float(slope)
     return FunctionSpec(
         id=f"lin-{slope:g}-{intercept:g}",
         domain=(0.0, 50.0),
         eval=_pointwise(lambda x: slope * x + intercept),
-        deriv=_pointwise(lambda x: np.full(np.shape(x), float(slope))),
+        # the slope itself at a float, as ``_pointwise`` would make it, with no array built
+        deriv=lambda x: np.full(x.shape, s) if isinstance(x, np.ndarray) and x.ndim else s,
         flags=frozenset({"convex", "concave"} | mono),
     )
 

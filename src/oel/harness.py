@@ -189,34 +189,36 @@ def _realize(block: list) -> list:
     pairs each such A's root ``Q diag(sqrt l) Q^T`` from its drawn factors
     and one batched ``A^(1/2) C A^(1/2)``; generation never refuses.
     """
-    pending = [next(val for val in p.values() if isinstance(val, _Pending)) for p in block]
+    keys = [next(key for key, val in p.items() if isinstance(val, _Pending)) for p in block]
+    pending = [p[key] for p, key in zip(block, keys)]
     groups: dict = {}
     for i, d in enumerate(pending):
         groups.setdefault(len(d.lam_a), []).append(i)
     matrices = [None] * len(block)
     for rows in groups.values():
         drawn = [pending[i].drawn() for i in rows]
-        Q = _orthogonal(np.stack([G for d in drawn for _, G in d]))
-        eig = EigenDecomposition(Q, np.stack([lam for d in drawn for lam, _ in d]))
+        Q = _orthogonal(np.array([G for d in drawn for _, G in d]))
+        eig = EigenDecomposition(Q, np.array([lam for d in drawn for lam, _ in d]))
         M = eig_apply(eig, np.asarray)  # Q diag(l) Q^T
-        first = np.cumsum([0] + [len(d) for d in drawn])  # trial j's matrices are M[first[j]:first[j + 1]]
-        cons = [j for j, i in enumerate(rows) if pending[i].constrained]
+        first = np.cumsum([0] + [len(d) for d in drawn]).tolist()  # trial j's matrices are M[first[j]:first[j + 1]]
+        cons = [first[j] for j, i in enumerate(rows) if pending[i].constrained]
         if cons:
-            at = first[cons]
+            at = np.array(cons)
             root = eig_apply(eig.take(at), np.sqrt)
             M[at + 1] = symmetrize(root @ M[at + 1] @ root)
+        M = list(M)
         for j, i in enumerate(rows):
-            mats = matrices[i] = list(M[first[j]:first[j + 1]])
+            mats = matrices[i] = M[first[j]:first[j + 1]]
             if pending[i].shift is not None:
                 mats.append(symmetrize(mats[0] - pending[i].shift * np.outer(pending[i].v, pending[i].v)))
     realized = []
-    for p, mats in zip(block, matrices):
+    for p, key, mats in zip(block, keys, matrices):
         out = {}
-        for key, val in p.items():
-            if isinstance(val, _Pending):
+        for name, val in p.items():  # "A" and "B" in the pending draw's slot, so that the key order is kept
+            if name == key:
                 out.update(zip(("A", "B"), mats))
             else:
-                out[key] = val
+                out[name] = val
         realized.append(out)
     return realized
 
@@ -291,7 +293,7 @@ def gen_two_function_family(rng):
     c_min = fb * (b - a) / (fb - fa) - a
     c = c_min + uniform(rng, 0.05, 2.0) * max(1.0, abs(c_min))
     eps = uniform(rng, 0.1, 1.0) * fa / (b + c)
-    f = funcs.log_wide()
+    f = REGISTRY["log-wide"]
     g = funcs.linear(eps, eps * c)
     return f, g, a, b
 
@@ -796,22 +798,44 @@ def _fmt_float(x: float) -> str:
     return "%.17g" % x if math.isfinite(x) else "null"  # format(x, ".17g"), bit for bit
 
 
+# the JSON kind of each exact type that a report holds
+_JSON_KINDS = {float: float, int: int, str: str, dict: dict, list: list}
+
+
+def _json_kind(obj) -> type | None:
+    """The JSON kind of a value of any other type: a subclass, a numpy
+    scalar or a tuple; None for None and bools, which ``json.dumps`` writes."""
+    if isinstance(obj, str):
+        return str
+    if obj is None or isinstance(obj, bool):
+        return None
+    if isinstance(obj, (int, np.integer)):
+        return int
+    if isinstance(obj, (float, np.floating)):
+        return float
+    if isinstance(obj, (list, tuple)):
+        return list
+    if isinstance(obj, dict):
+        return dict
+    raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
 def _emit_json(obj) -> str:
     """Minimal JSON writer: floats carry 17 significant digits so every
-    value round-trips exactly, and byte output is deterministic."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)  # json.dumps(obj), bit for bit
-    if obj is None or isinstance(obj, bool):
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    value round-trips exactly, and byte output is deterministic. A value is
+    written by its JSON kind, found by its exact type where it can be."""
+    kind = _JSON_KINDS.get(type(obj)) or _json_kind(obj)
+    if kind is float:
         return _fmt_float(float(obj))
-    if isinstance(obj, (list, tuple)):
-        return "[" + ", ".join(_emit_json(v) for v in obj) + "]"
-    if isinstance(obj, dict):
-        return "{" + ", ".join(f"{encode_basestring_ascii(str(k))}: {_emit_json(v)}" for k, v in obj.items()) + "}"
-    raise TypeError(f"cannot serialize {type(obj)!r}")
+    if kind is dict:
+        return "{" + ", ".join([f"{encode_basestring_ascii(str(k))}: {_emit_json(v)}" for k, v in obj.items()]) + "}"
+    if kind is str:
+        return encode_basestring_ascii(obj)  # json.dumps(obj), bit for bit
+    if kind is list:
+        return "[" + ", ".join(map(_emit_json, obj)) + "]"
+    if kind is int:
+        return str(int(obj))
+    return json.dumps(obj)
 
 
 def report_document(reports: list, include_timing: bool = False) -> dict:
@@ -826,12 +850,26 @@ def dumps_report(reports: list, include_timing: bool = False) -> str:
     return _emit_json(report_document(reports, include_timing)) + "\n"
 
 
+def csv_sidecar(path) -> str:
+    """The path of the CSV sidecar of the report at ``path``, which must not
+    be ``path`` itself."""
+    sidecar = os.path.splitext(str(path))[0] + ".csv"
+    if sidecar == str(path):
+        raise ValueError("the report path must not end in .csv, the name of its CSV sidecar")
+    return sidecar
+
+
 def write_report(reports: list, path, include_timing: bool = False) -> None:
     """Write the aggregate JSON report plus a CSV of per-trial slacks
-    (columns chain_id, trial, min_link_slack) next to it."""
+    (columns chain_id, trial, min_link_slack) next to it, at
+    ``csv_sidecar(path)``."""
+    sidecar = csv_sidecar(path)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_report(reports, include_timing))
     # the rows csv.writer's excel dialect writes, in one call: no chain id or number needs quoting
-    rows = "".join(f"{rep.chain_id},{trial},{_fmt_float(slack)}\r\n" for rep in reports for trial, slack in rep.slack_rows)
-    with open(os.path.splitext(str(path))[0] + ".csv", "w", encoding="utf-8", newline="") as fh:
+    rows = "".join([
+        f"{rep.chain_id},{trial},{slack:.17g}\r\n" if math.isfinite(slack) else f"{rep.chain_id},{trial},null\r\n"
+        for rep in reports for trial, slack in rep.slack_rows
+    ])
+    with open(sidecar, "w", encoding="utf-8", newline="") as fh:
         fh.write("chain_id,trial,min_link_slack\r\n" + rows)

@@ -376,3 +376,106 @@ def test_decreasing_geomconvex_implies_convex_chain():
         assert v1 <= v2 + 1e-9 * scale
         assert v2 <= v3 + 1e-9 * scale
         assert v3 <= v4 + 1e-9 * scale
+
+
+def _counted(d):
+    """``d``, counting its calls in ``calls``."""
+    def counted(x):
+        counted.calls += 1
+        return d(x)
+
+    counted.calls = 0
+    return counted
+
+
+def _root_brackets(seed: int, count: int):
+    """(d, lo, hi) with d(lo) < 0 < d(hi), d increasing on floats near its
+    sign change: expectation mode's d for f = log-wide and a drawn linear g,
+    whose root is the logarithmic mean of [a, b], and exp(x) - exp(c) at a
+    |c| >= 1, where exp takes a new value at each float."""
+    from oel.harness import gen_two_function_family, trial_rng
+
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        f, g, a, b = gen_two_function_family(trial_rng(seed, trial))
+        df, dg = f.eval(b) - f.eval(a), g.eval(b) - g.eval(a)
+        s, x0 = dg / (b - a), (b - a) / df
+        yield (lambda x, df=df, dg=dg, s=s, a=a, b=b, f=f: df * s - dg * f.deriv(min(max(x, a), b))), \
+            float(rng.uniform(a, x0)), float(rng.uniform(x0, b))
+        c = float(rng.choice([-1.0, 1.0]) * rng.uniform(1.0, 20.0))
+        yield (lambda x, c=c: math.exp(x) - math.exp(c)), c - float(rng.uniform(1e-9, 2.0)), c + float(rng.uniform(1e-9, 2.0))
+
+
+def test_root_is_the_bisection_float_in_few_evaluations():
+    # for a d nondecreasing on floats, Illinois steps reach the float that
+    # 50-odd halvings find, in at most 16 evaluations
+    brackets = 0
+    for d, lo, hi in _root_brackets(29, 1000):
+        assert d(lo) < 0.0 < d(hi)
+        counted = _counted(d)
+        assert chains._root(counted, lo, hi) == chains._bisect(d, lo, hi), (lo, hi)
+        assert counted.calls <= 16, (lo, hi, counted.calls)
+        brackets += 1
+    assert brackets == 2000
+
+
+def test_root_gallops_off_a_stretch_where_d_is_zero():
+    # exp(x) - exp(c) at |c| < 1 is 0 on a stretch of floats about c (the
+    # smaller |c|, the longer: ulp(c) is far below ulp(exp(c))), where every
+    # secant ends on hi: runs of ever longer steps leave it, and the float
+    # is still _bisect's, in fewer evaluations
+    rng = np.random.default_rng(37)
+    for _ in range(500):
+        c = float(rng.uniform(-1.0, 1.0))
+        d = lambda x, c=c: math.exp(x) - math.exp(c)
+        lo, hi = c - float(rng.uniform(1e-9, 2.0)), c + float(rng.uniform(1e-9, 2.0))
+        counted, halved = _counted(d), _counted(d)
+        assert chains._root(counted, lo, hi) == chains._bisect(halved, lo, hi), (lo, hi)
+        assert counted.calls <= 48 and counted.calls < halved.calls, (lo, hi, counted.calls, halved.calls)
+
+
+def _holds_root_contract(d, x, lo, hi) -> bool:
+    """d(x) < 0 and d at the next float up is not negative (NaN is not)."""
+    return lo <= x < hi and d(x) < 0.0 and not d(math.nextafter(x, hi)) < 0.0
+
+
+def test_root_keeps_its_contract_for_any_d():
+    # a d that wiggles across 0 near its sign change, one that is NaN on a
+    # band above it, and one that is NaN inside the whole bracket
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        r = float(rng.uniform(-5.0, 5.0))
+        lo, hi = r - float(rng.uniform(1e-6, 5.0)), r + float(rng.uniform(1e-6, 5.0))
+        wiggly = lambda x: (x - r) + 1e-7 * math.sin(1e9 * x)
+        band = lambda x: -1.0 if x < r else math.nan if x < r + 1e-3 else 1.0
+        for d in (wiggly, band):
+            if d(lo) < 0.0 < d(hi):
+                x = chains._root(d, lo, hi)
+                assert _holds_root_contract(d, x, lo, hi), (lo, hi, x)
+    ends_only = lambda x: -1.0 if x == 1.0 else 1.0 if x == 2.0 else math.nan
+    x = chains._root(ends_only, 1.0, 2.0)
+    assert x == 1.0 and _holds_root_contract(ends_only, x, 1.0, 2.0)
+
+
+def test_fuzz_all_finds_each_expectation_root_in_few_derivative_calls(monkeypatch):
+    # every root of phi' in expectation mode, over one block of 8 trials per
+    # n = 2..8, takes at most 12 scalar calls of f' (50-odd by bisection)
+    from oel import entropy, funcs, harness
+
+    log_wide, root = funcs.REGISTRY["log-wide"], entropy._root
+    calls = collections.Counter()
+
+    def deriv(x):
+        calls["scalar f'"] += not isinstance(x, np.ndarray)
+        return log_wide.deriv(x)
+
+    def counted_root(d, lo, hi):
+        calls["_root"] += 1
+        return root(d, lo, hi)
+
+    monkeypatch.setitem(funcs.REGISTRY, "log-wide", dataclasses.replace(log_wide, deriv=deriv))
+    monkeypatch.setattr(entropy, "_root", counted_root)
+    for i, n in enumerate(range(2, 9)):
+        harness.fuzz_all(harness.GeneratorConfig(seed=100_000 + i, trials=8, dim_range=(n, n)))
+    assert calls["_root"] >= 5
+    assert calls["scalar f'"] <= 12 * calls["_root"], calls

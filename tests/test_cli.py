@@ -334,6 +334,24 @@ def test_fuzz_refuses_non_finite_tol(tol, capsys):
     assert out.out == "" and "must be finite" in out.err
 
 
+def test_fuzz_refuses_a_report_path_that_names_its_csv_sidecar(tmp_path, monkeypatch, capsys):
+    # the CSV sidecar of r.csv is r.csv itself, which would overwrite the
+    # JSON report: refused before any trial runs, and no file is written
+    def no_fuzzing(*args):
+        raise AssertionError("fuzzed")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.harness, "fuzz_all", no_fuzzing)
+    assert main(["fuzz", "zou", "--trials", "2", "--out", "r.csv"]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: --out r.csv: the report path must not end in .csv, the name of its CSV sidecar\n"
+    assert list(tmp_path.iterdir()) == []
+    with pytest.raises(ValueError, match="must not end in .csv"):
+        cli.harness.write_report([], tmp_path / "r.csv")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("values", [
     ["--x", "-0.3,0.5", "--t", "0.5"],
     ["--x", "-0.3,0.5", "--t", "0.5", "--tol", "-1e-3"],  # an exponent form is not a plain negative number

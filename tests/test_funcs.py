@@ -156,3 +156,14 @@ def test_evaluators_accept_arrays():
                 assert np.array_equal(out, scalar_vals), spec.id
             else:
                 assert np.allclose(out, scalar_vals, rtol=1e-13, atol=0.0), spec.id
+
+
+def test_linear_derivative_is_the_slope_as_a_float_or_an_array():
+    # at a float the slope itself, with no array built; at an array a float
+    # array of its shape
+    spec = linear(2, 0.5)
+    assert type(spec.deriv(1.5)) is float and spec.deriv(1.5) == 2.0
+    assert type(spec.deriv(np.float64(1.5))) is float
+    for shape in ((3,), (2, 2)):
+        out = spec.deriv(np.full(shape, 1.5))
+        assert out.shape == shape and out.dtype == float and np.all(out == 2.0)

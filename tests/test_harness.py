@@ -2,6 +2,7 @@ import collections
 import csv
 import dataclasses
 import json
+import math
 import time
 import warnings
 
@@ -408,6 +409,12 @@ def test_csv_sidecar_is_csv_writer_output(tmp_path):
     assert len(expected.read_bytes().splitlines()) > len(CHAINS)
 
 
+def test_csv_sidecar_writes_a_non_finite_slack_as_null(tmp_path):
+    rep = harness.FuzzReport("zou", 4, 0, 0, [], -1.5, 0, 0.0, [(0, math.inf), (1, math.nan), (2, -1.5), (3, np.float64(0.25))])
+    harness.write_report([rep], tmp_path / "r.json")
+    assert (tmp_path / "r.csv").read_bytes() == b"chain_id,trial,min_link_slack\r\nzou,0,null\r\nzou,1,null\r\nzou,2,-1.5\r\nzou,3,0.25\r\n"
+
+
 def test_write_report_empty(tmp_path):
     path = tmp_path / "empty.json"
     harness.write_report([], path)
@@ -477,6 +484,37 @@ def test_json_emitter_float_roundtrip():
 def test_json_emitter_writes_strings_as_json_dumps(text):
     assert harness._emit_json(text) == json.dumps(text)
     assert harness._emit_json({text: [text]}) == "{" + json.dumps(text) + ": [" + json.dumps(text) + "]}"
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+@pytest.mark.parametrize("value, text", [
+    (True, "true"), (False, "false"), (None, "null"),
+    (np.float64(0.1), "0.10000000000000001"), (np.float64("nan"), "null"), (np.float32(0.1), "0.10000000149011612"),
+    (np.int64(-7), "-7"), ((1, 2.5, "a", None), '[1, 2.5, "a", null]'),
+    (_Float(0.1), "0.10000000000000001"), (_Float(2.0), "2"), (_Str('a"b'), '"a\\"b"'),
+    (_Dict(x=1.5, y=[True, (np.int64(3),)]), '{"x": 1.5, "y": [true, [3]]}'),
+    ({"k": _Float(-0.0), 1: float("inf")}, '{"k": -0, "1": null}'),
+])
+def test_json_emitter_writes_every_other_type_by_its_kind(value, text):
+    # the exact built-in types go by their type; bools, None, numpy
+    # scalars, tuples and subclasses by isinstance, into the same writers
+    assert harness._emit_json(value) == text
+
+
+def test_json_emitter_refuses_other_types():
+    with pytest.raises(TypeError, match="cannot serialize"):
+        harness._emit_json({1, 2})
 
 
 def test_failures_recorded_with_serialized_params():

@@ -99,6 +99,7 @@ MATRICES = {
     "bad.json": "{ nope",
     "sa.json": _matrix([[0.9, 0.2], [0.2, 1.0]]),
     "t3.json": _matrix([[2.5, 0.5, 0.0], [0.5, 3.0, 0.0], [0.0, 0.0, 2.0]]),
+    "t3d.json": _matrix([[1.55, 0.0, 0.0], [0.0, 2.2, 0.0], [0.0, 0.0, 3.8]]),
     "i.json": _matrix([[1.0, 0.0], [0.0, 1.0]]),
     "small.json": _matrix([[1e-5, 0.0], [0.0, 0.3]]),
     "weird.json": '{"n": 2, "data": [[1.0, {}], [{}, 1.0]]}',
@@ -147,6 +148,7 @@ CLI_CALLS = [
     "compute St --t inf --A a.json --B b.json",
     "compute T --t 800 --A a.json --B b.json",
     "verify thm-2.12 --A ta.json --mode expectation",
+    "verify thm-2.12 --A t3d.json --mode expectation",
     "verify thm-2.12 --A ta.json --B tb.json --mode majorize",
     "verify thm-2.12 --A ta.json --B ta.json --mode congruence",
     "verify thm-2.12 --A ta.json --B bad.json --mode expectation",
