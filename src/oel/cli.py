@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 
@@ -125,8 +126,11 @@ def cmd_fuzz(args) -> int:
         if cid not in CHAINS:
             raise ValueError(f"unknown chain {cid!r}; run `oel list`")
     if args.out:  # refused before any trial runs
+        folder = os.path.dirname(args.out) or "."
         try:
             harness.csv_sidecar(args.out)
+            if not os.path.isdir(folder):
+                raise ValueError(f"{folder!r} is not a directory")
         except ValueError as exc:
             raise ValueError(f"--out {args.out}: {exc}") from None
     cfg = GeneratorConfig(seed=args.seed, trials=args.trials, tol=args.tol)

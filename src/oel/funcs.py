@@ -48,9 +48,8 @@ class FunctionSpec:
         lo, hi = self.domain
         if not lo < hi:
             raise ValueError(f"empty domain for {self.id!r}: {self.domain!r}")
-        unknown = set(self.flags) - FLAG_NAMES
-        if unknown:
-            raise ValueError(f"unknown flags for {self.id!r}: {sorted(unknown)}")
+        if not FLAG_NAMES.issuperset(self.flags):
+            raise ValueError(f"unknown flags for {self.id!r}: {sorted(set(self.flags) - FLAG_NAMES)}")
 
     def has(self, flag: str) -> bool:
         return flag in self.flags
@@ -132,17 +131,24 @@ def deformed_log_in_t(x: float) -> FunctionSpec:
     )
 
 
+# the flags of the parametric factories, built once: by whether a slope is
+# (positive, negative), and for the quadratic exponentials alone
+_MONOTONE = {(True, False): {"monotone_increasing"}, (False, True): {"monotone_decreasing"}, (False, False): set()}
+_LOG_AFFINE_FLAGS = {signs: frozenset({"log_convex", "log_concave", "convex"} | mono) for signs, mono in _MONOTONE.items()}
+_AFFINE_FLAGS = {signs: frozenset({"convex", "concave"} | mono) for signs, mono in _MONOTONE.items()}
+_QUAD_EXP_FLAGS = frozenset({"log_convex", "convex"})
+
+
 def quad_exponential(c: float, d: float) -> FunctionSpec:
     """exp(c t**2 + d t) with c >= 0: the workhorse log-convex family."""
     if c < 0.0:
         raise ValueError("quad_exponential requires c >= 0")
-    flags = {"log_convex", "convex"}
     return FunctionSpec(
-        id=f"quad-exp-{c:g}-{d:g}",
+        id="quad-exp-%g-%g" % (c, d),
         domain=(-0.5, 1.5),
         eval=_pointwise(lambda t: np.exp(c * t * t + d * t)),
         deriv=_pointwise(lambda t: (2.0 * c * t + d) * np.exp(c * t * t + d * t)),
-        flags=frozenset(flags),
+        flags=_QUAD_EXP_FLAGS,
     )
 
 
@@ -152,31 +158,24 @@ def geometric_interpolant(a: float, b: float) -> FunctionSpec:
         raise ValueError("geometric_interpolant requires a, b > 0")
     r = np.log(b / a)
     return FunctionSpec(
-        id=f"geo-interp-{a:g}-{b:g}",
+        id="geo-interp-%g-%g" % (a, b),
         domain=(-0.5, 1.5),
         eval=_pointwise(lambda t: a * np.exp(r * t)),
         deriv=_pointwise(lambda t: a * r * np.exp(r * t)),
-        flags=frozenset({"log_convex", "log_concave", "convex"} | ({"monotone_increasing"} if b > a else {"monotone_decreasing"} if b < a else set())),
+        flags=_LOG_AFFINE_FLAGS[b > a, b < a],
     )
 
 
 def linear(slope: float, intercept: float) -> FunctionSpec:
     """slope*x + intercept; convex and concave, monotone per the slope sign."""
-    mono = (
-        {"monotone_increasing"}
-        if slope > 0
-        else {"monotone_decreasing"}
-        if slope < 0
-        else set()
-    )
     s = float(slope)
     return FunctionSpec(
-        id=f"lin-{slope:g}-{intercept:g}",
+        id="lin-%g-%g" % (slope, intercept),
         domain=(0.0, 50.0),
         eval=_pointwise(lambda x: slope * x + intercept),
         # the slope itself at a float, as ``_pointwise`` would make it, with no array built
         deriv=lambda x: np.full(x.shape, s) if isinstance(x, np.ndarray) and x.ndim else s,
-        flags=frozenset({"convex", "concave"} | mono),
+        flags=_AFFINE_FLAGS[slope > 0, slope < 0],
     )
 
 

@@ -3,25 +3,31 @@
 Reproducibility model: every trial gets its own counter-based random stream
 keyed by (seed, trial index), so reports are bit-identical for a fixed seed
 regardless of execution order, and a failing trial can be regenerated in
-isolation. A uniform draw on [lo, hi) is formed as ``lo + (hi - lo) *
-random()`` (``uniform``), which is how numpy forms ``Generator.uniform``, so
-it is bit for bit that draw; ``random()`` skips the argument checks and
-broadcasting that make a scalar ``Generator.uniform`` call cost three times
-as much. One ``TrialStreams`` generator serves a whole ``fuzz_all`` run: each
+isolation. One ``TrialStreams`` generator serves a whole ``fuzz_all`` run: each
 trial of every chain resets it to its own stream.
+
+Draw model: a draw costs about what its ``rng`` calls cost. Consecutive
+uniforms, or exponentials, are one ``rng`` call, whose values a scalar draw
+maps on Python floats as numpy maps them (a matrix spectrum stays an array,
+``log_uniform``): ``lo + (hi - lo) * u`` is
+``Generator.uniform`` bit for bit (``uniform``), and fewer than 8 values
+summed in order are numpy's ``sum`` (``_weights``). ``np.log`` of a bound is
+taken once (``_log``). Every ``exp`` and ``log`` stays a numpy call:
+``math.exp`` differs from ``np.exp`` in the last bit at about one argument in
+20 (``math.log`` at one in 2000), and so would the reports.
 
 Generation model: ``fuzz_all`` is the one fuzz loop (``fuzz_chain`` is its
 one-chain run). It takes trials in consecutive blocks of FUZZ_BLOCK and
 draws each block for every chain of the run. A matrix chain's
 ``ChainEntry.draw`` draws each trial from its own stream but leaves its
-matrices pending: a spectrum and a Gaussian matrix per matrix (a pair (A,
-B), or thm-2.12's single A, with the rank-one shift that makes its B in
-majorize mode). One ``_realize`` call then factors the pending matrices of
-every matrix chain of the block, those of one dimension as one stack;
-generation never refuses. Stacked LAPACK and BLAS calls are bitwise equal
-to per-matrix calls, and ``ChainEntry.generate`` of such a chain is the
-one-trial block, so a trial is bit for bit the same whether it is drawn
-alone or in a block. Only scalar chains generate trial by trial.
+matrices pending, at "A" with "B" None: a spectrum and a Gaussian matrix per
+matrix (a pair (A, B), or thm-2.12's single A, with the rank-one shift that
+makes its B in majorize mode). One ``_realize`` call then factors the
+pending matrices of every matrix chain of the block, those of one dimension
+as one stack; generation never refuses. Stacked LAPACK and BLAS calls are
+bitwise equal to per-matrix calls, and ``ChainEntry.generate`` of such a
+chain is the one-trial block, so a trial is bit for bit the same whether it
+is drawn alone or in a block. Only scalar chains generate trial by trial.
 
 Evaluation model: one ``entropy.chain_stacks`` call decides the trials of
 every matrix chain of a block, which pins each error on its own trial; a
@@ -36,6 +42,7 @@ and ``ChainEntry.params``; every reader of a chain's params (``run``,
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import operator
@@ -131,8 +138,28 @@ def uniform(rng, lo=0.0, hi=1.0, size=None):
     return lo + (hi - lo) * rng.random(size)
 
 
+@functools.cache
+def _log(bound: float) -> float:
+    """``np.log`` of a bound, taken once per bound: the bounds are the
+    generators' fixed ranges, never drawn values."""
+    return float(np.log(bound))
+
+
+def _log_scaled(us: list, lo, hi) -> list:
+    """The uniforms ``us`` on [0, 1) as log-uniform draws on [lo, hi), a
+    list of floats."""
+    a, b = _log(lo), _log(hi)
+    return np.exp([a + (b - a) * u for u in us]).tolist()
+
+
 def log_uniform(rng, lo, hi, size=None):
-    return np.exp(uniform(rng, np.log(lo), np.log(hi), size))
+    """``np.exp(rng.uniform(np.log(lo), np.log(hi), size))``, bit for bit: a
+    float, or an array of ``size`` mapped on arrays, as a matrix spectrum is
+    drawn. Scalar draws map their uniforms on floats (``_log_scaled``),
+    which costs less below 5 values."""
+    a, b = _log(lo), _log(hi)
+    drawn = np.exp(a + (b - a) * rng.random(size))
+    return drawn if size is not None else float(drawn)
 
 
 def _orthogonal(G: np.ndarray) -> np.ndarray:
@@ -151,76 +178,55 @@ def _meet(regime: tuple, lo: float = 0.0, hi: float = np.inf) -> tuple:
 
 @dataclass
 class _Pending:
-    """Drawn matrices before factoring: the spectrum and Gaussian matrix of
+    """Drawn matrices before factoring: the spectra and Gaussian matrices of
     A and, for a pair, of a second matrix, in draw order. The second matrix
     is B itself, or, for a constrained pair, the middle factor C of
     B = A^(1/2) C A^(1/2). A single A with a ``shift`` and a unit vector
-    ``v`` stands for the pair (A, A - shift v v^T)."""
+    ``v`` stands for the pair (A, A - shift v v^T). The spectra are arrays."""
 
-    lam_a: np.ndarray
-    G_a: np.ndarray
-    lam_b: np.ndarray | None = None
-    G_b: np.ndarray | None = None
+    spectra: list
+    gaussians: list
     constrained: bool = False
     shift: float | None = None
     v: np.ndarray | None = None
 
-    def drawn(self) -> list:
-        """(spectrum, Gaussian matrix) of each matrix to factor."""
-        return [(self.lam_a, self.G_a)] + ([] if self.lam_b is None else [(self.lam_b, self.G_b)])
-
-
-def _draw_pair(rng, n, spectrum_a, spectrum_b, constrained=False) -> _Pending:
-    """Draw spectrum, then Gaussian matrix, for each matrix in turn."""
-    lam_a = spectrum_a()
-    G_a = rng.normal(size=(n, n))
-    lam_b = spectrum_b()
-    G_b = rng.normal(size=(n, n))
-    return _Pending(lam_a, G_a, lam_b, G_b, constrained)
-
 
 def _realize(block: list) -> list:
-    """The drawn params of a block with the pending draw of each trial (the
-    one ``_Pending`` value) replaced in place by its matrices "A" and "B",
-    or "A" alone for a single matrix without a shift.
+    """``block``, the drawn params of its trials, with each trial's pending
+    draw (the ``_Pending`` at "A") replaced in place by its matrix "A", and
+    "B" where the trial holds that key (None until then), so that the key
+    order is kept.
 
     The draws of one dimension are factored as one stack: one QR call for
     every Gaussian, one batched ``Q diag(l) Q^T``, and for the constrained
     pairs each such A's root ``Q diag(sqrt l) Q^T`` from its drawn factors
     and one batched ``A^(1/2) C A^(1/2)``; generation never refuses.
     """
-    keys = [next(key for key, val in p.items() if isinstance(val, _Pending)) for p in block]
-    pending = [p[key] for p, key in zip(block, keys)]
     groups: dict = {}
-    for i, d in enumerate(pending):
-        groups.setdefault(len(d.lam_a), []).append(i)
-    matrices = [None] * len(block)
-    for rows in groups.values():
-        drawn = [pending[i].drawn() for i in rows]
-        Q = _orthogonal(np.array([G for d in drawn for _, G in d]))
-        eig = EigenDecomposition(Q, np.array([lam for d in drawn for lam, _ in d]))
+    for p in block:
+        groups.setdefault(len(p["A"].spectra[0]), []).append(p)
+    for trials in groups.values():
+        spectra, gaussians, first, cons = [], [], [0], []
+        for p in trials:  # trial j's matrices are M[first[j]:first[j + 1]]
+            d = p["A"]
+            if d.constrained:
+                cons.append(first[-1])
+            spectra += d.spectra
+            gaussians += d.gaussians
+            first.append(len(gaussians))
+        eig = EigenDecomposition(_orthogonal(np.array(gaussians)), np.array(spectra))
         M = eig_apply(eig, np.asarray)  # Q diag(l) Q^T
-        first = np.cumsum([0] + [len(d) for d in drawn]).tolist()  # trial j's matrices are M[first[j]:first[j + 1]]
-        cons = [first[j] for j, i in enumerate(rows) if pending[i].constrained]
         if cons:
             at = np.array(cons)
             root = eig_apply(eig.take(at), np.sqrt)
             M[at + 1] = symmetrize(root @ M[at + 1] @ root)
         M = list(M)
-        for j, i in enumerate(rows):
-            mats = matrices[i] = M[first[j]:first[j + 1]]
-            if pending[i].shift is not None:
-                mats.append(symmetrize(mats[0] - pending[i].shift * np.outer(pending[i].v, pending[i].v)))
-    realized = []
-    for p, key, mats in zip(block, keys, matrices):
-        out = {}
-        for name, val in p.items():  # "A" and "B" in the pending draw's slot, so that the key order is kept
-            if name == key:
-                out.update(zip(("A", "B"), mats))
-            else:
-                out[name] = val
-        realized.append(out)
-    return realized
+        for p, i, j in zip(trials, first, first[1:]):
+            d, mats = p["A"], M[i:j]
+            if d.shift is not None:
+                mats.append(symmetrize(mats[0] - d.shift * np.outer(d.v, d.v)))
+            p.update(zip(("A", "B"), mats))
+    return block
 
 
 def _regime(rng, cfg, key: str, choices: tuple) -> str:
@@ -236,29 +242,29 @@ def _draw_dim(rng, cfg) -> int:
 
 
 def _weights(rng, n) -> list:
-    w = rng.exponential(size=n)
-    w = w / w.sum()
-    return [float(v) for v in w]
+    """``w / w.sum()`` of n exponentials: numpy sums fewer than 8 values in
+    order, as ``reduce`` does (Python's ``sum`` compensates from 3.12 on)."""
+    w = rng.exponential(size=n).tolist()
+    total = functools.reduce(operator.add, w)
+    return [v / total for v in w]
 
 
 def _constrained(rng, n, m_target, M_target, lo, hi) -> _Pending:
     """Pending pair (A, B) whose relative spectrum is [m_target, M_target],
     endpoints attained by pinning the extreme eigenvalues of the normalized
     middle factor."""
-    def middle():
-        if n == 1:
-            return np.array([m_target])
-        if n == 2:
-            return np.array([m_target, M_target])
-        return np.concatenate([[m_target, M_target], uniform(rng, m_target, M_target, n - 2)])
-
-    a_lo, a_hi = _meet((1e-2, 1e2), lo, hi)
-    return _draw_pair(rng, n, lambda: log_uniform(rng, a_lo, a_hi, n), middle, constrained=True)
+    lam_a = log_uniform(rng, *_meet((1e-2, 1e2), lo, hi), n)
+    G_a = rng.normal(size=(n, n))
+    middle = [m_target, M_target][:n]
+    if n > 2:  # the other eigenvalues uniform in between
+        middle += [m_target + (M_target - m_target) * u for u in rng.random(n - 2).tolist()]
+    return _Pending([lam_a, np.array(middle)], [G_a, rng.normal(size=(n, n))], constrained=True)
 
 
 def _domain_points(rng, f: FunctionSpec, k: int) -> list:
+    """k points uniform on the middle 96% of f's domain."""
     lo, hi = f.domain
-    return [lo + (hi - lo) * uniform(rng, 0.02, 0.98) for _ in range(k)]
+    return [lo + (hi - lo) * (0.02 + (0.98 - 0.02) * u) for u in rng.random(k).tolist()]
 
 
 def _ordered_pair(rng, f: FunctionSpec):
@@ -287,15 +293,14 @@ def gen_two_function_family(rng):
     """(f, g, a, b) satisfying the admissibility gate by construction:
     f = log and g a shallow affine function dominated by min f, with the
     increment condition enforced through the intercept."""
-    a = uniform(rng, 1.2, 3.0)
-    b = a * uniform(rng, 1.2, 2.5)
-    fa, fb = np.log(a), np.log(b)
+    u = rng.random(4).tolist()  # each mapped onto its [lo, hi) as ``uniform`` maps it
+    a = 1.2 + (3.0 - 1.2) * u[0]
+    b = a * (1.2 + (2.5 - 1.2) * u[1])
+    fa, fb = float(np.log(a)), float(np.log(b))
     c_min = fb * (b - a) / (fb - fa) - a
-    c = c_min + uniform(rng, 0.05, 2.0) * max(1.0, abs(c_min))
-    eps = uniform(rng, 0.1, 1.0) * fa / (b + c)
-    f = REGISTRY["log-wide"]
-    g = funcs.linear(eps, eps * c)
-    return f, g, a, b
+    c = c_min + (0.05 + (2.0 - 0.05) * u[2]) * max(1.0, abs(c_min))
+    eps = (0.1 + (1.0 - 0.1) * u[3]) * fa / (b + c)
+    return REGISTRY["log-wide"], funcs.linear(eps, eps * c), a, b
 
 
 # --- chain registry -----------------------------------------------------------
@@ -366,9 +371,9 @@ class ChainEntry:
 
 
 def _gen_prop21(rng, cfg):
-    lo, hi = cfg.scalar_range
-    a, b = log_uniform(rng, lo, hi, 2)
-    return {"a": float(a), "b": float(b), "v": uniform(rng), "n": int(rng.integers(1, 65))}
+    *u, v = rng.random(3).tolist()
+    a, b = _log_scaled(u, *cfg.scalar_range)
+    return {"a": a, "b": b, "v": v, "n": int(rng.integers(1, 65))}
 
 
 def _gen_minmax_square(rng, cfg):
@@ -380,10 +385,11 @@ def _gen_minmax_square(rng, cfg):
 def _gen_minmax_power(rng, cfg):
     f = _pick(rng, _INCREASING_POOL)
     s, t = _ordered_pair(rng, f)
-    if uniform(rng) < 0.15:
+    if rng.random() < 0.15:
         p, q = 2.0, 0.0
     else:
-        p, q = uniform(rng, 1.0, 3.0), uniform(rng, -1.5, 1.0)
+        u, v = rng.random(2).tolist()  # uniform on [1, 3) and on [-1.5, 1)
+        p, q = 1.0 + (3.0 - 1.0) * u, -1.5 + (1.0 - -1.5) * v
     return {"fn": f, "s": s, "t": t, "p": p, "q": q}
 
 
@@ -396,7 +402,7 @@ def _gen_jensen(rng, cfg):
 
 def _gen_am_gm(rng, cfg):
     k = int(rng.integers(2, 6))
-    x = [float(v) for v in log_uniform(rng, 1.0, 50.0, k)]
+    x = _log_scaled(rng.random(k).tolist(), 1.0, 50.0)
     return {"w": _weights(rng, k), "x": x, "t": uniform(rng, 1e-3, 1.0)}
 
 
@@ -411,8 +417,8 @@ def _gen_two_points(pool, **fixed):
 
 def _gen_geom_interp(rng, cfg):
     g = _pick(rng, _GEOMCONVEX_POOL)
-    pts = _domain_points(rng, g, 2)
-    return {"fn": g, "a": pts[0], "b": pts[1], "t": uniform(rng)}
+    a, b = _domain_points(rng, g, 2)
+    return {"fn": g, "a": a, "b": b, "t": rng.random()}
 
 
 def _gen_jensen_exp(kind):
@@ -428,34 +434,38 @@ def _gen_jensen_exp(kind):
 
 
 def _gen_derived_logconvexity(rng, cfg):
-    if uniform(rng) < 0.5:
-        f = funcs.quad_exponential(uniform(rng, 0.0, 2.0), uniform(rng, -1.0, 1.0))
+    coin, x, y, u, w = rng.random(5).tolist()
+    if coin < 0.5:  # uniform on [0, 2) and on [-1, 1)
+        f = funcs.quad_exponential(0.0 + (2.0 - 0.0) * x, -1.0 + (1.0 - -1.0) * y)
     else:
-        pa, pb = log_uniform(rng, 0.1, 10.0, 2)
-        f = funcs.geometric_interpolant(float(pa), float(pb))
-    return {"fn": f, "u": uniform(rng), "w": uniform(rng)}
+        f = funcs.geometric_interpolant(*_log_scaled([x, y], 0.1, 10.0))
+    return {"fn": f, "u": u, "w": w}
 
 
 def _gen_young_refinement(rng, cfg):
-    lo, hi = cfg.scalar_range
-    a, b = log_uniform(rng, lo, hi, 2)
-    return {"a": float(a), "b": float(b), "t": uniform(rng)}
+    *u, t = rng.random(3).tolist()
+    a, b = _log_scaled(u, *cfg.scalar_range)
+    return {"a": a, "b": b, "t": t}
 
 
 def _gen_tsallis_scalar(rng, cfg):
-    x_lo, x_hi = _meet((1.0, 1e3), hi=cfg.scalar_range[1])
-    s, t = log_uniform(rng, 0.05, 3.0, 2)
-    return {"x": float(log_uniform(rng, x_lo, x_hi)), "s": float(s), "t": float(t)}
+    s, t = _log_scaled(rng.random(2).tolist(), 0.05, 3.0)
+    return {"x": log_uniform(rng, *_meet((1.0, 1e3), hi=cfg.scalar_range[1])), "s": s, "t": t}
 
 
 def _pair_in_range(rng, n, lo, hi) -> _Pending:
-    return _draw_pair(rng, n, lambda: log_uniform(rng, lo, hi, n), lambda: log_uniform(rng, lo, hi, n))
+    """Pending pair (A, B) with log-uniform spectra in [lo, hi]: spectrum,
+    then Gaussian matrix, for each matrix in turn."""
+    lam_a = log_uniform(rng, lo, hi, n)
+    G_a = rng.normal(size=(n, n))
+    lam_b = log_uniform(rng, lo, hi, n)
+    return _Pending([lam_a, lam_b], [G_a, rng.normal(size=(n, n))])
 
 
 def _draw_zou(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
-    return {"pair": _pair_in_range(rng, n, lo, hi), "t": uniform(rng, 1e-3, 1.0)}
+    return {"A": _pair_in_range(rng, n, lo, hi), "B": None, "t": uniform(rng, 1e-3, 1.0)}
 
 
 def _draw_refined_st(rng, cfg):
@@ -463,22 +473,22 @@ def _draw_refined_st(rng, cfg):
     lo, hi = cfg.scalar_range
     case = _regime(rng, cfg, "case", _REFINED_CASES)
     if case == "below":
-        m, M = np.sort(log_uniform(rng, *_meet((1e-3, 0.95), lo=lo), 2))
+        m, M = sorted(_log_scaled(rng.random(2).tolist(), *_meet((1e-3, 0.95), lo=lo)))
     elif case == "above":
-        m, M = np.sort(log_uniform(rng, *_meet((1.02, 50.0), hi=hi), 2))
-    else:
-        m, M = uniform(rng, 0.1, 1.0), uniform(rng, 1.0, 10.0)
-    pair = _constrained(rng, n, float(m), float(M), lo, hi)
-    return {"pair": pair, "t": uniform(rng, 1e-3, 1.0)}
+        m, M = sorted(_log_scaled(rng.random(2).tolist(), *_meet((1.02, 50.0), hi=hi)))
+    else:  # uniform on [0.1, 1) and on [1, 10)
+        u, v = rng.random(2).tolist()
+        m, M = 0.1 + (1.0 - 0.1) * u, 1.0 + (10.0 - 1.0) * v
+    return {"A": _constrained(rng, n, m, M, lo, hi), "B": None, "t": uniform(rng, 1e-3, 1.0)}
 
 
 def _draw_tsallis_relation(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
-    m, M = np.sort(log_uniform(rng, *_meet((1.0, 100.0), hi=hi), 2))
-    pair = _constrained(rng, n, float(m), float(M), lo, hi)
-    s, t = log_uniform(rng, 0.05, 3.0, 2)
-    return {"pair": pair, "s": float(s), "t": float(t)}
+    m, M = sorted(_log_scaled(rng.random(2).tolist(), *_meet((1.0, 100.0), hi=hi)))
+    pair = _constrained(rng, n, m, M, lo, hi)
+    s, t = _log_scaled(rng.random(2).tolist(), 0.05, 3.0)
+    return {"A": pair, "B": None, "s": s, "t": t}
 
 
 def _draw_roe(rng, cfg):
@@ -486,16 +496,16 @@ def _draw_roe(rng, cfg):
     lo, hi = cfg.scalar_range
     case = _regime(rng, cfg, "case", _ROE_CASES)
     if case == "low":
-        m, M = np.sort(log_uniform(rng, *_meet((1e-3, 1.0 / np.e), lo=lo), 2))
+        m, M = sorted(_log_scaled(rng.random(2).tolist(), *_meet((1e-3, 1.0 / np.e), lo=lo)))
     else:
-        m, M = np.sort(uniform(rng, 1.0, np.e, 2))
-    return {"pair": _constrained(rng, n, float(m), float(M), lo, hi)}
+        m, M = sorted([1.0 + (np.e - 1.0) * u for u in rng.random(2).tolist()])
+    return {"A": _constrained(rng, n, m, M, lo, hi), "B": None}
 
 
 def _draw_troe(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
-    m = 1.0 if uniform(rng) < 0.3 else uniform(rng, 1.0, 5.0)
+    m = 1.0 if rng.random() < 0.3 else uniform(rng, 1.0, 5.0)
     M = m + uniform(rng, 0.1, 5.0)
     pair = _constrained(rng, n, m, M, lo, hi)
     bucket = int(rng.integers(3))
@@ -505,14 +515,14 @@ def _draw_troe(rng, cfg):
         t = uniform(rng, 1.0, 3.0)
     else:
         t = uniform(rng, -1.0, -0.05)
-    return {"pair": pair, "t": t}
+    return {"A": pair, "B": None, "t": t}
 
 
 def _draw_ordering(rng, cfg):
     n = _draw_dim(rng, cfg)
     lo, hi = cfg.scalar_range
-    p = float(log_uniform(rng, 0.05, 2.0)) * (1.0 if uniform(rng) < 0.5 else -1.0)
-    return {"pair": _pair_in_range(rng, n, lo, hi), "p": p}
+    p = log_uniform(rng, 0.05, 2.0) * (1.0 if rng.random() < 0.5 else -1.0)
+    return {"A": _pair_in_range(rng, n, lo, hi), "B": None, "p": p}
 
 
 def _draw_two_function(rng, cfg):
@@ -522,16 +532,16 @@ def _draw_two_function(rng, cfg):
     params = {"fn_f": f, "fn_g": g, "a": a, "b": b, "mode": mode}
     if mode == "expectation":
         lam = uniform(rng, a, b, n)
-        params["pending"] = _Pending(lam, rng.normal(size=(n, n)))
+        params["A"] = _Pending([lam], [rng.normal(size=(n, n))])
     elif mode == "congruence":
-        params["pair"] = _constrained(rng, n, a, b, 0.5, 2.0)
+        params["A"], params["B"] = _constrained(rng, n, a, b, 0.5, 2.0), None
     else:
         lam = np.sort(uniform(rng, a, b, n))
         G = rng.normal(size=(n, n))
         v = rng.normal(size=n)
-        v /= np.linalg.norm(v)
-        shift = uniform(rng, 0.0, max(lam[0] - a, 0.0))
-        params["pending"] = _Pending(lam, G, shift=shift, v=v)  # B = A - shift v v^T
+        v /= math.sqrt(v.dot(v))  # np.linalg.norm(v), bit for bit
+        shift = uniform(rng, 0.0, max(float(lam[0]) - a, 0.0))
+        params["A"], params["B"] = _Pending([lam], [G], shift=shift, v=v), None  # B = A - shift v v^T
     return params
 
 
@@ -761,9 +771,7 @@ def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
             clock = _charge([rep], clock)
         decided = {}
         if drawn:  # realized together, and decided together
-            realized = iter(_realize([p for j in drawn for p in blocks[j]]))
-            for j in drawn:
-                blocks[j] = [next(realized) for _ in trials]
+            _realize([p for j in drawn for p in blocks[j]])
             columns = [(entries[j].id, {prm.name: [p.get(prm.name) for p in blocks[j]] for prm in entries[j].params}) for j in drawn]
             decided = dict(zip(drawn, entropy.chain_stacks(columns, cfg.tol)))
             clock = _charge([reports[j] for j in drawn], clock + sum(decided[j].elapsed_s for j in drawn))

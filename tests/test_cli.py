@@ -352,6 +352,24 @@ def test_fuzz_refuses_a_report_path_that_names_its_csv_sidecar(tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("folder", ["no/such", "f.txt"])
+def test_fuzz_refuses_a_report_path_outside_a_directory(tmp_path, monkeypatch, capsys, folder):
+    # a report that could not be written once every trial has run: refused
+    # before any trial runs, naming --out, and no file is written
+    def no_fuzzing(*args):
+        raise AssertionError("fuzzed")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.harness, "fuzz_all", no_fuzzing)
+    (tmp_path / "f.txt").write_text("")
+    out = f"{folder}/r.json"
+    assert main(["fuzz", "all", "--trials", "2000", "--out", out]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"error: --out {out}: {folder!r} is not a directory\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["f.txt"]
+
+
 @pytest.mark.parametrize("values", [
     ["--x", "-0.3,0.5", "--t", "0.5"],
     ["--x", "-0.3,0.5", "--t", "0.5", "--tol", "-1e-3"],  # an exponent form is not a plain negative number

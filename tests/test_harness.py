@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oel import entropy, harness, linalg, scalar
+from oel import entropy, funcs, harness, linalg, scalar
 from oel.errors import NumericError
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, TrialStreams, fuzz_chain, trial_rng
@@ -178,6 +178,87 @@ def test_uniform_is_generator_uniform_bitwise():
         assert ours.random() == theirs.random()  # still in step
 
 
+# the draws are written on Python floats, with one rng call per vector; each
+# old numpy formula is their oracle, on a fresh stream per trial
+
+
+def test_log_uniform_is_exp_of_a_log_bounded_uniform_bitwise():
+    ends = np.random.default_rng(4)
+    for trial in range(300):
+        m, M = sorted(ends.uniform(1e-3, 100.0, 2).tolist())
+        for lo, hi in _LOG_UNIFORM_RANGES + [(m, M), (1e-300, 1e300)]:
+            for size in (None, 2, 1 + trial % 32):
+                ours, theirs = trial_rng(43, trial), trial_rng(43, trial)
+                drawn = harness.log_uniform(ours, lo, hi, size)
+                assert type(drawn) is (float if size is None else np.ndarray)
+                assert _bits(drawn) == _bits(np.exp(theirs.uniform(np.log(lo), np.log(hi), size))), (trial, lo, hi, size)
+                assert ours.random() == theirs.random()  # still in step
+
+
+def test_weights_are_exponentials_over_their_numpy_sum_bitwise():
+    for trial in range(2000):
+        for k in range(1, 8):
+            ours, theirs = trial_rng(44, 8 * trial + k), trial_rng(44, 8 * trial + k)
+            w = theirs.exponential(size=k)
+            assert _bits(harness._weights(ours, k)) == _bits(w / w.sum()), (trial, k)
+            assert ours.random() == theirs.random()
+
+
+def test_domain_points_are_one_uniform_per_point_bitwise():
+    for trial in range(500):
+        f = REGISTRY[list(REGISTRY)[trial % len(REGISTRY)]]
+        lo, hi = f.domain
+        for k in (1, 2, 5):
+            ours, theirs = trial_rng(45, trial), trial_rng(45, trial)
+            expected = [lo + (hi - lo) * theirs.uniform(0.02, 0.98) for _ in range(k)]
+            assert _bits(harness._domain_points(ours, f, k)) == _bits(expected), (f.id, k)
+            assert ours.random() == theirs.random()
+
+
+def _old_factory(kind: str, p: float, q: float) -> FunctionSpec:
+    """The parametric factories as numpy scalars built them: each flag set
+    formed per call, each id by ``format``."""
+    if kind == "linear":
+        mono = {"monotone_increasing"} if p > 0 else {"monotone_decreasing"} if p < 0 else set()
+        return FunctionSpec(f"lin-{p:g}-{q:g}", (0.0, 50.0), lambda x: p * x + q, lambda x: p + 0.0 * x, frozenset({"convex", "concave"} | mono))
+    if kind == "quad_exponential":
+        return FunctionSpec(
+            f"quad-exp-{p:g}-{q:g}", (-0.5, 1.5), lambda t: np.exp(p * t * t + q * t),
+            lambda t: (2.0 * p * t + q) * np.exp(p * t * t + q * t), frozenset({"log_convex", "convex"}),
+        )
+    r = np.log(q / p)
+    mono = {"monotone_increasing"} if q > p else {"monotone_decreasing"} if q < p else set()
+    return FunctionSpec(
+        f"geo-interp-{p:g}-{q:g}", (-0.5, 1.5), lambda t: p * np.exp(r * t), lambda t: p * r * np.exp(r * t),
+        frozenset({"log_convex", "log_concave", "convex"} | mono),
+    )
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("linear", [(0.04, 0.12), (-0.5, 3.0), (0.0, 1.0), (np.float64(0.0123456789), np.float64(0.98765432))]),
+    ("quad_exponential", [(1.0, 0.0), (0.0, -1.0), (1.9999, -0.333333333), (0.5, 1e-7)]),
+    ("geometric_interpolant", [(1.0, 4.0), (4.0, 1.0), (2.5, 2.5), (0.1000001, 9.87654321)]),
+])
+def test_factories_build_the_functions_they_built_before(kind, params):
+    for p, q in params:
+        assert _fingerprint({0: getattr(funcs, kind)(p, q)}) == _fingerprint({0: _old_factory(kind, p, q)}), (kind, p, q)
+
+
+def test_two_function_family_is_drawn_as_before_bitwise():
+    for trial in range(2000):
+        ours, theirs = trial_rng(46, trial), trial_rng(46, trial)
+        a = theirs.uniform(1.2, 3.0)
+        b = a * theirs.uniform(1.2, 2.5)
+        fa, fb = np.log(a), np.log(b)
+        c_min = fb * (b - a) / (fb - fa) - a
+        c = c_min + theirs.uniform(0.05, 2.0) * max(1.0, abs(c_min))
+        eps = theirs.uniform(0.1, 1.0) * fa / (b + c)
+        f, g, a_ours, b_ours = harness.gen_two_function_family(ours)
+        assert f is REGISTRY["log-wide"] and (a_ours, b_ours) == (a, b)
+        assert _fingerprint({0: g}) == _fingerprint({0: _old_factory("linear", eps, eps * c)}), trial
+        assert ours.random() == theirs.random()
+
+
 def test_gen_pd_matrix_contract():
     # zou draws A and B with log-uniform spectra from scalar_range
     from test_linalg import loewner_compare
@@ -201,7 +282,7 @@ def test_gen_pd_matrix_contract():
 def _constrained_pair(trial: int, m: float, M: float):
     """A 3 x 3 pair with relative spectrum [m, M], realized as a block of one."""
     cfg = GeneratorConfig(seed=11)
-    p = harness._realize([{"pair": harness._constrained(trial_rng(cfg.seed, trial), 3, m, M, *cfg.scalar_range)}])[0]
+    p = harness._realize([{"A": harness._constrained(trial_rng(cfg.seed, trial), 3, m, M, *cfg.scalar_range), "B": None}])[0]
     return p["A"], p["B"]
 
 

@@ -9,9 +9,10 @@ run
 - the fuzz configs of ``FUZZ_CONFIGS``: ``harness.fuzz_all`` and each
   operator chain's ``harness.fuzz_chain``, each writing its JSON report and
   CSV sidecar, compared byte for byte;
-- the ``oel verify`` and ``oel compute`` calls of ``CLI_CALLS``, every such
-  call of the CI workflow among them, on the matrix files of ``MATRICES``,
-  comparing stdout, stderr and exit code.
+- the ``oel`` calls of ``CLI_CALLS``, every ``oel verify`` and ``oel
+  compute`` call of the CI workflow and its refused ``oel fuzz`` calls
+  among them, on the matrix files of ``MATRICES``, comparing stdout, stderr
+  and exit code.
 
 Every config whose output differs between the trees is printed, then one
 summary line; the exit status is 1 if any config differs, else 0. Only the
@@ -161,6 +162,9 @@ CLI_CALLS = [
     "verify thm-2.12 --A ta.json --mode bogus",
     "verify cor-2.4 --fn quad-exp-1-0 --w 0.5,0.5 --x -0.3,0.5 --t 0.5",
     "verify cor-2.4 --fn quad-exp-1-0 --w 0.5,0.5 --x=-0.3,0.5 --t 0.5",
+    # package and determinism smoke test: refused report paths
+    "fuzz zou --trials 2 --out r.csv",
+    "fuzz all --trials 2000 --out no-such-dir/r.json",
 ]
 
 
