@@ -36,12 +36,10 @@ from .entropy import (
 from .errors import DomainError, NumericError
 from .funcs import REGISTRY, FunctionSpec
 from .harness import CHAINS, FuzzReport, GeneratorConfig, fuzz_all, fuzz_chain, write_report
-from .linalg import EigenDecomposition, load_matrix, relative_spectrum_bounds
+from .linalg import EigenDecomposition, load_matrix
 from .scalar import (
-    deformed_exp,
     deformed_log,
     eta,
-    geom_log_derivative,
     phi,
     ratio_sequences,
     theta,

@@ -128,9 +128,13 @@ def cmd_fuzz(args) -> int:
     if args.out:  # refused before any trial runs
         folder = os.path.dirname(args.out) or "."
         try:
-            harness.csv_sidecar(args.out)
+            sidecar = harness.csv_sidecar(args.out)
             if not os.path.isdir(folder):
                 raise ValueError(f"{folder!r} is not a directory")
+            if os.path.isdir(args.out):
+                raise ValueError(f"{args.out!r} is a directory")
+            if os.path.isdir(sidecar):
+                raise ValueError(f"its CSV sidecar {sidecar!r} is a directory")
         except ValueError as exc:
             raise ValueError(f"--out {args.out}: {exc}") from None
     cfg = GeneratorConfig(seed=args.seed, trials=args.trials, tol=args.tol)

@@ -10,32 +10,35 @@ eigenvalue l of X, and the chains are decided on the spectrum of X alone.
 ``chain_stacks`` is the one entry point of the matrix chains. It decides
 trials of any of them at once, with one outcome per trial: its verdict, or
 the error that refuses it, which touches no other trial. The outcomes are
-the columns of a ``Decided`` record per chain, each trial's error, or its
-status and least relative slack, which a fuzz run reads; a verdict object
-is built by index, only where one is read. The public ``check_*``
-functions are its one-trial case and raise that error. A
-trial's route is its chain id, or for thm-2.12 its mode. Its A, and its B
-where the route reads B, are read on their own by ``linalg._square``, the
-one cast, as the entropies read their pair; the trials whose A share a
-shape are a group. Every A of a group, and majorize mode's B, is validated
-and decomposed in one ``linalg._pd_stack`` call (one ``eigh``), and each
-route takes its rows. A pair chain is declared once, as a ``PairChain`` in
+the columns of one ``Decided`` record per chain, written in place: each
+trial's error, or its status and least relative slack, which a fuzz run
+reads; a verdict object is built by index, only where one is read. The
+public ``check_*`` functions are its one-trial case and raise that error.
+A trial's route is its chain id, or for thm-2.12 its mode. Its A, and then
+its B where the route reads B, are read by ``linalg._square``, the one
+cast, before either is validated, as the entropies read their pair; so
+every route that reads B refuses a B of another shape before any refusal
+of A's entries or definiteness. The trials whose A share a shape are a
+group. Every A of a group, and majorize mode's B, is validated and
+decomposed in one ``linalg._pd_stack`` call (one ``eigh``), and each route
+takes its rows. A pair chain is declared once, as a ``PairChain`` in
 ``PAIR_CHAINS``: a refusal of one pair's parameters, a case function that
 records the pair's case in its regime, sets its coefficients and names its
 links, and a table of link functions of the (k, n) eigenvalues. The routes
 that read X, the pair chains and congruence mode, share one
 ``linalg._Pairs`` per group (one ``eigvalsh`` call for every X), and each
 evaluates the links of its rows of it, a slice, in one vectorized pass:
-``_pair_stack`` for a pair chain. ``_decide`` sorts a route's trials into
-refusals, not-applicable trials and layouts of links, and ``_settle``
-decides the links of every route of a group together, in one array pass
-per length of layout and shape of link. ``_compare`` makes every
-comparison of the package: a link's slack is min over l of f_{j+1}(l) -
-f_j(l) on a spectrum, or the least eigenvalue of the difference of two
-matrices, and its scale is max(1, max |f_j|, max |f_{j+1}|). The link
-matrices, like the entropies, are lifted from the factors of ``_Pairs``,
-one ``eigh`` of a pair's X serving them all, and only when
-``OperatorChainVerdict.links`` is read.
+``_pair_stack`` for a pair chain. A route returns what it computed, its
+trials' links, layouts, regimes and errors, and ``_settle`` writes them
+into the chains' records: the refusals and not-applicable trials, then the
+links of every route of a group decided together, in one array pass per
+length of layout and shape of link. ``_compare`` makes every comparison of
+the package: a link's slack is min over l of f_{j+1}(l) - f_j(l) on a
+spectrum, or the least eigenvalue of the difference of two matrices, and
+its scale is max(1, max |f_j|, max |f_{j+1}|). The link matrices, like the
+entropies, are lifted from the factors of ``_Pairs``, one ``eigh`` of a
+pair's X serving them all, and only when ``OperatorChainVerdict.links`` is
+read.
 
 The two-function comparison of thm-2.12 varies its function pair,
 interval and mode from trial to trial. One pass, ``_gated``, checks each
@@ -139,24 +142,22 @@ class LoewnerVerdict:
 
 
 class Decided:
-    """The outcomes of a stack of trials of one chain, as columns, which
-    ``_decide`` makes and ``chain_stacks`` gathers by chain. Trial i's
-    outcome is ``errors[i]``, the error that refuses it, or else a verdict
-    of status ``status[i]`` whose least relative link slack is ``rel[i]``
-    (None when it decides no link); ``self[i]`` is that error, or the
-    verdict, built here from the arrays of the pass that decided it. The
-    rows of a record that ``_decide`` makes are pending until ``_settle``
-    has run. ``elapsed_s`` is the time ``chain_stacks`` spent in the
-    chain's own routes."""
+    """The outcomes of a stack of trials of one chain, as columns, of which
+    ``chain_stacks`` makes one per chain and writes each trial's outcome in
+    place, at routing or by ``_settle``. Trial i's outcome is
+    ``errors[i]``, the error that refuses it, or else a verdict of status
+    ``status[i]`` whose least relative link slack is ``rel[i]`` (None when
+    it decides no link); ``self[i]`` is that error, or the verdict, built
+    here from the arrays of the pass that decided it. ``elapsed_s`` is the
+    time ``chain_stacks`` spent in the chain's own routes."""
 
     def __init__(self, chain_id: str, tol: float, k: int):
         self.chain_id, self.tol, self.elapsed_s = chain_id, tol, 0.0
         self.errors, self.status, self.rel = [None] * k, [None] * k, [None] * k
         # per trial: its regime if it is not applicable, else (its layout,
-        # its row of the stack, its regime, the stack's lift, the arrays of
+        # its row of its route, its regime, the route's lift, the arrays of
         # its pass, its column there)
         self._at = [None] * k
-        self._pending = []  # (layout, rows, links, regimes, lift) of each layout, for _settle
 
     def __len__(self) -> int:
         return len(self.errors)
@@ -171,11 +172,6 @@ class Decided:
         verdicts = [LoewnerVerdict(h, x, self.tol, c) for h, x, c in columns]
         build = lambda: [lift(s, name) for name in layout]
         return OperatorChainVerdict(self.chain_id, build, verdicts, self.status[i], self.tol, regime)
-
-    def _put(self, at: list, other: Decided) -> None:
-        """Take the outcomes of ``other`` as those of trials ``at``."""
-        for j, i in enumerate(at):
-            self.errors[i], self.status[i], self.rel[i], self._at[i] = other.errors[j], other.status[j], other.rel[j], other._at[j]
 
 
 def _peak(V: np.ndarray) -> np.ndarray:
@@ -198,59 +194,51 @@ def _compare(V: np.ndarray, tol: float, peak: np.ndarray) -> tuple:
     return slack, scale, slack >= -tol * scale
 
 
-def _decide(chain_id, links, layouts, regimes, errors, tol, lift) -> Decided:
-    """The outcomes of the pairs of a stack, their links pending for
-    ``_settle``.
+def _settle(routes: list, tol) -> None:
+    """Write the outcomes of the ``(record, at, output)`` triples ``routes``
+    into their ``Decided`` records, trial j of an output at ``at[j]``.
 
-    ``links`` maps names to the links of every pair: (k, n) rows of values
-    f(l) at the ascending eigenvalues l of each pair's X, (k, 1) rows of one
-    value, or (k, m, m) stacks of matrices. Pair i's chain is
-    ``links[name][i]`` for the names in ``layouts[i]``, or not applicable
-    when that layout is None; a refused pair's outcome is its error. The
-    links of the pairs sharing a layout are stacked as one (L, r, ...)
-    array. ``lift(i, name)`` builds a link matrix of pair i, when the
-    ``links`` of its verdict are first read.
-    """
-    k = len(layouts)
-    out, groups = Decided(chain_id, tol, k), {}
-    for i, layout in enumerate(layouts):
-        if errors[i] is not None:
-            out.errors[i] = errors[i]
-        elif layout is None:
-            out.status[i], out._at[i] = STATUS_NOT_APPLICABLE, regimes[i]
-        else:
-            groups.setdefault(layout, []).append(i)
-    for layout, rows in groups.items():
-        V = np.array([links[name] for name in layout])
-        out._pending.append((layout, rows, V if len(rows) == k else V[:, rows], regimes, lift))
-    return out
-
-
-def _settle(records: list) -> None:
-    """Decide the pending rows of ``records``, which share a tol. The links
-    of every pending layout of one length and one shape of link, whatever
-    its record, are decided in one pass: one ``_peak`` call, whose
-    finiteness fails a row with a non-finite entry in a link with
-    NumericError, and one ``_compare`` call."""
+    An output is what a route computed, ``(links, layouts, regimes, errors,
+    lift)``. ``links`` maps names to the links of its k trials: (k, n) rows
+    of values f(l) at the ascending eigenvalues l of each pair's X, (k, 1)
+    rows of one value, or (k, m, m) stacks of matrices. Trial j's chain is
+    ``links[name][j]`` for the names in ``layouts[j]``, or not applicable,
+    with regime ``regimes[j]``, when that layout is None; a refused trial's
+    outcome is ``errors[j]``. ``lift(j, name)`` builds a link matrix of
+    trial j when the ``links`` of its verdict are first read. The links of
+    the trials of a layout are stacked as one (L, r, ...) array, and those
+    of every layout of one length and one shape of link, whatever its route,
+    are decided in one pass: one ``_peak`` call, whose finiteness fails a
+    row with a non-finite entry in a link with NumericError, and one
+    ``_compare`` call."""
     passes = {}
-    for out in records:
-        for layout, rows, V, regimes, lift in out._pending:
-            passes.setdefault(V.shape[:1] + V.shape[2:], []).append((out, layout, rows, V, regimes, lift))
-        out._pending = []
+    for out, at, (links, layouts, regimes, errors, lift) in routes:
+        by_layout = {}
+        for j, layout in enumerate(layouts):
+            if errors[j] is not None:
+                out.errors[at[j]] = errors[j]
+            elif layout is None:
+                out.status[at[j]], out._at[at[j]] = STATUS_NOT_APPLICABLE, regimes[j]
+            else:
+                by_layout.setdefault(layout, []).append(j)
+        for layout, rows in by_layout.items():
+            V = np.array([links[name] for name in layout])
+            V = V if len(rows) == len(layouts) else V[:, rows]
+            passes.setdefault(V.shape[:1] + V.shape[2:], []).append((V, [(out, at[j], layout, j, regimes[j], lift) for j in rows]))
     for group in passes.values():
-        V = np.concatenate([V for _, _, _, V, _, _ in group], axis=1) if len(group) > 1 else group[0][3]
-        rows = [(out, layout, i, regimes[i], lift) for out, layout, rows, _, regimes, lift in group for i in rows]
+        V = np.concatenate([V for V, _ in group], axis=1) if len(group) > 1 else group[0][0]
+        rows = [row for _, rows in group for row in rows]
         peak = _peak(V)
         finite = np.isfinite(peak).all(axis=0)
         if not finite.all():
-            for out, _, i, _, _ in [row for row, ok in zip(rows, finite.tolist()) if not ok]:
+            for out, i, *_ in [row for row, ok in zip(rows, finite.tolist()) if not ok]:
                 out.errors[i] = NumericError(f"{out.chain_id}: chain link has non-finite entries")
             rows, V, peak = [row for row, ok in zip(rows, finite.tolist()) if ok], V[:, finite], peak[:, finite]
-        arrays = slack, scale, holds = _compare(V, records[0].tol, peak)
+        arrays = slack, scale, holds = _compare(V, tol, peak)
         # min in link order, as Python's min takes it: the first of a tie of 0.0 and -0.0
         rel = map(min, zip(*(slack / scale).tolist()))
-        for j, ((out, layout, i, regime, lift), ok, r) in enumerate(zip(rows, holds.all(axis=0).tolist(), rel)):
-            out.status[i], out.rel[i], out._at[i] = STATUS_PASS if ok else STATUS_FAIL, r, (layout, i, regime, lift, arrays, j)
+        for c, ((out, i, layout, j, regime, lift), ok, r) in enumerate(zip(rows, holds.all(axis=0).tolist(), rel)):
+            out.status[i], out.rel[i], out._at[i] = STATUS_PASS if ok else STATUS_FAIL, r, (layout, j, regime, lift, arrays, c)
 
 
 @dataclass(frozen=True)
@@ -273,14 +261,13 @@ class PairChain:
     case: Callable | None = None
 
 
-def _pair_stack(chain: PairChain, pairs, params: dict, tol) -> Decided:
-    """The outcomes of the pairs of the factored stack ``pairs`` (a
-    ``linalg._Pairs``), by ``_decide``. ``params`` maps each parameter's
-    name to its k values, pair i's being ``p``. A pair is refused by a
-    non-finite parameter, the first in ``params``, or by ``chain.refuse``,
-    before any refusal of ``pairs``. An error in TRIAL_ERRORS that
-    ``chain.case`` raises for pair i is its outcome and touches no other
-    pair."""
+def _pair_stack(chain: PairChain, pairs, params: dict) -> tuple:
+    """The output, for ``_settle``, of the pairs of the factored stack
+    ``pairs`` (a ``linalg._Pairs``). ``params`` maps each parameter's name
+    to its k values, pair i's being ``p``. A pair is refused by a non-finite
+    parameter, the first in ``params``, or by ``chain.refuse``, before any
+    refusal of ``pairs``. An error in TRIAL_ERRORS that ``chain.case``
+    raises for pair i is its outcome and touches no other pair."""
     k = len(pairs.errors)
     refusals = [None] * k
     for name, values in params.items():
@@ -312,7 +299,7 @@ def _pair_stack(chain: PairChain, pairs, params: dict, tol) -> Decided:
         row = {key: column[i:i + 1] for key, column in c.items()}
         return pairs.lift(i, lambda lam: links[name](lam, np.log(lam), row))
 
-    return _decide(chain.id, values, layouts, regimes, errors, tol, lift)
+    return values, layouts, regimes, errors, lift
 
 
 # --- entropies --------------------------------------------------------------
@@ -616,7 +603,7 @@ def _worst_unit_vector(f, g, a, b, df, dg, lam) -> tuple:
     return best[1:]
 
 
-def _expectation(f, g, a, b, eig_a, errors, tol) -> Decided:
+def _expectation(f, g, a, b, eig_a, errors, tol) -> tuple:
     """Expectation mode, decided at each trial's worst unit vector h.
 
     In A's eigenbasis (l_i, v_i), a unit vector h has weights w_i = <h,
@@ -648,10 +635,10 @@ def _expectation(f, g, a, b, eig_a, errors, tol) -> Decided:
         regime.update({"x": float(x), "pair": pair, "weight": float(w), "worst_rel_slack": float(rel)})
         links["lhs(h)"][i], links["rhs(h)"][i] = lhs, rhs
         layouts[i] = ("lhs(h)", "rhs(h)")
-    return _decide("thm-2.12", links, layouts, regimes, errors, tol, lambda i, name: links[name][i].reshape(1, 1))
+    return links, layouts, regimes, errors, lambda i, name: links[name][i].reshape(1, 1)
 
 
-def _congruence(f, g, a, b, pairs, tol) -> Decided:
+def _congruence(f, g, a, b, pairs, tol) -> tuple:
     """Congruence mode: f(X) <= ratio g(X), decided like the pair chains on
     ``pairs``, its trials' slice of their group's one ``linalg._Pairs``."""
     regimes, steps = _gated("congruence", f, g, a, b, [pairs.lam], pairs.errors, tol)
@@ -668,10 +655,10 @@ def _congruence(f, g, a, b, pairs, tol) -> Decided:
         fn = f[i].eval if name == "f(X)" else lambda lam: regimes[i]["ratio"] * g[i].eval(lam)
         return pairs.lift(i, fn)
 
-    return _decide("thm-2.12", links, layouts, regimes, pairs.errors, tol, lift)
+    return links, layouts, regimes, pairs.errors, lift
 
 
-def _majorize(f, g, a, b, A, eig_a, B, eig_b, errors, tol) -> Decided:
+def _majorize(f, g, a, b, A, eig_a, B, eig_b, errors, tol) -> tuple:
     """Majorize mode: f(B) <= ratio g(A) where B <= A, by Loewner checks on
     ``A`` and ``B``, the trials' rows of their group's stack, as are
     ``eig_a`` and ``eig_b``; ``errors`` refuses a trial for A before B."""
@@ -691,7 +678,7 @@ def _majorize(f, g, a, b, A, eig_a, B, eig_b, errors, tol) -> Decided:
         links["ratio*g(A)"][rows] = ratio * eig_apply(eig_a.take(rows), _each(g, rows, errors))
         for i in rows:
             layouts[i] = ("f(B)", "ratio*g(A)")
-    return _decide("thm-2.12", links, layouts, regimes, errors, tol, lambda i, name: links[name][i])
+    return links, layouts, regimes, errors, lambda i, name: links[name][i]
 
 
 def check_two_function_operator(
@@ -751,27 +738,20 @@ def chain_stacks(stacks: list, tol) -> list:
                 if route != "expectation" and b is None:
                     errors[i] = ValueError(f"mode {route!r} requires B")
                     continue
-            try:
+            try:  # A, then B where the route reads it, before either is validated
                 a = _square(a)
+                if route != "expectation":  # which never reads B
+                    b = _square(b, a.shape)
             except ValueError as exc:
                 errors[i] = exc
                 continue
-            if route != "expectation":  # which never reads B
-                try:
-                    b = _square(b, a.shape)
-                except ValueError as exc:
-                    if route != "majorize":
-                        errors[i] = exc
-                        continue
-                    b = exc  # majorize mode refuses B after A's own refusals
             groups.setdefault(a.shape, {}).setdefault((c, route), []).append((i, a, b))
     for group in groups.values():
-        # X routes first; majorize mode last, its B after every A (A standing in for a refused B)
+        # X routes first; majorize mode last, its B after every A
         routes = sorted(group.items(), key=lambda item: {"expectation": 1, "majorize": 2}.get(item[0][1], 0))
         trials = [trial for _, rows in routes for trial in rows]
         xs = sum(len(rows) for (_, route), rows in routes if route not in ("expectation", "majorize"))
-        majorized = [a if isinstance(b, Exception) else b for (_, route), rows in routes if route == "majorize"
-                     for _, a, b in rows]
+        majorized = [b for (_, route), rows in routes if route == "majorize" for _, _, b in rows]
         M, eig, errors = _pd_stack([a for _, a, _ in trials] + majorized, ["A"] * len(trials) + ["B"] * len(majorized))
         pairs = _Pairs(eig.take(slice(0, xs)), errors[:xs], [b for _, _, b in trials[:xs]]) if xs else None
         lo, decided = 0, []
@@ -783,18 +763,15 @@ def chain_stacks(stacks: list, tol) -> list:
                 out = _expectation(*gated, eig.take(here), errors[here], tol)
             elif route == "majorize":
                 b_rows = slice(here.start + len(majorized), here.stop + len(majorized))
-                refused = [b if isinstance(b, Exception) else None for _, _, b in rows]
-                errors_ab = _first(errors[here], refused, errors[b_rows])
+                errors_ab = _first(errors[here], errors[b_rows])
                 out = _majorize(*gated, M[here], eig.take(here), M[b_rows], eig.take(b_rows), errors_ab, tol)
             elif route == "congruence":
                 out = _congruence(*gated, pairs.take(here), tol)
             else:
                 params = {name: values for name, values in columns.items() if name not in ("A", "B")}
-                out = _pair_stack(PAIR_CHAINS[route], pairs.take(here), params, tol)
-            decided.append((c, [i for i, _, _ in rows], out))
+                out = _pair_stack(PAIR_CHAINS[route], pairs.take(here), params)
+            decided.append((outcomes[c], [i for i, _, _ in rows], out))
             outcomes[c].elapsed_s += time.perf_counter() - started
             lo += len(rows)
-        _settle([out for _, _, out in decided])
-        for c, at, out in decided:
-            outcomes[c]._put(at, out)
+        _settle(decided, tol)
     return outcomes

@@ -742,8 +742,8 @@ def fuzz_chain(chain_id: str, cfg: GeneratorConfig) -> FuzzReport:
 
 
 def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
-    """Run cfg.trials seeded trials of each chain in ``ids`` (default: every
-    chain) and aggregate the outcome of each.
+    """Run cfg.trials seeded trials of each chain in ``ids`` (None: every
+    chain; an empty list draws nothing) and aggregate the outcome of each.
 
     A non-finite chain evaluation counts as a failure: the generators are
     expected to keep instances inside float range, so an overflow is a bug
@@ -755,10 +755,11 @@ def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
     ``entropy.chain_stacks`` among it, and an equal share of the work it
     shares with other chains, such as ``_realize``.
     """
-    for cid in ids or ():
+    ids = list(CHAINS) if ids is None else ids
+    for cid in ids:
         if cid not in CHAINS:
             raise KeyError(f"unknown chain {cid!r}")
-    entries = [CHAINS[cid] for cid in ids or CHAINS]
+    entries = [CHAINS[cid] for cid in ids]
     reports = [FuzzReport(entry.id, cfg.trials, 0, 0, [], None, cfg.seed, 0.0) for entry in entries]
     drawn = [j for j, entry in enumerate(entries) if entry.draw]
     streams, clock = TrialStreams(cfg.seed), time.perf_counter()

@@ -239,15 +239,6 @@ class _Pairs:
         return symmetrize(root @ eig_apply(eig_x, fn) @ root)[0]
 
 
-def relative_spectrum_bounds(A, B) -> tuple[float, float]:
-    """Tightest constants (m, M) with m*A <= B <= M*A for positive-definite
-    A, B: the extreme eigenvalues of A**(-1/2) B A**(-1/2)."""
-    A = _square(A)
-    pairs = _Pairs(*_pd_stack([A], ["A"])[1:], [_square(B, A.shape)])
-    _only(pairs.errors)
-    return pairs.m[0], pairs.M[0]
-
-
 # --- matrix file format ----------------------------------------------------
 
 def matrix_to_obj(A) -> dict:
@@ -278,9 +269,3 @@ def load_matrix(path) -> np.ndarray:
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed matrix file {path}: {exc}") from exc
     return matrix_from_obj(obj)
-
-
-def dump_matrix(A, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_to_obj(A), fh)
-        fh.write("\n")

@@ -1,5 +1,5 @@
-"""Scalar kernel: deformed logarithm/exponential, weighted means, and the
-named helper functionals used by the inequality chains.
+"""Scalar kernel: the deformed logarithm, weighted means, and the named
+helper functionals used by the inequality chains.
 
 Everything here is a pure function of its arguments, computed in binary64.
 The deformed-logarithm family accepts numpy arrays as well as floats so the
@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 
-# Below this the quotient form of the deformed log/exp loses ~|t|^-1 digits
+# Below this the quotient form of the deformed log loses ~|t|^-1 digits
 # to cancellation, so a third-order series in t takes over.
 T_SWITCH = 1e-8
 
@@ -81,24 +81,6 @@ def deformed_log_gap(t: float, x):
         lambda: np.expm1(t * L) / t - L,
     )
     return float(out) if np.ndim(out) == 0 else out
-
-
-def deformed_exp(t: float, x):
-    """Deformed exponential: (1 + t*x)**(1/t), inverse of deformed_log.
-
-    Requires 1 + t*x > 0.
-    """
-    xa = np.asarray(x, dtype=float)
-    if abs(t) <= T_SWITCH:
-        if np.any(1.0 + t * xa <= 0.0):
-            raise DomainError("deformed_exp requires 1 + t*x > 0")
-        out = np.exp(xa - (t / 2.0) * xa**2 + (t * t / 3.0) * xa**3)
-    else:
-        base = 1.0 + t * xa
-        if np.any(base <= 0.0):
-            raise DomainError("deformed_exp requires 1 + t*x > 0")
-        out = np.exp(np.log1p(t * xa) / t)
-    return float(out) if np.isscalar(x) or np.ndim(x) == 0 else out
 
 
 def weighted_means(a: float, b: float, v: float) -> tuple[float, float]:
@@ -197,24 +179,11 @@ def phi(t: float, x: float) -> float:
     return float((x - 1.0) / ((1.0 - t) + t * x) - np.log(x))
 
 
-def geom_log_derivative(g, a: float, b: float, t: float) -> float:
-    """Logarithmic derivative of the interpolation ratio
-    g(a**(1-t) b**t) / (g(a)**(1-t) g(b)**t) at t.
-
-    `g` is any function spec exposing ``eval`` and ``deriv``; it must be
-    positive at a, b, and the geometric interpolant.
-    """
-    _as_positive(a, "a")
-    _as_positive(b, "b")
-    ga, gb, gm = g.eval(a), g.eval(b), g.eval(a ** (1.0 - t) * b**t)
-    if ga <= 0.0 or gb <= 0.0 or gm <= 0.0:
-        raise DomainError(f"{getattr(g, 'id', 'g')} must be positive on its domain")
-    return _geom_log_derivative(g, a, b, t, ga, gb, gm)
-
-
 def _geom_log_derivative(g, a, b, t, ga, gb, gm) -> float:
-    """``geom_log_derivative`` from the positive values ga, gb and gm of g
-    at a, b and the interpolant a**(1-t) b**t; reads g' once."""
+    """Logarithmic derivative at t of the interpolation ratio g(a**(1-t)
+    b**t) / (g(a)**(1-t) g(b)**t), from the values ga, gb and gm of g at a,
+    b and the interpolant a**(1-t) b**t, which the caller has checked to be
+    positive (a and b too); reads g' once."""
     mid = a ** (1.0 - t) * b**t
     return float(np.log(ga / gb) - mid * np.log(a / b) * g.deriv(mid) / gm)
 

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from oel import chains, scalar
+from oel import chains
 from oel.errors import DomainError, NumericError
 from oel.funcs import REGISTRY, FunctionSpec, linear, power, quad_exponential, geometric_interpolant
+from test_scalar import geom_log_derivative
 
 IDENT = FunctionSpec(
     id="ident", domain=(-10.0, 10.0), eval=lambda x: float(x), deriv=lambda x: 1.0,
@@ -215,8 +216,8 @@ def test_geom_interpolation_reads_g_three_times_and_g_prime_twice():
     v = chains.geom_interpolation_chain(dataclasses.replace(g, eval=counted("eval"), deriv=counted("deriv")), 1.0, 2.0, 0.3)
     assert calls == {"eval": 3, "deriv": 2}
     witness = v.to_dict()["witness"]
-    assert witness["G0"] == scalar.geom_log_derivative(g, 1.0, 2.0, 0.0)
-    assert witness["Gt"] == scalar.geom_log_derivative(g, 1.0, 2.0, 0.3)
+    assert witness["G0"] == geom_log_derivative(g, 1.0, 2.0, 0.0)
+    assert witness["Gt"] == geom_log_derivative(g, 1.0, 2.0, 0.3)
 
 
 def test_jensen_exponential_bounds_examples():

@@ -18,9 +18,8 @@ from oel.entropy import OperatorChainVerdict
 from oel.errors import TRIAL_ERRORS
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, _emit_json, trial_rng
-from oel.linalg import dump_matrix
 from test_harness import _fingerprint
-from test_linalg import count_eig_calls
+from test_linalg import count_eig_calls, dump_matrix
 
 
 @pytest.fixture()
@@ -368,6 +367,28 @@ def test_fuzz_refuses_a_report_path_outside_a_directory(tmp_path, monkeypatch, c
     assert printed.out == ""
     assert printed.err == f"error: --out {out}: {folder!r} is not a directory\n"
     assert sorted(path.name for path in tmp_path.iterdir()) == ["f.txt"]
+
+
+@pytest.mark.parametrize("fuzz, out, reason", [
+    (["all", "--trials", "2000"], "somedir", "'somedir' is a directory"),
+    (["zou", "--trials", "50"], "out.json", "its CSV sidecar 'out.csv' is a directory"),
+])
+def test_fuzz_refuses_a_report_path_or_sidecar_that_is_a_directory(tmp_path, monkeypatch, capsys, fuzz, out, reason):
+    # a report that could not be written once every trial had run, or a
+    # sidecar once its report was: refused before any trial runs, naming
+    # --out, and no file is written
+    def no_fuzzing(*args):
+        raise AssertionError("fuzzed")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.harness, "fuzz_all", no_fuzzing)
+    for folder in ("somedir", "out.csv"):
+        (tmp_path / folder).mkdir()
+    assert main(["fuzz", *fuzz, "--out", out]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == f"error: --out {out}: {reason}\n"
+    assert sorted(path.name for path in tmp_path.rglob("*")) == ["out.csv", "somedir"]
 
 
 @pytest.mark.parametrize("values", [

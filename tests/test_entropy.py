@@ -11,8 +11,7 @@ from oel import chains, entropy, funcs, linalg, scalar
 from oel.errors import DomainError, NumericError
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, fuzz_chain, trial_rng
-from oel.linalg import relative_spectrum_bounds
-from test_linalg import loewner_compare
+from test_linalg import loewner_compare, relative_spectrum_bounds
 
 
 def commuting_pair(rng, n, lo=-1.5, hi=1.5):
@@ -339,8 +338,8 @@ def test_pair_stack_pins_a_case_error_on_its_pair():
     B = [np.diag([1.5, 3.0]), np.diag([5.0, 4.0]), np.diag([0.5, 2.0])]
     t = [0.5, 0.25, 0.75]
     pairs = linalg._Pairs(*linalg._pd_stack(A, ["A"] * 3)[1:], B)
-    stacked = entropy._pair_stack(dataclasses.replace(chain, case=case), pairs, {"t": t}, 1e-9)
-    entropy._settle([stacked])
+    stacked = entropy.Decided("thm-3.3", 1e-9, 3)
+    entropy._settle([(stacked, [0, 1, 2], entropy._pair_stack(dataclasses.replace(chain, case=case), pairs, {"t": t}))], 1e-9)
     error = stacked.errors[1]
     assert isinstance(error, DomainError) and str(error) == "no case at t = 0.25" and stacked[1] is error
     assert stacked.status[1] is None and stacked.rel[1] is None
@@ -358,8 +357,8 @@ def test_settle_takes_the_least_relative_slack_in_link_order():
     zero = np.zeros((2, 1))
     links = {"a": zero, "b": zero, "c": -zero}
     layouts = [("a", "b", "c"), ("a", "c", "b")]
-    decided = entropy._decide("ties", links, layouts, [{}, {}], [None, None], 1e-9, None)
-    entropy._settle([decided])
+    decided = entropy.Decided("ties", 1e-9, 2)
+    entropy._settle([(decided, [0, 1], (links, layouts, [{}, {}], [None, None], None))], 1e-9)
     assert [repr(rel) for rel in decided.rel] == ["0.0", "-0.0"]
     assert [repr(decided[i].min_rel_slack) for i in range(2)] == ["0.0", "-0.0"]
     assert decided.status == [entropy.STATUS_PASS] * 2
@@ -665,15 +664,15 @@ def test_two_function_stack_outcomes_match_single_trials():
 
 def test_two_function_stack_refusal_order_follows_the_single_trial():
     # with several faults in one trial the first the one-trial evaluation
-    # meets is the one reported: congruence checks shapes before validity,
-    # and every mode reports A's own refusals (entries, then definiteness)
-    # before B's; majorize checks B's shape before B's entries
+    # meets is the one reported: every mode that reads B checks the shapes
+    # of A and B before either's validity, and reports A's own refusals
+    # (entries, then definiteness) before B's
     f, g = REGISTRY["log-wide"], REGISTRY["lin-0.04-0.12"]
     bad_a = np.array([[2.0, 1.0], [0.0, 2.0]])
     cases = [
         ("congruence", bad_a, np.eye(3), "dimension mismatch"),
-        ("majorize", bad_a, np.eye(3), "matrix is not symmetric"),
-        ("majorize", -np.eye(2), np.eye(3), "A must be positive-definite"),
+        ("majorize", bad_a, np.eye(3), "dimension mismatch"),
+        ("majorize", -np.eye(2), np.eye(3), "dimension mismatch"),
         ("majorize", 2.0 * np.eye(2), np.eye(3), "dimension mismatch"),
         ("majorize", 2.0 * np.eye(2), np.pad(bad_a, ((0, 1), (0, 1))), "dimension mismatch"),
         ("majorize", 2.0 * np.eye(2), -np.eye(2), "B must be positive-definite"),
@@ -682,10 +681,9 @@ def test_two_function_stack_refusal_order_follows_the_single_trial():
         ("congruence", -np.eye(2), np.full((2, 2), np.nan), "A must be positive-definite"),
         ("congruence", np.eye(2), np.full((2, 2), np.nan), "matrix entries must be finite"),
         ("expectation", np.ones((2, 3)), None, "expected a square matrix"),
-        # a B that is not square comes after A's own refusals in majorize
-        # mode, before them in congruence mode, and is not read in
-        # expectation mode
-        ("majorize", bad_a, np.ones((2, 3)), "matrix is not symmetric"),
+        # a B that is not square comes before A's own refusals in majorize
+        # and congruence mode, and is not read in expectation mode
+        ("majorize", bad_a, np.ones((2, 3)), "expected a square matrix"),
         ("congruence", bad_a, np.ones((2, 3)), "expected a square matrix"),
         ("expectation", -np.eye(2), np.ones((2, 3)), "A must be positive-definite"),
         # a mode that names a pair chain, or is unhashable, is unknown
@@ -707,11 +705,41 @@ def test_a_pair_is_refused_for_its_A_before_its_B():
         lambda A, B: entropy.check_zou_chain(A, B, 0.5),
         entropy.check_roe_bounds,
         lambda A, B: entropy.check_two_function_operator(f, g, A, B, mode="congruence", interval=(1.5, 4.0)),
+        lambda A, B: entropy.check_two_function_operator(f, g, A, B, mode="majorize", interval=(1.5, 4.0)),
     ]
     for B in (np.array([[2.0, 1.0], [0.0, 2.0]]), np.full((2, 2), np.nan)):
         for call in calls:
             with pytest.raises(ValueError, match="^A must be positive-definite: min eigenvalue -1.0, max -1.0$"):
                 call(-np.eye(2), B)
+
+
+def test_every_route_that_reads_B_refuses_a_B_of_another_shape_before_A():
+    # a trial's A and then its B are read before either is validated, so a
+    # B whose shape is not A's is a dimension mismatch whatever is wrong
+    # with A, on each route that reads B: the six pair chains, congruence
+    # mode and majorize mode, stacked or alone; expectation mode does not
+    # read B, and refuses such a trial for A
+    f, g = REGISTRY["log-wide"], REGISTRY["lin-0.04-0.12"]
+    A, B = [-np.eye(2), np.array([[2.0, 1.0], [0.0, 2.0]])], [np.eye(3)] * 2
+    params = {"zou": {"t": 0.5}, "thm-3.3": {"t": 0.5}, "thm-3.5": {"s": 0.5, "t": 1.5}, "thm-3.6": {},
+              "thm-3.11": {"t": 0.5}, "prop-3.10": {"p": 0.5}}
+    assert params.keys() == entropy.PAIR_CHAINS.keys()
+    modes = ["congruence", "majorize", "expectation"]
+    two = {"fn_f": [f] * 6, "fn_g": [g] * 6, "a": [1.5] * 6, "b": [4.0] * 6, "mode": [m for m in modes for _ in A]}
+    stacks = [(cid, {**{name: [value] * 2 for name, value in p.items()}, "A": A, "B": B}) for cid, p in params.items()]
+    stacks.append(("thm-2.12", {**two, "A": A * 3, "B": B * 3}))
+    refusals = [error for outcomes in entropy.chain_stacks(stacks, chains.DEFAULT_TOL) for error in outcomes.errors]
+    assert all(type(error) is ValueError for error in refusals)
+    mismatch = "dimension mismatch: (2, 2) vs (3, 3)"
+    assert [str(error) for error in refusals[:-2]] == [mismatch] * (2 * 6 + 4)
+    assert str(refusals[-2]).startswith("A must be positive-definite") and str(refusals[-1]).startswith("matrix is not symmetric")
+    for a in A:
+        for cid, p in params.items():
+            with pytest.raises(ValueError, match=re.escape(mismatch)):
+                entropy._check(cid, chains.DEFAULT_TOL, A=a, B=B[0], **p)
+        for mode in modes[:2]:
+            with pytest.raises(ValueError, match=re.escape(mismatch)):
+                entropy.check_two_function_operator(f, g, a, B[0], mode=mode, interval=(1.5, 4.0))
 
 
 FLAT_G = funcs.linear(0.0, 0.1)  # passes the gate with log-wide, but g has no increment

@@ -13,8 +13,7 @@ from oel import entropy, funcs, harness, linalg, scalar
 from oel.errors import NumericError
 from oel.funcs import REGISTRY, FunctionSpec
 from oel.harness import CHAINS, GeneratorConfig, TrialStreams, fuzz_chain, trial_rng
-from oel.linalg import relative_spectrum_bounds
-from test_linalg import count_eig_calls
+from test_linalg import count_eig_calls, relative_spectrum_bounds
 
 OPERATOR_CHAINS = [cid for cid, entry in CHAINS.items() if entry.kind == "operator"]
 
@@ -302,6 +301,15 @@ def test_fuzz_unknown_chain():
         harness.fuzz_all(GeneratorConfig(trials=1), ["zou", "no-such-chain"])
 
 
+def test_fuzz_all_of_no_chain_draws_nothing(monkeypatch):
+    # only ids=None means every chain: an empty selection runs none
+    def no_draw(self, trial):
+        raise AssertionError("no chain to draw")
+
+    monkeypatch.setattr(harness.TrialStreams, "rng", no_draw)
+    assert harness.fuzz_all(GeneratorConfig(seed=1, trials=200), []) == []
+
+
 def test_fuzz_determinism_bitwise():
     cfg = GeneratorConfig(seed=42, trials=25)
     for cid in ("prop-2.1", "cor-3.8", "thm-3.3", "thm-2.12"):
@@ -446,11 +454,11 @@ def test_fuzz_all_realizes_a_block_once_and_factors_the_pair_chains_together(mon
         calls["_Pairs"] += 1
         pairs_init(self, *args)
 
-    def counted_pair_stack(chain, pairs, params, tol):
+    def counted_pair_stack(chain, pairs, params):
         calls["_pair_stack"].append((chain.id, len(pairs.errors)))
-        decided = pair_stack(chain, pairs, params, tol)
-        assert len(decided) == len(pairs.errors)  # one outcome per pair
-        return decided
+        output = pair_stack(chain, pairs, params)
+        assert [len(column) for column in output[1:4]] == [len(pairs.errors)] * 3  # one outcome per pair
+        return output
 
     def counted_square(*args):
         calls["_square"] += 1
@@ -472,6 +480,21 @@ def test_fuzz_all_realizes_a_block_once_and_factors_the_pair_chains_together(mon
     if mode is None:  # the modes mixed: X's spectra, majorize mode's B <= A, then its links
         assert eig_calls["eigvalsh"] == 3
     assert calls["_pair_stack"] == [(cid, cfg.trials) for cid in entropy.PAIR_CHAINS]
+
+
+def test_fuzz_all_makes_one_record_per_matrix_chain_and_block(monkeypatch):
+    # each chain_stacks call makes one Decided per chain, which routing and
+    # _settle write in place; no route builds one
+    made, init = [], entropy.Decided.__init__
+
+    def counted(self, chain_id, tol, k):
+        made.append((chain_id, k))
+        init(self, chain_id, tol, k)
+
+    monkeypatch.setattr(entropy.Decided, "__init__", counted)
+    cfg = GeneratorConfig(seed=3, trials=harness.FUZZ_BLOCK + 6, dim_range=(2, 4))
+    harness.fuzz_all(cfg)
+    assert made == [(cid, harness.FUZZ_BLOCK) for cid in OPERATOR_CHAINS] + [(cid, 6) for cid in OPERATOR_CHAINS]
 
 
 def test_csv_sidecar_is_csv_writer_output(tmp_path):

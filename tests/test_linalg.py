@@ -32,6 +32,24 @@ def loewner_compare(X, Y, tol: float = 1e-9) -> entropy.LoewnerVerdict:
     return entropy.LoewnerVerdict(lam >= -tol * scale, lam, tol, scale)
 
 
+def relative_spectrum_bounds(A, B) -> tuple[float, float]:
+    """Tightest constants (m, M) with m*A <= B <= M*A for positive-definite
+    A, B: the extreme eigenvalues of A**(-1/2) B A**(-1/2), read from the
+    one-pair stack of ``linalg._Pairs``, which refuses the pair as the
+    chains do."""
+    A = linalg._square(A)
+    pairs = linalg._Pairs(*linalg._pd_stack([A], ["A"])[1:], [linalg._square(B, A.shape)])
+    linalg._only(pairs.errors)
+    return pairs.m[0], pairs.M[0]
+
+
+def dump_matrix(A, path) -> None:
+    """Write a matrix file, as ``linalg.load_matrix`` reads it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(linalg.matrix_to_obj(A), fh)
+        fh.write("\n")
+
+
 def matrix_function(A, fn) -> np.ndarray:
     """f(A) = Q f(L) Q^T through the spectral decomposition."""
     return linalg.eig_apply(decompose(A), fn)
@@ -229,20 +247,20 @@ def test_pd_stack_refuses_a_matrix_for_its_entries_before_its_definiteness():
 
 def test_relative_spectrum_bounds():
     A = np.diag([2.0, 3.0])
-    m, M = linalg.relative_spectrum_bounds(A, A)
+    m, M = relative_spectrum_bounds(A, A)
     assert m == pytest.approx(1.0) and M == pytest.approx(1.0)
-    m, M = linalg.relative_spectrum_bounds(np.eye(2), np.diag([2.0, 5.0]))
+    m, M = relative_spectrum_bounds(np.eye(2), np.diag([2.0, 5.0]))
     assert (m, M) == (pytest.approx(2.0), pytest.approx(5.0))
     with pytest.raises(ValueError):  # A positive but under the floor
-        linalg.relative_spectrum_bounds(np.diag([1.0, 1e-14]), np.eye(2))
+        relative_spectrum_bounds(np.diag([1.0, 1e-14]), np.eye(2))
     with pytest.raises(ValueError, match=r"dimension mismatch: \(2, 2\) vs \(3, 3\)"):
-        linalg.relative_spectrum_bounds(np.eye(2), np.eye(3))
+        relative_spectrum_bounds(np.eye(2), np.eye(3))
     rng = np.random.default_rng(89)
     for _ in range(30):
         n = int(rng.integers(2, 6))
         A = random_symmetric(rng, n) + np.eye(n) * 4.0
         B = random_symmetric(rng, n) + np.eye(n) * 4.0
-        m, M = linalg.relative_spectrum_bounds(A, B)
+        m, M = relative_spectrum_bounds(A, B)
         assert loewner_compare(m * A, B, 1e-9).holds
         assert loewner_compare(B, M * A, 1e-9).holds
 
@@ -262,7 +280,7 @@ def count_eig_calls(monkeypatch) -> collections.Counter:
 
 def test_relative_spectrum_bounds_factors_the_pair_once(monkeypatch):
     calls = count_eig_calls(monkeypatch)
-    linalg.relative_spectrum_bounds(np.diag([2.0, 3.0]), np.array([[1.0, -0.3], [-0.3, 3.0]]))
+    relative_spectrum_bounds(np.diag([2.0, 3.0]), np.array([[1.0, -0.3], [-0.3, 3.0]]))
     assert calls == {"eigh": 1, "eigvalsh": 1}
 
 
@@ -270,7 +288,7 @@ def test_matrix_io_roundtrip(tmp_path):
     rng = np.random.default_rng(97)
     M = random_symmetric(rng, 3)
     path = tmp_path / "m.json"
-    linalg.dump_matrix(M, path)
+    dump_matrix(M, path)
     back = linalg.load_matrix(path)
     assert np.array_equal(back, linalg.as_symmetric(M))
     obj = json.loads(path.read_text())

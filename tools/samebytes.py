@@ -11,8 +11,8 @@ run
   CSV sidecar, compared byte for byte;
 - the ``oel`` calls of ``CLI_CALLS``, every ``oel verify`` and ``oel
   compute`` call of the CI workflow and its refused ``oel fuzz`` calls
-  among them, on the matrix files of ``MATRICES``, comparing stdout, stderr
-  and exit code.
+  among them, on the matrix files of ``MATRICES`` and next to the
+  directories of ``DIRECTORIES``, comparing stdout, stderr and exit code.
 
 Every config whose output differs between the trees is printed, then one
 summary line; the exit status is 1 if any config differs, else 0. Only the
@@ -108,6 +108,8 @@ MATRICES = {
     "illcond.json": _matrix([[1e-6, 0.0], [0.0, 1e6]]),
 }
 
+DIRECTORIES = ("somedir", "out.csv")  # report paths that are, or whose CSV sidecar is, a directory
+
 CLI_CALLS = [
     # scalar verify smoke test
     "verify prop-2.1 --a 1 --b 4 --v 0.5 --n 1",
@@ -162,9 +164,12 @@ CLI_CALLS = [
     "verify thm-2.12 --A ta.json --mode bogus",
     "verify cor-2.4 --fn quad-exp-1-0 --w 0.5,0.5 --x -0.3,0.5 --t 0.5",
     "verify cor-2.4 --fn quad-exp-1-0 --w 0.5,0.5 --x=-0.3,0.5 --t 0.5",
-    # package and determinism smoke test: refused report paths
+    # package and determinism smoke test: a refused tolerance and refused report paths
+    "fuzz zou --trials 2 --tol nan",
     "fuzz zou --trials 2 --out r.csv",
     "fuzz all --trials 2000 --out no-such-dir/r.json",
+    "fuzz all --trials 2000 --out somedir",
+    "fuzz zou --trials 50 --out out.json",
 ]
 
 
@@ -183,6 +188,8 @@ def outputs(tree: Path, scratch: Path) -> dict:
     out = json.loads(proc.stdout)
     for name, text in MATRICES.items():
         (scratch / name).write_text(text + "\n", encoding="utf-8")
+    for name in DIRECTORIES:
+        (scratch / name).mkdir()
     for call in CLI_CALLS:
         proc = subprocess.run(
             [sys.executable, "-m", "oel.cli", *call.split()], capture_output=True, env=_env(tree), cwd=scratch,
