@@ -125,9 +125,11 @@ def cmd_fuzz(args) -> int:
     for cid in ids:
         if cid not in CHAINS:
             raise ValueError(f"unknown chain {cid!r}; run `oel list`")
-    if args.out:  # refused before any trial runs
+    if args.out is not None:  # refused before any trial runs
         folder = os.path.dirname(args.out) or "."
         try:
+            if not args.out:
+                raise ValueError("the report path is empty")
             sidecar = harness.csv_sidecar(args.out)
             if not os.path.isdir(folder):
                 raise ValueError(f"{folder!r} is not a directory")

@@ -849,7 +849,7 @@ def _emit_json(obj) -> str:
 
 def report_document(reports: list, include_timing: bool = False) -> dict:
     return {
-        "version": 6,
+        "version": 7,
         "seed": reports[0].seed if reports else 0,
         "chains": [r.to_obj(include_timing) for r in reports],
     }

@@ -6,7 +6,8 @@ The deformed-logarithm family accepts numpy arrays as well as floats so the
 matrix layer can apply it to eigenvalue vectors directly; ``deformed_log``
 and ``deformed_log_gap`` also take an array of deformation indices that
 broadcasts against ``x`` (a column of k indices for a (k, n) stack of
-eigenvalue vectors).
+eigenvalue vectors). The gap, ``theta``, the t-derivative and ``eta`` pass
+their 0/0 through one helper, phi2(u) = (expm1(u) - u)/u**2, cancelling nowhere.
 """
 
 from __future__ import annotations
@@ -17,9 +18,19 @@ import numpy as np
 
 from .errors import DomainError
 
-# Below this the quotient form of the deformed log loses ~|t|^-1 digits
-# to cancellation, so a third-order series in t takes over.
+# The quotient expm1(t L)/t is accurate wherever t L is a normal float; the
+# series below this serves t = 0, where it is 0/0, and a t L that underflows
+# (at t = 5e-324 and x = 0.7 the quotient gives -0.0).
 T_SWITCH = 1e-8
+
+# phi2's Taylor coefficients 1/(k+2)!, k = 14..0: on |u| <= 1/2 they reach the last bit
+_PHI2_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(14, -1, -1))
+
+
+def _log(x):
+    """log(x), checked: a Python float at a float x, where _phi2 runs fastest."""
+    x = _as_positive(x)
+    return float(np.log(x)) if isinstance(x, float) else np.log(x)
 
 
 def _as_positive(x, name="x"):
@@ -67,20 +78,24 @@ def _series_or_quotient(small, series, quotient):
         return np.where(small, series(), quotient())
 
 
-def deformed_log_gap(t: float, x):
-    """deformed_log(t, x) - log(x), computed without cancellation.
+def _phi2(u):
+    """phi2(u) = (expm1(u) - u)/u**2, continued by 1/2 at u = 0: its Taylor series
+    by Horner on |u| <= 1/2, where the quotient cancels, and the quotient beyond."""
+    def series():
+        acc = 0.0
+        for c in _PHI2_SERIES:
+            acc = acc * u + c
+        return acc
+    return _series_or_quotient(abs(u) <= 0.5, series, lambda: (np.expm1(u) - u) / (u * u))
 
-    The gap is O(t) near t = 0; forming it as a difference of the two
-    logarithms would lose it in rounding noise, so the series branch
-    returns the tail terms directly.
-    """
-    L = np.log(_as_positive(x))
-    out = _series_or_quotient(
-        abs(t) <= T_SWITCH,
-        lambda: (t / 2.0) * L**2 + (t * t / 6.0) * L**3,
-        lambda: np.expm1(t * L) / t - L,
-    )
-    return float(out) if np.ndim(out) == 0 else out
+
+def deformed_log_gap(t: float, x):
+    """deformed_log(t, x) - log(x) = t L**2 phi2(t L) with L = log(x),
+    computed without cancellation; O(t) near t = 0."""
+    L = _log(x)
+    u = t * L
+    out = u * L * _phi2(u)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def weighted_means(a: float, b: float, v: float) -> tuple[float, float]:
@@ -130,41 +145,33 @@ def ratio_sequences(x: float, n: int) -> tuple[float, float]:
 
 
 def theta(t: float, x: float) -> float:
-    """Additive refinement term min{(deformed_log(t,x) - log x)**2, t**2}.
-
-    Defined as 0 at t = 0 by the limit; theta(t, 1) = 0 for every t.
-    """
+    """Additive refinement term min{(deformed_log(t,x) - log x)**2, t**2}: 0 at
+    t = 0 by the limit, and theta(t, 1) = 0 for every t."""
     _as_positive(x, "x")
     if not 0.0 <= t <= 1.0:
         raise DomainError(f"t must lie in [0, 1], got {t!r}")
-    if t == 0.0:
-        return 0.0
     gap = deformed_log_gap(t, x)
     return float(min(gap * gap, t * t))
 
 
-_ETA_D_SWITCH = 1e-4
-
-
-def eta(x: float, a: float) -> float:
+def eta(x, a: float):
     """Logarithmic growth rate of the deformed log in its deformation index.
 
     eta(x, a) = (x**a log x - deformed_log(a, x)) / (a * deformed_log(a, x)),
     extended continuously to a = 0 (value log(x)/2) and x = 1 (value 0).
     Monotone increasing in x, negative for x < 1 and positive for x > 1.
+    ``x`` may be an array.
     """
-    _as_positive(x, "x")
+    L = _log(x)
     if a < 0.0:
         raise DomainError(f"a must be nonnegative, got {a!r}")
-    L = np.log(x)
-    if a == 0.0:
-        return float(L / 2.0)
-    # With d = x**a - 1 the definition collapses to ((1+d)log(1+d) - d)/(a d),
-    # whose small-d series avoids the 0/0 at x -> 1.
-    d = float(np.expm1(a * L))
-    if abs(d) <= _ETA_D_SWITCH:
-        return float((d / 2.0 - d * d / 6.0 + d**3 / 12.0 - d**4 / 20.0) / a)
-    return float(((1.0 + d) * np.log1p(d) - d) / (a * d))
+    u = a * L
+    # eta = L g(u), with h(v) = phi2(v)/(1 + v phi2(v)) <= 1/2 for v >= 0:
+    # g(u) = 1 - h(u) right of 0 and h(-u) left of it, neither cancelling
+    p = _phi2(abs(u))
+    h = p / (1.0 + abs(u) * p)
+    out = L * _series_or_quotient(u < 0.0, lambda: h, lambda: 1.0 - h)
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def phi(t: float, x: float) -> float:
@@ -188,17 +195,10 @@ def _geom_log_derivative(g, a, b, t, ga, gb, gm) -> float:
     return float(np.log(ga / gb) - mid * np.log(a / b) * g.deriv(mid) / gm)
 
 
-def deformed_log_t_derivative(t: float, x: float) -> float:
-    """d/dt of deformed_log(t, x); nonnegative for every x > 0. ``t`` may
-    be an array."""
-    _as_positive(x, "x")
-    L = float(np.log(x))
+def deformed_log_t_derivative(t: float, x):
+    """d/dt of deformed_log(t, x), L**2 e**u phi2(-u) with L = log(x) and
+    u = t L; nonnegative for every x > 0. ``t`` and ``x`` may be arrays."""
+    L = _log(x)
     u = t * L
-    # (e^u (u-1) + 1)/u^2 = 1/2 + u/3 + u^2/8 + u^3/30 + ...
-    gu = _series_or_quotient(
-        abs(u) <= 1e-3,
-        lambda: 0.5 + u / 3.0 + u * u / 8.0 + u**3 / 30.0,
-        lambda: (np.exp(u) * (u - 1.0) + 1.0) / (u * u),
-    )
-    out = L * L * gu
-    return float(out) if np.ndim(out) == 0 else out
+    out = L * L * np.exp(u) * _phi2(-u)
+    return out if isinstance(out, np.ndarray) else float(out)

@@ -351,6 +351,20 @@ def test_fuzz_refuses_a_report_path_that_names_its_csv_sidecar(tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out", [["--out", ""], ["--out="]])
+def test_fuzz_refuses_an_empty_report_path(tmp_path, monkeypatch, capsys, out):
+    # once taken for no --out, which printed the report to stdout and exited
+    # 0: refused before any trial runs, and no file is written
+    def no_fuzzing(*args):
+        raise AssertionError("fuzzed")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli.harness, "fuzz_all", no_fuzzing)
+    assert main(["fuzz", "zou", "--trials", "2", *out]) == 2
+    assert capsys.readouterr() == ("", "error: --out : the report path is empty\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("folder", ["no/such", "f.txt"])
 def test_fuzz_refuses_a_report_path_outside_a_directory(tmp_path, monkeypatch, capsys, folder):
     # a report that could not be written once every trial has run: refused

@@ -394,7 +394,7 @@ def test_write_report_roundtrip(tmp_path):
     path = tmp_path / "report.json"
     harness.write_report(reports, path)
     doc = json.loads(path.read_text())
-    assert doc["version"] == 6 and doc["seed"] == 21
+    assert doc["version"] == 7 and doc["seed"] == 21
     assert [c["id"] for c in doc["chains"]] == ["prop-2.1", "cor-3.8"]
     for chain in doc["chains"]:
         assert chain["trials"] == 10
@@ -523,7 +523,7 @@ def test_write_report_empty(tmp_path):
     path = tmp_path / "empty.json"
     harness.write_report([], path)
     doc = json.loads(path.read_text())
-    assert doc == {"version": 6, "seed": 0, "chains": []}
+    assert doc == {"version": 7, "seed": 0, "chains": []}
 
 
 def test_report_timing_flag(tmp_path):

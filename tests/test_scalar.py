@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +56,90 @@ def test_deformed_log_broadcasts_deformation_indices():
     for row, ti, vals in zip(out, t[:, 0], lam):
         assert np.array_equal(row, scalar.deformed_log(float(ti), vals))
     assert np.array_equal(scalar.deformed_log_gap(t, lam)[1], scalar.deformed_log_gap(1e-9, lam[1]))
+
+
+def test_phi2_and_kernels_give_the_same_bits_on_floats_and_arrays():
+    # both sides of phi2's series switch at |u| = 1/2, and u = 0, in one array
+    u = np.array([-700.0, -3.0, -0.5000001, -0.5, -1e-300, 0.0, 0.25, 0.5, 0.5000001, 2.0, 700.0])
+    assert np.array_equal(scalar._phi2(u), [scalar._phi2(float(v)) for v in u])
+    assert scalar._phi2(0.0) == 0.5
+    x = np.array([np.exp(-5.0), 0.3, 0.999, 1.0, 1.001, 2.0, 40.0, np.exp(5.0)])
+    for t in (-2.0, -0.5, -1e-3, -2e-8, 0.0, 1e-9, 2e-8, 1e-3, 0.7, 3.0):
+        assert np.array_equal(scalar.deformed_log_gap(t, x), [scalar.deformed_log_gap(t, float(v)) for v in x])
+        assert np.array_equal(scalar.deformed_log_t_derivative(t, x), [scalar.deformed_log_t_derivative(t, float(v)) for v in x])
+        if t >= 0.0:
+            assert np.array_equal(scalar.eta(x, t), [scalar.eta(float(v), t) for v in x])
+    ts = np.array([[-2.0], [-1e-3], [0.0], [2e-8], [0.7]])
+    for i, t in enumerate(ts[:, 0]):
+        assert np.array_equal(scalar.deformed_log_gap(ts, x)[i], scalar.deformed_log_gap(float(t), x))
+        assert np.array_equal(scalar.deformed_log_t_derivative(ts, x)[i], scalar.deformed_log_t_derivative(float(t), x))
+
+
+def test_deformed_log_series_serves_only_an_underflowing_t_log_x():
+    # what the series below T_SWITCH is for: at a subnormal t, t log 0.7
+    # underflows, and the quotient gives -0.0 where the series gives log 0.7
+    L = math.log(0.7)
+    assert np.expm1(5e-324 * L) / 5e-324 == 0.0
+    assert scalar.deformed_log(5e-324, 0.7) == L
+    assert scalar.deformed_log(-5e-324, 0.7) == L
+    assert scalar.deformed_log_gap(5e-324, 0.7) == 0.0
+
+
+def _kernel_grid():
+    """(x, t) on 40 log-uniform x in [e**-5, e**5] and t = +-10**(k/4) from
+    1e-12 to 1, with rows at the old switch points of the gap (t = +-2e-8),
+    the t-derivative (t log x = +-1e-3) and eta (d = x**t - 1 = +-1e-4)."""
+    xs = [float(v) for v in np.exp(np.linspace(-5.0, 5.0, 40))]
+    ts = [s * 10.0 ** (k / 4) for k in range(-48, 1) for s in (1.0, -1.0)] + [2e-8, -2e-8]
+    for x in xs:
+        L = math.log(x)
+        yield from ((x, t) for t in ts + [1e-3 / L, -1e-3 / L, math.log1p(1e-4) / L, math.log1p(-1e-4) / L])
+
+
+def _eta(mp, x, a):
+    """eta's definition (x**a log x - ln_a x)/(a ln_a x), in mpmath."""
+    L = mp.log(mp.mpf(x))
+    lna = mp.expm1(a * L) / a
+    return (mp.exp(a * L) * L - lna) / (a * lna)
+
+
+def _rel(got, ref):
+    return abs((got - ref) / ref) if ref else abs(got)
+
+
+def test_kernels_match_mpmath_within_a_few_ulps():
+    mp = pytest.importorskip("mpmath")
+    errors = {"gap": [], "theta": [], "t-derivative": [], "eta": []}
+    with mp.workdps(60):
+        for x, t in _kernel_grid():
+            L, tm = mp.log(mp.mpf(x)), mp.mpf(t)
+            u = tm * L
+            gap = mp.expm1(u) / tm - L
+            errors["gap"].append(_rel(scalar.deformed_log_gap(t, x), gap))
+            derivative = L * L * (mp.exp(u) * (u - 1) + 1) / (u * u)
+            errors["t-derivative"].append(_rel(scalar.deformed_log_t_derivative(t, x), derivative))
+            if 0.0 < t <= 1.0:
+                errors["theta"].append(_rel(scalar.theta(t, x), min(gap * gap, tm * tm)))
+                errors["eta"].append(_rel(scalar.eta(x, t), _eta(mp, x, tm)))
+        # eta at a = 0, and left of x = 1 down to a log x = -700, where
+        # x**a - 1 rounds to -1
+        for x in (math.exp(-5.0), 5e-4, 0.3, 0.999, 1.001, 2.0, math.exp(5.0)):
+            errors["eta"].append(_rel(scalar.eta(x, 0.0), mp.log(mp.mpf(x)) / 2))
+        for x in (math.exp(-5.0), 5e-4, 0.3, 0.999):
+            for u in -np.geomspace(1e-3, 700.0, 25):
+                a = float(u / math.log(x))
+                errors["eta"].append(_rel(scalar.eta(x, a), _eta(mp, x, mp.mpf(a))))
+    # a NaN fails here too, as it compares false
+    assert all(e <= 1e-14 for errs in errors.values() for e in errs), {k: max(v) for k, v in errors.items()}
+
+
+def test_eta_is_finite_far_left_of_one():
+    # x**a - 1 rounds to -1 once a log x < -37.45, where a quotient in
+    # log1p(x**a - 1) gives NaN with a RuntimeWarning; eta tends to -1/a
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert scalar.eta(5e-4, 5.0) == pytest.approx(-0.2, rel=1e-14)
+        assert scalar.eta(math.exp(-5.0), 140.0) == pytest.approx(-1.0 / 140.0, rel=1e-14)
 
 
 def test_deformed_exp_fixed_points():

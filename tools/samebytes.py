@@ -170,6 +170,7 @@ CLI_CALLS = [
     "fuzz all --trials 2000 --out no-such-dir/r.json",
     "fuzz all --trials 2000 --out somedir",
     "fuzz zou --trials 50 --out out.json",
+    "fuzz zou --trials 2 --out=",  # an empty report path (split() keeps no empty word)
 ]
 
 
