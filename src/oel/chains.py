@@ -13,13 +13,23 @@ values) is a zero-argument builder, run when ``ChainVerdict.witness`` is
 first read: by ``to_dict``, and so by ``oel verify``, never by fuzzing.
 Every refusal happens before the verdict is returned, so a builder cannot
 raise.
+
+A checker runs on Python floats, one trial per call, where numpy's call
+costs more than its arithmetic; it keeps numpy's bits wherever Python's
+would differ. A power of a numpy float (``np.log(q) ** 2``) stays numpy's:
+Python's ``**`` differs in the last bit at times. Fewer than 8 factors are
+multiplied in order, which is ``np.prod`` (``_prod``). ``verdict_from_values``
+decides a chain in one pass over its values; a ``ChainVerdict`` derives its
+slacks and scale when they are read. A trial's integers are drawn by
+``draw_int`` of ``harness.trial_rng``'s streams, never here.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable
 
 import numpy as np
@@ -34,14 +44,14 @@ DEFAULT_TOL = 1e-9
 @dataclass
 class ChainVerdict:
     """The outcome of one scalar chain; ``build_witness`` makes the witness
-    dict, which ``witness`` builds on first read."""
+    dict, which ``witness`` builds on first read. The per-link ``slacks``
+    and the ``scale`` they are judged at are derived when read."""
 
     chain_id: str
     values: list[float]
-    slacks: list[float]
     ok: bool
     tol: float
-    scale: float
+    min_rel_slack: float
     build_witness: Callable[[], dict] = field(default=dict, repr=False, compare=False)
 
     applicable = True  # a scalar chain has no hypothesis to fail; bad input raises
@@ -51,16 +61,18 @@ class ChainVerdict:
         return self.build_witness()
 
     @property
-    def min_rel_slack(self) -> float:
-        if not self.slacks:
-            return 0.0
-        return min(self.slacks) / self.scale
+    def slacks(self) -> list[float]:
+        return [b - a for a, b in zip(self.values, self.values[1:])]
+
+    @property
+    def scale(self) -> float:
+        return max([1.0, *map(abs, self.values)])
 
     def to_dict(self) -> dict:
         return {
             "chain_id": self.chain_id,
             "values": list(self.values),
-            "slacks": list(self.slacks),
+            "slacks": self.slacks,
             "pass": self.ok,
             "tol": self.tol,
             "witness": dict(self.witness),
@@ -73,22 +85,31 @@ def verdict_from_values(chain_id, values, tol, build_witness=dict) -> ChainVerdi
 
     Passing means every adjacent slack stays above -tol*scale where
     scale = max(1, max |value|); the relative form keeps chains that mix
-    magnitudes across many orders comparable.
+    magnitudes across many orders comparable. One pass checks the values,
+    and finds the scale and the least slack (the first of equal ones, as
+    ``min`` keeps it).
     """
     values = [float(v) for v in values]
-    slacks = []
-    scale = 1.0
-    prev = None
+    scale, least, prev = 1.0, math.inf, None
     for v in values:
         if not math.isfinite(v):
             raise NumericError(f"{chain_id}: chain produced non-finite values {values!r}")
         if abs(v) > scale:
             scale = abs(v)
-        if prev is not None:
-            slacks.append(v - prev)
+        if prev is not None and v - prev < least:
+            least = v - prev
         prev = v
-    ok = not slacks or min(slacks) >= -tol * scale
-    return ChainVerdict(chain_id, values, slacks, ok, tol, scale, build_witness)
+    if len(values) < 2:
+        return ChainVerdict(chain_id, values, True, tol, 0.0, build_witness)
+    return ChainVerdict(chain_id, values, least >= -tol * scale, tol, least / scale, build_witness)
+
+
+def _prod(factors: list) -> float:
+    """``float(np.prod(factors))``: numpy multiplies fewer than 8 values in
+    order, as ``reduce`` does."""
+    if len(factors) < 8:
+        return reduce(operator.mul, factors, 1.0)
+    return float(np.prod(factors))
 
 
 def _flagged(f: FunctionSpec, flag: str):
@@ -217,9 +238,9 @@ def am_gm_refinement(w, x, t, tol=DEFAULT_TOL) -> ChainVerdict:
     if any(v <= 0.0 for v in x):
         raise DomainError("sample points must be positive")
     arith = sum(wi * xi for wi, xi in zip(w, x))
-    geom = float(np.prod([xi**wi for wi, xi in zip(w, x)]))
-    gmix = float(np.prod([(t * xi + (1.0 - t) * arith) ** wi for wi, xi in zip(w, x)]))
-    psi = min(np.log(arith / gmix) ** 2, t * t)
+    geom = _prod([xi**wi for wi, xi in zip(w, x)])
+    gmix = _prod([(t * xi + (1.0 - t) * arith) ** wi for wi, xi in zip(w, x)])
+    psi = min(np.log(arith / gmix) ** 2, t * t)  # numpy's power: Python's differs in the last bit at times
     values = [0.0, psi / t, float(np.log(arith / geom))]
     # the raw-gap link needs the geometric mean above 1
     if min(x) >= 1.0:
@@ -418,9 +439,14 @@ def tsallis_scalar_chain(x, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
         raise DomainError(f"need x >= 1, got {x!r}")
     if s <= 0.0 or t <= 0.0:
         raise ValueError(f"need s, t > 0, got s={s!r}, t={t!r}")
-    with np.errstate(over="ignore", invalid="ignore"):  # what leaves float range is refused below
+    # a deformed log leaves float range, refused below, only where its
+    # exponent max(s, t) log x passes 709.78
+    if max(s, t) * math.log(x) > 709.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            ls, lt = scalar.deformed_log(s, x), scalar.deformed_log(t, x)
+    else:
         ls, lt = scalar.deformed_log(s, x), scalar.deformed_log(t, x)
-        rates = scalar.eta(x, s) * (t - s), scalar.eta(x, t) * (t - s)
+    rates = scalar.eta(x, s) * (t - s), scalar.eta(x, t) * (t - s)
     try:
         values = [math.exp(rates[0]) * ls, lt, math.exp(rates[1]) * ls]
     except OverflowError:

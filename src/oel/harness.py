@@ -14,7 +14,10 @@ maps on Python floats as numpy maps them (a matrix spectrum stays an array,
 summed in order are numpy's ``sum`` (``_weights``). ``np.log`` of a bound is
 taken once (``_log``). Every ``exp`` and ``log`` stays a numpy call:
 ``math.exp`` differs from ``np.exp`` in the last bit at about one argument in
-20 (``math.log`` at one in 2000), and so would the reports.
+20 (``math.log`` at one in 2000), and so would the reports. An integer is
+``draw_int`` of a ``TrialStream``, a copy of the bounded 32-bit Lemire draw of
+``Generator.integers`` on the stream's own Philox words, bit for bit: an
+``integers`` call costs numpy about 2 us, a word ``random_raw`` 0.24 us.
 
 Generation model: ``fuzz_all`` is the one fuzz loop (``fuzz_chain`` is its
 one-chain run). It takes trials in consecutive blocks of FUZZ_BLOCK and
@@ -63,10 +66,57 @@ from .linalg import EigenDecomposition, eig_apply, load_matrix, matrix_to_obj, s
 _U64 = (1 << 64) - 1
 
 
+@functools.cache
+def _stream_type() -> type:
+    """``TrialStream``, the ``Generator`` class of a trial's stream, defined
+    at its first use: subclassing ``np.random.Generator`` imports
+    ``numpy.random``, which ``import oel`` leaves to the first draw."""
+
+    class TrialStream(np.random.Generator):
+        """A trial's ``Generator``, with ``draw_int(lo, hi)``, which is
+        ``int(integers(lo, hi))`` at a span hi - lo of at most 2**32, bit for
+        bit.
+
+        It reads numpy's bounded draw there (Lemire, "Fast random integer
+        generation in an interval", ACM TOMACS 2019) on 32-bit halves of the
+        Philox words (``random_raw``): the low half first, the high half kept
+        in ``half`` for the next draw, as numpy's Philox keeps ``uinteger``. A
+        draw of span 1 takes no word. The 64-bit draws (``random``,
+        ``normal``, ``exponential``) neither read nor clear the half, in numpy
+        as here; a stream that mixes ``integers`` and ``draw_int`` keeps two
+        halves."""
+
+        __slots__ = ("half", "_word")
+
+        def __init__(self, bit_generator):
+            super().__init__(bit_generator)
+            self.half = None  # the high half of the last word, while unread
+            self._word = bit_generator.random_raw
+
+        def draw_int(self, lo: int, hi: int) -> int:
+            span = hi - lo
+            if span == 1:
+                return lo
+            if not 1 < span <= 1 << 32:
+                raise ValueError(f"draw_int needs 1 <= hi - lo <= 2**32, got lo={lo!r}, hi={hi!r}")
+            while True:  # the high half of u * span for a 32-bit u, unless its low half falls below 2**32 % span
+                half = self.half
+                if half is None:
+                    word = self._word()
+                    self.half, m = word >> 32, (word & 0xFFFFFFFF) * span
+                else:
+                    self.half, m = None, half * span
+                low = m & 0xFFFFFFFF
+                if low >= span or low >= (1 << 32) % span:  # the first test spares the modulo, as numpy's does
+                    return lo + (m >> 32)
+
+    return TrialStream
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent substream for one trial of one run."""
+    """Independent substream for one trial of one run, a ``TrialStream``."""
     key = np.array([seed & _U64, trial & _U64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _stream_type()(np.random.Philox(key=key))
 
 
 class TrialStreams:
@@ -76,7 +126,8 @@ class TrialStreams:
     resetting one instance to a fresh stream's state is an order of
     magnitude cheaper and produces the same stream. That state is one dict
     of Python ints and lists (numpy's setter reads them faster than uint64
-    arrays), of which a trial changes only the key word ``trial``.
+    arrays), of which a trial changes only the key word ``trial``, and the
+    stream's ``half``, cleared.
     """
 
     def __init__(self, seed: int):
@@ -91,6 +142,7 @@ class TrialStreams:
     def rng(self, trial: int) -> np.random.Generator:
         self._key[1] = trial & _U64
         self._bit_gen.state = self._state
+        self._gen.half = None
         return self._gen
 
 
@@ -233,12 +285,12 @@ def _regime(rng, cfg, key: str, choices: tuple) -> str:
     """The regime's value at ``key`` if it is one of ``choices``, else one
     drawn at random: a case of another chain draws as no regime does."""
     value = (cfg.regime or {}).get(key)
-    return value if value in choices else choices[int(rng.integers(len(choices)))]
+    return value if value in choices else choices[rng.draw_int(0, len(choices))]
 
 
 def _draw_dim(rng, cfg) -> int:
     lo, hi = cfg.dim_range
-    return int(rng.integers(lo, hi + 1))
+    return rng.draw_int(lo, hi + 1)
 
 
 def _weights(rng, n) -> list:
@@ -284,7 +336,7 @@ _ANY_POOL = tuple(REGISTRY)
 
 
 def _pick(rng, ids) -> FunctionSpec:
-    return REGISTRY[ids[int(rng.integers(len(ids)))]]
+    return REGISTRY[ids[rng.draw_int(0, len(ids))]]
 
 
 # --- two-function family -----------------------------------------------------
@@ -373,7 +425,7 @@ class ChainEntry:
 def _gen_prop21(rng, cfg):
     *u, v = rng.random(3).tolist()
     a, b = _log_scaled(u, *cfg.scalar_range)
-    return {"a": a, "b": b, "v": v, "n": int(rng.integers(1, 65))}
+    return {"a": a, "b": b, "v": v, "n": rng.draw_int(1, 65)}
 
 
 def _gen_minmax_square(rng, cfg):
@@ -395,13 +447,13 @@ def _gen_minmax_power(rng, cfg):
 
 def _gen_jensen(rng, cfg):
     f = _pick(rng, _CONVEX_POOL)
-    k = int(rng.integers(2, 6))
+    k = rng.draw_int(2, 6)
     x = _domain_points(rng, f, k)
     return {"fn": f, "w": _weights(rng, k), "x": x, "t": uniform(rng, 1e-3, 1.0)}
 
 
 def _gen_am_gm(rng, cfg):
-    k = int(rng.integers(2, 6))
+    k = rng.draw_int(2, 6)
     x = _log_scaled(rng.random(k).tolist(), 1.0, 50.0)
     return {"w": _weights(rng, k), "x": x, "t": uniform(rng, 1e-3, 1.0)}
 
@@ -426,7 +478,7 @@ def _gen_jensen_exp(kind):
 
     def gen(rng, cfg):
         f = _pick(rng, pool)
-        k = int(rng.integers(1, 5))
+        k = rng.draw_int(1, 5)
         pts = _domain_points(rng, f, k)
         return {"fn": f, "w": _weights(rng, k), "a": pts, "kind": kind}
 
@@ -508,7 +560,7 @@ def _draw_troe(rng, cfg):
     m = 1.0 if rng.random() < 0.3 else uniform(rng, 1.0, 5.0)
     M = m + uniform(rng, 0.1, 5.0)
     pair = _constrained(rng, n, m, M, lo, hi)
-    bucket = int(rng.integers(3))
+    bucket = rng.draw_int(0, 3)
     if bucket == 0:
         t = uniform(rng, 0.05, 1.0)
     elif bucket == 1:

@@ -23,6 +23,10 @@ from .errors import DomainError
 # (at t = 5e-324 and x = 0.7 the quotient gives -0.0).
 T_SWITCH = 1e-8
 
+# the largest u at which phi2(u) is finite, the log of the largest float:
+# past it expm1(u) overflows
+PHI2_MAX = 709.782712893384
+
 # phi2's Taylor coefficients 1/(k+2)!, k = 14..0: on |u| <= 1/2 they reach the last bit
 _PHI2_SERIES = tuple(1.0 / math.factorial(k + 2) for k in range(14, -1, -1))
 
@@ -51,8 +55,10 @@ def deformed_log(t: float, x):
     Monotone increasing in t for fixed x > 0, which is what makes the
     entropy-ordering chains work.
     """
-    out = _deformed_log(t, np.log(_as_positive(x)))
-    return float(out) if np.ndim(out) == 0 else out
+    if isinstance(t, float) and isinstance(x, float) and abs(t) > T_SWITCH:
+        return float(np.expm1(t * _log(x)) / t)  # one point: the quotient, with no array dispatch
+    out = _deformed_log(t, np.log(_as_positive(x)))  # the series' powers are numpy's, on np.float64 L
+    return out if isinstance(out, np.ndarray) else float(out)
 
 
 def _deformed_log(t, L):
@@ -81,6 +87,9 @@ def _series_or_quotient(small, series, quotient):
 def _phi2(u):
     """phi2(u) = (expm1(u) - u)/u**2, continued by 1/2 at u = 0: its Taylor series
     by Horner on |u| <= 1/2, where the quotient cancels, and the quotient beyond."""
+    if isinstance(u, float) and not abs(u) <= 0.5:  # one point past the series: no closures
+        return (np.expm1(u) - u) / (u * u)
+
     def series():
         acc = 0.0
         for c in _PHI2_SERIES:
@@ -167,11 +176,25 @@ def eta(x, a: float):
         raise DomainError(f"a must be nonnegative, got {a!r}")
     u = a * L
     # eta = L g(u), with h(v) = phi2(v)/(1 + v phi2(v)) <= 1/2 for v >= 0:
-    # g(u) = 1 - h(u) right of 0 and h(-u) left of it, neither cancelling
-    p = _phi2(abs(u))
-    h = p / (1.0 + abs(u) * p)
-    out = L * _series_or_quotient(u < 0.0, lambda: h, lambda: 1.0 - h)
-    return out if isinstance(out, np.ndarray) else float(out)
+    # g(u) = 1 - h(u) right of 0 and h(-u) left of it, neither cancelling.
+    # h(v) = (1 - v/expm1(v))/v, which is 1/v in floats where phi2(v) overflows
+    v = abs(u)
+    if isinstance(v, float):
+        if v > PHI2_MAX:
+            h = 1.0 / v
+        else:
+            p = _phi2(v)
+            h = p / (1.0 + v * p)
+        return float(L * (h if u < 0.0 else 1.0 - h))
+    big = v > PHI2_MAX
+    if big.any():
+        w = np.minimum(v, PHI2_MAX)
+        p = _phi2(w)
+        h = np.where(big, 1.0 / np.maximum(v, PHI2_MAX), p / (1.0 + w * p))
+    else:
+        p = _phi2(v)
+        h = p / (1.0 + v * p)
+    return L * _series_or_quotient(u < 0.0, lambda: h, lambda: 1.0 - h)
 
 
 def phi(t: float, x: float) -> float:
@@ -200,5 +223,14 @@ def deformed_log_t_derivative(t: float, x):
     u = t L; nonnegative for every x > 0. ``t`` and ``x`` may be arrays."""
     L = _log(x)
     u = t * L
-    out = L * L * np.exp(u) * _phi2(-u)
-    return out if isinstance(out, np.ndarray) else float(out)
+    # where phi2(-u) overflows, e**u phi2(-u) = (1 - e**u (1 - u))/u**2, which
+    # does not cancel there
+    if isinstance(u, float):
+        if -u > PHI2_MAX:
+            return float(L * L * ((1.0 - np.exp(u) * (1.0 - u)) / (u * u)))
+        return float(L * L * np.exp(u) * _phi2(-u))
+    big = -u > PHI2_MAX
+    if big.any():  # each branch on its own side of -PHI2_MAX, so that neither warns
+        w, z = np.maximum(u, -PHI2_MAX), np.minimum(u, -PHI2_MAX)
+        return np.where(big, L * L * ((1.0 - np.exp(z) * (1.0 - z)) / (z * z)), L * L * np.exp(w) * _phi2(-w))
+    return L * L * np.exp(u) * _phi2(-u)

@@ -1,11 +1,12 @@
 import collections
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from oel import chains
+from oel import chains, scalar
 from oel.errors import DomainError, NumericError
 from oel.funcs import REGISTRY, FunctionSpec, linear, power, quad_exponential, geometric_interpolant
 from test_scalar import geom_log_derivative
@@ -48,6 +49,63 @@ def test_verdict_semantics():
         chains.verdict_from_values("demo", [1.0, math.inf], 1e-9)
     d = chains.verdict_from_values("demo", [0.0, 1.0], 1e-9, lambda: {"k": 1}).to_dict()
     assert d["pass"] is True and d["witness"] == {"k": 1}
+
+
+def _old_verdict(chain_id, values, tol):
+    """(ok, min_rel_slack, slacks, scale, values) as the verdict held them
+    before its one pass: every slack listed, their ``min`` over the scale."""
+    values = [float(v) for v in values]
+    slacks = []
+    scale = 1.0
+    prev = None
+    for v in values:
+        if not math.isfinite(v):
+            raise NumericError(f"{chain_id}: chain produced non-finite values {values!r}")
+        if abs(v) > scale:
+            scale = abs(v)
+        if prev is not None:
+            slacks.append(v - prev)
+        prev = v
+    ok = not slacks or min(slacks) >= -tol * scale
+    return ok, (min(slacks) / scale if slacks else 0.0), slacks, scale, values
+
+
+def _verdict_chains():
+    """Value lists at the edges of the one pass, then random ones."""
+    yield [0.0, 0.0, -0.0]  # slacks 0.0 then -0.0: min keeps the first
+    yield [0.0, -0.0, -0.0]  # -0.0 then 0.0
+    yield [1.0, 1.0, 0.0, 0.0]
+    yield [-1.5e308, 1.5e308]  # a slack that overflows to inf
+    yield [1.5e308, -1.5e308, 1.5e308]  # to -inf, then inf
+    yield [0.25, 0.0]  # a two-value chain, as lem-3.7's [excess, 0]
+    yield [-1e-17, 0.0]
+    yield [0.0, np.float64(0.3) ** 2, np.log(np.float64(7.0))]  # numpy floats, as am-gm's psi/t
+    yield [np.float64(2.0)]
+    yield []
+    rng = np.random.default_rng(11)
+    for k in range(3000):
+        size = 2 + k % 4
+        yield (rng.normal(size=size) * 10.0 ** rng.integers(-3, 4, size=size)).tolist()
+
+
+@pytest.mark.parametrize("tol", [1e-9, 0.0, -1.0, 0.5])
+def test_one_pass_verdict_is_the_old_loop_bitwise(tol):
+    for values in _verdict_chains():
+        ok, rel, slacks, scale, floats = _old_verdict("demo", values, tol)
+        v = chains.verdict_from_values("demo", values, tol, lambda: {"k": 1})
+        assert (v.ok, repr(v.min_rel_slack), repr(v.slacks), repr(v.scale)) == (ok, repr(rel), repr(slacks), repr(scale)), values
+        assert repr(v.to_dict()) == repr({"chain_id": "demo", "values": floats, "slacks": slacks, "pass": ok, "tol": tol, "witness": {"k": 1}})
+        assert all(type(x) is float for x in v.values + v.slacks)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_one_pass_verdict_refuses_as_the_old_loop(bad):
+    for values in ([bad, 1.0], [1.0, np.float64(2.0), bad], [bad]):
+        with pytest.raises(NumericError) as old:
+            _old_verdict("lem-3.4", values, 1e-9)
+        with pytest.raises(NumericError) as new:
+            chains.verdict_from_values("lem-3.4", values, 1e-9)
+        assert str(new.value) == str(old.value)
 
 
 def test_young_ratio_chain_cases():
@@ -285,6 +343,69 @@ def test_tsallis_scalar_examples():
         chains.tsallis_scalar_chain(0.5, 0.5, 1.0)
     with pytest.raises(ValueError):
         chains.tsallis_scalar_chain(2.0, 0.0, 1.0)
+
+
+def _old_tsallis_values(x, s, t):
+    """lem-3.4's values as computed before its guard: every kernel call
+    under ``np.errstate``; the refusal's text where one leaves float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        ls, lt = scalar.deformed_log(s, x), scalar.deformed_log(t, x)
+        rates = scalar.eta(x, s) * (t - s), scalar.eta(x, t) * (t - s)
+    try:
+        values = [math.exp(rates[0]) * ls, lt, math.exp(rates[1]) * ls]
+    except OverflowError:
+        values = [math.inf]
+    if not all(map(math.isfinite, values)):
+        return f"lem-3.4's values must be within float range, got x={x!r}, s={s!r}, t={t!r}"
+    return values
+
+
+def test_tsallis_scalar_enters_errstate_only_where_a_value_can_overflow():
+    rng = np.random.default_rng(31)
+    cases = [(float(x), float(s), float(t)) for x, s, t in zip(np.exp(rng.uniform(0.0, 7.0, 500)), *rng.uniform(0.05, 3.0, (2, 500)))]
+    # max(s, t) log x on either side of the guard at 709 and of 709.78
+    for e in np.linspace(700.0, 720.0, 81):  # with an x of at most e**(720 / 1.02)
+        s, t = rng.uniform(0.05, 3.0), rng.uniform(1.02, 3.0)
+        cases += [(math.exp(e / t), s, t), (math.exp(e / t), t, s), (math.exp(e / t), t, t)]
+    cases += [(1e300, 3.0, 0.05), (1e300, 0.05, 3.0), (math.exp(709.0), 1.0, 1.0), (math.exp(709.7), 1.0, 0.5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x, s, t in cases:
+            try:
+                got = chains.tsallis_scalar_chain(x, s, t).values
+            except ValueError as exc:
+                got = str(exc)
+            old = _old_tsallis_values(x, s, t)
+            assert repr(got) == repr(old), (x, s, t)
+
+
+def _old_am_gm_values(w, x, t):
+    """cor-2.4-am-gm's values with the two products as ``np.prod`` took them."""
+    w, x = chains._weighted(w, x)
+    arith = sum(wi * xi for wi, xi in zip(w, x))
+    geom = float(np.prod([xi**wi for wi, xi in zip(w, x)]))
+    gmix = float(np.prod([(t * xi + (1.0 - t) * arith) ** wi for wi, xi in zip(w, x)]))
+    psi = min(np.log(arith / gmix) ** 2, t * t)
+    values = [0.0, psi / t, float(np.log(arith / geom))]
+    if min(x) >= 1.0:
+        values.append(arith - geom)
+    return [float(v) for v in values], geom
+
+
+def test_products_are_numpy_prod_bitwise():
+    rng = np.random.default_rng(37)
+    for k in range(20000):
+        factors = (np.exp(rng.normal(size=1 + k % 12) * 10.0 ** rng.integers(-2, 2))).tolist()
+        assert repr(chains._prod(factors)) == repr(float(np.prod(factors))), factors
+    for k in range(3000):
+        size = 1 + k % 9
+        w = rng.exponential(size=size)
+        w = (w / w.sum()).tolist()
+        x = np.exp(rng.uniform(-3.0, 4.0, size)).tolist()
+        t = float(rng.uniform(1e-3, 1.0))
+        v = chains.am_gm_refinement(w, x, t)
+        values, geom = _old_am_gm_values(w, x, t)
+        assert (repr(v.values), repr(v.witness["geom"])) == (repr(values), repr(geom)), (w, x, t)
 
 
 def _form_min(f, g, a, b, points=4097) -> float:

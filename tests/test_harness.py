@@ -146,6 +146,98 @@ def test_a_reused_stream_is_a_fresh_stream_field_for_field(seed):
     assert state["has_uint32"] == 1 and state["buffer_pos"] not in (0, 4)
 
 
+# every span a generator draws an integer from (a regime's case, a dimension
+# 1..8, a pool, k and n; a fixed dimension is span 1, which takes no word),
+# one at which Lemire's draw rejects about half the words, and the full
+# 32-bit span
+_INT_SPANS = [1, 2, 3, 4, 5, 7, 8, 10, 18, 64, 2**31 + 1, 2**32]
+
+
+def _stream(cls, seed: int, trial: int):
+    """A ``cls`` on trial_rng's Philox stream of (seed, trial)."""
+    return cls(np.random.Philox(key=np.array([seed, trial], dtype=np.uint64)))
+
+
+@pytest.mark.parametrize("seed, trial", [(0, 0), (0, 2**64 - 1), (2**64 - 1, 0), (2**64 - 1, 2**64 - 1)])
+def test_draw_int_is_generator_integers_word_for_word(seed, trial):
+    # 64-bit draws between the integer draws leave numpy's buffered half as
+    # it is, in either order; each call is made on both streams and compared
+    others = [
+        lambda g: [g.random()], lambda g: g.random(3).tolist(), lambda g: g.normal(size=2).tolist(),
+        lambda g: [g.exponential()], lambda g: g.exponential(size=5).tolist(),
+    ]
+    ours, theirs = trial_rng(seed, trial), _stream(np.random.Generator, seed, trial)
+    assert type(ours) is harness._stream_type() and ours.half is None
+    pick = np.random.default_rng(5)
+    for step in range(3000):
+        span = _INT_SPANS[step % len(_INT_SPANS)]
+        lo = int(pick.integers(-5, 5))
+        drawn = [ours.draw_int(lo, lo + span) for _ in range(1 + step % 3)]
+        assert drawn == [int(theirs.integers(lo, lo + span)) for _ in drawn], (step, span)
+        other = others[int(pick.integers(len(others)))]
+        assert other(ours) == other(theirs), step
+    assert ours.random() == theirs.random()
+
+
+def test_draw_int_rejects_like_numpy_at_a_span_of_half_the_words():
+    # at span 2**31 + 1, 2**32 % span = 2**31 - 1: about half the halves
+    # are rejected, so the draws read about twice the words they would
+    ours, theirs = trial_rng(3, 4), trial_rng(3, 4)
+    read, word = [], ours._word
+    ours._word = lambda: read.append(1) or word()
+    span = 2**31 + 1
+    drawn = [ours.draw_int(0, span) for _ in range(400)]
+    assert drawn == [int(theirs.integers(0, span)) for _ in drawn]
+    assert 300 < len(read) < 500, len(read)  # 200 words with no rejection
+    assert ours.random() == theirs.random()
+
+
+@pytest.mark.parametrize("lo, hi", [(0, 2**32 + 1), (0, 2**40), (3, 3), (5, 2)])
+def test_draw_int_refuses_a_span_numpy_draws_from_64_bit_words_or_none(lo, hi):
+    with pytest.raises(ValueError, match="draw_int needs"):
+        trial_rng(1, 2).draw_int(lo, hi)
+
+
+def test_a_reused_stream_clears_the_half_a_trial_leaves():
+    streams = TrialStreams(77)
+    for trial in (0, 1, 2**63):
+        streams.rng(trial + 1).draw_int(0, 5)  # an odd number of integer draws leaves a half
+        assert streams._gen.half is not None
+        reused, fresh = streams.rng(trial), trial_rng(77, trial)
+        assert reused.half is None
+        assert [reused.draw_int(0, 7) for _ in range(5)] == [fresh.draw_int(0, 7) for _ in range(5)]
+
+
+def test_fuzz_all_carries_no_half_word_from_chain_to_chain():
+    # rem-2.3 draws one integer per trial, so its second block, of 5
+    # trials, ends with a half-word held; cor-2.4's trials, of two integers
+    # each, must still draw as they do alone
+    cfg = GeneratorConfig(seed=5, trials=69)
+    together = harness.fuzz_all(cfg, ["rem-2.3", "cor-2.4"])
+    alone = [fuzz_chain(cid, cfg) for cid in ("rem-2.3", "cor-2.4")]
+    assert harness.dumps_report(together) == harness.dumps_report(alone)
+    assert [rep.slack_rows for rep in together] == [rep.slack_rows for rep in alone]
+
+
+class _NumpyIntegers(np.random.Generator):
+    """A stream whose integer draw is numpy's ``integers`` call itself, as
+    the generators drew before ``TrialStream.draw_int``."""
+
+    def draw_int(self, lo, hi):
+        return int(self.integers(lo, hi))
+
+
+def test_every_chain_draws_what_numpy_integers_drew_bitwise():
+    # the old draws, by their numpy calls, are the oracle of every generator
+    configs = [GeneratorConfig(seed=48), GeneratorConfig(seed=49, dim_range=(1, 8))]
+    configs += [GeneratorConfig(seed=50, regime={"case": c}) for c in ("below", "straddle", "above", "low", "high")]
+    for cfg in configs:
+        for cid, entry in CHAINS.items():
+            for trial in range(40):
+                numpy_drawn = entry.generate(_stream(_NumpyIntegers, cfg.seed, trial), cfg)
+                assert _fingerprint(entry.generate(trial_rng(cfg.seed, trial), cfg)) == _fingerprint(numpy_drawn), (cid, trial)
+
+
 # every (lo, hi) a generator draws uniformly from with literal ends, and the
 # ends whose logarithms log_uniform draws from
 _UNIFORM_RANGES = [

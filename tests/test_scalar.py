@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -131,6 +132,102 @@ def test_kernels_match_mpmath_within_a_few_ulps():
                 errors["eta"].append(_rel(scalar.eta(x, a), _eta(mp, x, mp.mpf(a))))
     # a NaN fails here too, as it compares false
     assert all(e <= 1e-14 for errs in errors.values() for e in errs), {k: max(v) for k, v in errors.items()}
+
+
+def test_kernels_match_mpmath_past_phi2_overflow():
+    # |u| = |a log x| beyond log(max float) = 709.78, out to 800: eta and
+    # the t-derivative once went NaN or inf there. Right of 0 the
+    # t-derivative, about L**2 e**u / u, leaves float range itself. Left of
+    # 0 and short of 709.78 it keeps its bits, and so the precision that
+    # (L L) e**u loses once it is subnormal, at |log x| < 1: it is read
+    # there only while that product is normal
+    mp = pytest.importorskip("mpmath")
+    errors = {"t-derivative": [], "eta": []}
+    with mp.workdps(60):
+        for x in (math.exp(-5.0), 0.3, 0.999, 1.001, 2.0, math.exp(5.0)):
+            L = mp.log(mp.mpf(x))
+            for u in np.concatenate([np.linspace(700.0, 800.0, 41), [scalar.PHI2_MAX, np.nextafter(scalar.PHI2_MAX, 1e3)]]):
+                for sign in (1.0, -1.0):
+                    a = float(sign * u / math.log(x))
+                    um = mp.mpf(a) * L
+                    derivative = L * L * (mp.exp(um) * (um - 1) + 1) / (um * um)
+                    uf = a * float(np.log(x))  # u as the kernel has it
+                    if -uf > scalar.PHI2_MAX or (uf < 0.0 and L * L * mp.exp(um) >= sys.float_info.min):
+                        errors["t-derivative"].append(_rel(scalar.deformed_log_t_derivative(a, x), derivative))
+                    if a > 0.0:
+                        errors["eta"].append(_rel(scalar.eta(x, a), _eta(mp, x, mp.mpf(a))))
+    assert all(e <= 1e-14 for errs in errors.values() for e in errs), {k: max(v) for k, v in errors.items()}
+    assert scalar.eta(2.0, 710.0 / math.log(2.0)) == pytest.approx(0.69217, abs=1e-5)
+
+
+def _old_t_derivative(t, x):
+    """``deformed_log_t_derivative`` before its branch past phi2's overflow."""
+    L = scalar._log(x)
+    u = t * L
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = L * L * np.exp(u) * scalar._phi2(-u)
+    return out if isinstance(out, np.ndarray) else float(out)
+
+
+def _old_eta(x, a):
+    """``eta`` before its branch past phi2's overflow."""
+    L = scalar._log(x)
+    u = a * L
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = scalar._phi2(abs(u))
+        h = p / (1.0 + abs(u) * p)
+        out = L * scalar._series_or_quotient(u < 0.0, lambda: h, lambda: 1.0 - h)
+    return out if isinstance(out, np.ndarray) else float(out)
+
+
+def _old_deformed_log(t, x):
+    """``deformed_log`` before its float path: numpy's L, read by ``np.ndim``."""
+    out = scalar._deformed_log(t, np.log(scalar._as_positive(x)))
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def test_kernels_keep_every_finite_bit_and_warn_nowhere_past_phi2_overflow():
+    rng = np.random.default_rng(17)
+    xs = np.exp(rng.uniform(-6.0, 6.0, 40))
+    # |u| up to 760 on either side of phi2's overflow at 709.78; right of 0
+    # the t-derivative overflows itself past about 716, so it is read left of 700
+    us = np.concatenate([rng.uniform(-760.0, 760.0, 60), np.linspace(709.0, 710.0, 21), [scalar.PHI2_MAX, 745.2]])
+    us = np.concatenate([us, -us])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in xs.tolist():
+            ts = (us[us < 700.0 * np.sign(math.log(x))] / math.log(x)).tolist()  # u = t log x < 700
+            new = [scalar.deformed_log_t_derivative(t, x) for t in ts]
+            assert np.array_equal(scalar.deformed_log_t_derivative(np.array(ts), x), new)
+            assert all(map(math.isfinite, new))
+            old = [_old_t_derivative(t, x) for t in ts]
+            assert [o for o in old if math.isfinite(o)] == [n for n, o in zip(new, old) if math.isfinite(o)]
+            for a in (u / abs(math.log(x)) for u in us.tolist() if u >= 0.0):
+                new_eta = scalar.eta(x, a)
+                assert math.isfinite(new_eta)
+                if math.isfinite(old_eta := _old_eta(x, a)):
+                    assert new_eta == old_eta, (x, a)
+            # an array that holds u = 0 beside u past -709.78
+            mixed = np.array([0.0, -800.0, -1.0, -scalar.PHI2_MAX]) / math.log(x)
+            assert np.array_equal(scalar.deformed_log_t_derivative(mixed, x), [scalar.deformed_log_t_derivative(t, x) for t in mixed.tolist()])
+            # eta takes one a and an array of x: a row of x at each a
+            for ai in (np.abs(us[:10]) / abs(math.log(x))).tolist():
+                row = np.full(3, x) ** np.array([1.0, -1.0, 0.5])
+                assert np.array_equal(scalar.eta(row, ai), [scalar.eta(float(v), ai) for v in row])
+
+
+def test_deformed_log_on_floats_is_the_old_numpy_form_bitwise():
+    rng = np.random.default_rng(19)
+    ts = np.concatenate([rng.uniform(-4.0, 4.0, 2000), rng.uniform(-1e-7, 1e-7, 200), [5e-324, -5e-324, 0.0, 1e-8, -1e-8, 1.0000000000000002e-8]])
+    xs = np.exp(rng.uniform(-8.0, 8.0, 2000))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t, x in zip(ts.tolist(), np.resize(xs, ts.size).tolist()):
+            for tv, xv in ((t, x), (np.float64(t), x), (t, np.float64(x)), (t, 2.0)):
+                new = scalar.deformed_log(tv, xv)
+                assert type(new) is float and repr(new) == repr(_old_deformed_log(tv, xv)), (tv, xv)
+    assert np.array_equal(scalar.deformed_log(ts, 3.0), _old_deformed_log(ts, 3.0))
+    assert np.array_equal(scalar.deformed_log(0.7, xs), _old_deformed_log(0.7, xs))
 
 
 def test_eta_is_finite_far_left_of_one():

@@ -6,12 +6,14 @@ The parent is exported with ``git archive`` into a temporary directory; the
 checkout is only read. In each tree, subprocesses with ``PYTHONPATH=src``
 run
 
-- the fuzz configs of ``FUZZ_CONFIGS``: ``harness.fuzz_all`` and each
-  operator chain's ``harness.fuzz_chain``, each writing its JSON report and
-  CSV sidecar, compared byte for byte;
+- the fuzz configs of ``FUZZ_CONFIGS``: ``harness.fuzz_all``, each
+  operator chain's ``harness.fuzz_chain``, and each scalar chain's at the
+  200 trials of a default ``oel fuzz <id>``, each writing its JSON report
+  and CSV sidecar, compared byte for byte;
 - the ``oel`` calls of ``CLI_CALLS``, every ``oel verify`` and ``oel
-  compute`` call of the CI workflow and its refused ``oel fuzz`` calls
-  among them, on the matrix files of ``MATRICES`` and next to the
+  compute`` call of the CI workflow, and its ``oel fuzz`` calls that
+  compare ``fuzz all`` with one chain alone or are refused, among them,
+  on the matrix files of ``MATRICES`` and next to the
   directories of ``DIRECTORIES``, comparing stdout, stderr and exit code.
 
 Every config whose output differs between the trees is printed, then one
@@ -37,7 +39,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 OPERATOR_CHAINS = ("zou", "thm-3.3", "thm-3.5", "thm-3.6", "thm-3.11", "prop-3.10", "thm-2.12")
+SCALAR_CHAINS = (
+    "prop-2.1", "thm-2.2", "rem-2.3", "cor-2.4", "cor-2.4-am-gm", "thm-2.6-convex", "thm-2.6-concave", "thm-2.7",
+    "cor-2.8", "cor-2.9-logconvex", "cor-2.9-geomconvex", "lem-3.4", "lem-3.7", "cor-3.8",
+)
 TRIALS = 70  # one full block of 64 trials and part of a second
+SCALAR_TRIALS = 200  # the oel fuzz default: three full blocks and 8 trials of a fourth
 SEEDS = (1, 7, 42)
 TOLS = (1e-9, -1.0)
 
@@ -58,6 +65,7 @@ def _fuzz_configs() -> list:
                 configs.append(("all", {**base, "regime": regime}))
         for scalars in ((1e-7, 1e7), (5.0, 5.0)):
             configs.append(("all", {"seed": seed, "trials": TRIALS, "scalar_range": scalars}))
+        configs += [(cid, {"seed": seed, "trials": SCALAR_TRIALS}) for cid in SCALAR_CHAINS]
     return [(f"fuzz {runner} {json.dumps(fields, sort_keys=True)}", runner, fields) for runner, fields in configs]
 
 
@@ -164,7 +172,10 @@ CLI_CALLS = [
     "verify thm-2.12 --A ta.json --mode bogus",
     "verify cor-2.4 --fn quad-exp-1-0 --w 0.5,0.5 --x -0.3,0.5 --t 0.5",
     "verify cor-2.4 --fn quad-exp-1-0 --w 0.5,0.5 --x=-0.3,0.5 --t 0.5",
-    # package and determinism smoke test: a refused tolerance and refused report paths
+    # package and determinism smoke test: fuzz all against one chain alone,
+    # a refused tolerance and refused report paths
+    "fuzz all --trials 69 --seed 5 --out all.json",
+    *[f"fuzz {cid} --trials 69 --seed 5 --out one.json" for cid in ("zou", "thm-2.12", "cor-2.4", "cor-2.9-logconvex")],
     "fuzz zou --trials 2 --tol nan",
     "fuzz zou --trials 2 --out r.csv",
     "fuzz all --trials 2000 --out no-such-dir/r.json",
