@@ -17,8 +17,8 @@ raise.
 A checker runs on Python floats, one trial per call, where numpy's call
 costs more than its arithmetic; it keeps numpy's bits wherever Python's
 would differ. A power of a numpy float (``np.log(q) ** 2``) stays numpy's:
-Python's ``**`` differs in the last bit at times. Fewer than 8 factors are
-multiplied in order, which is ``np.prod`` (``_prod``). ``verdict_from_values``
+Python's ``**`` differs in the last bit at times. Factors are multiplied in
+order, which is ``np.prod`` (``_prod``). ``verdict_from_values``
 decides a chain in one pass over its values; a ``ChainVerdict`` derives its
 slacks and scale when they are read. A trial's integers are drawn by
 ``draw_int`` of ``harness.trial_rng``'s streams, never here.
@@ -26,6 +26,7 @@ slacks and scale when they are read. A trial's integers are drawn by
 
 from __future__ import annotations
 
+import contextlib
 import math
 import operator
 from dataclasses import dataclass, field
@@ -105,11 +106,9 @@ def verdict_from_values(chain_id, values, tol, build_witness=dict) -> ChainVerdi
 
 
 def _prod(factors: list) -> float:
-    """``float(np.prod(factors))``: numpy multiplies fewer than 8 values in
-    order, as ``reduce`` does."""
-    if len(factors) < 8:
-        return reduce(operator.mul, factors, 1.0)
-    return float(np.prod(factors))
+    """``float(np.prod(factors))`` of float factors: numpy multiplies them in
+    order, as ``reduce`` does (it sums pairwise, but does not multiply so)."""
+    return reduce(operator.mul, factors, 1.0)
 
 
 def _flagged(f: FunctionSpec, flag: str):
@@ -441,10 +440,8 @@ def tsallis_scalar_chain(x, s, t, tol=DEFAULT_TOL) -> ChainVerdict:
         raise ValueError(f"need s, t > 0, got s={s!r}, t={t!r}")
     # a deformed log leaves float range, refused below, only where its
     # exponent max(s, t) log x passes 709.78
-    if max(s, t) * math.log(x) > 709.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            ls, lt = scalar.deformed_log(s, x), scalar.deformed_log(t, x)
-    else:
+    wide = max(s, t) * math.log(x) > 709.0
+    with np.errstate(over="ignore", invalid="ignore") if wide else contextlib.nullcontext():
         ls, lt = scalar.deformed_log(s, x), scalar.deformed_log(t, x)
     rates = scalar.eta(x, s) * (t - s), scalar.eta(x, t) * (t - s)
     try:

@@ -186,14 +186,9 @@ def eta(x, a: float):
             p = _phi2(v)
             h = p / (1.0 + v * p)
         return float(L * (h if u < 0.0 else 1.0 - h))
-    big = v > PHI2_MAX
-    if big.any():
-        w = np.minimum(v, PHI2_MAX)
-        p = _phi2(w)
-        h = np.where(big, 1.0 / np.maximum(v, PHI2_MAX), p / (1.0 + w * p))
-    else:
-        p = _phi2(v)
-        h = p / (1.0 + v * p)
+    w = np.minimum(v, PHI2_MAX)  # w == v wherever phi2(v) is in range
+    p = _phi2(w)
+    h = np.where(v > PHI2_MAX, 1.0 / np.maximum(v, PHI2_MAX), p / (1.0 + w * p))
     return L * _series_or_quotient(u < 0.0, lambda: h, lambda: 1.0 - h)
 
 
@@ -229,8 +224,6 @@ def deformed_log_t_derivative(t: float, x):
         if -u > PHI2_MAX:
             return float(L * L * ((1.0 - np.exp(u) * (1.0 - u)) / (u * u)))
         return float(L * L * np.exp(u) * _phi2(-u))
-    big = -u > PHI2_MAX
-    if big.any():  # each branch on its own side of -PHI2_MAX, so that neither warns
-        w, z = np.maximum(u, -PHI2_MAX), np.minimum(u, -PHI2_MAX)
-        return np.where(big, L * L * ((1.0 - np.exp(z) * (1.0 - z)) / (z * z)), L * L * np.exp(w) * _phi2(-w))
-    return L * L * np.exp(u) * _phi2(-u)
+    # each branch on its own side of -PHI2_MAX, so that neither warns
+    w, z = np.maximum(u, -PHI2_MAX), np.minimum(u, -PHI2_MAX)
+    return np.where(-u > PHI2_MAX, L * L * ((1.0 - np.exp(z) * (1.0 - z)) / (z * z)), L * L * np.exp(w) * _phi2(-w))
