@@ -84,13 +84,16 @@ def _column(values) -> np.ndarray:
 @dataclass
 class OperatorChainVerdict:
     """The outcome of one operator chain; ``build_links`` makes the link
-    matrices, which ``links`` builds on first read."""
+    matrices, which ``links`` builds on first read. ``min_rel_slack`` is
+    the least relative slack of the ``verdicts``, in link order, or None
+    when it decides no link."""
 
     chain_id: str
     build_links: Callable[[], list] = field(repr=False, compare=False)
     verdicts: list
     status: str
     tol: float
+    min_rel_slack: float | None
     regime: dict = field(default_factory=dict)
 
     @cached_property
@@ -104,12 +107,6 @@ class OperatorChainVerdict:
     @property
     def applicable(self) -> bool:
         return self.status != STATUS_NOT_APPLICABLE
-
-    @property
-    def min_rel_slack(self):
-        if not self.verdicts:
-            return None
-        return min(v.min_slack_eigenvalue / v.scale for v in self.verdicts)
 
     def to_dict(self) -> dict:
         return {
@@ -166,12 +163,12 @@ class Decided:
         if self.errors[i] is not None:
             return self.errors[i]
         if self.status[i] == STATUS_NOT_APPLICABLE:
-            return OperatorChainVerdict(self.chain_id, list, [], STATUS_NOT_APPLICABLE, self.tol, self._at[i])
+            return OperatorChainVerdict(self.chain_id, list, [], STATUS_NOT_APPLICABLE, self.tol, None, self._at[i])
         layout, s, regime, lift, (slack, scale, holds), j = self._at[i]
         columns = zip(holds[:, j].tolist(), slack[:, j].tolist(), scale[:, j].tolist())
         verdicts = [LoewnerVerdict(h, x, self.tol, c) for h, x, c in columns]
         build = lambda: [lift(s, name) for name in layout]
-        return OperatorChainVerdict(self.chain_id, build, verdicts, self.status[i], self.tol, regime)
+        return OperatorChainVerdict(self.chain_id, build, verdicts, self.status[i], self.tol, self.rel[i], regime)
 
 
 def _peak(V: np.ndarray) -> np.ndarray:

@@ -179,119 +179,57 @@ def linear(slope: float, intercept: float) -> FunctionSpec:
     )
 
 
-def log_wide() -> FunctionSpec:
-    """log x on a window above 1, where it is nonnegative increasing concave."""
-    return FunctionSpec(
-        id="log-wide",
-        domain=(1.0 + 1e-9, 50.0),
-        eval=_pointwise(lambda x: np.log(x)),
-        deriv=_pointwise(lambda x: 1.0 / x),
-        flags=frozenset({"concave", "monotone_increasing", "log_concave"}),
-    )
-
-
-def _neg_log() -> FunctionSpec:
+# the named test functions, in the order draws index them (``tuple(REGISTRY)``)
+REGISTRY = {s.id: s for s in [
+    FunctionSpec(
+        "exp", (0.01, 5.0), _pointwise(lambda x: np.exp(x)), _pointwise(lambda x: np.exp(x)),
+        frozenset({"log_convex", "log_concave", "convex", "monotone_increasing", "geometrically_convex"}),
+    ),
+    exp_power(1.0),
+    exp_power(2.0),
+    inv_power(1.0),
+    inv_power(2.0),
+    power(2.0),
+    power(3.0),
+    # shrunk away from the endpoints to avoid the blowup at 0 and pi/2
+    FunctionSpec(
+        "inv-sin", (0.05, float(np.pi / 2 - 0.05)),
+        _pointwise(lambda x: 1.0 / np.sin(x)), _pointwise(lambda x: -np.cos(x) / np.sin(x) ** 2),
+        frozenset({"log_convex", "convex", "monotone_decreasing", "geometrically_convex"}),
+    ),
+    FunctionSpec(
+        "sin", (0.05, float(np.pi - 0.05)), _pointwise(lambda x: np.sin(x)), _pointwise(lambda x: np.cos(x)),
+        frozenset({"log_concave", "concave"}),
+    ),
+    FunctionSpec(
+        "gauss", (-2.0, 2.0), _pointwise(lambda x: np.exp(-x * x)), _pointwise(lambda x: -2.0 * x * np.exp(-x * x)),
+        frozenset({"log_concave"}),
+    ),
     # log-convex only while log x <= -1, hence the 1/e right endpoint
-    return FunctionSpec(
-        id="neg-log",
-        domain=(0.02, float(np.exp(-1.0))),
-        eval=_pointwise(lambda x: -np.log(x)),
-        deriv=_pointwise(lambda x: -1.0 / x),
-        flags=frozenset({"log_convex", "convex", "monotone_decreasing"}),
-    )
-
-
-def _neg_log_wide() -> FunctionSpec:
+    FunctionSpec(
+        "neg-log", (0.02, float(np.exp(-1.0))), _pointwise(lambda x: -np.log(x)), _pointwise(lambda x: -1.0 / x),
+        frozenset({"log_convex", "convex", "monotone_decreasing"}),
+    ),
     # plain convexity holds on the whole half line, unlike log-convexity
-    return FunctionSpec(
-        id="neg-log-wide",
-        domain=(1e-6, 1e3),
-        eval=_pointwise(lambda x: -np.log(x)),
-        deriv=_pointwise(lambda x: -1.0 / x),
-        flags=frozenset({"convex", "monotone_decreasing"}),
-    )
-
-
-def _log_unit_to_e() -> FunctionSpec:
+    FunctionSpec(
+        "neg-log-wide", (1e-6, 1e3), _pointwise(lambda x: -np.log(x)), _pointwise(lambda x: -1.0 / x),
+        frozenset({"convex", "monotone_decreasing"}),
+    ),
     # log-concave only while log x >= ... the left endpoint stays above 1 so
     # the ratio chains can divide by f
-    return FunctionSpec(
-        id="log",
-        domain=(1.0 + 1e-9, float(np.e)),
-        eval=_pointwise(lambda x: np.log(x)),
-        deriv=_pointwise(lambda x: 1.0 / x),
-        flags=frozenset({"log_concave", "concave", "monotone_increasing"}),
-    )
-
-
-def _inv_sin() -> FunctionSpec:
-    # shrunk away from the endpoints to avoid the blowup at 0 and pi/2
-    return FunctionSpec(
-        id="inv-sin",
-        domain=(0.05, float(np.pi / 2 - 0.05)),
-        eval=_pointwise(lambda x: 1.0 / np.sin(x)),
-        deriv=_pointwise(lambda x: -np.cos(x) / np.sin(x) ** 2),
-        flags=frozenset(
-            {"log_convex", "convex", "monotone_decreasing", "geometrically_convex"}
-        ),
-    )
-
-
-def _sin_spec() -> FunctionSpec:
-    return FunctionSpec(
-        id="sin",
-        domain=(0.05, float(np.pi - 0.05)),
-        eval=_pointwise(lambda x: np.sin(x)),
-        deriv=_pointwise(lambda x: np.cos(x)),
-        flags=frozenset({"log_concave", "concave"}),
-    )
-
-
-def _gauss() -> FunctionSpec:
-    return FunctionSpec(
-        id="gauss",
-        domain=(-2.0, 2.0),
-        eval=_pointwise(lambda x: np.exp(-x * x)),
-        deriv=_pointwise(lambda x: -2.0 * x * np.exp(-x * x)),
-        flags=frozenset({"log_concave"}),
-    )
-
-
-def _exp_spec() -> FunctionSpec:
-    return FunctionSpec(
-        id="exp",
-        domain=(0.01, 5.0),
-        eval=_pointwise(lambda x: np.exp(x)),
-        deriv=_pointwise(lambda x: np.exp(x)),
-        flags=frozenset({"log_convex", "log_concave", "convex", "monotone_increasing", "geometrically_convex"}),
-    )
-
-
-def default_registry() -> dict[str, FunctionSpec]:
-    """Immutable-by-convention map of the named test functions."""
-    specs = [
-        _exp_spec(),
-        exp_power(1.0),
-        exp_power(2.0),
-        inv_power(1.0),
-        inv_power(2.0),
-        power(2.0),
-        power(3.0),
-        _inv_sin(),
-        _sin_spec(),
-        _gauss(),
-        _neg_log(),
-        _neg_log_wide(),
-        _log_unit_to_e(),
-        deformed_log_in_t(2.0),
-        quad_exponential(1.0, 0.0),
-        geometric_interpolant(1.0, 4.0),
-        log_wide(),
-        # shallow affine partner passing the two-function gate with log-wide
-        # on [1.5, 4]
-        linear(0.04, 0.12),
-    ]
-    return {s.id: s for s in specs}
-
-
-REGISTRY = default_registry()
+    FunctionSpec(
+        "log", (1.0 + 1e-9, float(np.e)), _pointwise(lambda x: np.log(x)), _pointwise(lambda x: 1.0 / x),
+        frozenset({"log_concave", "concave", "monotone_increasing"}),
+    ),
+    deformed_log_in_t(2.0),
+    quad_exponential(1.0, 0.0),
+    geometric_interpolant(1.0, 4.0),
+    # log x on a window above 1, where it is nonnegative increasing concave
+    FunctionSpec(
+        "log-wide", (1.0 + 1e-9, 50.0), _pointwise(lambda x: np.log(x)), _pointwise(lambda x: 1.0 / x),
+        frozenset({"concave", "monotone_increasing", "log_concave"}),
+    ),
+    # shallow affine partner passing the two-function gate with log-wide
+    # on [1.5, 4]
+    linear(0.04, 0.12),
+]}

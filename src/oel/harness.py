@@ -3,8 +3,8 @@
 Reproducibility model: every trial gets its own counter-based random stream
 keyed by (seed, trial index), so reports are bit-identical for a fixed seed
 regardless of execution order, and a failing trial can be regenerated in
-isolation. One ``TrialStreams`` generator serves a whole ``fuzz_all`` run: each
-trial of every chain resets it to its own stream.
+isolation. One ``TrialStream`` serves a whole ``fuzz_all`` run: each trial of
+every chain resets it to its own stream with ``at``.
 
 Draw model: a draw costs about what its ``rng`` calls cost. Consecutive
 uniforms, or exponentials, are one ``rng`` call, whose values a scalar draw
@@ -73,9 +73,11 @@ def _stream_type() -> type:
     ``numpy.random``, which ``import oel`` leaves to the first draw."""
 
     class TrialStream(np.random.Generator):
-        """A trial's ``Generator``, with ``draw_int(lo, hi)``, which is
-        ``int(integers(lo, hi))`` at a span hi - lo of at most 2**32, bit for
-        bit.
+        """The ``Generator`` of a run's trial streams: ``TrialStream(seed)``
+        is built once, and ``at(trial)`` resets it to trial ``trial``'s
+        Philox stream, keyed by (seed, trial). It adds ``draw_int(lo, hi)``,
+        which is ``int(integers(lo, hi))`` at a span hi - lo of at most
+        2**32, bit for bit.
 
         It reads numpy's bounded draw there (Lemire, "Fast random integer
         generation in an interval", ACM TOMACS 2019) on 32-bit halves of the
@@ -86,12 +88,29 @@ def _stream_type() -> type:
         as here; a stream that mixes ``integers`` and ``draw_int`` keeps two
         halves."""
 
-        __slots__ = ("half", "_word")
+        __slots__ = ("half", "_word", "_bits", "_key", "_state")
 
-        def __init__(self, bit_generator):
-            super().__init__(bit_generator)
+        def __init__(self, seed: int):
+            self._key = [seed & _U64, 0]
+            super().__init__(np.random.Philox(key=np.array(self._key, dtype=np.uint64)))
             self.half = None  # the high half of the last word, while unread
-            self._word = bit_generator.random_raw
+            self._bits = self.bit_generator
+            self._word = self._bits.random_raw
+            # the state of a fresh Philox stream of key ``_key``: Python ints
+            # and lists, which numpy's setter reads faster than uint64 arrays
+            self._state = {
+                "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": self._key},
+                "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            }
+
+        def at(self, trial: int):
+            """This stream, reset to trial ``trial``'s: its key word, its
+            Philox state and ``half``. A reset costs an order of magnitude
+            less than building a stream."""
+            self._key[1] = trial & _U64
+            self._bits.state = self._state
+            self.half = None
+            return self
 
         def draw_int(self, lo: int, hi: int) -> int:
             span = hi - lo
@@ -115,35 +134,7 @@ def _stream_type() -> type:
 
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent substream for one trial of one run, a ``TrialStream``."""
-    key = np.array([seed & _U64, trial & _U64], dtype=np.uint64)
-    return _stream_type()(np.random.Philox(key=key))
-
-
-class TrialStreams:
-    """Reusable counter-based substreams, bit-identical to trial_rng.
-
-    Rebuilding a Philox generator per trial costs more than many trials do;
-    resetting one instance to a fresh stream's state is an order of
-    magnitude cheaper and produces the same stream. That state is one dict
-    of Python ints and lists (numpy's setter reads them faster than uint64
-    arrays), of which a trial changes only the key word ``trial``, and the
-    stream's ``half``, cleared.
-    """
-
-    def __init__(self, seed: int):
-        self._gen = trial_rng(seed, 0)
-        self._bit_gen = self._gen.bit_generator
-        self._key = [seed & _U64, 0]
-        self._state = {
-            "bit_generator": "Philox", "state": {"counter": [0] * 4, "key": self._key},
-            "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-
-    def rng(self, trial: int) -> np.random.Generator:
-        self._key[1] = trial & _U64
-        self._bit_gen.state = self._state
-        self._gen.half = None
-        return self._gen
+    return _stream_type()(seed).at(trial)
 
 
 # the values each key of ``GeneratorConfig.regime`` admits: thm-2.12's mode,
@@ -814,13 +805,13 @@ def fuzz_all(cfg: GeneratorConfig, ids=None) -> list:
     entries = [CHAINS[cid] for cid in ids]
     reports = [FuzzReport(entry.id, cfg.trials, 0, 0, [], None, cfg.seed, 0.0) for entry in entries]
     drawn = [j for j, entry in enumerate(entries) if entry.draw]
-    streams, clock = TrialStreams(cfg.seed), time.perf_counter()
+    stream, clock = trial_rng(cfg.seed, 0), time.perf_counter()
     for first in range(0, cfg.trials, FUZZ_BLOCK):
         trials = range(first, min(first + FUZZ_BLOCK, cfg.trials))
         blocks = []
         for rep, entry in zip(reports, entries):
             draw = entry.draw or entry.generate
-            blocks.append([draw(streams.rng(trial), cfg) for trial in trials])
+            blocks.append([draw(stream.at(trial), cfg) for trial in trials])
             clock = _charge([rep], clock)
         decided = {}
         if drawn:  # realized together, and decided together
@@ -928,9 +919,6 @@ def write_report(reports: list, path, include_timing: bool = False) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(dumps_report(reports, include_timing))
     # the rows csv.writer's excel dialect writes, in one call: no chain id or number needs quoting
-    rows = "".join([
-        f"{rep.chain_id},{trial},{slack:.17g}\r\n" if math.isfinite(slack) else f"{rep.chain_id},{trial},null\r\n"
-        for rep in reports for trial, slack in rep.slack_rows
-    ])
+    rows = "".join([f"{rep.chain_id},{trial},{_fmt_float(slack)}\r\n" for rep in reports for trial, slack in rep.slack_rows])
     with open(sidecar, "w", encoding="utf-8", newline="") as fh:
         fh.write("chain_id,trial,min_link_slack\r\n" + rows)

@@ -575,6 +575,22 @@ def test_pair_chain_parameter_errors_print_only_the_error_line(tmp_path, argv, e
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {error}\n")
 
 
+def test_importing_the_cli_leaves_numpy_random_to_the_first_draw():
+    # a trial's stream subclasses np.random.Generator only when it is first
+    # built, so that `oel` starts without importing numpy.random (about 15
+    # ms); some numpy versions, 1.24 among them, import it with numpy itself
+    src = str(Path(oel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    loaded = {
+        module: subprocess.run(
+            [sys.executable, "-c", f"import sys, {module}; print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True, env=env, check=True,
+        ).stdout
+        for module in ("numpy", "oel.cli")
+    }
+    assert loaded["oel.cli"] == loaded["numpy"], loaded
+
+
 # flagged against its values: a chain divides by f, or takes its log, only
 # where the flags claim f positive, and every registered function is positive
 # there, so only such a function reaches the positivity refusals

@@ -76,6 +76,12 @@ def check_flags(f: FunctionSpec, rng, trials: int = 200, tol: float = 1e-9) -> d
 def test_registry_contains_named_functions():
     for name in ("exp-pow-2", "inv-pow-2", "inv-sin", "neg-log", "log", "lnt-x-2"):
         assert name in REGISTRY
+    # in this order: thm-2.2 draws its function by an index into
+    # tuple(REGISTRY), so a reordering changes every report of that chain
+    assert tuple(REGISTRY) == (
+        "exp", "exp-pow-1", "exp-pow-2", "inv-pow-1", "inv-pow-2", "pow-2", "pow-3", "inv-sin", "sin", "gauss",
+        "neg-log", "neg-log-wide", "log", "lnt-x-2", "quad-exp-1-0", "geo-interp-1-4", "log-wide", "lin-0.04-0.12",
+    )
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))

@@ -12,7 +12,7 @@ import pytest
 from oel import entropy, funcs, harness, linalg, scalar
 from oel.errors import NumericError
 from oel.funcs import REGISTRY, FunctionSpec
-from oel.harness import CHAINS, GeneratorConfig, TrialStreams, fuzz_chain, trial_rng
+from oel.harness import CHAINS, GeneratorConfig, fuzz_chain, trial_rng
 from test_linalg import count_eig_calls, relative_spectrum_bounds
 
 OPERATOR_CHAINS = [cid for cid, entry in CHAINS.items() if entry.kind == "operator"]
@@ -105,10 +105,15 @@ def test_config_accepts_every_regime_value():
 
 
 def test_trial_streams_match_fresh_generators():
-    streams = TrialStreams(1234)
+    # a stream built for one trial, and one stream reset from trial to
+    # trial, each draw what numpy's own Generator on the Philox stream of
+    # key (seed, trial) draws
+    stream = trial_rng(1234, 5)
     for trial in (0, 1, 7, 10**9, 2**63):
-        fresh = trial_rng(1234, trial)
-        reused = streams.rng(trial)
+        fresh = _stream(np.random.Generator, 1234, trial)
+        assert _philox_state(trial_rng(1234, trial)) == _philox_state(fresh)
+        reused = stream.at(trial)
+        assert reused is stream
         assert fresh.uniform() == reused.uniform()
         assert fresh.integers(0, 100) == reused.integers(0, 100)
         assert np.array_equal(fresh.normal(size=4), reused.normal(size=4))
@@ -125,7 +130,7 @@ def _philox_state(rng) -> dict:
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
 def test_a_reused_stream_is_a_fresh_stream_field_for_field(seed):
-    streams = TrialStreams(seed)
+    stream = trial_rng(seed, 0)
     # what the trial before leaves behind: a 32-bit half-word held (an odd
     # number of 32-bit integer draws), a Philox output buffer stopped
     # partway (random draws, one 64-bit word each), or both
@@ -137,10 +142,10 @@ def test_a_reused_stream_is_a_fresh_stream_field_for_field(seed):
     ]
     for leftover in leftovers:
         for trial in (0, 1, 7, 10**9, 2**63):
-            leftover(streams.rng(trial + 1))
-            assert _philox_state(streams.rng(trial)) == _philox_state(trial_rng(seed, trial)), (seed, trial)
+            leftover(stream.at(trial + 1))
+            assert _philox_state(stream.at(trial)) == _philox_state(_stream(np.random.Generator, seed, trial)), (seed, trial)
     # the leftovers do leave state that a reset must clear
-    dirty = trial_rng(seed, 3)
+    dirty = _stream(np.random.Generator, seed, 3)
     leftovers[-1](dirty)
     state = _philox_state(dirty)
     assert state["has_uint32"] == 1 and state["buffer_pos"] not in (0, 4)
@@ -199,13 +204,13 @@ def test_draw_int_refuses_a_span_numpy_draws_from_64_bit_words_or_none(lo, hi):
 
 
 def test_a_reused_stream_clears_the_half_a_trial_leaves():
-    streams = TrialStreams(77)
+    stream = trial_rng(77, 0)
     for trial in (0, 1, 2**63):
-        streams.rng(trial + 1).draw_int(0, 5)  # an odd number of integer draws leaves a half
-        assert streams._gen.half is not None
-        reused, fresh = streams.rng(trial), trial_rng(77, trial)
-        assert reused.half is None
-        assert [reused.draw_int(0, 7) for _ in range(5)] == [fresh.draw_int(0, 7) for _ in range(5)]
+        stream.at(trial + 1).draw_int(0, 5)  # an odd number of integer draws leaves a half
+        assert stream.half is not None
+        fresh = _stream(np.random.Generator, 77, trial)
+        assert stream.at(trial).half is None
+        assert [stream.draw_int(0, 7) for _ in range(5)] == [int(fresh.integers(0, 7)) for _ in range(5)]
 
 
 def test_fuzz_all_carries_no_half_word_from_chain_to_chain():
@@ -394,11 +399,13 @@ def test_fuzz_unknown_chain():
 
 
 def test_fuzz_all_of_no_chain_draws_nothing(monkeypatch):
-    # only ids=None means every chain: an empty selection runs none
-    def no_draw(self, trial):
-        raise AssertionError("no chain to draw")
+    # only ids=None means every chain: an empty selection runs none, so
+    # its stream is never reset to a trial
+    class NoDraw:
+        def at(self, trial):
+            raise AssertionError("no chain to draw")
 
-    monkeypatch.setattr(harness.TrialStreams, "rng", no_draw)
+    monkeypatch.setattr(harness, "trial_rng", lambda seed, trial: NoDraw())
     assert harness.fuzz_all(GeneratorConfig(seed=1, trials=200), []) == []
 
 
@@ -504,8 +511,8 @@ def test_write_report_roundtrip(tmp_path):
 @pytest.mark.parametrize("seed", [1, 42])
 @pytest.mark.parametrize("tol", [1e-9, -1.0])
 def test_fuzz_all_equals_chain_by_chain_runs(seed, tol, tmp_path, monkeypatch):
-    # fuzz_all builds one stream generator for the whole run, and every
-    # trial of every chain resets it to its own stream; it realizes and
+    # fuzz_all builds one stream for the whole run (one trial_rng call),
+    # and every trial of every chain resets it to its own stream; it realizes and
     # factors the matrices of all chains together. Its reports and CSV rows
     # are those of one fuzz_chain call per chain, over two blocks of mixed n
     calls = []
@@ -891,10 +898,10 @@ def test_block_generation_matches_per_trial_generation_bitwise():
     assert set(DRAWN_CHAINS) == set(OPERATOR_CHAINS)
     for cid, cfg in _block_vs_per_trial_configs():
         entry = CHAINS[cid]
-        streams = TrialStreams(cfg.seed)
+        stream = trial_rng(cfg.seed, 0)
         for first in range(0, cfg.trials, harness.FUZZ_BLOCK):
             trials = range(first, min(first + harness.FUZZ_BLOCK, cfg.trials))
-            block = harness._realize([entry.draw(streams.rng(k), cfg) for k in trials])
+            block = harness._realize([entry.draw(stream.at(k), cfg) for k in trials])
             assert len(block) == len(trials)
             for k, params in zip(trials, block):
                 alone = entry.generate(trial_rng(cfg.seed, k), cfg)
@@ -926,8 +933,8 @@ def test_generation_decomposes_nothing(monkeypatch):
     configs = [(cid, GeneratorConfig(seed=47, trials=40)) for cid in ("thm-3.3", "thm-3.5", "thm-3.6", "thm-3.11")]
     configs.append(("thm-2.12", GeneratorConfig(seed=47, trials=40, regime={"mode": "congruence"})))
     for cid, cfg in configs:
-        streams = TrialStreams(cfg.seed)
-        block = harness._realize([CHAINS[cid].draw(streams.rng(k), cfg) for k in range(cfg.trials)])
+        stream = trial_rng(cfg.seed, 0)
+        block = harness._realize([CHAINS[cid].draw(stream.at(k), cfg) for k in range(cfg.trials)])
         assert all({"A", "B"} <= set(params) for params in block), cid
     A, B = _constrained_pair(0, 2.0, 5.0)
     assert A.shape == B.shape == (3, 3)
@@ -970,9 +977,9 @@ def test_witness_builders_neither_raise_nor_warn(scalar_range):
     for cid, entry in CHAINS.items():
         if entry.kind != "scalar":
             continue
-        streams = TrialStreams(cfg.seed)
+        stream = trial_rng(cfg.seed, 0)
         for trial in range(cfg.trials):  # at these ranges every draw is decided
-            verdict = entry.run(entry.generate(streams.rng(trial), cfg), cfg.tol)
+            verdict = entry.run(entry.generate(stream.at(trial), cfg), cfg.tol)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)
                 assert verdict.to_dict()["witness"], (cid, trial)

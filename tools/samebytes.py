@@ -10,6 +10,11 @@ run
   operator chain's ``harness.fuzz_chain``, and each scalar chain's at the
   200 trials of a default ``oel fuzz <id>``, each writing its JSON report
   and CSV sidecar, compared byte for byte;
+- one replay config per seed, on the path ``oel verify`` and a failure's
+  re-run take, where ``trial_rng`` builds a stream per call: for every
+  chain and trials 0 to REPLAY_TRIALS - 1, the serialized params of
+  ``CHAINS[id].generate(trial_rng(seed, trial), cfg)`` and the outcome of
+  ``CHAINS[id].run`` on them, hashed together;
 - the ``oel`` calls of ``CLI_CALLS``, every ``oel verify`` and ``oel
   compute`` call of the CI workflow, and its ``oel fuzz`` calls that
   compare ``fuzz all`` with one chain alone or are refused, among them,
@@ -45,6 +50,7 @@ SCALAR_CHAINS = (
 )
 TRIALS = 70  # one full block of 64 trials and part of a second
 SCALAR_TRIALS = 200  # the oel fuzz default: three full blocks and 8 trials of a fourth
+REPLAY_TRIALS = 12
 SEEDS = (1, 7, 42)
 TOLS = (1e-9, -1.0)
 
@@ -66,6 +72,7 @@ def _fuzz_configs() -> list:
         for scalars in ((1e-7, 1e7), (5.0, 5.0)):
             configs.append(("all", {"seed": seed, "trials": TRIALS, "scalar_range": scalars}))
         configs += [(cid, {"seed": seed, "trials": SCALAR_TRIALS}) for cid in SCALAR_CHAINS]
+        configs.append(("replay", {"seed": seed, "trials": REPLAY_TRIALS}))
     return [(f"fuzz {runner} {json.dumps(fields, sort_keys=True)}", runner, fields) for runner, fields in configs]
 
 
@@ -73,19 +80,36 @@ FUZZ_CONFIGS = _fuzz_configs()
 
 # run in each tree, in a scratch directory: reads FUZZ_CONFIGS as JSON on
 # stdin, prints one JSON object mapping each config's name to the sha256 of
-# its report and CSV, or to the error that stopped it
+# its report and CSV, or of its replayed trials, or to the error that stopped it
 _FUZZ_DRIVER = """
 import hashlib, json, sys
 from pathlib import Path
 from oel import harness
+
+def replay(cfg):
+    digest = hashlib.sha256()
+    for cid, entry in harness.CHAINS.items():
+        for trial in range(cfg.trials):
+            params = entry.generate(harness.trial_rng(cfg.seed, trial), cfg)
+            try:
+                verdict = entry.run(params, cfg.tol)
+                outcome = [verdict.ok, verdict.applicable, verdict.min_rel_slack, verdict.to_dict()]
+            except Exception as exc:
+                outcome = f"{type(exc).__name__}: {exc}"
+            digest.update(harness._emit_json([cid, trial, harness.serialize_params(entry, params), outcome]).encode())
+    return digest.hexdigest()
+
 out = {}
 for name, runner, fields in json.load(sys.stdin):
     fields = {k: tuple(v) if isinstance(v, list) else v for k, v in fields.items()}
     try:
         cfg = harness.GeneratorConfig(**fields)
-        reports = harness.fuzz_all(cfg) if runner == "all" else [harness.fuzz_chain(runner, cfg)]
-        harness.write_report(reports, "r.json")
-        out[name] = hashlib.sha256(Path("r.json").read_bytes() + Path("r.csv").read_bytes()).hexdigest()
+        if runner == "replay":
+            out[name] = replay(cfg)
+        else:
+            reports = harness.fuzz_all(cfg) if runner == "all" else [harness.fuzz_chain(runner, cfg)]
+            harness.write_report(reports, "r.json")
+            out[name] = hashlib.sha256(Path("r.json").read_bytes() + Path("r.csv").read_bytes()).hexdigest()
     except Exception as exc:
         out[name] = f"{type(exc).__name__}: {exc}"
 print(json.dumps(out))
